@@ -1,0 +1,53 @@
+"""Golden digests: ``verify-suite --format json`` bytes for small configs.
+
+Each config covers a regime the benchmark does not reach at this size:
+the generic regime over Q and over a prime field, the identity regime,
+the residual regime (a point fixed by phi), and four variables.  A
+digest changes exactly when a report byte changes, so a refactor that
+keeps these digests keeps the reports.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from idealizer.cli import main
+
+GOLDEN = [
+    (
+        ("--max-degree", "6"),
+        0,
+        "4449d5cf83e06456bd95b9f6b8aa6cbc90d5bbad21ae94f3bf42658220052daf",
+    ),
+    (
+        ("--max-degree", "6", "--field", "prime:10007"),
+        0,
+        "ff51878bf45ff943bf15845c95a6da997d37f79d4df4e69377b60a3294bb5e50",
+    ),
+    (
+        ("--p=1,1", "--max-degree", "5"),
+        0,
+        "4d36a5c911b2d59d00aea4c4c5ac430c98e4c50e6b5c600d22dca268ddd295db",
+    ),
+    (
+        ("--point", "1,0,0", "--max-degree", "5"),
+        1,
+        "e92e1df95f104c922b051f4d5075e2a2bc357a7f72d07bd51679b145a330ef69",
+    ),
+    (
+        ("--d", "3", "--p", "2,3,5", "--point", "1,1,1,1", "--max-degree", "3"),
+        1,
+        "02d2f91da7107d8c77f0d91088cd78e5f98afe96ebaa08451bcf139e847ba028",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
+def test_verify_suite_digest(argv, code, digest):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        got = main(["verify-suite", "--format", "json", *argv])
+    assert got == code
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
