@@ -13,7 +13,7 @@ from .automorphism import AutoMap, ProjPoint
 from .config import ConfigError, Instance, RingConfig
 from .ext import ExtEngine, KoszulComplex
 from .fields import QQ, PrimeField, RationalField, field_from_name
-from .idealizer_ring import IdealizerRing, point_ideal_forms
+from .idealizer_ring import IdealizerRing
 from .orbit import (
     FactorBoundError,
     brute_force_relation,
@@ -24,7 +24,7 @@ from .orbit import (
 )
 from .segre import SegreContext, local_witness_check
 from .suite import run_suite
-from .twist import GradedIdeal, TwistRing
+from .twist import GradedIdeal, PointIdeal, TwistRing, point_ideal_forms
 
 __version__ = "0.1.0"
 
@@ -37,6 +37,7 @@ __all__ = [
     "IdealizerRing",
     "Instance",
     "KoszulComplex",
+    "PointIdeal",
     "PrimeField",
     "ProjPoint",
     "QQ",

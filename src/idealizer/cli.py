@@ -10,6 +10,7 @@ configurations produce byte-identical reports.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from fractions import Fraction
@@ -17,7 +18,6 @@ from fractions import Fraction
 from .automorphism import ProjPoint
 from .config import ConfigError, Instance, RingConfig
 from .ext import ExtEngine
-from .idealizer_ring import point_ideal_forms
 from .orbit import (
     FactorBoundError,
     distinct_window,
@@ -29,9 +29,11 @@ from .poly import basis_dim, format_poly, parse_poly
 from .report import SCHEMA, csv_text, json_text, table_payload
 from .segre import SegreContext, local_witness_check
 from .suite import jsonable, run_suite
-from .twist import GradedIdeal
+from .twist import GradedIdeal, PointIdeal
 
 TABLE_COMMANDS = {"hilbert", "ext-table", "hom-table", "idealizer-gens", "segre"}
+LIST_FLAGS = ("--p", "--point")
+NEGATIVE_VALUE = re.compile(r"-[\d.]")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -147,10 +149,7 @@ def _parse_ideal(instance: Instance, text: str) -> tuple[GradedIdeal, str]:
         if len(lifted) != ring.nvars:
             raise ConfigError("ideal point needs %d coordinates" % ring.nvars)
         pt = ProjPoint.make(lifted, instance.field)
-        return (
-            GradedIdeal(ring, point_ideal_forms(ring, pt)),
-            "point:%s" % pt.render(instance.field),
-        )
+        return PointIdeal(ring, pt), "point:%s" % pt.render(instance.field)
     if spec.startswith("orbit:"):
         try:
             k = int(spec[len("orbit:"):])
@@ -439,9 +438,26 @@ COMMANDS = {
 }
 
 
+def _attach_negative_lists(argv: list[str]) -> list[str]:
+    """Rewrite ``--p -1,3`` as ``--p=-1,3``.
+
+    argparse reads a separate token such as -1,3 as an unknown option,
+    since only plain negative numbers count as values.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in LIST_FLAGS and NEGATIVE_VALUE.match(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_negative_lists(sys.argv[1:] if argv is None else list(argv))
+    )
     started = time.monotonic()
     try:
         cfg = _configure(args)

@@ -32,8 +32,6 @@ __all__ = [
     "ExtEngine",
     "KoszulComplex",
     "QuotientModule",
-    "ShiftedModule",
-    "DirectSumModule",
     "free_module",
 ]
 
@@ -77,52 +75,6 @@ class QuotientModule:
             cols.append(target.quotient_coords(poly_to_vector(prod, self.field)))
         rows = self.dim(n + 1)
         return [[col[r] for col in cols] for r in range(rows)]
-
-
-class ShiftedModule:
-    """M[s], with M[s]_n = M_{n+s}."""
-
-    def __init__(self, base, s: int):
-        self.base = base
-        self.s = s
-        self.nvars = base.nvars
-        self.field = base.field
-        self.label = "%s[%d]" % (base.label, s)
-
-    def dim(self, n: int) -> int:
-        return self.base.dim(n + self.s)
-
-    def mult_matrix(self, form: HomogPoly, n: int):
-        return self.base.mult_matrix(form, n + self.s)
-
-
-class DirectSumModule:
-    def __init__(self, parts):
-        parts = list(parts)
-        if not parts:
-            raise ValueError("empty direct sum")
-        self.parts = parts
-        self.nvars = parts[0].nvars
-        self.field = parts[0].field
-        self.label = " + ".join(p.label for p in parts)
-
-    def dim(self, n: int) -> int:
-        return sum(p.dim(n) for p in self.parts)
-
-    def mult_matrix(self, form: HomogPoly, n: int):
-        blocks = [p.mult_matrix(form, n) for p in self.parts]
-        zero = self.field.zero
-        rows = []
-        for bi, part in enumerate(self.parts):
-            for r in range(part.dim(n + 1)):
-                row = []
-                for bj, other in enumerate(self.parts):
-                    if bj == bi:
-                        row.extend(blocks[bi][r])
-                    else:
-                        row.extend([zero] * other.dim(n))
-                rows.append(row)
-        return rows
 
 
 def free_module(nvars: int, field, ring) -> QuotientModule:

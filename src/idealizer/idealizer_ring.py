@@ -8,8 +8,11 @@ becomes a two-sided ideal,
 
 computed degree by degree as the kernel of an explicit constraint matrix.
 Reducing to the degree-1 generators is legitimate because I is generated
-in degree 1; idealizer_piece_full keeps every constraint up to a cap and
-exists to let tests confirm the reduction on the nose.
+in degree 1.  Each constraint asks that phi^n(f) * x lie in I_{n+1}; the
+quotient U_{n+1}/I_{n+1} is one-dimensional with coordinate evaluation at
+c, so a constraint row is multiply-then-evaluate.  The test suite keeps
+an oracle that takes every constraint up to a cap and reduces against a
+recursively built I.
 
 Everything downstream is a finite-dimensional witness: Hilbert functions
 of S/IS and S/T, minimal generator counts of T, and the comparison of
@@ -18,59 +21,52 @@ Veronese subrings of T with idealizers inside Veronese subrings of S.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-
 from .automorphism import ProjPoint
 from .linalg import GradedSubspace, kernel, span, span_polys
 from .orbit import distinct_window, orbit_points
-from .poly import HomogPoly, basis_dim, basis_index, monomial_basis, poly_to_vector
-from .twist import GradedIdeal, TwistRing
+from .poly import (
+    HomogPoly,
+    basis_dim,
+    basis_index,
+    mono_mul,
+    monomial_basis,
+    monomial_values,
+)
+from .twist import PointIdeal, TwistRing
 
-__all__ = ["IdealizerRing", "point_ideal_forms"]
-
-
-def point_ideal_forms(ring: TwistRing, point: ProjPoint) -> list[HomogPoly]:
-    """Canonical basis of the linear forms vanishing at the point."""
-    if point.nvars != ring.nvars:
-        raise ValueError("point arity does not match the ring")
-    vecs = kernel([list(point.coords)], ring.nvars, ring.field)
-    return [
-        HomogPoly.from_dict(
-            ring.nvars,
-            1,
-            {m: c for m, c in zip(monomial_basis(ring.d, 1), v)},
-        )
-        for v in vecs
-    ]
+__all__ = ["IdealizerRing"]
 
 
 class IdealizerRing:
     """T = idealizer of the point ideal of c inside the twist of U."""
 
     def __init__(self, ring: TwistRing, point: ProjPoint):
-        if point.nvars != ring.nvars:
-            raise ValueError("point arity does not match the ring")
         self.ring = ring
         self.field = ring.field
         self.point = point
-        self.forms = point_ideal_forms(ring, point)
-        self.I = GradedIdeal(ring, self.forms)
+        self.I = PointIdeal(ring, point)
+        self.forms = self.I.gens
         self._pieces: dict[int, GradedSubspace] = {}
         self._is_pieces: dict[int, GradedSubspace] = {}
 
     # -- degreewise pieces ------------------------------------------------
 
-    def _quotient_row(self, shifted: HomogPoly, source_degree: int) -> list:
-        """Constraint row: coordinate of (shifted . e_k) in U/I, one per k."""
-        target = self.I.piece(source_degree + shifted.degree)
+    def _quotient_row(self, g: HomogPoly, source_degree: int) -> list:
+        """Constraint row: coordinate of g * e_k in U/I, one per monomial e_k.
+
+        I_m is the kernel of evaluation at the point, so the coordinate in
+        the one-dimensional quotient is the value at the point, up to a
+        nonzero scalar that does not change the kernel.
+        """
+        degree = source_degree + g.degree
+        values = monomial_values(self.point.coords, self.field, degree)
+        index = basis_index(self.ring.nvars, degree)
         row = []
         for mono in monomial_basis(self.ring.d, source_degree):
-            prod = shifted * HomogPoly.monomial(mono, self.field.one)
-            coords = target.quotient_coords(poly_to_vector(prod, self.field))
-            if len(coords) != 1:
-                raise ArithmeticError("point ideal piece is not of codimension one")
-            row.append(coords[0])
+            acc = self.field.zero
+            for gm, gc in g.terms:
+                acc = acc + gc * values[index[mono_mul(gm, mono)]]
+            row.append(acc)
         return row
 
     def idealizer_piece(self, n: int) -> GradedSubspace:
@@ -85,15 +81,6 @@ class IdealizerRing:
         piece = span(vecs, self.ring.ambient(n), self.field)
         self._pieces[n] = piece
         return piece
-
-    def idealizer_piece_full(self, n: int, j_cap: int) -> GradedSubspace:
-        """Same subspace from the constraints phi^n(I_j) . x <= I_{j+n}, j <= cap."""
-        rows = []
-        for j in range(1, j_cap + 1):
-            for f in self.I.piece(j).basis_polys():
-                rows.append(self._quotient_row(self.ring.twisted(n, f), n))
-        vecs = kernel(rows, basis_dim(self.ring.nvars, n), self.field)
-        return span(vecs, self.ring.ambient(n), self.field)
 
     def t_dim(self, n: int) -> int:
         return self.idealizer_piece(n).dim
@@ -197,48 +184,21 @@ class IdealizerRing:
             "generated": product == target,
         }
 
-    def _eval_vector(self, degree: int):
-        return _eval_vector_cached(self.point.coords, self.field, self.ring.d, degree)
+    def veronese_idealizer_piece(self, n: int, m: int, j_cap: int) -> GradedSubspace:
+        """R'_m: the m-th piece of the idealizer of I^(n) inside S^(n).
 
-    def _veronese_constraint_rows(self, n: int, m: int, j_cap: int, route: str):
-        """Rows of the system cutting out R'_m inside U_{nm}.
-
-        One row per basis element b of I_{nj}, j <= cap: the coordinate of
-        phi^{nm}(b) . x in the one-dimensional quotient U_{nj+nm}/I_{nj+nm}.
+        One constraint row per basis element b of I_{nj}, j <= cap: the
+        coordinate of phi^{nm}(b) . x in U_{nj+nm}/I_{nj+nm}.
         """
-        source = monomial_basis(self.ring.d, n * m)
-        rows = []
-        for j in range(1, j_cap + 1):
-            for b in self.I.piece(n * j).basis_polys():
-                g = self.ring.twisted(n * m, b)
-                if route == "residual":
-                    rows.append(self._quotient_row(g, n * m))
-                    continue
-                # the quotient functional of a point ideal piece is
-                # evaluation at the point, so multiply-then-evaluate
-                # computes the same coordinate without a reduction
-                values = self._eval_vector(n * j + n * m)
-                index = basis_index(self.ring.nvars, n * j + n * m)
-                row = []
-                for mono in source:
-                    acc = self.field.zero
-                    for gm, gc in g.terms:
-                        acc = acc + gc * values[
-                            index[tuple(x + y for x, y in zip(gm, mono))]
-                        ]
-                    row.append(acc)
-                rows.append(row)
-        return rows
-
-    def veronese_idealizer_piece(
-        self, n: int, m: int, j_cap: int, route: str = "eval"
-    ) -> GradedSubspace:
-        """R'_m: the m-th piece of the idealizer of I^(n) inside S^(n)."""
         if m == 0:
             return span(
                 [[self.field.one]], self.ring.ambient(0), self.field
             )
-        rows = self._veronese_constraint_rows(n, m, j_cap, route)
+        rows = [
+            self._quotient_row(self.ring.twisted(n * m, b), n * m)
+            for j in range(1, j_cap + 1)
+            for b in self.I.piece(n * j).basis_polys()
+        ]
         vecs = kernel(rows, basis_dim(self.ring.nvars, n * m), self.field)
         return span(vecs, self.ring.ambient(n * m), self.field)
 
@@ -275,15 +235,3 @@ class IdealizerRing:
             "dims": dims,
             "least_agreement_degree": least,
         }
-
-
-@lru_cache(maxsize=None)
-def _eval_vector_cached(coords, field, d: int, degree: int):
-    values = []
-    for mono in monomial_basis(d, degree):
-        v = field.one
-        for x, e in zip(coords, mono):
-            if e:
-                v = v * x**e
-        values.append(v)
-    return tuple(values)

@@ -16,8 +16,6 @@ elimination runs directly on residues.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -33,7 +31,6 @@ __all__ = [
     "intersect",
     "kernel",
     "poly_ambient",
-    "product_span",
     "segre_ambient",
     "span",
     "span_polys",
@@ -241,10 +238,6 @@ class Echelon:
             raise ValueError("vector length %d, ambient dim %d" % (len(vec), self.width))
         return self._impl.insert(self._to_ints(vec))
 
-    def reduces_to_zero(self, vec: Sequence[Scalar]) -> bool:
-        res = self._impl.reduce(self._to_ints(vec))
-        return not any(res)
-
     @property
     def dim(self) -> int:
         return self._impl.dim
@@ -325,13 +318,6 @@ class GradedSubspace:
             raise ValueError("quotient_dim: second subspace not contained in first")
         return self.dim - other.dim
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        for row in self.rows:
-            w.writerow([self.field.render(x) for x in row])
-        return buf.getvalue()
-
 
 def _from_echelon(ambient: Ambient, field, ech: Echelon) -> GradedSubspace:
     pivots, rows = ech.canonical_rows()
@@ -354,15 +340,6 @@ def span_polys(polys: Iterable[HomogPoly], ambient: Ambient, field) -> GradedSub
             raise ValueError("polynomial does not live in the ambient")
         vecs.append(poly_to_vector(f, field))
     return span(vecs, ambient, field)
-
-
-def full_space(ambient: Ambient, field) -> GradedSubspace:
-    one, zero = field.one, field.zero
-    rows = [
-        tuple(one if j == i else zero for j in range(ambient.dim))
-        for i in range(ambient.dim)
-    ]
-    return span(rows, ambient, field)
 
 
 def kernel(rows: Sequence[Sequence[Scalar]], width: int, field) -> list[tuple[Scalar, ...]]:
@@ -418,21 +395,6 @@ def intersect(v: GradedSubspace, w: GradedSubspace) -> GradedSubspace:
                         acc[k] = acc[k] + a * row[k]
         vecs.append(acc)
     return span(vecs, v.ambient, v.field)
-
-
-def product_span(v: GradedSubspace, w: GradedSubspace) -> GradedSubspace:
-    """Span of all pairwise commutative products of two polynomial pieces."""
-    if v.ambient.kind != "poly" or w.ambient.kind != "poly":
-        raise ValueError("product_span needs polynomial ambients")
-    if v.ambient.nvars != w.ambient.nvars:
-        raise ValueError("product_span across different variable counts")
-    target = poly_ambient(v.ambient.nvars, v.ambient.degree + w.ambient.degree)
-    field = v.field
-    ech = Echelon(target.dim, field)
-    for f in v.basis_polys():
-        for g in w.basis_polys():
-            ech.insert(poly_to_vector(f * g, field))
-    return _from_echelon(target, field, ech)
 
 
 def identity_matrix(n: int, field) -> list[list[Scalar]]:

@@ -19,8 +19,8 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from .automorphism import AutoMap, ProjPoint, point_image, pullback_point
-from .linalg import rank_rows
-from .poly import monomials
+from .linalg import _int_rows_from_scalars, rank_rows
+from .poly import basis_dim, monomial_values
 
 __all__ = [
     "FactorBoundError",
@@ -120,19 +120,6 @@ class IndependenceCertificate:
         }
 
 
-def _primitive_int_vector(vec) -> list[int]:
-    from math import gcd
-
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    return [v // g for v in ints] if g else ints
-
-
 def multiplicative_independence(
     multipliers, bound: int = TRIAL_DIVISION_BOUND
 ) -> IndependenceCertificate:
@@ -168,7 +155,7 @@ def multiplicative_independence(
     combos = kernel(rows, len(ps), QQ)
     if not combos:
         return IndependenceCertificate(ps, "independent", primes, matrix, None, False)
-    rel = _primitive_int_vector(combos[0])
+    rel = _int_rows_from_scalars(combos[0])
     lead = next((a for a in rel if a), 0)
     if lead < 0:
         # negation inverts the product, so it stays 1; fixes a sign convention
@@ -214,24 +201,14 @@ def general_position_rank(
     """Rank of the evaluation matrix of degree-m monomials at orbit points."""
     window = max(abs(i) for i in indices) if indices else 0
     orbit = orbit_points(auto, start, window)
-    basis = monomials(start.nvars, degree)
-    rows = []
-    for k in indices:
-        coords = orbit.points[k].coords
-        row = []
-        for m in basis:
-            v = field.one
-            for x, e in zip(coords, m):
-                if e:
-                    v = v * x**e
-            row.append(v)
-        rows.append(row)
-    rank = rank_rows(rows, len(basis), field)
+    space_dim = basis_dim(start.nvars, degree)
+    rows = [monomial_values(orbit.points[k].coords, field, degree) for k in indices]
+    rank = rank_rows(rows, space_dim, field)
     return {
         "degree": degree,
         "indices": list(indices),
         "rank": rank,
         "points": len(rows),
-        "space_dim": len(basis),
-        "full": rank == min(len(rows), len(basis)),
+        "space_dim": space_dim,
+        "full": rank == min(len(rows), space_dim),
     }

@@ -30,6 +30,7 @@ __all__ = [
     "mono_degree",
     "mono_mul",
     "monomial_basis",
+    "monomial_values",
     "monomials",
     "parse_poly",
 ]
@@ -82,6 +83,22 @@ def basis_dim(nvars: int, degree: int) -> int:
     if degree < 0:
         return 0
     return comb(degree + nvars - 1, nvars - 1)
+
+
+@lru_cache(maxsize=None)
+def monomial_values(coords: tuple[Scalar, ...], field, degree: int) -> tuple[Scalar, ...]:
+    """Values at coords of the degree-n monomials, in the frozen order.
+
+    This row is evaluation at the point as a functional on U_n.
+    """
+    values = []
+    for mono in monomials(len(coords), degree):
+        v = field.one
+        for x, e in zip(coords, mono):
+            if e:
+                v = v * x**e
+        values.append(v)
+    return tuple(values)
 
 
 @dataclass(frozen=True)

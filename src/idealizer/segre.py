@@ -7,12 +7,12 @@ point ideal I, the degreewise quotient
     ((J meet K) / (J . K))_m
 
 is nonzero in every positive degree; its dimensions are the witness that
-the Segre square of the idealizer is not noetherian.  Two routes compute
-them.  The naive route works with honest coordinate vectors of monomial
-pairs.  The block route changes to coordinates where the point is
-(1:0:...:0), so I is spanned by the last d variables and every space in
-sight splits over the fibers of the multiplication map; the two routes
-agree where both are affordable, and only the block route scales.
+the Segre square of the idealizer is not noetherian.  They are computed
+blockwise: in coordinates where the point is (1:0:...:0), I is spanned by
+the last d variables and every space in sight splits over the fibers of
+the multiplication map.  The test suite keeps a naive oracle on honest
+coordinate vectors of monomial pairs and checks that the two agree where
+it is affordable.
 
 The dimension counts do not depend on the point: a linear change of
 coordinates moving one point to another carries every ingredient to its
@@ -22,20 +22,10 @@ nonvanishing: u1 v2 - u2 v1 lies in J' meet K' but (J'.K')_2 = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .automorphism import AutoMap, ProjPoint
+from .automorphism import ProjPoint
 from .fields import QQ
-from .linalg import (
-    Ambient,
-    Echelon,
-    GradedSubspace,
-    intersect,
-    segre_ambient,
-    span,
-    span_polys,
-)
-from .poly import HomogPoly, basis_dim, basis_index, monomial_basis, monomials
+from .linalg import Ambient, Echelon, GradedSubspace, segre_ambient, span, span_polys
+from .poly import HomogPoly, basis_dim, monomial_basis, monomials
 
 __all__ = ["SegreContext", "local_witness_check"]
 
@@ -56,38 +46,11 @@ class SegreContext:
         self.nvars = d + 1
         self.field = field
         self.point = point
-        self._ideal_pieces: dict[int, GradedSubspace] = {}
 
     # -- x-coordinate constructions (exact but only affordable in low degree)
 
     def ambient(self, m: int) -> Ambient:
         return segre_ambient(self.nvars, m)
-
-    def pair_index(self, m: int, left, right) -> int:
-        idx = basis_index(self.nvars, m)
-        return idx[left] * basis_dim(self.nvars, m) + idx[right]
-
-    def ideal_piece(self, m: int) -> GradedSubspace:
-        """I_m for the point ideal, by the degree-one recursion."""
-        got = self._ideal_pieces.get(m)
-        if got is not None:
-            return got
-        from .linalg import kernel, poly_ambient
-
-        if m == 0:
-            value = span([], poly_ambient(self.nvars, 0), self.field)
-        elif m == 1:
-            vecs = kernel([list(self.point.coords)], self.nvars, self.field)
-            value = span(vecs, poly_ambient(self.nvars, 1), self.field)
-        else:
-            prev = self.ideal_piece(m - 1)
-            polys = []
-            for v in range(self.nvars):
-                xv = HomogPoly.variable(self.nvars, v, self.field)
-                polys.extend(xv * f for f in prev.basis_polys())
-            value = span_polys(polys, poly_ambient(self.nvars, m), self.field)
-        self._ideal_pieces[m] = value
-        return value
 
     def diagonal_ideal_piece(self, m: int) -> GradedSubspace:
         """J_m: the kernel of multiplication on pairs, via fiber differences."""
@@ -110,74 +73,7 @@ class SegreContext:
                 vecs.append(vec)
         return span(vecs, amb, self.field)
 
-    def K_piece(self, m: int) -> GradedSubspace:
-        """Span of I_m tensor I_m: outer products of basis vectors."""
-        amb = self.ambient(m)
-        rows = self.ideal_piece(m).rows
-        vecs = []
-        for u in rows:
-            for v in rows:
-                vec = []
-                for a in u:
-                    if a:
-                        vec.extend(a * b for b in v)
-                    else:
-                        vec.extend(self.field.zero for _ in v)
-                vecs.append(vec)
-        return span(vecs, amb, self.field)
-
-    def segre_product_span(self, v: GradedSubspace, w: GradedSubspace) -> GradedSubspace:
-        """Span of all products of elements of two pair-graded pieces."""
-        if v.ambient.kind != "pair" or w.ambient.kind != "pair":
-            raise ValueError("segre products need pair ambients")
-        a, b = v.ambient.degree, w.ambient.degree
-        target = self.ambient(a + b)
-        basis_a = monomial_basis(self.d, a)
-        basis_b = monomial_basis(self.d, b)
-        dim_a = basis_dim(self.nvars, a)
-        dim_b = basis_dim(self.nvars, b)
-        dim_t = basis_dim(self.nvars, a + b)
-        idx_t = basis_index(self.nvars, a + b)
-        zero = self.field.zero
-
-        def gens():
-            for x in v.rows:
-                for y in w.rows:
-                    vec = [zero] * target.dim
-                    for p, xval in enumerate(x):
-                        if not xval:
-                            continue
-                        mu, nu = basis_a[p // dim_a], basis_a[p % dim_a]
-                        for q, yval in enumerate(y):
-                            if not yval:
-                                continue
-                            mu2, nu2 = basis_b[q // dim_b], basis_b[q % dim_b]
-                            left = idx_t[tuple(s + t for s, t in zip(mu, mu2))]
-                            right = idx_t[tuple(s + t for s, t in zip(nu, nu2))]
-                            slot = left * dim_t + right
-                            vec[slot] = vec[slot] + xval * yval
-                    yield vec
-
-        return span(gens(), target, self.field)
-
-    def witness_dims_naive(self, max_piece: int) -> dict[int, int]:
-        """dim ((J meet K)/(sum of J_a.K_b))_m from raw pair coordinates."""
-        out = {}
-        for m in range(1, max_piece + 1):
-            meet = intersect(self.diagonal_ideal_piece(m), self.K_piece(m))
-            # the product piece is the span over all bidegree splits;
-            # J_0 and K_0 vanish, so a and b both run over positive degrees
-            ech = Echelon(self.ambient(m).dim, self.field)
-            for a in range(1, m):
-                prod = self.segre_product_span(
-                    self.diagonal_ideal_piece(a), self.K_piece(m - a)
-                )
-                for row in prod.rows:
-                    ech.insert(row)
-            out[m] = meet.dim - ech.dim
-        return out
-
-    # -- block route: adapted coordinates, one fiber at a time ------------------
+    # -- adapted coordinates, one fiber at a time --------------------------------
 
     def witness_dims(self, max_piece: int) -> dict:
         """Blockwise dims of (J meet K), (J.K), and their quotient.
@@ -261,35 +157,6 @@ class SegreContext:
             "product_dims": product_dims,
             "witness_dims": witness,
         }
-
-    def phi_tensor_invariance(self, auto: AutoMap, m: int) -> bool:
-        """Is J_m stable under phi tensor phi acting on pairs?"""
-        piece = self.diagonal_ideal_piece(m)
-        basis = monomial_basis(self.d, m)
-        dim_m = basis_dim(self.nvars, m)
-        images = [auto.apply(HomogPoly.monomial(mu, self.field.one)) for mu in basis]
-        image_vecs = []
-        from .poly import poly_to_vector
-
-        vecs = [poly_to_vector(f, self.field) for f in images]
-        for row in piece.rows:
-            out = [self.field.zero] * piece.ambient.dim
-            for p, val in enumerate(row):
-                if not val:
-                    continue
-                lvec = vecs[p // dim_m]
-                rvec = vecs[p % dim_m]
-                for li, lv in enumerate(lvec):
-                    if not lv:
-                        continue
-                    coeff = val * lv
-                    for ri, rv in enumerate(rvec):
-                        if rv:
-                            slot = li * dim_m + ri
-                            out[slot] = out[slot] + coeff * rv
-            image_vecs.append(out)
-        image = span(image_vecs, piece.ambient, self.field)
-        return image == piece
 
 
 def local_witness_check(d: int, field=QQ) -> dict:

@@ -19,7 +19,6 @@ from .automorphism import ProjPoint, evaluate_at
 from .config import Instance
 from .ext import ExtEngine, euler_characteristic_check
 from .fields import is_prime
-from .idealizer_ring import point_ideal_forms
 from .linalg import kernel
 from .orbit import (
     FactorBoundError,
@@ -31,7 +30,7 @@ from .orbit import (
 from .poly import HomogPoly, basis_dim, format_poly
 from .report import FAIL, OBSERVED, PASS, SKIPPED, CheckRecord, VerificationReport
 from .segre import SegreContext, local_witness_check
-from .twist import GradedIdeal, associativity_sample
+from .twist import GradedIdeal, PointIdeal, associativity_sample
 
 ASSOCIATIVITY_TRIALS = 200
 ASSOCIATIVITY_SEED = 811
@@ -51,23 +50,10 @@ def jsonable(value):
         return int(value) if value.denominator == 1 else str(value)
     if isinstance(value, str):
         return value
-    if isinstance(value, HomogPoly):
-        terms = []
-        for m, c in value.terms:
-            mono = "*".join(
-                "x%d" % i if e == 1 else "x%d^%d" % (i, e)
-                for i, e in enumerate(m)
-                if e
-            )
-            coeff = str(jsonable(c))
-            terms.append(coeff if not mono else "%s*%s" % (coeff, mono))
-        return " + ".join(terms) or "0"
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, ProjPoint):
-        return "(" + " : ".join(str(jsonable(c)) for c in value.coords) + ")"
     if hasattr(value, "value") and hasattr(value, "modulus"):
         return int(value.value)
     raise TypeError("cannot serialize %r" % (value,))
@@ -525,7 +511,7 @@ def run_suite(instance: Instance) -> VerificationReport:
                 )
             )
         else:
-            J_off = GradedIdeal(ring, point_ideal_forms(ring, off))
+            J_off = PointIdeal(ring, off)
             table_off = engine.hom_table(J_off, N)
             J_max = max_ideal
             table_max = engine.hom_table(J_max, N)
@@ -640,7 +626,7 @@ def run_suite(instance: Instance) -> VerificationReport:
         ]
         off = _off_orbit_point(instance, orbit)
         if off is not None:
-            family.append(("off-orbit-point", GradedIdeal(ring, point_ideal_forms(ring, off))))
+            family.append(("off-orbit-point", PointIdeal(ring, off)))
         family.append(("principal", GradedIdeal(ring, [ring.variable(0)])))
         chi = engine.chi_sample_report(family, min(N, 6), cfg.trailing_zeros)
         top_never_stabilizes = not chi["zero"]["stabilized"][d]

@@ -11,8 +11,13 @@ x1 . x0 = p_1 (x0 x1) for the diagonal family.
 
 Graded left ideals of S coincide with graded ideals of U because
 S_1 . J_n = phi^n(U_1) * J_n = U_1 * J_n, so left-ideal pieces follow
-the commutative recursion J_{n+1} = U_1 * J_n + (new generators).
-Right ideals do twist: (f S)_m = phi^{m-n}(f) * U_{m-n}.
+the commutative recursion J_{n+1} = U_1 * J_n + (new generators).  That
+recursion serves every ideal given by generators (zero, maximal,
+principal, twisted point ideals).  The ideal of a point c is built
+without it: the ideal generated by the linear forms vanishing at c is
+saturated, so its degree-n piece is the kernel of evaluation at c on U_n,
+one row in closed form.  Right ideals do twist: (f S)_m = phi^{m-n}(f) *
+U_{m-n}.
 
 Automorphism powers are cached per ring.  Each cache value is built
 completely before the single dict store that publishes it, so warmed
@@ -22,17 +27,19 @@ rings can be read from several threads.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
-from .automorphism import AutoMap
-from .linalg import GradedSubspace, poly_ambient, span, span_polys
-from .poly import HomogPoly, monomials, poly_to_vector
+from .automorphism import AutoMap, ProjPoint
+from .linalg import GradedSubspace, kernel, poly_ambient, span, span_polys
+from .poly import (
+    HomogPoly,
+    basis_dim,
+    monomial_values,
+    monomials,
+    poly_to_vector,
+    vector_to_poly,
+)
 
-__all__ = ["GradedIdeal", "TwistRing", "TwistedElement"]
-
-# A twisted element is an ordinary homogeneous polynomial; only the
-# multiplication differs, and that lives on the ring.
-TwistedElement = HomogPoly
+__all__ = ["GradedIdeal", "PointIdeal", "TwistRing", "point_ideal_forms"]
 
 
 class TwistRing:
@@ -98,17 +105,6 @@ class TwistRing:
         )
         return span(vectors, target, self.field)
 
-    def left_ideal(self, gens: list[HomogPoly]) -> "GradedIdeal":
-        return GradedIdeal(self, gens)
-
-    def left_ideal_pieces(self, gens: list[HomogPoly], max_degree: int) -> dict[int, GradedSubspace]:
-        ideal = self.left_ideal(gens)
-        return {n: ideal.piece(n) for n in range(max_degree + 1)}
-
-    def right_ideal_pieces(self, f: HomogPoly, max_degree: int) -> dict[int, GradedSubspace]:
-        """Pieces of the principal right ideal f S."""
-        return {m: self.principal_right_piece(f, m) for m in range(max_degree + 1)}
-
     def principal_right_piece(self, f: HomogPoly, m: int) -> GradedSubspace:
         n = f.degree
         target = self.ambient(m)
@@ -165,20 +161,23 @@ class GradedIdeal:
         got = self._pieces.get(n)
         if got is not None:
             return got
-        ring = self.ring
         if n < 0:
-            value = span_polys([], poly_ambient(ring.nvars, 0), ring.field)
+            value = span_polys([], poly_ambient(self.ring.nvars, 0), self.ring.field)
         else:
-            polys = [g for g in self.gens if g.degree == n]
-            if n > 0:
-                prev = self.piece(n - 1)
-                one = ring.field.one
-                for v in range(ring.nvars):
-                    xv = HomogPoly.variable(ring.nvars, v, ring.field)
-                    polys.extend(xv * f for f in prev.basis_polys())
-            value = span_polys(polys, ring.ambient(n), ring.field)
+            value = self._build_piece(n)
         self._pieces[n] = value
         return value
+
+    def _build_piece(self, n: int) -> GradedSubspace:
+        """J_n = U_1 * J_{n-1} + (generators of degree n)."""
+        ring = self.ring
+        polys = [g for g in self.gens if g.degree == n]
+        if n > 0:
+            prev = self.piece(n - 1)
+            for v in range(ring.nvars):
+                xv = HomogPoly.variable(ring.nvars, v, ring.field)
+                polys.extend(xv * f for f in prev.basis_polys())
+        return span_polys(polys, ring.ambient(n), ring.field)
 
     def dim(self, n: int) -> int:
         return self.piece(n).dim
@@ -198,6 +197,35 @@ class GradedIdeal:
         )
         self._twisted[(power, n)] = value
         return value
+
+
+def _vanishing_vectors(ring: TwistRing, point: ProjPoint, n: int) -> list:
+    """Canonical kernel basis of evaluation at the point on U_n."""
+    row = monomial_values(point.coords, ring.field, n)
+    return kernel([row], basis_dim(ring.nvars, n), ring.field)
+
+
+def point_ideal_forms(ring: TwistRing, point: ProjPoint) -> list[HomogPoly]:
+    """Canonical basis of the linear forms vanishing at the point."""
+    if point.nvars != ring.nvars:
+        raise ValueError("point arity does not match the ring")
+    return [vector_to_poly(v, ring.nvars, 1) for v in _vanishing_vectors(ring, point, 1)]
+
+
+class PointIdeal(GradedIdeal):
+    """The ideal of a point c, generated by the linear forms vanishing at c.
+
+    The ideal is saturated, so I_n = ker(ev_c) on U_n for every n >= 1
+    and each piece is built from one evaluation row, with no recursion.
+    """
+
+    def __init__(self, ring: TwistRing, point: ProjPoint):
+        super().__init__(ring, point_ideal_forms(ring, point))
+        self.point = point
+
+    def _build_piece(self, n: int) -> GradedSubspace:
+        vecs = _vanishing_vectors(self.ring, self.point, n)
+        return span(vecs, self.ring.ambient(n), self.ring.field)
 
 
 def associativity_sample(ring: TwistRing, trials: int, seed: int, max_degree: int = 3) -> bool:

@@ -13,13 +13,13 @@ from idealizer.automorphism import AutoMap, ProjPoint
 from idealizer.config import RingConfig
 from idealizer.ext import ExtEngine, euler_characteristic_check
 from idealizer.fields import QQ
-from idealizer.idealizer_ring import IdealizerRing, point_ideal_forms
+from idealizer.idealizer_ring import IdealizerRing
 from idealizer.orbit import brute_force_relation, multiplicative_independence
 from idealizer.poly import parse_poly
 from idealizer.report import json_text
 from idealizer.segre import SegreContext, local_witness_check
 from idealizer.suite import run_suite
-from idealizer.twist import GradedIdeal, TwistRing, associativity_sample
+from idealizer.twist import GradedIdeal, TwistRing, associativity_sample, point_ideal_forms
 
 N = 10
 

@@ -80,6 +80,22 @@ def test_critdense_dependent_with_relation(capsys):
     assert cert["relation_verified"] is True
 
 
+def test_negative_multipliers_as_separate_token(capsys):
+    code, payload = _run_json(capsys, "critdense", "--p", "-1,3", "--max-degree", "3")
+    assert code == 0
+    assert payload["config"]["automorphism"]["diag"] == ["-1", "3"]
+    assert payload["certificate"]["relation"] == [2, 0]
+
+
+def test_negative_point_as_separate_token(capsys):
+    code, payload = _run_json(
+        capsys, "hilbert", "--series", "T", "--point", "-1,2,3", "--format", "json", *COMMON
+    )
+    assert code == 0
+    assert payload["config"]["point"] == ["-1", "2", "3"]
+    assert [r[1] for r in payload["rows"]] == [1, 2, 5, 9, 14, 20, 27]
+
+
 def test_critdense_window_evidence(capsys):
     code, payload = _run_json(capsys, "critdense", "--window", "4", "--degree", "2")
     assert code == 0

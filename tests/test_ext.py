@@ -9,10 +9,10 @@ import pytest
 from idealizer.automorphism import AutoMap, ProjPoint
 from idealizer.ext import ExtEngine, KoszulComplex, euler_characteristic_check, free_module
 from idealizer.fields import QQ
-from idealizer.idealizer_ring import IdealizerRing, point_ideal_forms
+from idealizer.idealizer_ring import IdealizerRing
 from idealizer.linalg import rank_rows
 from idealizer.poly import parse_poly
-from idealizer.twist import GradedIdeal, TwistRing
+from idealizer.twist import GradedIdeal, TwistRing, point_ideal_forms
 
 
 def _instance():

@@ -2,10 +2,16 @@
 
 import pytest
 
-from idealizer.automorphism import AutoMap
-from idealizer.fields import QQ
+from idealizer.automorphism import AutoMap, ProjPoint
+from idealizer.fields import QQ, PrimeField
 from idealizer.poly import parse_poly
-from idealizer.twist import GradedIdeal, TwistRing, associativity_sample
+from idealizer.twist import (
+    GradedIdeal,
+    PointIdeal,
+    TwistRing,
+    associativity_sample,
+    point_ideal_forms,
+)
 
 
 def _ring(multipliers=(2, 3), field=QQ):
@@ -71,6 +77,37 @@ def test_graded_ideal_zero_and_unit():
     M = GradedIdeal(S, [S.variable(i) for i in range(3)])
     assert M.dim(0) == 0
     assert M.dim(2) == 6
+
+
+POINTS = [
+    (1, 0, 0),
+    (0, 1, 1),
+    (0, 0, 1),
+    (10**12 + 39, -(2**61 - 1), 7**20),
+    (1, 1, 1, 1),
+    (0, 3, -5, 10**9 + 7),
+]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["Q", "GF10007"])
+@pytest.mark.parametrize("coords", POINTS, ids=[str(c) for c in POINTS])
+def test_point_ideal_matches_recursion(field, coords):
+    """Evaluation-kernel pieces equal the x_v * I_{n-1} recursion, n <= 6."""
+    S = _ring(tuple(range(2, len(coords) + 1)), field)
+    pt = ProjPoint.make([field.from_int(c) for c in coords], field)
+    fast = PointIdeal(S, pt)
+    slow = GradedIdeal(S, point_ideal_forms(S, pt))
+    assert fast.gens == slow.gens
+    for n in range(-1, 7):
+        assert fast.piece(n) == slow.piece(n)
+        assert fast.twisted_piece(1, n) == slow.twisted_piece(1, n)
+    assert [fast.dim(n) for n in range(1, 4)] == [S.full_piece(n).dim - 1 for n in range(1, 4)]
+
+
+def test_point_ideal_rejects_arity_mismatch():
+    S = _ring()
+    with pytest.raises(ValueError):
+        PointIdeal(S, ProjPoint.make([QQ.one, QQ.one], QQ))
 
 
 def test_twisted_piece():
