@@ -86,6 +86,31 @@ def test_dependent_multipliers_skip_density_checks():
     assert by_name["right-noetherian-probes"].status == "pass"
 
 
+MATRIX_REASON = "automorphism given as a matrix"
+DENSITY_REASON = (
+    "multipliers are not certified multiplicatively independent, so "
+    "density-based statements do not apply"
+)
+
+
+def test_matrix_automorphism_skips_diagonal_and_density_checks():
+    rep = _report(
+        automorphism={"matrix": [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "3"]]}
+    )
+    assert rep.ok
+    by_name = {c.name: c for c in rep.checks}
+    for name, reason in (
+        ("twist-normalization-pin", MATRIX_REASON),
+        ("multiplier-independence", MATRIX_REASON),
+        ("general-position-ranks", DENSITY_REASON),
+        ("hom-quotient-tables", DENSITY_REASON),
+        ("chi-sample", DENSITY_REASON),
+    ):
+        assert by_name[name].status == "skipped", name
+        assert by_name[name].data["reason"] == reason, name
+    assert by_name["idealizer-structure"].status == "pass"
+
+
 def test_prime_mode_runs_crosscheck():
     rep = _report(field="prime:10007", max_degree=5)
     by_name = {c.name: c for c in rep.checks}
