@@ -20,6 +20,7 @@ from .config import ConfigError, Instance, RingConfig
 from .ext import ExtEngine
 from .orbit import (
     FactorBoundError,
+    centred_indices,
     distinct_window,
     general_position_rank,
     multiplicative_independence,
@@ -27,7 +28,7 @@ from .orbit import (
 )
 from .poly import basis_dim, format_poly, parse_poly
 from .report import SCHEMA, csv_text, json_text, table_payload
-from .segre import SegreContext, local_witness_check
+from .segre import SegreContext, local_witness_check, nonvanishing_from
 from .suite import jsonable, run_suite
 from .twist import GradedIdeal, PointIdeal
 
@@ -265,8 +266,7 @@ def cmd_critdense(args, instance: Instance) -> int:
         ranks = []
         for m in range(1, degree_cap + 1):
             dim = basis_dim(instance.ring.nvars, m)
-            lo = -((dim + 1) // 2)
-            idx = [i for i in range(lo, lo + dim) if abs(i) <= window]
+            idx = [i for i in centred_indices(dim) if abs(i) <= window]
             ranks.append(
                 general_position_rank(
                     instance.ring.phi, instance.point, m, idx, instance.field
@@ -361,16 +361,10 @@ def cmd_segre(args, instance: Instance) -> int:
     segre = SegreContext(cfg.d, instance.field, instance.point)
     local = local_witness_check(cfg.d, instance.field)
     block = segre.witness_dims(cfg.max_degree)
-    ms = list(range(1, cfg.max_degree + 1))
-    wdims = [block["witness_dims"][m] for m in ms]
-    first_pos = None
-    for m, v in zip(ms, wdims):
-        if v > 0:
-            first_pos = m
-            break
+    first_pos = nonvanishing_from(block["witness_dims"])
     rows = [
         [m, block["witness_dims"][m], block["meet_dims"][m], block["product_dims"][m]]
-        for m in ms
+        for m in range(1, cfg.max_degree + 1)
     ]
     payload = table_payload(
         "segre",

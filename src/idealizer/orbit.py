@@ -27,6 +27,7 @@ __all__ = [
     "IndependenceCertificate",
     "OrbitWindow",
     "brute_force_relation",
+    "centred_indices",
     "distinct_window",
     "general_position_rank",
     "multiplicative_independence",
@@ -193,6 +194,12 @@ def brute_force_relation(multipliers, max_exp: int = 5):
     combo = best[1]
     lead = next((a for a in combo if a), 0)
     return tuple(-a for a in combo) if lead < 0 else tuple(combo)
+
+
+def centred_indices(count: int) -> list[int]:
+    """count consecutive orbit indices centred on 0, the odd one below."""
+    lo = -((count + 1) // 2)
+    return list(range(lo, lo + count))
 
 
 def general_position_rank(

@@ -27,7 +27,7 @@ from .fields import QQ
 from .linalg import Ambient, Echelon, GradedSubspace, segre_ambient, span, span_polys
 from .poly import HomogPoly, basis_dim, monomial_basis, monomials
 
-__all__ = ["SegreContext", "local_witness_check"]
+__all__ = ["SegreContext", "local_witness_check", "nonvanishing_from"]
 
 
 def _pure_power(nvars: int, degree: int):
@@ -86,10 +86,8 @@ class SegreContext:
         meet_dims = {}
         product_dims = {}
         witness = {}
-        pure_cache = {}
         for m in range(1, max_piece + 1):
             pure = _pure_power(self.nvars, m)
-            pure_cache[m] = pure
             meet_total = 0
             prod_total = 0
             for w in monomials(self.nvars, 2 * m):
@@ -157,6 +155,11 @@ class SegreContext:
             "product_dims": product_dims,
             "witness_dims": witness,
         }
+
+
+def nonvanishing_from(witness_dims: dict) -> int | None:
+    """The least degree with a nonzero witness dimension, or None."""
+    return next((m for m in sorted(witness_dims) if witness_dims[m] > 0), None)
 
 
 def local_witness_check(d: int, field=QQ) -> dict:
