@@ -324,7 +324,7 @@ def _multiplier_independence(ctx):
 @_check(
     "general-position-ranks",
     "evaluation matrices at consecutive orbit points have full rank",
-    ("density",),
+    ("density", "distinct"),
 )
 def _general_position_ranks(ctx):
     ranks = [
@@ -497,7 +497,7 @@ def _euler_identity(ctx):
 @_check(
     "hom-quotient-tables",
     "hom_S_quotient totals for orbit, off-orbit, and maximal ideals",
-    ("density", "off-orbit"),
+    ("density", "distinct", "off-orbit"),
 )
 def _hom_quotient_tables(ctx):
     N, k, engine = ctx.N, ctx.k, ctx.engine
@@ -558,7 +558,7 @@ def _right_noetherian_probes(ctx):
 @_check(
     "chi-sample",
     "twisted ext tables over a sample of quotient modules",
-    ("density",),
+    ("density", "distinct"),
 )
 def _chi_sample(ctx):
     d, cap = ctx.cfg.d, min(ctx.N, 6)

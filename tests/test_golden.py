@@ -33,8 +33,8 @@ GOLDEN = [
     ),
     (
         ("--point", "1,0,0", "--max-degree", "5"),
-        1,
-        "e92e1df95f104c922b051f4d5075e2a2bc357a7f72d07bd51679b145a330ef69",
+        0,
+        "2a1f867ddeed7723a4a1713caaa9c1b36c709ebf2dd163536cbe1446b82cc58a",
     ),
     (
         ("--d", "3", "--p", "2,3,5", "--point", "1,1,1,1", "--max-degree", "3"),

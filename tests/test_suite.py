@@ -2,6 +2,7 @@
 
 import pytest
 
+from idealizer import suite
 from idealizer.config import RingConfig
 from idealizer.report import json_text
 from idealizer.suite import run_suite, second_prime
@@ -109,6 +110,48 @@ def test_matrix_automorphism_skips_diagonal_and_density_checks():
         assert by_name[name].status == "skipped", name
         assert by_name[name].data["reason"] == reason, name
     assert by_name["idealizer-structure"].status == "pass"
+
+
+STRUCTURE_REASON = "orbit points collide in the window without phi being the identity"
+DENSITY_CHECKS = ("general-position-ranks", "hom-quotient-tables", "chi-sample")
+
+
+def test_residual_point_skips_density_checks():
+    # (1:0:0) is fixed by phi, so the orbit collides although the
+    # multipliers are certified independent
+    rep = _report(point=["1", "0", "0"], max_degree=5, trailing_zeros=3)
+    assert rep.ok
+    by_name = {c.name: c for c in rep.checks}
+    assert by_name["multiplier-independence"].data["verdict"] == "independent"
+    for name in DENSITY_CHECKS:
+        assert by_name[name].status == "skipped", name
+        assert by_name[name].data["reason"] == STRUCTURE_REASON, name
+
+
+def test_prime_field_collision_skips_density_checks():
+    # 2 and 3 have finite order mod 5, so the orbit collides in the window
+    rep = _report(
+        field="prime:5",
+        point=["1", "2", "3"],
+        automorphism={"diag": ["2", "3"]},
+        max_degree=4,
+        trailing_zeros=3,
+    )
+    by_name = {c.name: c for c in rep.checks}
+    assert by_name["orbit-distinct-window"].data["distinct"] is False
+    for name in DENSITY_CHECKS:
+        assert by_name[name].status == "skipped", name
+        assert by_name[name].data["reason"] == STRUCTURE_REASON, name
+    # mod 5 the dims differ from the second prime's, which the cross-check reports
+    assert [c.name for c in rep.checks if c.status == "fail"] == ["prime-mode-crosscheck"]
+
+
+def test_crosscheck_skips_when_config_degenerates_mod_second_prime(monkeypatch):
+    monkeypatch.setattr(suite, "second_prime", lambda instance: 11)
+    rep = _report(field="prime:10007", automorphism={"diag": ["2", "11"]}, max_degree=3)
+    cross = {c.name: c for c in rep.checks}["prime-mode-crosscheck"]
+    assert cross.status == "skipped"
+    assert cross.data["reason"].startswith("second prime unusable")
 
 
 def test_prime_mode_runs_crosscheck():
