@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 from itertools import count, islice
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable
@@ -76,10 +76,14 @@ __all__ = ["run_suite", "second_prime"]
 
 def jsonable(value):
     """Deterministic JSON-safe view of suite data."""
-    if value is None or isinstance(value, (bool, int, str)):
+    if isinstance(value, bool) or value is None:
+        return value
+    if isinstance(value, int):
         return value
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else str(value)
+    if isinstance(value, str):
+        return value
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     if isinstance(value, dict):
@@ -101,7 +105,12 @@ def second_prime(instance: Instance) -> int:
 
 
 def _trailing_zero_count(values) -> int:
-    return next((i for i, v in enumerate(reversed(values)) if v != 0), len(values))
+    count = 0
+    for v in reversed(values):
+        if v != 0:
+            break
+        count += 1
+    return count
 
 
 def _verdict(ok: bool, good: str = PASS) -> str:
@@ -182,13 +191,10 @@ class _Context:
     def off(self) -> ProjPoint | None:
         """A deterministic point avoiding the orbit window, or None."""
         coords = [1] + list(islice(filter(is_prime, count(5, 2)), self.cfg.d))
-        orbit = self.orbit
-        taken = {orbit.points[n].coords for n in range(orbit.lo, orbit.hi + 1)}
+        taken = {pt.coords for pt in self.orbit.points.values()}
         for _ in range(64):
-            try:
-                pt = ProjPoint.make([self.field.from_int(c) for c in coords], self.field)
-            except ValueError:
-                return None
+            # the leading coordinate 1 keeps every candidate a valid point
+            pt = ProjPoint.make([self.field.from_int(c) for c in coords], self.field)
             if pt.coords not in taken:
                 return pt
             coords[-1] *= 2
@@ -221,20 +227,14 @@ GATES: dict[str, Callable[[_Context], str | None]] = {
 }
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    statement: str | None  # the statement of the skipped record
-    requires: tuple[str, ...]
-    body: Callable[[_Context], tuple]  # -> (status, statement, data[, window])
-
-
-CHECKS: list[Check] = []
+# (name, statement of the skipped record, requires, body); a body returns
+# (status, statement, data[, window])
+CHECKS: list[tuple[str, str | None, tuple[str, ...], Callable[[_Context], tuple]]] = []
 
 
 def _check(name: str, statement: str | None = None, requires: tuple[str, ...] = ()):
     def register(body):
-        CHECKS.append(Check(name, statement, requires, body))
+        CHECKS.append((name, statement, requires, body))
         return body
 
     return register
@@ -243,12 +243,12 @@ def _check(name: str, statement: str | None = None, requires: tuple[str, ...] = 
 def run_suite(instance: Instance) -> VerificationReport:
     ctx = _Context(instance)
     checks = []
-    for chk in CHECKS:
-        reason = next(filter(None, (GATES[r](ctx) for r in chk.requires)), None)
+    for name, statement, requires, body in CHECKS:
+        reason = next(filter(None, (GATES[r](ctx) for r in requires)), None)
         if reason is None:
-            checks.append(CheckRecord(chk.name, *chk.body(ctx)))
+            checks.append(CheckRecord(name, *body(ctx)))
         else:
-            checks.append(CheckRecord(chk.name, SKIPPED, chk.statement, {"reason": reason}))
+            checks.append(CheckRecord(name, SKIPPED, statement, {"reason": reason}))
     return VerificationReport(ctx.cfg.payload(), tuple(checks))
 
 
