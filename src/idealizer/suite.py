@@ -25,10 +25,10 @@ twin            second prime unusable: <why the config fails mod q>
 from __future__ import annotations
 
 import hashlib
-from itertools import count, islice
 from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import count, islice
 from typing import Callable
 
 from .automorphism import ProjPoint, evaluate_at
