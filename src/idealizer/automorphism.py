@@ -102,7 +102,7 @@ class AutoMap:
         """The substitution x_i -> sum_j matrix[j][i] x_j applied to f."""
         if f.nvars != self.nvars:
             raise ValueError("arity mismatch")
-        if f.is_zero():
+        if f.is_zero() or f.degree == 0:
             return f
         if self.diagonal is not None:
             out: dict[Mono, Scalar] = {}
@@ -142,7 +142,6 @@ class AutoMap:
                 if e:
                     p = var_power(i, e)
                     term = p if term is None else term * p
-            assert term is not None
             total = total + term.scale(c)
         return total
 

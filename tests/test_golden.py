@@ -2,18 +2,29 @@
 
 Each config covers a regime the benchmark does not reach at this size:
 the generic regime over Q and over a prime field, the identity regime,
-the residual regime (a point fixed by phi), and four variables.  A
-digest changes exactly when a report byte changes, so a refactor that
-keeps these digests keeps the reports.
+the residual regime (a point fixed by phi), four variables, and a
+non-diagonal matrix automorphism (the one entry that inverts a matrix,
+composes matrices and applies the generic substitution).  A digest
+changes exactly when a report byte changes, so a refactor that keeps
+these digests keeps the reports.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
 from idealizer.cli import main
+
+# Config files written to the test's working directory before each run.
+CONFIGS = {
+    "matrix.json": {
+        "automorphism": {"matrix": [["1", "1", "0"], ["0", "2", "0"], ["0", "0", "3"]]},
+        "max_degree": 5,
+    },
+}
 
 GOLDEN = [
     (
@@ -41,11 +52,19 @@ GOLDEN = [
         1,
         "02d2f91da7107d8c77f0d91088cd78e5f98afe96ebaa08451bcf139e847ba028",
     ),
+    (
+        ("--config", "matrix.json"),
+        0,
+        "049b2cc75460e78217b7223922082635642dc246f11dd46b607e3b11964f5d5d",
+    ),
 ]
 
 
 @pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
-def test_verify_suite_digest(argv, code, digest):
+def test_verify_suite_digest(argv, code, digest, tmp_path, monkeypatch):
+    for name, data in CONFIGS.items():
+        (tmp_path / name).write_text(json.dumps(data), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         got = main(["verify-suite", "--format", "json", *argv])

@@ -115,6 +115,19 @@ def test_apply_respects_evaluation_transpose():
     assert lhs == rhs
 
 
+def test_apply_fixes_constants_for_a_non_diagonal_map():
+    rows = [
+        [QQ.from_int(1), QQ.from_int(1), QQ.from_int(0)],
+        [QQ.from_int(0), QQ.from_int(2), QQ.from_int(0)],
+        [QQ.from_int(0), QQ.from_int(0), QQ.from_int(3)],
+    ]
+    A = AutoMap.from_matrix(rows, QQ)
+    assert A.diagonal is None
+    c = HomogPoly.monomial((0, 0, 0), QQ.from_int(5))
+    assert A.apply(c) == c
+    assert A.apply(HomogPoly.zero(3, 0)) == HomogPoly.zero(3, 0)
+
+
 def test_pullback_inverts_image():
     phi = AutoMap.diagonal_family([QQ.from_int(2), QQ.from_int(3)], QQ)
     P = ProjPoint.make([QQ.one, QQ.one, QQ.one], QQ)
