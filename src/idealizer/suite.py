@@ -16,6 +16,8 @@ structural      orbit points collide in the window without phi being the
 non-identity    phi is the identity
 distinct        orbit points collide in the window without phi being the
                 identity
+nonzero-coords  the point has a coordinate that is zero in the field in use,
+                so its orbit stays in a coordinate hyperplane
 prime           rational arithmetic is exact
 off-orbit       no off-orbit sample point found
 twin            second prime unusable: <why the config fails mod q>
@@ -60,6 +62,10 @@ DENSITY_REASON = (
     "density-based statements do not apply"
 )
 STRUCTURE_REASON = "orbit points collide in the window without phi being the identity"
+HYPERPLANE_REASON = (
+    "the point has a coordinate that is zero in the field in use, so its "
+    "orbit stays in a coordinate hyperplane"
+)
 
 PROBE_KEYS = (
     "degrees",
@@ -221,6 +227,7 @@ GATES: dict[str, Callable[[_Context], str | None]] = {
     "structural": lambda ctx: None if ctx.orbit_ok or ctx.identity else STRUCTURE_REASON,
     "non-identity": lambda ctx: "phi is the identity" if ctx.identity else None,
     "distinct": lambda ctx: None if ctx.orbit_ok else STRUCTURE_REASON,
+    "nonzero-coords": lambda ctx: None if all(ctx.instance.point.coords) else HYPERPLANE_REASON,
     "prime": lambda ctx: "rational arithmetic is exact" if ctx.instance.rational else None,
     "off-orbit": lambda ctx: None if ctx.off is not None else "no off-orbit sample point found",
     "twin": lambda ctx: ctx.twin if isinstance(ctx.twin, str) else None,
@@ -324,7 +331,7 @@ def _multiplier_independence(ctx):
 @_check(
     "general-position-ranks",
     "evaluation matrices at consecutive orbit points have full rank",
-    ("density", "distinct"),
+    ("density", "distinct", "nonzero-coords"),
 )
 def _general_position_ranks(ctx):
     ranks = [
@@ -497,7 +504,7 @@ def _euler_identity(ctx):
 @_check(
     "hom-quotient-tables",
     "hom_S_quotient totals for orbit, off-orbit, and maximal ideals",
-    ("density", "distinct", "off-orbit"),
+    ("density", "distinct", "nonzero-coords", "off-orbit"),
 )
 def _hom_quotient_tables(ctx):
     N, k, engine = ctx.N, ctx.k, ctx.engine
@@ -558,7 +565,7 @@ def _right_noetherian_probes(ctx):
 @_check(
     "chi-sample",
     "twisted ext tables over a sample of quotient modules",
-    ("density", "distinct"),
+    ("density", "distinct", "nonzero-coords"),
 )
 def _chi_sample(ctx):
     d, cap = ctx.cfg.d, min(ctx.N, 6)

@@ -1,8 +1,11 @@
 """The verification suite: regimes, statuses, and determinism of payloads."""
 
+import json
+
 import pytest
 
 from idealizer import suite
+from idealizer.cli import main
 from idealizer.config import RingConfig
 from idealizer.report import json_text
 from idealizer.suite import run_suite, second_prime
@@ -144,6 +147,30 @@ def test_prime_field_collision_skips_density_checks():
         assert by_name[name].data["reason"] == STRUCTURE_REASON, name
     # mod 5 the dims differ from the second prime's, which the cross-check reports
     assert [c.name for c in rep.checks if c.status == "fail"] == ["prime-mode-crosscheck"]
+
+
+HYPERPLANE_REASON = (
+    "the point has a coordinate that is zero in the field in use, so its "
+    "orbit stays in a coordinate hyperplane"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--p", "2,3", "--point", "0,1,1", "--max-degree", "6"),
+        # 10007 vanishes only in the field the arithmetic runs in
+        ("--field", "prime:10007", "--point", "10007,1,1", "--max-degree", "6"),
+    ],
+)
+def test_point_on_coordinate_hyperplane_skips_density_checks(capsys, argv):
+    # the orbit is pairwise distinct but never leaves x0 = 0
+    assert main(["verify-suite", "--format", "json", *argv]) == 0
+    by_name = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert by_name["orbit-distinct-window"]["data"]["distinct"] is True
+    for name in DENSITY_CHECKS:
+        assert by_name[name]["status"] == "skipped", name
+        assert by_name[name]["data"]["reason"] == HYPERPLANE_REASON, name
 
 
 def test_crosscheck_skips_when_config_degenerates_mod_second_prime(monkeypatch):
