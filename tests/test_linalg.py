@@ -6,6 +6,7 @@ import pytest
 
 from idealizer.fields import QQ, PrimeField
 from idealizer.linalg import (
+    Echelon,
     free_ambient,
     intersect,
     invert_matrix,
@@ -123,3 +124,159 @@ def test_kernel_vectors_are_canonical():
     ker2 = kernel([_q(2, 2, 2, 2)], 4, QQ)
     assert ker1 == ker2
     assert len(ker1) == 3
+
+
+# -- differential tests against sympy's DomainMatrix -----------------------------------
+# Both libraries are test-only; each property runs on a fixed (derandomized)
+# sequence of small examples over QQ, GF(7) and GF(10007).
+
+FIELDS = (QQ, PrimeField(7), PrimeField(10007))
+
+
+def _property(build, max_examples=40):
+    """Decorate ``check(field, ...)`` to run on the examples ``build(st)`` draws."""
+
+    def decorate(check):
+        def test():
+            hyp = pytest.importorskip("hypothesis")
+            pytest.importorskip("sympy")
+            from hypothesis import strategies as st
+
+            settings = hyp.settings(
+                derandomize=True, max_examples=max_examples, deadline=None, database=None
+            )
+            settings(hyp.given(build(st))(lambda args: check(*args)))()
+
+        test.__name__ = check.__name__
+        test.__doc__ = check.__doc__
+        return test
+
+    return decorate
+
+
+def _matrix(st, field, max_rows=5, width=None, min_rows=0):
+    entry = st.one_of(
+        st.just(0),
+        st.fractions(min_value=-9, max_value=9, max_denominator=6),
+        st.integers(-(10**6), 10**6),
+    ).map(lambda x: field.from_fraction(Fraction(x)))
+    widths = st.just(width) if width is not None else st.integers(1, 5)
+    return widths.flatmap(
+        lambda w: st.lists(
+            st.lists(entry, min_size=w, max_size=w),
+            min_size=min_rows,
+            max_size=max_rows,
+        ).map(lambda rows: (rows, w))
+    )
+
+
+def _field_and(st, then):
+    return st.sampled_from(FIELDS).flatmap(lambda F: then(F).map(lambda rest: (F,) + rest))
+
+
+def _sympy_matrix(rows, width, field):
+    from sympy import GF
+    from sympy import QQ as SQQ
+    from sympy.polys.matrices import DomainMatrix
+
+    if field.char == 0:
+        dom = SQQ
+        elems = [[SQQ(x.numerator, x.denominator) for x in r] for r in rows]
+    else:
+        dom = GF(field.char)
+        elems = [[dom(x.value) for x in r] for r in rows]
+    return DomainMatrix(elems, (len(rows), width), dom)
+
+
+def _from_sympy(x, field):
+    if field.char == 0:
+        return Fraction(int(x.numerator), int(x.denominator))
+    return field.from_int(int(x))
+
+
+def _rref(rows, width, field):
+    ech = Echelon(width, field)
+    for r in rows:
+        ech.insert(r)
+    return ech.canonical_rows()
+
+
+@_property(lambda st: _field_and(st, lambda F: _matrix(st, F)))
+def test_rank_pivots_and_rref_match_sympy(field, rows, width):
+    pivots, rref = _rref(rows, width, field)
+    assert rank_rows(rows, width, field) == len(pivots)
+    if not rows:
+        assert pivots == () and rref == ()
+        return
+    want, want_pivots = _sympy_matrix(rows, width, field).rref()
+    assert pivots == tuple(want_pivots)
+    want_rows = want.to_list()[: len(want_pivots)]
+    assert rref == tuple(tuple(_from_sympy(x, field) for x in r) for r in want_rows)
+
+
+@_property(lambda st: _field_and(st, lambda F: _matrix(st, F)))
+def test_kernel_dimension_and_annihilation(field, rows, width):
+    ker = kernel(rows, width, field)
+    rank = _sympy_matrix(rows, width, field).rank() if rows else 0
+    assert len(ker) == width - rank
+    for v in ker:
+        assert not all(x == 0 for x in v)
+        assert all(x == 0 for x in mat_vec(rows, v, field))
+
+
+@_property(
+    lambda st: _field_and(
+        st,
+        lambda F: st.integers(1, 5).flatmap(
+            lambda w: st.tuples(_matrix(st, F, 4, w), _matrix(st, F, 4, w))
+        ),
+    )
+)
+def test_intersection_dimension_formula(field, left, right):
+    (a, width), (b, _) = left, right
+    amb = free_ambient(width)
+    V, W = span(a, amb, field), span(b, amb, field)
+    meet = intersect(V, W)
+    assert meet.dim == V.dim + W.dim - V.sum(W).dim
+    assert V.contains_subspace(meet) and W.contains_subspace(meet)
+    both = a + b
+    assert V.sum(W).dim == (_sympy_matrix(both, width, field).rank() if both else 0)
+
+
+@_property(
+    lambda st: _field_and(
+        st, lambda F: st.integers(1, 4).flatmap(lambda n: _matrix(st, F, n, n, n))
+    )
+)
+def test_invert_matrix_matches_sympy(field, rows, n):
+    inv = invert_matrix(rows, field)
+    M = _sympy_matrix(rows, n, field)
+    if M.rank() < n:
+        assert inv is None
+        return
+    want = [[_from_sympy(x, field) for x in r] for r in M.inv().to_list()]
+    assert inv == want
+    ident = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+    assert mat_mul(rows, inv, field) == ident
+
+
+@_property(
+    lambda st: _field_and(
+        st,
+        lambda F: _matrix(st, F).flatmap(
+            lambda m: st.tuples(
+                st.just(m),
+                st.permutations(range(len(m[0]))),
+                st.lists(
+                    st.integers(1, 10**4).map(F.from_int).filter(bool),
+                    min_size=len(m[0]),
+                    max_size=len(m[0]),
+                ),
+            )
+        ),
+    )
+)
+def test_rref_invariant_under_row_shuffles_and_scaling(field, matrix, order, scales):
+    rows, width = matrix
+    moved = [[scales[i] * x for x in rows[i]] for i in order]
+    assert _rref(moved, width, field) == _rref(rows, width, field)
