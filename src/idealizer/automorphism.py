@@ -14,11 +14,10 @@ to 1) is the case of interest; it gets a fast path in apply().
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Sequence
 
 from .fields import Scalar
-from .linalg import invert_matrix, mat_mul, mat_vec
+from .linalg import _int_rows_from_scalars, invert_matrix, mat_mul, mat_vec
 from .poly import HomogPoly, Mono
 
 __all__ = ["AutoMap", "ProjPoint", "point_image", "pullback_point"]
@@ -162,14 +161,7 @@ class ProjPoint:
         if not any(coords):
             raise ValueError("projective point needs a nonzero coordinate")
         if field.char == 0:
-            denom = 1
-            for x in coords:
-                denom = denom * x.denominator // gcd(denom, x.denominator)
-            ints = [int(x * denom) for x in coords]
-            g = 0
-            for v in ints:
-                g = gcd(g, v)
-            ints = [v // g for v in ints]
+            ints = _int_rows_from_scalars(coords)
             lead = next(v for v in ints if v)
             if lead < 0:
                 ints = [-v for v in ints]

@@ -7,18 +7,20 @@ Ambients carry a shape tag (polynomial piece, pair piece, free) so that
 an operation mixing vectors from different ambients is a hard error
 instead of a silent misalignment.
 
-Over the rationals, elimination is fraction-free: rows are scaled to
-primitive integer vectors and updated by cross-multiplication with gcd
-reduction, so intermediate entries stay integral; rationals appear only
-when the canonical form is materialized.  Over a prime field the same
-elimination runs directly on residues.
+One engine, ``Echelon``, computes every rank and RREF, on int rows keyed
+by the characteristic p.  Over the rationals (p = 0) elimination is
+fraction-free: rows are scaled to primitive integer vectors and updated
+by cross-multiplication with gcd reduction, so intermediate entries stay
+integral.  Over GF(p) the same step runs on least residues.  Scalars
+become ints once on insert and are materialized once, in the canonical
+form; a matrix inverse is read off the canonical form of [A | I].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .fields import Residue, Scalar
@@ -66,189 +68,90 @@ def free_ambient(dim: int, label: str = "") -> Ambient:
     return Ambient("free", 0, 0, dim, label)
 
 
-def _int_rows_from_scalars(vec: Sequence[Scalar]) -> list[int]:
+def _int_rows_from_scalars(vec: Sequence[Fraction]) -> list[int]:
     """Scale a rational vector to a primitive integer vector."""
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    denom = lcm(*(x.denominator for x in vec))
+    ints = [x.numerator * (denom // x.denominator) for x in vec]
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
+def _normalize(vec: list[int], p: int) -> None:
+    """Scale vec in place: primitive over Q (p = 0), leading entry 1 mod p."""
+    if p:
+        inv = pow(next(v for v in vec if v), -1, p)
+        vec[:] = [v * inv % p for v in vec]
+        return
+    g = gcd(*vec)
     if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+        vec[:] = [v // g for v in vec]
 
 
-def _gcd_normalize(vec: list[int]) -> None:
-    g = 0
-    for v in vec:
-        g = gcd(g, v)
-        if g == 1:
-            return
-    if g > 1:
-        for i in range(len(vec)):
-            vec[i] //= g
-
-
-class _IntEchelon:
-    """Row echelon accumulator over the integers (spanning a Q-subspace)."""
-
-    __slots__ = ("width", "rows", "pivot_to_row")
-
-    def __init__(self, width: int):
-        self.width = width
-        self.rows: list[list[int]] = []
-        self.pivot_to_row: dict[int, int] = {}
-
-    def reduce(self, vec: list[int]) -> list[int]:
-        width = self.width
-        j = 0
-        while j < width:
-            if vec[j]:
-                r = self.pivot_to_row.get(j)
-                if r is None:
-                    break
-                row = self.rows[r]
-                a, b = row[j], vec[j]
-                g = gcd(a, b)
-                ma, mb = a // g, b // g
-                for k in range(j, width):
-                    vec[k] = ma * vec[k] - mb * row[k]
-                _gcd_normalize(vec)
-            j += 1
-        return vec
-
-    def insert(self, vec: list[int]) -> bool:
-        vec = self.reduce(vec)
-        pivot = next((j for j, v in enumerate(vec) if v), None)
-        if pivot is None:
-            return False
-        _gcd_normalize(vec)
-        if vec[pivot] < 0:
-            vec = [-v for v in vec]
-        self.pivot_to_row[pivot] = len(self.rows)
-        self.rows.append(vec)
-        return True
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def canonical(self, field) -> tuple[tuple[int, ...], list[list[Fraction]]]:
-        order = sorted(self.pivot_to_row)
-        rows = [list(self.rows[self.pivot_to_row[p]]) for p in order]
-        # Back-substitute bottom-up so every pivot column is cleared above.
-        for i in range(len(rows) - 1, -1, -1):
-            p = order[i]
-            low = rows[i]
-            for h in range(i):
-                if rows[h][p]:
-                    a, b = low[p], rows[h][p]
-                    g = gcd(a, b)
-                    ma, mb = a // g, b // g
-                    upper = rows[h]
-                    for k in range(self.width):
-                        upper[k] = ma * upper[k] - mb * low[k]
-                    _gcd_normalize(upper)
-        out = []
-        for i, p in enumerate(order):
-            piv = rows[i][p]
-            out.append([Fraction(v, piv) for v in rows[i]])
-        return tuple(order), out
-
-
-class _ModEchelon:
-    """Row echelon accumulator over GF(p); pivots normalized to 1."""
-
-    __slots__ = ("width", "p", "rows", "pivot_to_row")
-
-    def __init__(self, width: int, p: int):
-        self.width = width
-        self.p = p
-        self.rows: list[list[int]] = []
-        self.pivot_to_row: dict[int, int] = {}
-
-    def reduce(self, vec: list[int]) -> list[int]:
-        p = self.p
-        j = 0
-        while j < self.width:
-            v = vec[j] % p
-            vec[j] = v
-            if v:
-                r = self.pivot_to_row.get(j)
-                if r is None:
-                    break
-                row = self.rows[r]
-                for k in range(j, self.width):
-                    vec[k] = (vec[k] - v * row[k]) % p
-            j += 1
-        for k in range(j, self.width):
-            vec[k] %= p
-        return vec
-
-    def insert(self, vec: list[int]) -> bool:
-        vec = self.reduce(vec)
-        pivot = next((j for j, v in enumerate(vec) if v), None)
-        if pivot is None:
-            return False
-        inv = pow(vec[pivot], -1, self.p)
-        vec = [v * inv % self.p for v in vec]
-        self.pivot_to_row[pivot] = len(self.rows)
-        self.rows.append(vec)
-        return True
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def canonical(self) -> tuple[tuple[int, ...], list[list[int]]]:
-        order = sorted(self.pivot_to_row)
-        rows = [list(self.rows[self.pivot_to_row[p]]) for p in order]
-        for i in range(len(rows) - 1, -1, -1):
-            p = order[i]
-            low = rows[i]
-            for h in range(i):
-                c = rows[h][p]
-                if c:
-                    upper = rows[h]
-                    for k in range(self.width):
-                        upper[k] = (upper[k] - c * low[k]) % self.p
-        return tuple(order), rows
+def _eliminate(vec: list[int], row: list[int], j: int, p: int, start: int) -> None:
+    """Clear vec[j] with the row whose pivot is j; entries before start are 0."""
+    if p:
+        c = vec[j]
+        vec[start:] = [(v - c * r) % p for v, r in zip(vec[start:], row[start:])]
+        return
+    g = gcd(row[j], vec[j])
+    a, b = row[j] // g, vec[j] // g
+    vec[start:] = [a * v - b * r for v, r in zip(vec[start:], row[start:])]
+    _normalize(vec, 0)
 
 
 class Echelon:
-    """Field-dispatching echelon accumulator used by every span builder."""
+    """Row echelon accumulator on int rows, used by every span builder.
+
+    Over Q (p = 0) rows are primitive integer vectors, reduced by
+    cross-multiplication; over GF(p) they are residues with leading
+    entry 1.  Scalars become ints once, in ``insert``, and come back
+    once, in ``canonical_rows``.
+    """
+
+    __slots__ = ("width", "p", "rows", "pivot_to_row")
 
     def __init__(self, width: int, field):
         self.width = width
-        self.field = field
-        if field.char == 0:
-            self._impl = _IntEchelon(width)
-        else:
-            self._impl = _ModEchelon(width, field.char)
-
-    def _to_ints(self, vec: Sequence[Scalar]) -> list[int]:
-        if self.field.char == 0:
-            return _int_rows_from_scalars(vec)
-        return [x.value if isinstance(x, Residue) else int(x) for x in vec]
+        self.p = field.char
+        self.rows: list[list[int]] = []
+        self.pivot_to_row: dict[int, int] = {}
 
     def insert(self, vec: Sequence[Scalar]) -> bool:
         if len(vec) != self.width:
             raise ValueError("vector length %d, ambient dim %d" % (len(vec), self.width))
-        return self._impl.insert(self._to_ints(vec))
+        p = self.p
+        ints = [x.value for x in vec] if p else _int_rows_from_scalars(vec)
+        for j in range(self.width):
+            if ints[j]:
+                r = self.pivot_to_row.get(j)
+                if r is None:
+                    if p:
+                        _normalize(ints, p)
+                    self.pivot_to_row[j] = len(self.rows)
+                    self.rows.append(ints)
+                    return True
+                _eliminate(ints, self.rows[r], j, p, j)
+        return False
 
     @property
     def dim(self) -> int:
-        return self._impl.dim
+        return len(self.rows)
 
     def canonical_rows(self) -> tuple[tuple[int, ...], tuple[tuple[Scalar, ...], ...]]:
-        if self.field.char == 0:
-            pivots, rows = self._impl.canonical(self.field)
-            return pivots, tuple(tuple(r) for r in rows)
-        pivots, rows = self._impl.canonical()
-        p = self.field.char
-        return pivots, tuple(tuple(Residue(v, p) for v in r) for r in rows)
+        """Pivot columns and the rows of the reduced row echelon form."""
+        p = self.p
+        order = sorted(self.pivot_to_row)
+        rows = [list(self.rows[self.pivot_to_row[j]]) for j in order]
+        # Back-substitute bottom-up so every pivot column is cleared above.
+        for i in range(len(rows) - 1, -1, -1):
+            for h in range(i):
+                if rows[h][order[i]]:
+                    _eliminate(rows[h], rows[i], order[i], p, order[h])
+        if p:
+            return tuple(order), tuple(tuple(Residue(v, p) for v in r) for r in rows)
+        return tuple(order), tuple(
+            tuple(Fraction(v, r[j]) for v in r) for j, r in zip(order, rows)
+        )
 
 
 @dataclass(frozen=True)
@@ -397,11 +300,6 @@ def intersect(v: GradedSubspace, w: GradedSubspace) -> GradedSubspace:
     return span(vecs, v.ambient, v.field)
 
 
-def identity_matrix(n: int, field) -> list[list[Scalar]]:
-    one, zero = field.one, field.zero
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
 def mat_mul(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]], field):
     n, m = len(a), len(b[0])
     inner = len(b)
@@ -432,20 +330,13 @@ def mat_vec(a: Sequence[Sequence[Scalar]], v: Sequence[Scalar], field):
 
 
 def invert_matrix(a: Sequence[Sequence[Scalar]], field):
-    """Exact inverse via Gauss-Jordan; returns None when singular."""
+    """The right half of the RREF of [A | I]; None when A is singular."""
     n = len(a)
-    aug = [list(a[i]) + identity_matrix(n, field)[i] for i in range(n)]
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, n) if aug[r][col]), None)
-        if piv is None:
-            return None
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = field.one / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col]:
-                c = aug[r][col]
-                aug[r] = [x - c * y for x, y in zip(aug[r], aug[row])]
-        row += 1
-    return [r[n:] for r in aug]
+    one, zero = field.one, field.zero
+    ech = Echelon(2 * n, field)
+    for i, row in enumerate(a):
+        ech.insert(list(row) + [one if k == i else zero for k in range(n)])
+    pivots, rows = ech.canonical_rows()
+    if pivots != tuple(range(n)):
+        return None
+    return [list(r[n:]) for r in rows]
