@@ -23,7 +23,7 @@ from math import comb
 
 from .automorphism import evaluate_at
 from .idealizer_ring import IdealizerRing
-from .linalg import intersect, rank_rows, span_polys
+from .linalg import intersect, kernel, rank_rows, span, span_polys
 from .orbit import orbit_points
 from .poly import HomogPoly, basis_dim, monomial_basis, poly_to_vector
 from .twist import GradedIdeal
@@ -246,7 +246,6 @@ class ExtEngine:
                 cols.append(target.quotient_coords(poly_to_vector(prod, self.field)))
             height = len(cols[0]) if cols else 0
             rows.extend([col[r] for col in cols] for r in range(height))
-        from .linalg import kernel, span
 
         vecs = kernel(rows, sdim, self.field)
         sol = span(vecs, self.ring.ambient(n), self.field)

@@ -4,7 +4,8 @@ Scalars are plain value objects supporting Python's arithmetic operators
 (``Fraction`` for the rationals, ``Residue`` for a prime field), so the
 polynomial and matrix layers never branch on the field.  A field object
 carries construction, parsing, and rendering, plus the characteristic,
-which the elimination engine uses to pick its internal representation.
+which keys the one elimination engine: fraction-free integer rows over
+the rationals, least residues mod p.
 
 The rational field is the default everywhere.  Prime fields exist as a
 fast mode for large experiments; any conclusion drawn mod p is heuristic
@@ -36,8 +37,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for every n below 3.3e24."""
     if n < 2:
         return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    for p in small:
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1

@@ -19,7 +19,8 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from .automorphism import AutoMap, ProjPoint, point_image, pullback_point
-from .linalg import _int_rows_from_scalars, rank_rows
+from .fields import QQ
+from .linalg import _int_rows_from_scalars, kernel, rank_rows
 from .poly import basis_dim, monomial_values
 
 __all__ = [
@@ -144,9 +145,6 @@ def multiplicative_independence(
         factored.append({q: e for q, e in expts.items() if e})
     primes = tuple(sorted({q for f in factored for q in f}))
     matrix = tuple(tuple(f.get(q, 0) for q in primes) for f in factored)
-
-    from .fields import QQ
-    from .linalg import kernel
 
     # unknowns a_i; one equation per prime q: sum_i a_i e_i(q) = 0
     rows = [

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .automorphism import ProjPoint
 from .fields import QQ
-from .linalg import Ambient, Echelon, GradedSubspace, segre_ambient, span, span_polys
+from .linalg import Ambient, Echelon, GradedSubspace, poly_ambient, segre_ambient, span, span_polys
 from .poly import HomogPoly, basis_dim, monomial_basis, monomials
 
 __all__ = ["SegreContext", "local_witness_check", "nonvanishing_from"]
@@ -179,8 +179,6 @@ def local_witness_check(d: int, field=QQ) -> dict:
 
     def v(j):
         return HomogPoly.variable(nvars, d + j - 1, field)
-
-    from .linalg import poly_ambient
 
     w = u(1) * v(2) - u(2) * v(1)
     j_forms = [u(i) - v(i) for i in range(1, d + 1)]
