@@ -88,14 +88,19 @@ def _normalize(vec: list[int], p: int) -> None:
 
 
 def _eliminate(vec: list[int], row: list[int], j: int, p: int, start: int) -> None:
-    """Clear vec[j] with the row whose pivot is j; entries before start are 0."""
+    """Clear vec[j] using row, whose pivot is j (1 mod p); both are 0 before start."""
+    # Pivot rows are sparse, so skipping their zeros beats a comprehension.
     if p:
         c = vec[j]
-        vec[start:] = [(v - c * r) % p for v, r in zip(vec[start:], row[start:])]
+        for k in range(start, len(vec)):
+            if row[k]:
+                vec[k] = (vec[k] - c * row[k]) % p
         return
     g = gcd(row[j], vec[j])
     a, b = row[j] // g, vec[j] // g
-    vec[start:] = [a * v - b * r for v, r in zip(vec[start:], row[start:])]
+    for k in range(start, len(vec)):
+        if row[k] or vec[k]:
+            vec[k] = a * vec[k] - b * row[k]
     _normalize(vec, 0)
 
 
@@ -125,7 +130,7 @@ class Echelon:
             if ints[j]:
                 r = self.pivot_to_row.get(j)
                 if r is None:
-                    if p:
+                    if p:  # over Q the row is already primitive
                         _normalize(ints, p)
                     self.pivot_to_row[j] = len(self.rows)
                     self.rows.append(ints)

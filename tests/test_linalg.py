@@ -127,7 +127,8 @@ def test_kernel_vectors_are_canonical():
 
 
 # -- differential tests against sympy's DomainMatrix -----------------------------------
-# Both libraries are test-only; each property runs on a fixed (derandomized)
+# Both libraries are test-only and imported inside each test, so the tests
+# above run without them.  Each property runs on a fixed (derandomized)
 # sequence of small examples over QQ, GF(7) and GF(10007).
 
 FIELDS = (QQ, PrimeField(7), PrimeField(10007))
@@ -147,8 +148,8 @@ def _property(build, max_examples=40):
             )
             settings(hyp.given(build(st))(lambda args: check(*args)))()
 
+        # not functools.wraps: pytest would read check's parameters as fixtures
         test.__name__ = check.__name__
-        test.__doc__ = check.__doc__
         return test
 
     return decorate
