@@ -7,6 +7,11 @@ non-diagonal matrix automorphism (the one entry that inverts a matrix,
 composes matrices and applies the generic substitution).  A digest
 changes exactly when a report byte changes, so a refactor that keeps
 these digests keeps the reports.
+
+``CLI_GOLDEN`` pins the default-format stdout of the table and probe
+commands, which reach what the suite does not: the twisted-module route
+of ``ext-table`` on the ``orbit:``, ``gens:`` and ``max`` ideal specs, a
+``point:`` hom table and a noetherian probe.
 """
 
 import contextlib
@@ -59,6 +64,34 @@ GOLDEN = [
     ),
 ]
 
+CLI_GOLDEN = [
+    (
+        ("ext-table", "--J", "orbit:2", "--max-degree", "5"),
+        0,
+        "32bd08bfbf414b2071815bf02e46b64053fa783d461dbd8a021da1b3b4e878b6",
+    ),
+    (
+        ("ext-table", "--J", "gens:x0^2;x1*x2", "--field", "prime:7", "--max-degree", "4"),
+        0,
+        "c2dad44ec121cef4e6c96e07e1b3b231527fcc6bd503077acfef48614f77ea72",
+    ),
+    (
+        ("ext-table", "--d", "3", "--p", "2,3,5", "--point", "1,1,1,1", "--J", "max", "--max-degree", "3"),
+        0,
+        "f8d03de319128840318daf037cd5b26ac3cea006088e17a36e4e12ab88f30574",
+    ),
+    (
+        ("hom-table", "--J", "point:1,2,3", "--max-degree", "6"),
+        0,
+        "72f82ebf3d5d6e67b9a9a6121360aca7b104eb90449bb7241c232c1f367dbe0e",
+    ),
+    (
+        ("probe", "--f", "x0-x1", "--max-degree", "6"),
+        0,
+        "04d6af130c6fe0ce243b3b905a79356602192ed981e42b8e7dc2a53a24667441",
+    ),
+]
+
 
 @pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
 def test_verify_suite_digest(argv, code, digest, tmp_path, monkeypatch):
@@ -68,5 +101,14 @@ def test_verify_suite_digest(argv, code, digest, tmp_path, monkeypatch):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         got = main(["verify-suite", "--format", "json", *argv])
+    assert got == code
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,code,digest", CLI_GOLDEN, ids=[" ".join(g[0]) for g in CLI_GOLDEN])
+def test_cli_table_digest(argv, code, digest):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        got = main(list(argv))
     assert got == code
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
