@@ -16,7 +16,6 @@ from .fields import QQ, PrimeField, RationalField, field_from_name
 from .idealizer_ring import IdealizerRing
 from .orbit import (
     FactorBoundError,
-    brute_force_relation,
     distinct_window,
     general_position_rank,
     multiplicative_independence,
@@ -45,7 +44,6 @@ __all__ = [
     "RingConfig",
     "SegreContext",
     "TwistRing",
-    "brute_force_relation",
     "distinct_window",
     "field_from_name",
     "general_position_rank",

@@ -245,9 +245,3 @@ class Instance:
     @property
     def rational(self) -> bool:
         return self.field.char == 0
-
-    def rational_twin(self) -> "Instance":
-        """The same configuration over the rationals."""
-        if self.rational:
-            return self
-        return replace(self.config, field="rational").build()

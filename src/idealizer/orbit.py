@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
 
 from .automorphism import AutoMap, ProjPoint, point_image, pullback_point
 from .fields import QQ
@@ -27,7 +26,6 @@ __all__ = [
     "FactorBoundError",
     "IndependenceCertificate",
     "OrbitWindow",
-    "brute_force_relation",
     "centred_indices",
     "distinct_window",
     "general_position_rank",
@@ -171,27 +169,6 @@ def multiplicative_independence(
     return IndependenceCertificate(
         ps, "dependent", primes, matrix, tuple(rel), value == 1
     )
-
-
-def brute_force_relation(multipliers, max_exp: int = 5):
-    """Smallest-support exhaustive search for a relation; test oracle."""
-    ps = tuple(Fraction(p) for p in multipliers)
-    best = None
-    for combo in iter_product(range(-max_exp, max_exp + 1), repeat=len(ps)):
-        if not any(combo):
-            continue
-        value = Fraction(1)
-        for p, a in zip(ps, combo):
-            value *= p**a
-        if value == 1:
-            weight = sum(abs(a) for a in combo)
-            if best is None or weight < best[0]:
-                best = (weight, combo)
-    if best is None:
-        return None
-    combo = best[1]
-    lead = next((a for a in combo if a), 0)
-    return tuple(-a for a in combo) if lead < 0 else tuple(combo)
 
 
 def centred_indices(count: int) -> list[int]:

@@ -46,15 +46,6 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def mono_divides(a: Mono, b: Mono) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def mono_div(a: Mono, b: Mono) -> Mono:
-    """a / b, assuming b divides a."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
 @lru_cache(maxsize=None)
 def monomials(nvars: int, degree: int) -> tuple[Mono, ...]:
     """All exponent tuples of the given degree, in the frozen order."""

@@ -3,9 +3,13 @@
 Each oracle takes a route the package does not use: point ideals built
 by the degree recursion over their linear generators, quotient
 coordinates obtained by reduction against those pieces, and Segre
-witness spaces in raw pair coordinates.  They are exact but only
-affordable in low degree.
+witness spaces in raw pair coordinates, and multiplicative relations
+found by exhaustive search over small exponents.  They are exact but
+only affordable in low degree.
 """
+
+from fractions import Fraction
+from itertools import product as iter_product
 
 from idealizer.automorphism import AutoMap
 from idealizer.linalg import Echelon, intersect, kernel, span
@@ -163,3 +167,27 @@ def phi_tensor_invariance(ctx, auto, m):
                         out[slot] = out[slot] + coeff * rv
         image_vecs.append(out)
     return span(image_vecs, piece.ambient, ctx.field) == piece
+
+
+# -- multiplicative relations by exhaustive search ---------------------------------
+
+
+def brute_force_relation(multipliers, max_exp: int = 5):
+    """Smallest-support exhaustive search for a multiplicative relation."""
+    ps = tuple(Fraction(p) for p in multipliers)
+    best = None
+    for combo in iter_product(range(-max_exp, max_exp + 1), repeat=len(ps)):
+        if not any(combo):
+            continue
+        value = Fraction(1)
+        for p, a in zip(ps, combo):
+            value *= p**a
+        if value == 1:
+            weight = sum(abs(a) for a in combo)
+            if best is None or weight < best[0]:
+                best = (weight, combo)
+    if best is None:
+        return None
+    combo = best[1]
+    lead = next((a for a in combo if a), 0)
+    return tuple(-a for a in combo) if lead < 0 else tuple(combo)

@@ -8,13 +8,14 @@ PASS/FAIL line (run pytest with -s or -v to see them) and asserts.
 import math
 
 import pytest
+from oracles import brute_force_relation
 
 from idealizer.automorphism import AutoMap, ProjPoint
 from idealizer.config import RingConfig
 from idealizer.ext import ExtEngine, euler_characteristic_check
 from idealizer.fields import QQ
 from idealizer.idealizer_ring import IdealizerRing
-from idealizer.orbit import brute_force_relation, multiplicative_independence
+from idealizer.orbit import multiplicative_independence
 from idealizer.poly import parse_poly
 from idealizer.report import json_text
 from idealizer.segre import SegreContext, local_witness_check

@@ -3,12 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from oracles import brute_force_relation
 
 from idealizer.automorphism import AutoMap, ProjPoint
 from idealizer.fields import QQ
 from idealizer.orbit import (
     FactorBoundError,
-    brute_force_relation,
     distinct_window,
     general_position_rank,
     multiplicative_independence,

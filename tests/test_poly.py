@@ -12,8 +12,6 @@ from idealizer.poly import (
     basis_index,
     format_poly,
     mono_degree,
-    mono_div,
-    mono_divides,
     mono_mul,
     monomials,
     parse_poly,
@@ -25,9 +23,6 @@ from idealizer.poly import (
 def test_monomial_helpers():
     assert mono_degree((2, 0, 1)) == 3
     assert mono_mul((1, 0), (0, 2)) == (1, 2)
-    assert mono_divides((1, 0), (1, 2))
-    assert not mono_divides((2, 0), (1, 2))
-    assert mono_div((1, 2), (1, 0)) == (0, 2)
 
 
 def test_monomials_order_and_count():
@@ -148,3 +143,4 @@ def test_auto_inverse_and_compose():
     assert phi.compose(phi.inv()).is_identity()
     assert not phi.is_identity()
     assert AutoMap.identity(3, QQ).is_identity()
+
