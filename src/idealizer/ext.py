@@ -274,9 +274,10 @@ class ExtEngine:
             T = idl.idealizer_piece(m)
             coker.append(basis_dim(self.ring.nvars, m) - fS.sum(T).dim)
             meet = intersect(fS, T)
-            fT = self.ring.product_piece(
-                span_polys([f], self.ring.ambient(n), self.field),
-                idl.idealizer_piece(m - n),
+            fT = span_polys(
+                self.ring.products([f], idl.idealizer_piece(m - n).basis_polys()),
+                self.ring.ambient(m),
+                self.field,
             )
             if not meet.contains_subspace(fT):
                 raise ArithmeticError("fT escapes fS meet T")

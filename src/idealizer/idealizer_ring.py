@@ -128,9 +128,9 @@ class IdealizerRing:
 
         def gens():
             for i in range(m):
-                for f in self.I.twisted_piece(i, m - i).basis_polys():
-                    for mono in monomial_basis(self.ring.d, i):
-                        yield f * HomogPoly.monomial(mono, self.field.one)
+                yield from self.ring.products(
+                    self.I.piece(m - i).basis_polys(), self.ring.monomial_polys(i)
+                )
 
         piece = span_polys(gens(), self.ring.ambient(m), self.field)
         self._is_pieces[m] = piece
@@ -144,20 +144,14 @@ class IdealizerRing:
 
     # -- generators of T as an algebra ---------------------------------------
 
-    def t_product(self, a: int, b: int) -> GradedSubspace:
-        """Span of T_a . T_b inside U_{a+b}."""
-        return self.ring.product_piece(self.idealizer_piece(a), self.idealizer_piece(b))
-
     def decomposable_piece(self, n: int) -> GradedSubspace:
         """Degree-n span of products of positive-degree elements of T."""
         def gens():
             for a in range(1, n):
-                left = self.idealizer_piece(a)
-                right = self.idealizer_piece(n - a)
-                for f in left.basis_polys():
-                    tf = self.ring.twisted(n - a, f)
-                    for g in right.basis_polys():
-                        yield tf * g
+                yield from self.ring.products(
+                    self.idealizer_piece(a).basis_polys(),
+                    self.idealizer_piece(n - a).basis_polys(),
+                )
 
         return span_polys(gens(), self.ring.ambient(n), self.field)
 
@@ -175,7 +169,7 @@ class IdealizerRing:
 
     def veronese_gen_in_degree_one(self, n: int) -> dict:
         """Does T_n . T_n fill T_{2n}?  The n-th Veronese fails this for twists."""
-        product = self.t_product(n, n)
+        product = self.ring.product_piece(self.idealizer_piece(n), self.idealizer_piece(n))
         target = self.idealizer_piece(2 * n)
         return {
             "n": n,

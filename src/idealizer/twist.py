@@ -35,7 +35,6 @@ from .poly import (
     basis_dim,
     monomial_values,
     monomials,
-    poly_to_vector,
     vector_to_poly,
 )
 
@@ -84,35 +83,39 @@ class TwistRing:
     def variable(self, i: int) -> HomogPoly:
         return HomogPoly.variable(self.nvars, i, self.field)
 
+    def monomial_polys(self, n: int) -> list[HomogPoly]:
+        return [HomogPoly.monomial(m, self.field.one) for m in self.basis(n)]
+
     def full_piece(self, n: int) -> GradedSubspace:
-        return span_polys(
-            [HomogPoly.monomial(m, self.field.one) for m in self.basis(n)],
-            self.ambient(n),
-            self.field,
-        )
+        return span_polys(self.monomial_polys(n), self.ambient(n), self.field)
+
+    def products(self, lefts, rights):
+        """Yield the twisted products f . g = phi^(deg g)(f) * g.
+
+        The right factors share one degree, so each f is twisted once;
+        f is the outer loop and g the inner one.
+        """
+        rights = list(rights)
+        if not rights:
+            return
+        b = rights[0].degree
+        for f in lefts:
+            tf = self.twisted(b, f)
+            for g in rights:
+                yield tf * g
 
     def product_piece(self, v: GradedSubspace, w: GradedSubspace) -> GradedSubspace:
         """Span of the twisted products of two graded pieces v . w."""
         if v.ambient.kind != "poly" or w.ambient.kind != "poly":
             raise ValueError("twisted products need polynomial ambients")
-        b = w.ambient.degree
-        target = self.ambient(v.ambient.degree + b)
-        twisted_left = [self.twisted(b, f) for f in v.basis_polys()]
-        vectors = (
-            poly_to_vector(tf * g, self.field)
-            for g in w.basis_polys()
-            for tf in twisted_left
-        )
-        return span(vectors, target, self.field)
+        target = self.ambient(v.ambient.degree + w.ambient.degree)
+        return span_polys(self.products(v.basis_polys(), w.basis_polys()), target, self.field)
 
     def principal_right_piece(self, f: HomogPoly, m: int) -> GradedSubspace:
-        n = f.degree
         target = self.ambient(m)
-        if m < n or f.is_zero():
+        if m < f.degree or f.is_zero():
             return span_polys([], target, self.field)
-        tw = self.twisted(m - n, f)
-        polys = [tw * HomogPoly.monomial(u, self.field.one) for u in self.basis(m - n)]
-        return span_polys(polys, target, self.field)
+        return span_polys(self.products([f], self.monomial_polys(m - f.degree)), target, self.field)
 
     def opposite_iso_check(self, max_total_degree: int):
         """Verify degreewise that psi_n = phi^{-n} maps the opposite ring
