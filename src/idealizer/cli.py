@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .automorphism import ProjPoint
 from .config import ConfigError, Instance, RingConfig
-from .ext import ExtEngine
+from .ext import ExtEngine, QuotientModule
 from .orbit import (
     FactorBoundError,
     centred_indices,
@@ -323,10 +323,7 @@ def cmd_ext_table(args, instance: Instance) -> int:
     degrees = list(range(-N, N + 1))
     rows = []
     columns = ["j"] + ["n=%d" % n for n in degrees]
-    tables = [
-        engine.koszul.ext_row(engine.module_quotient_twisted(J, -n), n)
-        for n in degrees
-    ]
+    tables = [engine.koszul.ext_row(QuotientModule(J, -n), n) for n in degrees]
     for j in range(instance.config.d + 1):
         rows.append([j] + [col[j] for col in tables])
     payload = table_payload(

@@ -11,6 +11,12 @@ Twisting enters only through a change of module: the degree-n behaviour
 over S is the degree-n behaviour over U after replacing J by its
 pullback under phi^n.
 
+There is one module type, QuotientModule(J, power) = U/phi^power(J);
+the free module U is the quotient by the zero ideal.  Each differential
+is ranked at most once per complex, module and degree: the rank is kept
+on the module, so it is freed with it, and Ext^i reuses the ranks of
+delta^i and delta^(i-1) that its neighbours already paid for.
+
 The probes at the end are the finite-dimensional noetherian witnesses:
 for f in T_n they tabulate (S/(fS + T))_m and ((fS meet T)/fT)_m and
 compare the supports with the vanishing set of f along the orbit.
@@ -32,55 +38,45 @@ __all__ = [
     "ExtEngine",
     "KoszulComplex",
     "QuotientModule",
-    "free_module",
 ]
 
 
 class QuotientModule:
-    """U/J for a graded ideal J handed over as a piece function.
+    """U/J for a graded ideal J, pulled back by phi^power.
 
-    The degree-n basis is the set of monomials at the non-pivot columns
-    of J_n, so multiplication matrices are reductions of honest products.
+    The degree-n piece is J.twisted_piece(power, n), memoized by the
+    ideal.  The degree-n basis is the set of monomials at the non-pivot
+    columns of that piece, so multiplication matrices are reductions of
+    honest products.  Ranks of Koszul differentials on this module are
+    kept in `ranks`, keyed (complex, i, n), and live as long as it does.
     """
 
-    def __init__(self, nvars: int, field, piece_fn, label: str = "U/J"):
-        self.nvars = nvars
-        self.field = field
-        self.label = label
-        self._piece_fn = piece_fn
-        self._pieces = {}
+    def __init__(self, ideal: GradedIdeal, power: int = 0):
+        self.ideal = ideal
+        self.power = power
+        self.ring = ideal.ring
+        self.ranks = {}
 
     def piece(self, n: int):
-        got = self._pieces.get(n)
-        if got is None:
-            got = self._piece_fn(n)
-            self._pieces[n] = got
-        return got
+        return self.ideal.twisted_piece(self.power, n)
 
     def dim(self, n: int) -> int:
         if n < 0:
             return 0
-        return basis_dim(self.nvars, n) - self.piece(n).dim
+        return basis_dim(self.ring.nvars, n) - self.piece(n).dim
 
     def mult_matrix(self, form: HomogPoly, n: int):
         """Matrix of multiplication by a linear form, degree n to n + 1."""
         if n < 0:
             return [[] for _ in range(self.dim(n + 1))]
-        source = self.piece(n)
+        field = self.ring.field
         target = self.piece(n + 1)
-        basis = monomial_basis(self.nvars - 1, n)
+        basis = monomial_basis(self.ring.d, n)
         cols = []
-        for k in source.nonpivot_columns():
-            prod = form * HomogPoly.monomial(basis[k], self.field.one)
-            cols.append(target.quotient_coords(poly_to_vector(prod, self.field)))
-        rows = self.dim(n + 1)
-        return [[col[r] for col in cols] for r in range(rows)]
-
-
-def free_module(nvars: int, field, ring) -> QuotientModule:
-    """U itself, as the quotient by the zero ideal."""
-    empty = GradedIdeal(ring, [])
-    return QuotientModule(nvars, field, empty.piece, label="U")
+        for k in self.piece(n).nonpivot_columns():
+            prod = form * HomogPoly.monomial(basis[k], field.one)
+            cols.append(target.quotient_coords(poly_to_vector(prod, field)))
+        return [[col[r] for col in cols] for r in range(self.dim(n + 1))]
 
 
 class KoszulComplex:
@@ -98,63 +94,27 @@ class KoszulComplex:
             raise ValueError("forms must be linearly independent")
         self.forms = forms
         self.field = field
-        self.nvars = nvars
         self.d = len(forms)
-
-    def subsets(self, i: int):
-        return tuple(combinations(range(self.d), i))
-
-    def chain_matrix(self, i: int, n: int):
-        """d_i: K_i -> K_{i-1} in internal degree n, K_i a sum of U(-i)."""
-        src = self.subsets(i)
-        tgt = self.subsets(i - 1)
-        tgt_index = {A: p for p, A in enumerate(tgt)}
-        sdim = basis_dim(self.nvars, n - i)
-        tdim = basis_dim(self.nvars, n - i + 1)
-        zero = self.field.zero
-        rows = [[zero] * (sdim * len(src)) for _ in range(tdim * len(tgt))]
-        basis = monomial_basis(self.nvars - 1, n - i)
-        for a, A in enumerate(src):
-            for t, b in enumerate(A):
-                sign = self.field.one if t % 2 == 0 else -self.field.one
-                p = tgt_index[tuple(x for x in A if x != b)]
-                for k, mono in enumerate(basis):
-                    prod = (self.forms[b] * HomogPoly.monomial(mono, sign))
-                    vec = poly_to_vector(prod, self.field)
-                    for r, val in enumerate(vec):
-                        if val:
-                            rows[p * tdim + r][a * sdim + k] = val
-        return rows
 
     def cochain_matrix(self, module, i: int, n: int):
         """delta^i: C^i(M)_n -> C^{i+1}(M)_n."""
-        src = self.subsets(i)
-        tgt = self.subsets(i + 1)
-        src_index = {A: p for p, A in enumerate(src)}
+        src_index = {A: p for p, A in enumerate(combinations(range(self.d), i))}
+        tgt = list(combinations(range(self.d), i + 1))
         sdim = module.dim(n + i)
         tdim = module.dim(n + i + 1)
         zero = self.field.zero
-        rows = [[zero] * (sdim * len(src)) for _ in range(tdim * len(tgt))]
+        rows = [[zero] * (sdim * len(src_index)) for _ in range(tdim * len(tgt))]
         mults = {}
         for q, B in enumerate(tgt):
             for t, b in enumerate(B):
-                A = tuple(x for x in B if x != b)
-                p = src_index[A]
+                p = src_index[B[:t] + B[t + 1:]]
                 if b not in mults:
                     mults[b] = module.mult_matrix(self.forms[b], n + i)
-                block = mults[b]
-                if t % 2 == 0:
-                    for r in range(tdim):
-                        for k in range(sdim):
-                            v = block[r][k]
-                            if v:
-                                rows[q * tdim + r][p * sdim + k] = rows[q * tdim + r][p * sdim + k] + v
-                else:
-                    for r in range(tdim):
-                        for k in range(sdim):
-                            v = block[r][k]
-                            if v:
-                                rows[q * tdim + r][p * sdim + k] = rows[q * tdim + r][p * sdim + k] - v
+                for r, block_row in enumerate(mults[b]):
+                    row = rows[q * tdim + r]
+                    for k, v in enumerate(block_row):
+                        if v:
+                            row[p * sdim + k] = -v if t % 2 else v
         return rows
 
     def cochain_dim(self, module, i: int, n: int) -> int:
@@ -162,38 +122,27 @@ class KoszulComplex:
             return 0
         return comb(self.d, i) * module.dim(n + i)
 
+    def rank(self, module, i: int, n: int) -> int:
+        """Rank of delta^i on M in degree n, ranked once and kept on M."""
+        if i < 0 or i >= self.d:
+            return 0
+        key = (self, i, n)
+        got = module.ranks.get(key)
+        if got is None:
+            width = self.cochain_dim(module, i, n)
+            got = rank_rows(self.cochain_matrix(module, i, n), width, self.field)
+            module.ranks[key] = got
+        return got
+
     def ext(self, module, i: int, n: int) -> int:
         """dim Ext^i_U(U/(forms), M)_n."""
         if i < 0 or i > self.d:
             return 0
-        total = self.cochain_dim(module, i, n)
-        rank_out = 0
-        if i < self.d:
-            width = total
-            rank_out = rank_rows(self.cochain_matrix(module, i, n), width, self.field)
-        rank_in = 0
-        if i > 0:
-            width = self.cochain_dim(module, i - 1, n)
-            rank_in = rank_rows(self.cochain_matrix(module, i - 1, n), width, self.field)
-        return total - rank_out - rank_in
+        return self.cochain_dim(module, i, n) - self.rank(module, i, n) - self.rank(module, i - 1, n)
 
     def ext_row(self, module, n: int) -> list[int]:
-        """All of Ext^0..Ext^d at degree n, each differential ranked once."""
-        ranks = [
-            rank_rows(
-                self.cochain_matrix(module, i, n),
-                self.cochain_dim(module, i, n),
-                self.field,
-            )
-            for i in range(self.d)
-        ]
-        out = []
-        for i in range(self.d + 1):
-            total = self.cochain_dim(module, i, n)
-            rank_out = ranks[i] if i < self.d else 0
-            rank_in = ranks[i - 1] if i > 0 else 0
-            out.append(total - rank_out - rank_in)
-        return out
+        """All of Ext^0..Ext^d at degree n."""
+        return [self.ext(module, i, n) for i in range(self.d + 1)]
 
 
 class ExtEngine:
@@ -205,26 +154,9 @@ class ExtEngine:
         self.field = idealizer.field
         self.koszul = KoszulComplex(idealizer.forms, idealizer.field)
 
-    def module_free(self) -> QuotientModule:
-        return free_module(self.ring.nvars, self.field, self.ring)
-
-    def module_quotient(self, J: GradedIdeal, label: str = "U/J") -> QuotientModule:
-        return QuotientModule(self.ring.nvars, self.field, J.piece, label=label)
-
-    def module_quotient_twisted(self, J: GradedIdeal, power: int, label: str = "U/J") -> QuotientModule:
-        return QuotientModule(
-            self.ring.nvars,
-            self.field,
-            lambda m: J.twisted_piece(power, m),
-            label="%s twisted %d" % (label, power),
-        )
-
-    def ext_U(self, i: int, module, n: int) -> int:
-        return self.koszul.ext(module, i, n)
-
     def ext_S_twisted(self, i: int, J: GradedIdeal, n: int) -> int:
         """dim Ext^i_S(S/I, (S/J))_n via the pullback of J under phi^n."""
-        return self.koszul.ext(self.module_quotient_twisted(J, -n), i, n)
+        return self.koszul.ext(QuotientModule(J, -n), i, n)
 
     def hom_S_quotient(self, J: GradedIdeal, n: int) -> int:
         """dim of { x in U_n : phi^n(I_1) . x <= J_{n+1} } / J_n.
@@ -314,10 +246,7 @@ class ExtEngine:
         out = {}
         degrees = list(range(-max_degree, max_degree + 1))
         for label, J in family:
-            columns = [
-                self.koszul.ext_row(self.module_quotient_twisted(J, -n), n)
-                for n in degrees
-            ]
+            columns = [self.koszul.ext_row(QuotientModule(J, -n), n) for n in degrees]
             table = {}
             stab = {}
             totals = {}

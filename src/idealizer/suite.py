@@ -35,7 +35,7 @@ from typing import Callable
 
 from .automorphism import ProjPoint, evaluate_at
 from .config import ConfigError, Instance
-from .ext import ExtEngine, euler_characteristic_check
+from .ext import ExtEngine, QuotientModule, euler_characteristic_check
 from .fields import is_prime
 from .linalg import kernel
 from .orbit import (
@@ -173,12 +173,12 @@ class _Context:
         return ExtEngine(self.idl)
 
     @cached_property
-    def free(self):
-        return self.engine.module_free()
-
-    @cached_property
     def zero_ideal(self) -> GradedIdeal:
         return GradedIdeal(self.ring, [])
+
+    @cached_property
+    def free(self) -> QuotientModule:
+        return QuotientModule(self.zero_ideal)
 
     @cached_property
     def max_ideal(self) -> GradedIdeal:
@@ -457,7 +457,7 @@ def _koszul_acyclicity(ctx):
     bad = []
     for n in range(-d, ctx.N + 1):
         for i in range(d):
-            v = ctx.engine.ext_U(i, ctx.free, n)
+            v = ctx.engine.koszul.ext(ctx.free, i, n)
             if v != 0:
                 bad.append((i, n, v))
     return (
@@ -481,18 +481,17 @@ def _ext_top_twisted(ctx):
 
 @_check("euler-identity")
 def _euler_identity(ctx):
-    engine = ctx.engine
     modules = (
-        ctx.free,
-        engine.module_quotient(ctx.idl.I, "U/I"),
-        engine.module_quotient(ctx.max_ideal, "U/max"),
+        ("U", ctx.free),
+        ("U/I", QuotientModule(ctx.idl.I)),
+        ("U/max", QuotientModule(ctx.max_ideal)),
     )
     bad = []
-    for module in modules:
+    for label, module in modules:
         for n in range(-ctx.cfg.d - 1, 4):
-            lhs, rhs = euler_characteristic_check(engine.koszul, module, n)
+            lhs, rhs = euler_characteristic_check(ctx.engine.koszul, module, n)
             if lhs != rhs:
-                bad.append((module.label, n, lhs, rhs))
+                bad.append((label, n, lhs, rhs))
     return (
         _verdict(not bad),
         "the alternating sum of ext dims equals the alternating sum of "

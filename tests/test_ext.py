@@ -7,12 +7,12 @@ definitions (rank counts of explicit cochain matrices) and frozen here.
 import pytest
 
 from idealizer.automorphism import AutoMap, ProjPoint
-from idealizer.ext import ExtEngine, KoszulComplex, euler_characteristic_check, free_module
+from idealizer.ext import ExtEngine, KoszulComplex, QuotientModule, euler_characteristic_check
 from idealizer.fields import QQ
 from idealizer.idealizer_ring import IdealizerRing
 from idealizer.linalg import rank_rows
 from idealizer.poly import parse_poly
-from idealizer.twist import GradedIdeal, TwistRing, point_ideal_forms
+from idealizer.twist import GradedIdeal, PointIdeal, TwistRing, point_ideal_forms
 
 
 def _instance():
@@ -37,7 +37,7 @@ def test_koszul_rejects_dependent_forms():
 
 def test_chain_complex_composes_to_zero(engine):
     kos = engine.koszul
-    U = free_module(3, QQ, engine.idealizer.ring)
+    U = QuotientModule(GradedIdeal(engine.idealizer.ring, []))
     for n in (2, 3, 5):
         d2 = kos.cochain_matrix(U, 1, n)
         d1 = kos.cochain_matrix(U, 0, n)
@@ -56,17 +56,17 @@ def test_chain_complex_composes_to_zero(engine):
 
 def test_koszul_acyclic_below_top(engine):
     """The forms are a regular sequence, so Ext^i(U/I_total, U) = 0 for i < d."""
-    U = engine.module_free()
+    U = QuotientModule(GradedIdeal(engine.idealizer.ring, []))
     for i in (0, 1):
         for n in range(-3, 8):
-            assert engine.ext_U(i, U, n) == 0
+            assert engine.koszul.ext(U, i, n) == 0
 
 
 def test_top_ext_is_shifted_quotient(engine):
     """Ext^2 against U concentrates the quotient ring shifted by d."""
-    U = engine.module_free()
+    U = QuotientModule(GradedIdeal(engine.idealizer.ring, []))
     for n in range(-6, 8):
-        assert engine.ext_U(2, U, n) == (1 if n >= -2 else 0)
+        assert engine.koszul.ext(U, 2, n) == (1 if n >= -2 else 0)
 
 
 def test_top_twisted_ext_constant_one(engine):
@@ -77,9 +77,9 @@ def test_top_twisted_ext_constant_one(engine):
 def test_euler_identity(engine):
     kos = engine.koszul
     ring = engine.idealizer.ring
-    U = engine.module_free()
-    UI = engine.module_quotient(GradedIdeal(ring, engine.idealizer.forms))
-    Umax = engine.module_quotient(GradedIdeal(ring, [ring.variable(i) for i in range(3)]))
+    U = QuotientModule(GradedIdeal(ring, []))
+    UI = QuotientModule(GradedIdeal(ring, engine.idealizer.forms))
+    Umax = QuotientModule(GradedIdeal(ring, [ring.variable(i) for i in range(3)]))
     for module in (U, UI, Umax):
         for n in range(-3, 4):
             lhs, rhs = euler_characteristic_check(kos, module, n)
@@ -174,13 +174,61 @@ def test_ext_independent_of_form_basis():
     alt = [f1 + f2, f1 - f2]
     kos_a = ExtEngine(idl).koszul
     kos_b = KoszulComplex(alt, QQ)
-    U = free_module(3, QQ, idl.ring)
+    U = QuotientModule(GradedIdeal(idl.ring, []))
     for n in range(-4, 5):
         assert kos_a.ext_row(U, n) == kos_b.ext_row(U, n)
 
 
 def test_ext_row_matches_pointwise(engine):
-    U = engine.module_free()
+    U = QuotientModule(GradedIdeal(engine.idealizer.ring, []))
     for n in (-3, 0, 2, 5):
         row = engine.koszul.ext_row(U, n)
-        assert row == [engine.ext_U(i, U, n) for i in range(3)]
+        assert row == [engine.koszul.ext(U, i, n) for i in range(3)]
+
+
+def test_rank_memo_is_keyed_by_complex_index_and_degree():
+    """Ranks kept on a module are never reused for another complex, index or degree."""
+    idl = _instance()
+    ring = idl.ring
+    other = ProjPoint.make([QQ.from_int(v) for v in (1, 2, 3)], QQ)
+
+    def fresh_row(forms, ideal, power, n):
+        return KoszulComplex(forms, QQ).ext_row(QuotientModule(ideal, power), n)
+
+    kos_c = KoszulComplex(idl.forms, QQ)
+    kos_o = KoszulComplex(point_ideal_forms(ring, other), QQ)
+    M = QuotientModule(PointIdeal(ring, idl.point))
+    for n in range(3):
+        assert kos_c.ext_row(M, n) == [1, 2, 1]
+        assert kos_o.ext_row(M, n) == [0, 0, 0]
+        assert fresh_row(idl.forms, PointIdeal(ring, idl.point), 0, n) == [1, 2, 1]
+        assert fresh_row(kos_o.forms, PointIdeal(ring, idl.point), 0, n) == [0, 0, 0]
+
+    J = GradedIdeal(ring, [ring.power(2).apply(f) for f in idl.forms])
+    twisted = {k: QuotientModule(J, -k) for k in (0, 1, 2, 3)}
+    for n in range(-3, 4):
+        for k, module in twisted.items():
+            for kos in (kos_c, kos_o):
+                assert kos.ext_row(module, n) == fresh_row(kos.forms, J, -k, n)
+
+
+def test_each_differential_is_ranked_once(engine, monkeypatch):
+    calls = []
+    original = KoszulComplex.cochain_matrix
+
+    def counting(self, module, i, n):
+        calls.append((id(self), id(module), i, n))
+        return original(self, module, i, n)
+
+    monkeypatch.setattr(KoszulComplex, "cochain_matrix", counting)
+    ring = engine.idealizer.ring
+    U = QuotientModule(GradedIdeal(ring, []))
+    UI = QuotientModule(GradedIdeal(ring, engine.idealizer.forms))
+    for module in (U, UI, U):
+        for n in range(-3, 4):
+            engine.koszul.ext_row(module, n)
+            for i in range(3):
+                engine.koszul.ext(module, i, n)
+            euler_characteristic_check(engine.koszul, module, n)
+    assert calls
+    assert len(calls) == len(set(calls)) == 2 * 2 * 7
