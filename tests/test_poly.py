@@ -1,5 +1,6 @@
 """Sparse homogeneous polynomials over an exact field."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -144,3 +145,124 @@ def test_auto_inverse_and_compose():
     assert not phi.is_identity()
     assert AutoMap.identity(3, QQ).is_identity()
 
+
+# -- property tests -------------------------------------------------------------------
+# hypothesis is test-only and imported inside each test, so the tests above
+# run without it.  Each property runs on a fixed (derandomized) sequence of
+# small examples over QQ, GF(7) and GF(10007), in three variables.
+
+FIELDS = (QQ, PrimeField(7), PrimeField(10007))
+NVARS = 3
+
+
+def _property(build, max_examples=40):
+    """Decorate ``check(field, ...)`` to run on the examples ``build(st)`` draws."""
+
+    def decorate(check):
+        def test():
+            hyp = pytest.importorskip("hypothesis")
+            from hypothesis import strategies as st
+
+            settings = hyp.settings(
+                derandomize=True, max_examples=max_examples, deadline=None, database=None
+            )
+            settings(hyp.given(build(st))(lambda args: check(*args)))()
+
+        # not functools.wraps: pytest would read check's parameters as fixtures
+        test.__name__ = check.__name__
+        return test
+
+    return decorate
+
+
+def _scalar(st, field):
+    return st.one_of(
+        st.just(0),
+        st.integers(-5, 5),
+        st.fractions(min_value=-9, max_value=9, max_denominator=6),
+    ).map(lambda x: field.from_fraction(Fraction(x)))
+
+
+def _poly(st, field, max_degree=3):
+    def of_degree(deg):
+        monos = monomials(NVARS, deg)
+        return st.lists(_scalar(st, field), min_size=len(monos), max_size=len(monos)).map(
+            lambda cs: HomogPoly.from_dict(NVARS, deg, dict(zip(monos, cs)))
+        )
+
+    return st.integers(0, max_degree).flatmap(of_degree)
+
+
+def _automap(st, field):
+    """An invertible map: a diagonal family half the time, a full matrix otherwise."""
+
+    def build(rows):
+        try:
+            return AutoMap.from_matrix(rows, field)
+        except ValueError:
+            return None
+
+    nonzero = _scalar(st, field).filter(bool)
+    diagonal = st.lists(nonzero, min_size=NVARS - 1, max_size=NVARS - 1).map(
+        lambda ms: AutoMap.diagonal_family(ms, field)
+    )
+    full = (
+        st.lists(
+            st.lists(_scalar(st, field), min_size=NVARS, max_size=NVARS),
+            min_size=NVARS,
+            max_size=NVARS,
+        )
+        .map(build)
+        .filter(lambda a: a is not None)
+    )
+    return st.one_of(diagonal, full)
+
+
+def _point(st, field):
+    return (
+        st.lists(_scalar(st, field), min_size=NVARS, max_size=NVARS)
+        .filter(any)
+        .map(lambda cs: ProjPoint.make(cs, field))
+    )
+
+
+def _field_and(st, *parts):
+    return st.sampled_from(FIELDS).flatmap(
+        lambda F: st.tuples(st.just(F), *(part(st, F) for part in parts))
+    )
+
+
+@_property(lambda st: _field_and(st, _automap, _automap, _poly))
+def test_apply_respects_compose(field, A, B, f):
+    assert A.apply(B.apply(f)) == A.compose(B).apply(f)
+
+
+@_property(lambda st: _field_and(st, _automap, _poly, _point))
+def test_apply_then_evaluate_is_evaluate_at_image(field, A, f, P):
+    # point_image rescales A^T P to its canonical representative Q = lam * A^T P,
+    # and f is homogeneous, so f(Q) = lam^deg f(A^T P)
+    raw = [sum((A.matrix[j][i] * P.coords[j] for j in range(NVARS)), field.zero) for i in range(NVARS)]
+    Q = point_image(A, P)
+    k = next(i for i, x in enumerate(raw) if x)
+    lam = Q.coords[k] / raw[k]
+    assert list(Q.coords) == [lam * x for x in raw]
+    assert lam**f.degree * evaluate_at(A.apply(f), P, field) == evaluate_at(f, Q, field)
+
+
+@_property(lambda st: _field_and(st, _automap, _poly))
+def test_inverse_undoes_apply(field, A, f):
+    assert A.inv().apply(A.apply(f)) == f
+    assert A.apply(A.inv().apply(f)) == f
+    assert A.compose(A.inv()).is_identity()
+
+
+@_property(lambda st: _field_and(st, _automap, _poly))
+def test_diagonal_fast_path_matches_substitution(field, A, f):
+    generic = replace(A, diagonal=None)
+    assert generic.apply(f) == A.apply(f)
+    assert generic.inv().apply(f) == A.inv().apply(f)
+
+
+@_property(lambda st: _field_and(st, _poly))
+def test_format_parse_round_trip(field, f):
+    assert parse_poly(format_poly(f, field), NVARS, field, degree=f.degree) == f
