@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from properties import FIELDS, property_test
 
 from idealizer.fields import QQ, PrimeField
 from idealizer.linalg import (
@@ -127,32 +128,10 @@ def test_kernel_vectors_are_canonical():
 
 
 # -- differential tests against sympy's DomainMatrix -----------------------------------
-# Both libraries are test-only and imported inside each test, so the tests
-# above run without them.  Each property runs on a fixed (derandomized)
-# sequence of small examples over QQ, GF(7) and GF(10007).
-
-FIELDS = (QQ, PrimeField(7), PrimeField(10007))
 
 
-def _property(build, max_examples=40):
-    """Decorate ``check(field, ...)`` to run on the examples ``build(st)`` draws."""
-
-    def decorate(check):
-        def test():
-            hyp = pytest.importorskip("hypothesis")
-            pytest.importorskip("sympy")
-            from hypothesis import strategies as st
-
-            settings = hyp.settings(
-                derandomize=True, max_examples=max_examples, deadline=None, database=None
-            )
-            settings(hyp.given(build(st))(lambda args: check(*args)))()
-
-        # not functools.wraps: pytest would read check's parameters as fixtures
-        test.__name__ = check.__name__
-        return test
-
-    return decorate
+def _property(build):
+    return property_test(build, needs=("sympy",))
 
 
 def _matrix(st, field, max_rows=5, width=None, min_rows=0):

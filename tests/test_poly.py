@@ -4,6 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from properties import FIELDS, property_test
 
 from idealizer.automorphism import AutoMap, ProjPoint, evaluate_at, point_image, pullback_point
 from idealizer.fields import QQ, PrimeField
@@ -146,33 +147,9 @@ def test_auto_inverse_and_compose():
     assert AutoMap.identity(3, QQ).is_identity()
 
 
-# -- property tests -------------------------------------------------------------------
-# hypothesis is test-only and imported inside each test, so the tests above
-# run without it.  Each property runs on a fixed (derandomized) sequence of
-# small examples over QQ, GF(7) and GF(10007), in three variables.
+# -- property tests over QQ, GF(7) and GF(10007), in three variables ---------------
 
-FIELDS = (QQ, PrimeField(7), PrimeField(10007))
 NVARS = 3
-
-
-def _property(build, max_examples=40):
-    """Decorate ``check(field, ...)`` to run on the examples ``build(st)`` draws."""
-
-    def decorate(check):
-        def test():
-            hyp = pytest.importorskip("hypothesis")
-            from hypothesis import strategies as st
-
-            settings = hyp.settings(
-                derandomize=True, max_examples=max_examples, deadline=None, database=None
-            )
-            settings(hyp.given(build(st))(lambda args: check(*args)))()
-
-        # not functools.wraps: pytest would read check's parameters as fixtures
-        test.__name__ = check.__name__
-        return test
-
-    return decorate
 
 
 def _scalar(st, field):
@@ -232,12 +209,12 @@ def _field_and(st, *parts):
     )
 
 
-@_property(lambda st: _field_and(st, _automap, _automap, _poly))
+@property_test(lambda st: _field_and(st, _automap, _automap, _poly))
 def test_apply_respects_compose(field, A, B, f):
     assert A.apply(B.apply(f)) == A.compose(B).apply(f)
 
 
-@_property(lambda st: _field_and(st, _automap, _poly, _point))
+@property_test(lambda st: _field_and(st, _automap, _poly, _point))
 def test_apply_then_evaluate_is_evaluate_at_image(field, A, f, P):
     # point_image rescales A^T P to its canonical representative Q = lam * A^T P,
     # and f is homogeneous, so f(Q) = lam^deg f(A^T P)
@@ -249,20 +226,20 @@ def test_apply_then_evaluate_is_evaluate_at_image(field, A, f, P):
     assert lam**f.degree * evaluate_at(A.apply(f), P, field) == evaluate_at(f, Q, field)
 
 
-@_property(lambda st: _field_and(st, _automap, _poly))
+@property_test(lambda st: _field_and(st, _automap, _poly))
 def test_inverse_undoes_apply(field, A, f):
     assert A.inv().apply(A.apply(f)) == f
     assert A.apply(A.inv().apply(f)) == f
     assert A.compose(A.inv()).is_identity()
 
 
-@_property(lambda st: _field_and(st, _automap, _poly))
+@property_test(lambda st: _field_and(st, _automap, _poly))
 def test_diagonal_fast_path_matches_substitution(field, A, f):
     generic = replace(A, diagonal=None)
     assert generic.apply(f) == A.apply(f)
     assert generic.inv().apply(f) == A.inv().apply(f)
 
 
-@_property(lambda st: _field_and(st, _poly))
+@property_test(lambda st: _field_and(st, _poly))
 def test_format_parse_round_trip(field, f):
     assert parse_poly(format_poly(f, field), NVARS, field, degree=f.degree) == f
