@@ -92,10 +92,9 @@ class TwistRing:
     def products(self, lefts, rights):
         """Yield the twisted products f . g = phi^(deg g)(f) * g.
 
-        The right factors share one degree, so each f is twisted once;
-        f is the outer loop and g the inner one.
+        The right factors are a list sharing one degree, so each f is
+        twisted once; f is the outer loop and g the inner one.
         """
-        rights = list(rights)
         if not rights:
             return
         b = rights[0].degree
