@@ -14,6 +14,26 @@ c, so a constraint row is multiply-then-evaluate.  The test suite keeps
 an oracle that takes every constraint up to a cap and reduces against a
 recursively built I.
 
+Spans stop at a proven rank ceiling, and each ceiling is guarded so that
+a bug cannot hide behind it:
+
+- a span inside U_m has rank at most dim U_m (the default ceiling of
+  ``linalg.span``; is_piece reaches it once IS fills U_m), which needs no
+  guard;
+- (T_+^2)_n lies in T_n because T is a ring, so decomposable_piece stops
+  at dim T_n; reaching it, the span must equal T_n, a free comparison of
+  canonical forms;
+- the idealizer contains its ideal, so I_{nm} lies in R'_m and every
+  Veronese constraint row vanishes on I_{nm} = ker(ev_c).  The constraint
+  matrix therefore has rank at most codim I_{nm} = 1, and
+  veronese_idealizer_piece stops at its first nonzero row.  That row
+  must be a multiple of the evaluation row, which holds iff
+  ker(ev_c) lies in its kernel; the check costs O(dim U_{nm}) and never
+  builds I_{nm}.
+
+A violated guard raises ``ArithmeticError``.  The uncapped routes live
+with the test oracles.
+
 Everything downstream is a finite-dimensional witness: Hilbert functions
 of S/IS and S/T, minimal generator counts of T, and the comparison of
 Veronese subrings of T with idealizers inside Veronese subrings of S.
@@ -145,7 +165,11 @@ class IdealizerRing:
     # -- generators of T as an algebra ---------------------------------------
 
     def decomposable_piece(self, n: int) -> GradedSubspace:
-        """Degree-n span of products of positive-degree elements of T."""
+        """Degree-n span of products of positive-degree elements of T.
+
+        The span lies in T_n, so it stops at rank dim T_n; reaching that
+        ceiling it must equal T_n, or the pieces of T are wrong.
+        """
         def gens():
             for a in range(1, n):
                 yield from self.ring.products(
@@ -153,7 +177,11 @@ class IdealizerRing:
                     self.idealizer_piece(n - a).basis_polys(),
                 )
 
-        return span_polys(gens(), self.ring.ambient(n), self.field)
+        target = self.idealizer_piece(n)
+        piece = span_polys(gens(), self.ring.ambient(n), self.field, target.dim)
+        if piece.dim == target.dim and piece != target:
+            raise ArithmeticError("products of T reach dim T_%d but leave T_%d" % (n, n))
+        return piece
 
     def algebra_generator_degrees(self, max_degree: int) -> list[tuple[int, int]]:
         """Minimal generator counts (n, dim T_n / (T_+^2)_n) for 1 <= n <= N."""
@@ -182,18 +210,28 @@ class IdealizerRing:
         """R'_m: the m-th piece of the idealizer of I^(n) inside S^(n).
 
         One constraint row per basis element b of I_{nj}, j <= cap: the
-        coordinate of phi^{nm}(b) . x in U_{nj+nm}/I_{nj+nm}.
+        coordinate of phi^{nm}(b) . x in U_{nj+nm}/I_{nj+nm}.  The rows
+        are built lazily and the first nonzero one decides R'_m, because
+        the constraint matrix has rank at most one (see the module notes).
         """
         if m == 0:
             return span(
                 [[self.field.one]], self.ring.ambient(0), self.field
             )
-        rows = [
+        rows = (
             self._quotient_row(self.ring.twisted(n * m, b), n * m)
             for j in range(1, j_cap + 1)
             for b in self.I.piece(n * j).basis_polys()
-        ]
-        vecs = kernel(rows, basis_dim(self.ring.nvars, n * m), self.field)
+        )
+        row = next((r for r in rows if any(r)), None)
+        if row is not None:
+            values = monomial_values(self.point.coords, self.field, n * m)
+            k = next(i for i, v in enumerate(values) if v)
+            if any(r * values[k] != v * row[k] for r, v in zip(row, values)):
+                raise ArithmeticError(
+                    "Veronese constraint row is not a multiple of evaluation at the point"
+                )
+        vecs = kernel([] if row is None else [row], basis_dim(self.ring.nvars, n * m), self.field)
         return span(vecs, self.ring.ambient(n * m), self.field)
 
     def veronese_idealizer_compare(

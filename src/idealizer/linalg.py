@@ -232,22 +232,49 @@ def _from_echelon(ambient: Ambient, field, ech: Echelon) -> GradedSubspace:
     return GradedSubspace(ambient, field, pivots, rows)
 
 
-def span(vectors: Iterable[Sequence[Scalar]], ambient: Ambient, field) -> GradedSubspace:
+def span(
+    vectors: Iterable[Sequence[Scalar]], ambient: Ambient, field, cap: int | None = None
+) -> GradedSubspace:
+    """The span of the vectors, read lazily until the rank reaches ``cap``.
+
+    ``cap`` must be a proven upper bound on the rank of the span; once
+    the echelon reaches it, no later vector can change the answer, so
+    the rest of the iterable is never read (a generator is never advanced
+    to build it).  Two ceilings are used:
+
+    - ``ambient.dim``, the default: a span inside U_m has rank at most
+      dim U_m.  It needs no guard.
+    - ``dim T_n`` for the decomposable products (T_+^2)_n, which lie in
+      T_n because T is a ring.  ``IdealizerRing.decomposable_piece``
+      guards it by comparing the capped span with T_n, a free comparison
+      of canonical forms, and raises ``ArithmeticError`` on a mismatch.
+
+    The third ceiling, rank one for the Veronese constraint matrix, is
+    taken and guarded in ``idealizer_ring``.
+    """
+    cap = ambient.dim if cap is None else cap
     ech = Echelon(ambient.dim, field)
-    for v in vectors:
-        ech.insert(v)
+    if cap > 0:
+        for v in vectors:
+            if ech.insert(v) and ech.dim >= cap:
+                break
     return _from_echelon(ambient, field, ech)
 
 
-def span_polys(polys: Iterable[HomogPoly], ambient: Ambient, field) -> GradedSubspace:
+def span_polys(
+    polys: Iterable[HomogPoly], ambient: Ambient, field, cap: int | None = None
+) -> GradedSubspace:
+    """``span`` of the coefficient vectors, converted one polynomial at a time."""
     if ambient.kind != "poly":
         raise ValueError("span_polys needs a polynomial ambient")
-    vecs = []
-    for f in polys:
-        if f.nvars != ambient.nvars or f.degree != ambient.degree:
-            raise ValueError("polynomial does not live in the ambient")
-        vecs.append(poly_to_vector(f, field))
-    return span(vecs, ambient, field)
+
+    def vectors():
+        for f in polys:
+            if f.nvars != ambient.nvars or f.degree != ambient.degree:
+                raise ValueError("polynomial does not live in the ambient")
+            yield poly_to_vector(f, field)
+
+    return span(vectors(), ambient, field, cap)
 
 
 def kernel(rows: Sequence[Sequence[Scalar]], width: int, field) -> list[tuple[Scalar, ...]]:

@@ -2,17 +2,17 @@
 
 Each oracle takes a route the package does not use: point ideals built
 by the degree recursion over their linear generators, quotient
-coordinates obtained by reduction against those pieces, and Segre
-witness spaces in raw pair coordinates, and multiplicative relations
-found by exhaustive search over small exponents.  They are exact but
-only affordable in low degree.
+coordinates obtained by reduction against those pieces, spans that read
+every generator with no rank ceiling, Segre witness spaces in raw pair
+coordinates, and multiplicative relations found by exhaustive search
+over small exponents.  They are exact but only affordable in low degree.
 """
 
 from fractions import Fraction
 from itertools import product as iter_product
 
 from idealizer.automorphism import AutoMap
-from idealizer.linalg import Echelon, intersect, kernel, span
+from idealizer.linalg import Echelon, GradedSubspace, intersect, kernel, span
 from idealizer.poly import HomogPoly, basis_dim, basis_index, monomial_basis, poly_to_vector
 from idealizer.twist import GradedIdeal, TwistRing, point_ideal_forms
 
@@ -63,6 +63,56 @@ def veronese_idealizer_piece_residual(idl, n, m, j_cap):
         for b in ideal.piece(n * j).basis_polys()
     ]
     return _kernel_span(idl, rows, n * m)
+
+
+# -- spans without a rank ceiling ---------------------------------------------------
+
+
+def span_all(vectors, ambient, field):
+    """The span of every vector: the echelon reads them all."""
+    ech = Echelon(ambient.dim, field)
+    for v in vectors:
+        ech.insert(v)
+    return GradedSubspace(ambient, field, *ech.canonical_rows())
+
+
+def _span_all_polys(polys, ambient, field):
+    return span_all((poly_to_vector(f, field) for f in polys), ambient, field)
+
+
+def decomposable_piece_uncapped(idl, n):
+    """(T_+^2)_n from every product T_a . T_{n-a}, 0 < a < n."""
+    polys = (
+        g
+        for a in range(1, n)
+        for g in idl.ring.products(
+            idl.idealizer_piece(a).basis_polys(), idl.idealizer_piece(n - a).basis_polys()
+        )
+    )
+    return _span_all_polys(polys, idl.ring.ambient(n), idl.field)
+
+
+def is_piece_uncapped(idl, m):
+    """(IS)_m from every product phi^i(I_{m-i}) . U_i, 0 <= i < m."""
+    polys = (
+        g
+        for i in range(m)
+        for g in idl.ring.products(idl.I.piece(m - i).basis_polys(), idl.ring.monomial_polys(i))
+    )
+    return _span_all_polys(polys, idl.ring.ambient(m), idl.field)
+
+
+def veronese_idealizer_piece_uncapped(idl, n, m, j_cap):
+    """R'_m from the kernel of every constraint row, j <= cap."""
+    if m == 0:
+        return span_all([[idl.field.one]], idl.ring.ambient(0), idl.field)
+    rows = [
+        idl._quotient_row(idl.ring.twisted(n * m, b), n * m)
+        for j in range(1, j_cap + 1)
+        for b in idl.I.piece(n * j).basis_polys()
+    ]
+    vecs = kernel(rows, basis_dim(idl.ring.nvars, n * m), idl.field)
+    return span_all(vecs, idl.ring.ambient(n * m), idl.field)
 
 
 # -- Segre witness in raw pair coordinates ----------------------------------------

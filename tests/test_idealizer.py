@@ -7,13 +7,19 @@ tables below were frozen from an independent run of the definitions
 """
 
 import pytest
-from oracles import idealizer_piece_full, veronese_idealizer_piece_residual
+from oracles import (
+    decomposable_piece_uncapped,
+    idealizer_piece_full,
+    is_piece_uncapped,
+    veronese_idealizer_piece_residual,
+    veronese_idealizer_piece_uncapped,
+)
 
 from idealizer.automorphism import AutoMap, ProjPoint, evaluate_at
 from idealizer.fields import QQ, PrimeField
 from idealizer.idealizer_ring import IdealizerRing
 from idealizer.poly import basis_dim
-from idealizer.twist import TwistRing, point_ideal_forms
+from idealizer.twist import PointIdeal, TwistRing, point_ideal_forms
 
 T_DIMS = [1, 2, 5, 9, 14, 20, 27, 35, 44, 54, 65]
 S_MOD_IS = [1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0]
@@ -130,3 +136,57 @@ def test_point_forms_reject_degenerate_ring():
 
 def test_t_zero_is_scalars(idl):
     assert idl.t_dim(0) == 1
+
+
+# Regimes for the rank ceilings: generic, identity (phi = id, so every
+# Veronese constraint row vanishes), residual (a point fixed by phi) and
+# four variables.
+CEILING_CASES = [
+    ((2, 3), (1, 1, 1)),
+    ((1, 1), (1, 1, 1)),
+    ((2, 3), (1, 0, 0)),
+    ((2, 3, 5), (1, 1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["Q", "GF10007"])
+@pytest.mark.parametrize(
+    "multipliers, point", CEILING_CASES, ids=["generic", "identity", "residual", "d3"]
+)
+def test_capped_routes_match_uncapped(field, multipliers, point):
+    """Stopping at a rank ceiling changes no piece, n <= 6."""
+    idl = _instance(multipliers, field, point)
+    for n in range(1, 7):
+        assert idl.is_piece(n) == is_piece_uncapped(idl, n)
+        assert idl.decomposable_piece(n) == decomposable_piece_uncapped(idl, n)
+    for m in range(4):
+        assert idl.veronese_idealizer_piece(2, m, 3) == veronese_idealizer_piece_uncapped(
+            idl, 2, m, 3
+        )
+
+
+def test_decomposable_ceiling_guard_fires(monkeypatch):
+    """Products of T filling dim T_3 must span T_3 itself."""
+    idl = _instance()
+    real = idl.idealizer_piece
+    other = ProjPoint.make([QQ.from_int(v) for v in (1, 2, 3)], QQ)
+    wrong = PointIdeal(idl.ring, other).piece(3)
+    assert wrong.dim == real(3).dim and wrong != real(3)
+    monkeypatch.setattr(idl, "idealizer_piece", lambda n: wrong if n == 3 else real(n))
+    with pytest.raises(ArithmeticError, match="leave T_3"):
+        idl.decomposable_piece(3)
+
+
+def test_veronese_rank_one_guard_fires(monkeypatch):
+    """A first constraint row off the evaluation row is an error."""
+    idl = _instance()
+    real = idl._quotient_row
+
+    def broken(g, source_degree):
+        row = real(g, source_degree)
+        row[0] = row[0] + idl.field.one
+        return row
+
+    monkeypatch.setattr(idl, "_quotient_row", broken)
+    with pytest.raises(ArithmeticError, match="not a multiple of evaluation"):
+        idl.veronese_idealizer_piece(2, 1, 3)
