@@ -29,7 +29,6 @@ from .poly import HomogPoly, basis_dim, poly_to_vector, vector_to_poly
 __all__ = [
     "Ambient",
     "GradedSubspace",
-    "free_ambient",
     "intersect",
     "kernel",
     "poly_ambient",
@@ -62,10 +61,6 @@ def segre_ambient(nvars: int, degree: int) -> Ambient:
     """Pairs of degree-``degree`` monomials, lexicographic pair order."""
     n = basis_dim(nvars, degree)
     return Ambient("pair", nvars, degree, n * n)
-
-
-def free_ambient(dim: int, label: str = "") -> Ambient:
-    return Ambient("free", 0, 0, dim, label)
 
 
 def _int_rows_from_scalars(vec: Sequence[Fraction]) -> list[int]:

@@ -86,9 +86,6 @@ class TwistRing:
     def monomial_polys(self, n: int) -> list[HomogPoly]:
         return [HomogPoly.monomial(m, self.field.one) for m in self.basis(n)]
 
-    def full_piece(self, n: int) -> GradedSubspace:
-        return span_polys(self.monomial_polys(n), self.ambient(n), self.field)
-
     def products(self, lefts, rights):
         """Yield the twisted products f . g = phi^(deg g)(f) * g.
 

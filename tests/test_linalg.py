@@ -7,8 +7,8 @@ from properties import FIELDS, property_test
 
 from idealizer.fields import QQ, PrimeField
 from idealizer.linalg import (
+    Ambient,
     Echelon,
-    free_ambient,
     intersect,
     invert_matrix,
     kernel,
@@ -20,6 +20,11 @@ from idealizer.linalg import (
     span_polys,
 )
 from idealizer.poly import parse_poly
+
+
+def free_ambient(dim, label=""):
+    """An ambient with no polynomial shape, for plain vectors."""
+    return Ambient("free", 0, 0, dim, label)
 
 
 def _q(*vals):

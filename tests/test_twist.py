@@ -4,6 +4,7 @@ import pytest
 
 from idealizer.automorphism import AutoMap, ProjPoint
 from idealizer.fields import QQ, PrimeField
+from idealizer.linalg import span_polys
 from idealizer.poly import parse_poly
 from idealizer.twist import (
     GradedIdeal,
@@ -17,6 +18,11 @@ from idealizer.twist import (
 def _ring(multipliers=(2, 3), field=QQ):
     phi = AutoMap.diagonal_family([field.from_int(p) for p in multipliers], field)
     return TwistRing(len(multipliers), phi, field)
+
+
+def _full_piece(S, n):
+    """U_n, spanned by its monomials."""
+    return span_polys(S.monomial_polys(n), S.ambient(n), S.field)
 
 
 def test_normalization_pin():
@@ -101,7 +107,7 @@ def test_point_ideal_matches_recursion(field, coords):
     for n in range(-1, 7):
         assert fast.piece(n) == slow.piece(n)
         assert fast.twisted_piece(1, n) == slow.twisted_piece(1, n)
-    assert [fast.dim(n) for n in range(1, 4)] == [S.full_piece(n).dim - 1 for n in range(1, 4)]
+    assert [fast.dim(n) for n in range(1, 4)] == [_full_piece(S, n).dim - 1 for n in range(1, 4)]
 
 
 def test_point_ideal_rejects_arity_mismatch():
@@ -121,7 +127,7 @@ def test_twisted_piece():
 
 def test_product_piece_twists_left_factor():
     S = _ring()
-    V = S.full_piece(1)
+    V = _full_piece(S, 1)
     f = parse_poly("x0 - x1", 3, QQ)
     gens = GradedIdeal(S, [f])
     # product of the degree-1 piece with itself: phi(V) * V = V * V as spaces
