@@ -18,10 +18,17 @@ distinct        orbit points collide in the window without phi being the
                 identity
 nonzero-coords  the point has a coordinate that is zero in the field in use,
                 so its orbit stays in a coordinate hyperplane
+window          the window leaves fewer degrees after degree 1 than the
+                required trailing zeros
 prime           rational arithmetic is exact
 off-orbit       no off-orbit sample point found
 twin            second prime unusable: <why the config fails mod q>
 ==============  ============================================================
+
+The ``window`` gate is a skip, not a usage error: degrees 0 and 1 of
+S/IS and the generator count in degree 1 never vanish, so a window with
+trailing_zeros >= N cannot hold the zeros the two trailing-zero checks
+require, while every other check still runs in it.
 """
 
 from __future__ import annotations
@@ -220,6 +227,15 @@ class _Context:
             return "second prime unusable: %s" % exc
 
 
+def _window_reason(ctx: _Context) -> str | None:
+    if ctx.cfg.trailing_zeros < ctx.N:
+        return None
+    return (
+        "the window leaves %d degrees after degree 1, fewer than the %d "
+        "trailing zero degrees required" % (ctx.N - 1, ctx.cfg.trailing_zeros)
+    )
+
+
 GATES: dict[str, Callable[[_Context], str | None]] = {
     "diagonal": lambda ctx: MATRIX_REASON if ctx.cfg.multipliers is None else None,
     "certificate": lambda ctx: ctx.certificate if isinstance(ctx.certificate, str) else None,
@@ -230,6 +246,7 @@ GATES: dict[str, Callable[[_Context], str | None]] = {
     "nonzero-coords": lambda ctx: None if all(ctx.instance.point.coords) else HYPERPLANE_REASON,
     "prime": lambda ctx: "rational arithmetic is exact" if ctx.instance.rational else None,
     "off-orbit": lambda ctx: None if ctx.off is not None else "no off-orbit sample point found",
+    "window": _window_reason,
     "twin": lambda ctx: ctx.twin if isinstance(ctx.twin, str) else None,
 }
 
@@ -385,7 +402,9 @@ def _hilbert_s_mod_t(ctx):
     )
 
 
-@_check("hilbert-s-mod-is", "dim (S/IS)_m vanishes from some m0 on", ("structural",))
+@_check(
+    "hilbert-s-mod-is", "dim (S/IS)_m vanishes from some m0 on", ("structural", "window")
+)
 def _hilbert_s_mod_is(ctx):
     dims = ctx.idl.s_mod_is_dims(ctx.N)
     if ctx.identity:
@@ -406,7 +425,7 @@ def _hilbert_s_mod_is(ctx):
     )
 
 
-@_check("generator-degrees", "minimal generator degrees of T", ("structural",))
+@_check("generator-degrees", "minimal generator degrees of T", ("structural", "window"))
 def _generator_degrees(ctx):
     gens = ctx.idl.algebra_generator_degrees(ctx.N)
     tz = _trailing_zero_count([c for _, c in gens])

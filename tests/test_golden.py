@@ -54,8 +54,8 @@ GOLDEN = [
     ),
     (
         ("--d", "3", "--p", "2,3,5", "--point", "1,1,1,1", "--max-degree", "3"),
-        1,
-        "02d2f91da7107d8c77f0d91088cd78e5f98afe96ebaa08451bcf139e847ba028",
+        0,
+        "bc9dc41da0d4a77b434a6ea2f5503c835656954c793a78706d23d5243e470174",
     ),
     (
         ("--config", "matrix.json"),

@@ -181,6 +181,20 @@ def test_crosscheck_skips_when_config_degenerates_mod_second_prime(monkeypatch):
     assert cross.data["reason"].startswith("second prime unusable")
 
 
+def test_short_window_skips_trailing_zero_checks(capsys):
+    # degrees 0 and 1 never vanish, so N = 3 leaves room for 2 trailing zeros, not 3
+    argv = ["--d", "3", "--p", "2,3,5", "--point", "1,1,1,1", "--max-degree", "3"]
+    assert main(["verify-suite", "--format", "json", *argv]) == 0
+    by_name = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    for name in ("hilbert-s-mod-is", "generator-degrees"):
+        assert by_name[name]["status"] == "skipped", name
+        assert by_name[name]["data"]["reason"] == (
+            "the window leaves 2 degrees after degree 1, fewer than the 3 "
+            "trailing zero degrees required"
+        )
+    assert by_name["idealizer-structure"]["status"] == "pass"
+
+
 def test_prime_mode_runs_crosscheck():
     rep = _report(field="prime:10007", max_degree=5)
     by_name = {c.name: c for c in rep.checks}
