@@ -23,6 +23,8 @@ window          the window leaves fewer degrees after degree 1 than the
 prime           rational arithmetic is exact
 off-orbit       no off-orbit sample point found
 twin            second prime unusable: <why the config fails mod q>
+twin-regime     the primes decide a regime gate (distinct, nonzero-coords)
+                differently
 ==============  ============================================================
 
 The ``window`` gate is a skip, not a usage error: degrees 0 and 1 of
@@ -69,6 +71,7 @@ DENSITY_REASON = (
     "density-based statements do not apply"
 )
 STRUCTURE_REASON = "orbit points collide in the window without phi being the identity"
+REGIME_GATES = ("distinct", "nonzero-coords")
 HYPERPLANE_REASON = (
     "the point has a coordinate that is zero in the field in use, so its "
     "orbit stays in a coordinate hyperplane"
@@ -227,6 +230,23 @@ class _Context:
             return "second prime unusable: %s" % exc
 
 
+    @cached_property
+    def twin_regime(self) -> str | None:
+        """Why the second prime decides another regime, or None."""
+        twin = _Context(self.twin)
+        for gate in REGIME_GATES:
+            here, there = GATES[gate](self) is None, GATES[gate](twin) is None
+            if here != there:
+                return "the %s gate is %s mod %d but %s mod %d" % (
+                    gate,
+                    "met" if here else "unmet",
+                    self.field.char,
+                    "met" if there else "unmet",
+                    twin.field.char,
+                )
+        return None
+
+
 def _window_reason(ctx: _Context) -> str | None:
     if ctx.cfg.trailing_zeros < ctx.N:
         return None
@@ -248,6 +268,7 @@ GATES: dict[str, Callable[[_Context], str | None]] = {
     "off-orbit": lambda ctx: None if ctx.off is not None else "no off-orbit sample point found",
     "window": _window_reason,
     "twin": lambda ctx: ctx.twin if isinstance(ctx.twin, str) else None,
+    "twin-regime": lambda ctx: ctx.twin_regime,
 }
 
 
@@ -656,7 +677,7 @@ def _segre_witness(ctx):
 @_check(
     "prime-mode-crosscheck",
     "dimension agreement with a second prime",
-    ("prime", "twin"),
+    ("prime", "twin", "twin-regime"),
 )
 def _prime_mode_crosscheck(ctx):
     N = ctx.N

@@ -145,8 +145,9 @@ def test_prime_field_collision_skips_density_checks():
     for name in DENSITY_CHECKS:
         assert by_name[name].status == "skipped", name
         assert by_name[name].data["reason"] == STRUCTURE_REASON, name
-    # mod 5 the dims differ from the second prime's, which the cross-check reports
-    assert [c.name for c in rep.checks if c.status == "fail"] == ["prime-mode-crosscheck"]
+    # the second prime sees a distinct orbit, so its dims answer another regime
+    assert not [c.name for c in rep.checks if c.status == "fail"]
+    assert by_name["prime-mode-crosscheck"].status == "skipped"
 
 
 HYPERPLANE_REASON = (
@@ -179,6 +180,16 @@ def test_crosscheck_skips_when_config_degenerates_mod_second_prime(monkeypatch):
     cross = {c.name: c for c in rep.checks}["prime-mode-crosscheck"]
     assert cross.status == "skipped"
     assert cross.data["reason"].startswith("second prime unusable")
+
+
+def test_crosscheck_skips_when_primes_decide_regime_differently(capsys):
+    # mod 5 the orbit collides (dim T_4 = 15); mod 15727 it does not (14)
+    argv = ["--field", "prime:5", "--point", "1,2,3", "--p", "2,3", "--max-degree", "4"]
+    assert main(["verify-suite", "--format", "json", *argv]) == 0
+    by_name = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    cross = by_name["prime-mode-crosscheck"]
+    assert cross["status"] == "skipped"
+    assert cross["data"]["reason"] == "the distinct gate is unmet mod 5 but met mod 15727"
 
 
 def test_short_window_skips_trailing_zero_checks(capsys):
