@@ -71,11 +71,11 @@ DENSITY_REASON = (
     "density-based statements do not apply"
 )
 STRUCTURE_REASON = "orbit points collide in the window without phi being the identity"
-REGIME_GATES = ("distinct", "nonzero-coords")
 HYPERPLANE_REASON = (
     "the point has a coordinate that is zero in the field in use, so its "
     "orbit stays in a coordinate hyperplane"
 )
+REGIME_GATES = ("distinct", "nonzero-coords")
 
 PROBE_KEYS = (
     "degrees",
@@ -228,7 +228,6 @@ class _Context:
             return replace(self.cfg, field="prime:%d" % q).build()
         except ConfigError as exc:
             return "second prime unusable: %s" % exc
-
 
     @cached_property
     def twin_regime(self) -> str | None:
