@@ -19,7 +19,7 @@ from idealizer.linalg import (
     span,
     span_polys,
 )
-from idealizer.poly import parse_poly
+from idealizer.poly import parse_poly, poly_to_vector
 
 
 def free_ambient(dim, label=""):
@@ -55,6 +55,15 @@ def test_quotient_coords_vanish_on_members():
     assert V.quotient_coords(_q(2, 2)) == (Fraction(0),)
     assert V.quotient_coords(_q(1, 0)) != (Fraction(0),)
     assert len(V.nonpivot_columns()) == 1
+
+
+@pytest.mark.parametrize(
+    "field, want", [(QQ, (Fraction(-3, 2), 0)), (PrimeField(7), (2, 0))], ids=["Q", "GF7"]
+)
+def test_quotient_coords_are_exact(field, want):
+    """span((2, 3, 0)) leaves (1, 0, 0) with residual (0, -3/2, 0)."""
+    V = span_polys([parse_poly("2*x0 + 3*x1", 3, field)], poly_ambient(3, 1), field)
+    assert V.quotient_coords(poly_to_vector(parse_poly("x0", 3, field), field)) == want
 
 
 def test_kernel_matches_rank():

@@ -5,7 +5,7 @@ import pytest
 from idealizer.automorphism import AutoMap, ProjPoint
 from idealizer.fields import QQ, PrimeField
 from idealizer.linalg import span_polys
-from idealizer.poly import parse_poly
+from idealizer.poly import format_poly, parse_poly
 from idealizer.twist import (
     GradedIdeal,
     PointIdeal,
@@ -108,6 +108,14 @@ def test_point_ideal_matches_recursion(field, coords):
         assert fast.piece(n) == slow.piece(n)
         assert fast.twisted_piece(1, n) == slow.twisted_piece(1, n)
     assert [fast.dim(n) for n in range(1, 4)] == [_full_piece(S, n).dim - 1 for n in range(1, 4)]
+
+
+def test_point_ideal_forms_are_exact():
+    """Each form is the kernel vector whose last nonzero coefficient is 1."""
+    S = _ring()
+    pt = ProjPoint.make([QQ.from_int(c) for c in (2, 3, 5)], QQ)
+    got = [format_poly(f, QQ) for f in point_ideal_forms(S, pt)]
+    assert got == ["-3/2*x0 + x1", "-5/2*x0 + x2"]
 
 
 def test_point_ideal_rejects_arity_mismatch():
