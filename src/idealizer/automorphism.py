@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .fields import Scalar
-from .linalg import _int_rows_from_scalars, invert_matrix, mat_mul, mat_vec
+from .fields import Scalar, int_row, scalar_row
+from .linalg import invert_matrix, mat_mul, mat_vec
 from .poly import HomogPoly, Mono
 
 __all__ = ["AutoMap", "ProjPoint", "point_image", "pullback_point"]
@@ -160,15 +160,9 @@ class ProjPoint:
     def make(coords: Sequence[Scalar], field) -> "ProjPoint":
         if not any(coords):
             raise ValueError("projective point needs a nonzero coordinate")
-        if field.char == 0:
-            ints = _int_rows_from_scalars(coords)
-            lead = next(v for v in ints if v)
-            if lead < 0:
-                ints = [-v for v in ints]
-            return ProjPoint(tuple(field.from_int(v) for v in ints))
-        lead = next(x for x in coords if x)
-        inv = field.one / lead
-        return ProjPoint(tuple(x * inv for x in coords))
+        ints = int_row(coords, field)
+        lead = next(v for v in ints if v)
+        return ProjPoint(scalar_row(ints, field, lead if field.char else abs(lead) // lead))
 
     @property
     def nvars(self) -> int:

@@ -28,6 +28,7 @@ from itertools import combinations
 from math import comb
 
 from .automorphism import evaluate_at
+from .fields import int_row
 from .idealizer_ring import IdealizerRing
 from .linalg import intersect, kernel, rank_rows, span, span_polys
 from .orbit import orbit_points
@@ -69,14 +70,24 @@ class QuotientModule:
         """Matrix of multiplication by a linear form, degree n to n + 1."""
         if n < 0:
             return [[] for _ in range(self.dim(n + 1))]
-        field = self.ring.field
-        target = self.piece(n + 1)
         basis = monomial_basis(self.ring.d, n)
-        cols = []
-        for k in self.piece(n).nonpivot_columns():
-            prod = form * HomogPoly.monomial(basis[k], field.one)
-            cols.append(target.quotient_coords(poly_to_vector(prod, field)))
-        return [[col[r] for col in cols] for r in range(self.dim(n + 1))]
+        monos = [basis[k] for k in self.piece(n).nonpivot_columns()]
+        return _mult_rows(form, monos, self.piece(n + 1), self.ring.field)
+
+
+def _mult_rows(g: HomogPoly, monos, target, field) -> list[list]:
+    """Matrix of x -> g * x from the span of monos into U / target.
+
+    It is exact for one nonzero multiple of g (poly_to_vector scales
+    every g * mono alike).  That rescales a hom constraint block's rows
+    and conjugates a Koszul differential by a diagonal rescaling of the
+    e_A, so no kernel or rank sees it.
+    """
+    cols = [
+        target.quotient_coords(poly_to_vector(g * HomogPoly.monomial(m, field.one), field))
+        for m in monos
+    ]
+    return [[col[r] for col in cols] for r in range(target.ambient.dim - target.dim)]
 
 
 class KoszulComplex:
@@ -130,7 +141,8 @@ class KoszulComplex:
         got = module.ranks.get(key)
         if got is None:
             width = self.cochain_dim(module, i, n)
-            got = rank_rows(self.cochain_matrix(module, i, n), width, self.field)
+            rows = [int_row(r, self.field) for r in self.cochain_matrix(module, i, n)]
+            got = rank_rows(rows, width, self.field)
             module.ranks[key] = got
         return got
 
@@ -167,19 +179,13 @@ class ExtEngine:
         if n < 0:
             return 0
         target = J.piece(n + 1)
-        sdim = basis_dim(self.ring.nvars, n)
         basis = monomial_basis(self.ring.d, n)
-        rows = []
-        for f in self.idealizer.forms:
-            g = self.ring.twisted(n, f)
-            cols = []
-            for mono in basis:
-                prod = g * HomogPoly.monomial(mono, self.field.one)
-                cols.append(target.quotient_coords(poly_to_vector(prod, self.field)))
-            height = len(cols[0]) if cols else 0
-            rows.extend([col[r] for col in cols] for r in range(height))
-
-        vecs = kernel(rows, sdim, self.field)
+        rows = [
+            int_row(r, self.field)
+            for f in self.idealizer.forms
+            for r in _mult_rows(self.ring.twisted(n, f), basis, target, self.field)
+        ]
+        vecs = kernel(rows, len(basis), self.field)
         sol = span(vecs, self.ring.ambient(n), self.field)
         inner = J.piece(n)
         if not sol.contains_subspace(inner):

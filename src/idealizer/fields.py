@@ -2,10 +2,13 @@
 
 Scalars are plain value objects supporting Python's arithmetic operators
 (``Fraction`` for the rationals, ``Residue`` for a prime field), so the
-polynomial and matrix layers never branch on the field.  A field object
-carries construction, parsing, and rendering, plus the characteristic,
-which keys the one elimination engine: fraction-free integer rows over
-the rationals, least residues mod p.
+polynomial layer never branches on the field.  A field object carries
+construction, parsing, and rendering, plus the characteristic, which
+keys the one elimination engine.
+
+The matrix layer (``linalg``) runs on int rows instead, integers over
+the rationals and residues mod p.  ``int_row`` converts scalars into one,
+up to a nonzero scale, and ``scalar_row`` converts back, exactly.
 
 The rational field is the default everywhere.  Prime fields exist as a
 fast mode for large experiments; any conclusion drawn mod p is heuristic
@@ -17,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from math import gcd, lcm
+from typing import Sequence, Union
 
 __all__ = [
     "QQ",
@@ -25,7 +29,9 @@ __all__ = [
     "RationalField",
     "Residue",
     "Scalar",
+    "int_row",
     "is_prime",
+    "scalar_row",
 ]
 
 Scalar = Union[Fraction, "Residue"]
@@ -217,6 +223,25 @@ class PrimeField:
 
     def __repr__(self):
         return "GF(%d)" % self.p
+
+
+def int_row(vec: Sequence[Scalar], field) -> list[int]:
+    """The scalars as an int row: the primitive positive multiple over Q, residues mod p."""
+    if field.char:
+        return [x.value for x in vec]
+    denom = lcm(*(x.denominator for x in vec))
+    ints = [x.numerator * (denom // x.denominator) for x in vec]
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
+def scalar_row(row: Sequence[int], field, denom: int) -> tuple[Scalar, ...]:
+    """The exact scalars row / denom, for a nonzero int denom."""
+    p = field.char
+    if p:
+        inv = pow(denom, -1, p)
+        return tuple(Residue(v * inv % p, p) for v in row)
+    return tuple(Fraction(v, denom) for v in row)
 
 
 def field_from_name(name: str):

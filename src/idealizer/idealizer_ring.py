@@ -42,7 +42,8 @@ Veronese subrings of T with idealizers inside Veronese subrings of S.
 from __future__ import annotations
 
 from .automorphism import ProjPoint
-from .linalg import GradedSubspace, kernel, span, span_polys
+from .fields import int_row
+from .linalg import GradedSubspace, kernel, rank_rows, span, span_polys
 from .orbit import distinct_window, orbit_points
 from .poly import (
     HomogPoly,
@@ -71,7 +72,7 @@ class IdealizerRing:
 
     # -- degreewise pieces ------------------------------------------------
 
-    def _quotient_row(self, g: HomogPoly, source_degree: int) -> list:
+    def _quotient_row(self, g: HomogPoly, source_degree: int) -> list[int]:
         """Constraint row: coordinate of g * e_k in U/I, one per monomial e_k.
 
         I_m is the kernel of evaluation at the point, so the coordinate in
@@ -81,13 +82,11 @@ class IdealizerRing:
         degree = source_degree + g.degree
         values = monomial_values(self.point.coords, self.field, degree)
         index = basis_index(self.ring.nvars, degree)
-        row = []
-        for mono in monomial_basis(self.ring.d, source_degree):
-            acc = self.field.zero
-            for gm, gc in g.terms:
-                acc = acc + gc * values[index[mono_mul(gm, mono)]]
-            row.append(acc)
-        return row
+        row = [
+            sum((gc * values[index[mono_mul(gm, mono)]] for gm, gc in g.terms), self.field.zero)
+            for mono in monomial_basis(self.ring.d, source_degree)
+        ]
+        return int_row(row, self.field)
 
     def idealizer_piece(self, n: int) -> GradedSubspace:
         """T_n as a subspace of U_n."""
@@ -215,9 +214,7 @@ class IdealizerRing:
         the constraint matrix has rank at most one (see the module notes).
         """
         if m == 0:
-            return span(
-                [[self.field.one]], self.ring.ambient(0), self.field
-            )
+            return span([[1]], self.ring.ambient(0), self.field)
         rows = (
             self._quotient_row(self.ring.twisted(n * m, b), n * m)
             for j in range(1, j_cap + 1)
@@ -226,8 +223,7 @@ class IdealizerRing:
         row = next((r for r in rows if any(r)), None)
         if row is not None:
             values = monomial_values(self.point.coords, self.field, n * m)
-            k = next(i for i, v in enumerate(values) if v)
-            if any(r * values[k] != v * row[k] for r, v in zip(row, values)):
+            if rank_rows([values, row], len(row), self.field) != 1:
                 raise ArithmeticError(
                     "Veronese constraint row is not a multiple of evaluation at the point"
                 )

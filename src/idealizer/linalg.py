@@ -7,23 +7,31 @@ Ambients carry a shape tag (polynomial piece, pair piece, free) so that
 an operation mixing vectors from different ambients is a hard error
 instead of a silent misalignment.
 
-One engine, ``Echelon``, computes every rank and RREF, on int rows keyed
-by the characteristic p.  Over the rationals (p = 0) elimination is
-fraction-free: rows are scaled to primitive integer vectors and updated
-by cross-multiplication with gcd reduction, so intermediate entries stay
-integral.  Over GF(p) the same step runs on least residues.  Scalars
-become ints once on insert and are materialized once, in the canonical
-form; a matrix inverse is read off the canonical form of [A | I].
+Every vector here is an int row: integers over the rationals (p = 0),
+residues mod p.  One engine, ``Echelon``, computes every rank and RREF.
+Over Q elimination is fraction-free (cross-multiplication with gcd
+reduction) and each canonical row is the RREF row scaled to primitive
+integers with a positive pivot, which is still unique; mod p the pivot
+is 1.  Spans, ranks, kernels, residuals, containment, sums and
+intersections are scale-free: any row, in or out, may carry a nonzero
+scale of its own.
+
+Scalars enter only through ``fields.int_row`` (``poly_to_vector`` and the
+rows callers build from point values or quotient coordinates) and leave
+only through ``fields.scalar_row``: in ``quotient_coords``, the one
+exact, not scale-free, result; in ``basis_polys``, whose integer
+polynomials every caller only spans or tests up to proportionality; in
+``invert_matrix``; and in the kernel vectors printed as linear forms
+(``twist.kernel_form``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .fields import Residue, Scalar
+from .fields import Scalar, int_row, scalar_row
 from .poly import HomogPoly, basis_dim, poly_to_vector, vector_to_poly
 
 __all__ = [
@@ -63,27 +71,22 @@ def segre_ambient(nvars: int, degree: int) -> Ambient:
     return Ambient("pair", nvars, degree, n * n)
 
 
-def _int_rows_from_scalars(vec: Sequence[Fraction]) -> list[int]:
-    """Scale a rational vector to a primitive integer vector."""
-    denom = lcm(*(x.denominator for x in vec))
-    ints = [x.numerator * (denom // x.denominator) for x in vec]
-    g = gcd(*ints)
-    return [v // g for v in ints] if g > 1 else ints
-
-
 def _normalize(vec: list[int], p: int) -> None:
-    """Scale vec in place: primitive over Q (p = 0), leading entry 1 mod p."""
+    """Scale vec in place: leading entry 1 mod p, positive and primitive over Q."""
+    lead = next(v for v in vec if v)
     if p:
-        inv = pow(next(v for v in vec if v), -1, p)
+        inv = pow(lead, -1, p)
         vec[:] = [v * inv % p for v in vec]
         return
     g = gcd(*vec)
-    if g > 1:
+    if lead < 0:
+        g = -g
+    if g != 1:
         vec[:] = [v // g for v in vec]
 
 
 def _eliminate(vec: list[int], row: list[int], j: int, p: int, start: int) -> None:
-    """Clear vec[j] using row, whose pivot is j (1 mod p); both are 0 before start."""
+    """Clear vec[j] using row, whose pivot is j (positive, or 1 mod p); both are 0 before start."""
     # Pivot rows are sparse, so skipping their zeros beats a comprehension.
     if p:
         c = vec[j]
@@ -96,16 +99,18 @@ def _eliminate(vec: list[int], row: list[int], j: int, p: int, start: int) -> No
     for k in range(start, len(vec)):
         if row[k] or vec[k]:
             vec[k] = a * vec[k] - b * row[k]
-    _normalize(vec, 0)
+    g = gcd(*vec)
+    if g > 1:
+        vec[:] = [v // g for v in vec]
 
 
 class Echelon:
     """Row echelon accumulator on int rows, used by every span builder.
 
-    Over Q (p = 0) rows are primitive integer vectors, reduced by
-    cross-multiplication; over GF(p) they are residues with leading
-    entry 1.  Scalars become ints once, in ``insert``, and come back
-    once, in ``canonical_rows``.
+    ``insert`` takes an int row of any nonzero scale (any residues mod p)
+    and keeps it, reduced, when it raises the rank.  Kept rows are
+    primitive with a positive pivot over Q, and have pivot 1 mod p, so
+    ``canonical_rows`` only back-substitutes; no scalar is built here.
     """
 
     __slots__ = ("width", "p", "rows", "pivot_to_row")
@@ -116,17 +121,16 @@ class Echelon:
         self.rows: list[list[int]] = []
         self.pivot_to_row: dict[int, int] = {}
 
-    def insert(self, vec: Sequence[Scalar]) -> bool:
+    def insert(self, vec: Sequence[int]) -> bool:
         if len(vec) != self.width:
             raise ValueError("vector length %d, ambient dim %d" % (len(vec), self.width))
         p = self.p
-        ints = [x.value for x in vec] if p else _int_rows_from_scalars(vec)
+        ints = [v % p for v in vec] if p else list(vec)
         for j in range(self.width):
             if ints[j]:
                 r = self.pivot_to_row.get(j)
                 if r is None:
-                    if p:  # over Q the row is already primitive
-                        _normalize(ints, p)
+                    _normalize(ints, p)
                     self.pivot_to_row[j] = len(self.rows)
                     self.rows.append(ints)
                     return True
@@ -137,8 +141,8 @@ class Echelon:
     def dim(self) -> int:
         return len(self.rows)
 
-    def canonical_rows(self) -> tuple[tuple[int, ...], tuple[tuple[Scalar, ...], ...]]:
-        """Pivot columns and the rows of the reduced row echelon form."""
+    def canonical_rows(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """Pivot columns and the int rows of the reduced row echelon form."""
         p = self.p
         order = sorted(self.pivot_to_row)
         rows = [list(self.rows[self.pivot_to_row[j]]) for j in order]
@@ -147,21 +151,17 @@ class Echelon:
             for h in range(i):
                 if rows[h][order[i]]:
                     _eliminate(rows[h], rows[i], order[i], p, order[h])
-        if p:
-            return tuple(order), tuple(tuple(Residue(v, p) for v in r) for r in rows)
-        return tuple(order), tuple(
-            tuple(Fraction(v, r[j]) for v in r) for j, r in zip(order, rows)
-        )
+        return tuple(order), tuple(map(tuple, rows))
 
 
 @dataclass(frozen=True)
 class GradedSubspace:
-    """A subspace in canonical reduced-row-echelon form."""
+    """A subspace stored as its canonical int RREF rows."""
 
     ambient: Ambient
     field: object
     pivots: tuple[int, ...]
-    rows: tuple[tuple[Scalar, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
 
     @property
     def dim(self) -> int:
@@ -171,20 +171,24 @@ class GradedSubspace:
         pset = set(self.pivots)
         return tuple(j for j in range(self.ambient.dim) if j not in pset)
 
-    def residual(self, vec: Sequence[Scalar]) -> list[Scalar]:
-        """vec minus its projection onto this subspace (RREF reduction)."""
-        if len(vec) != self.ambient.dim:
+    def residual(self, vec: Sequence[int]) -> list[int]:
+        """vec minus its projection onto this subspace (vec[j] times the RREF
+        row of each pivot j), times the lcm of those rows' int pivots."""
+        n = self.ambient.dim
+        if len(vec) != n:
             raise ValueError("vector length mismatch")
-        v = list(vec)
-        for p, row in zip(self.pivots, self.rows):
-            c = v[p]
-            if c:
-                for k in range(p, len(v)):
-                    if row[k]:
-                        v[k] = v[k] - c * row[k]
-        return v
+        hits = [(vec[j], j, row) for j, row in zip(self.pivots, self.rows) if vec[j]]
+        scale = lcm(*(row[j] for _, j, row in hits))
+        res = [scale * x for x in vec]
+        for c, j, row in hits:
+            c *= scale // row[j]
+            for k in range(j, n):
+                if row[k]:
+                    res[k] -= c * row[k]
+        p = self.field.char
+        return [x % p for x in res] if p else res
 
-    def contains_vector(self, vec: Sequence[Scalar]) -> bool:
+    def contains_vector(self, vec: Sequence[int]) -> bool:
         return not any(self.residual(vec))
 
     def contains_poly(self, f: HomogPoly) -> bool:
@@ -194,41 +198,28 @@ class GradedSubspace:
         self.ambient.require_same(other.ambient)
         return all(self.contains_vector(r) for r in other.rows)
 
-    def quotient_coords(self, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
-        """Coordinates of vec in the quotient basis (non-pivot columns)."""
+    def quotient_coords(self, vec: Sequence[int]) -> tuple[Scalar, ...]:
+        """Exact coordinates of vec, as given, in the quotient basis (non-pivot columns)."""
         res = self.residual(vec)
-        return tuple(res[j] for j in self.nonpivot_columns())
+        scale = lcm(*(row[j] for j, row in zip(self.pivots, self.rows) if vec[j]))
+        return scalar_row([res[j] for j in self.nonpivot_columns()], self.field, scale)
 
     def basis_polys(self) -> list[HomogPoly]:
+        """The canonical rows as polynomials with integer coefficients."""
         if self.ambient.kind != "poly":
             raise ValueError("basis_polys needs a polynomial ambient")
         return [
-            vector_to_poly(r, self.ambient.nvars, self.ambient.degree) for r in self.rows
+            vector_to_poly(scalar_row(r, self.field, 1), self.ambient.nvars, self.ambient.degree)
+            for r in self.rows
         ]
 
     def sum(self, other: "GradedSubspace") -> "GradedSubspace":
         self.ambient.require_same(other.ambient)
-        ech = Echelon(self.ambient.dim, self.field)
-        for r in self.rows:
-            ech.insert(r)
-        for r in other.rows:
-            ech.insert(r)
-        return _from_echelon(self.ambient, self.field, ech)
-
-    def quotient_dim(self, other: "GradedSubspace") -> int:
-        """dim(self/other); raises unless other is contained in self."""
-        if not self.contains_subspace(other):
-            raise ValueError("quotient_dim: second subspace not contained in first")
-        return self.dim - other.dim
-
-
-def _from_echelon(ambient: Ambient, field, ech: Echelon) -> GradedSubspace:
-    pivots, rows = ech.canonical_rows()
-    return GradedSubspace(ambient, field, pivots, rows)
+        return span(self.rows + other.rows, self.ambient, self.field)
 
 
 def span(
-    vectors: Iterable[Sequence[Scalar]], ambient: Ambient, field, cap: int | None = None
+    vectors: Iterable[Sequence[int]], ambient: Ambient, field, cap: int | None = None
 ) -> GradedSubspace:
     """The span of the vectors, read lazily until the rank reaches ``cap``.
 
@@ -253,7 +244,7 @@ def span(
         for v in vectors:
             if ech.insert(v) and ech.dim >= cap:
                 break
-    return _from_echelon(ambient, field, ech)
+    return GradedSubspace(ambient, field, *ech.canonical_rows())
 
 
 def span_polys(
@@ -272,27 +263,26 @@ def span_polys(
     return span(vectors(), ambient, field, cap)
 
 
-def kernel(rows: Sequence[Sequence[Scalar]], width: int, field) -> list[tuple[Scalar, ...]]:
-    """Canonical basis of {x : M x = 0} for the matrix with the given rows."""
+def kernel(rows: Sequence[Sequence[int]], width: int, field) -> list[tuple[int, ...]]:
+    """Basis of {x : M x = 0}: for each non-pivot column f, an int multiple
+    of the canonical kernel vector, whose last nonzero entry is 1, at f."""
     ech = Echelon(width, field)
     for r in rows:
         ech.insert(r)
     pivots, rref = ech.canonical_rows()
-    pivot_index = {p: i for i, p in enumerate(pivots)}
     out = []
-    zero, one = field.zero, field.one
-    for f in range(width):
-        if f in pivot_index:
-            continue
-        v = [zero] * width
-        v[f] = one
-        for p, i in pivot_index.items():
-            v[p] = -rref[i][f]
+    for f in sorted(set(range(width)) - set(pivots)):
+        hits = [(j, r) for j, r in zip(pivots, rref) if r[f]]
+        scale = lcm(*(r[j] for j, r in hits))
+        v = [0] * width
+        v[f] = scale
+        for j, r in hits:
+            v[j] = -r[f] * (scale // r[j])
         out.append(tuple(v))
     return out
 
 
-def rank_rows(rows: Sequence[Sequence[Scalar]], width: int, field) -> int:
+def rank_rows(rows: Sequence[Sequence[int]], width: int, field) -> int:
     ech = Echelon(width, field)
     for r in rows:
         ech.insert(r)
@@ -300,31 +290,19 @@ def rank_rows(rows: Sequence[Sequence[Scalar]], width: int, field) -> int:
 
 
 def intersect(v: GradedSubspace, w: GradedSubspace) -> GradedSubspace:
-    """Intersection via the kernel of the stacked coefficient system."""
+    """Intersection by Zassenhaus: echelon the rows (x | x), x in v, and (y | 0), y in w.
+
+    A kept row with a zero left half is (0 | z) with z in v and -z in w,
+    and these right halves span v meet w.
+    """
     v.ambient.require_same(w.ambient)
-    rv, rw = v.dim, w.dim
-    if rv == 0 or rw == 0:
-        return span([], v.ambient, v.field)
-    width = rv + rw
-    sys_rows = []
-    for c in range(v.ambient.dim):
-        row = [v.rows[i][c] for i in range(rv)] + [-w.rows[j][c] for j in range(rw)]
-        if any(row):
-            sys_rows.append(row)
-    combos = kernel(sys_rows, width, v.field)
-    zero = v.field.zero
-    vecs = []
-    for combo in combos:
-        acc = [zero] * v.ambient.dim
-        for i in range(rv):
-            a = combo[i]
-            if a:
-                row = v.rows[i]
-                for k in range(v.ambient.dim):
-                    if row[k]:
-                        acc[k] = acc[k] + a * row[k]
-        vecs.append(acc)
-    return span(vecs, v.ambient, v.field)
+    n = v.ambient.dim
+    ech = Echelon(2 * n, v.field)
+    for r in v.rows:
+        ech.insert(r + r)
+    for r in w.rows:
+        ech.insert(r + (0,) * n)
+    return span((r[n:] for r in ech.rows if not any(r[:n])), v.ambient, v.field)
 
 
 def mat_mul(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]], field):
@@ -362,8 +340,8 @@ def invert_matrix(a: Sequence[Sequence[Scalar]], field):
     one, zero = field.one, field.zero
     ech = Echelon(2 * n, field)
     for i, row in enumerate(a):
-        ech.insert(list(row) + [one if k == i else zero for k in range(n)])
+        ech.insert(int_row(list(row) + [one if k == i else zero for k in range(n)], field))
     pivots, rows = ech.canonical_rows()
     if pivots != tuple(range(n)):
         return None
-    return [list(r[n:]) for r in rows]
+    return [list(scalar_row(r[n:], field, r[i])) for i, r in enumerate(rows)]

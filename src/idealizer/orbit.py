@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .automorphism import AutoMap, ProjPoint, point_image, pullback_point
-from .fields import QQ
-from .linalg import _int_rows_from_scalars, kernel, rank_rows
+from .fields import QQ, int_row
+from .linalg import kernel, rank_rows
 from .poly import basis_dim, monomial_values
 
 __all__ = [
@@ -145,14 +145,10 @@ def multiplicative_independence(
     matrix = tuple(tuple(f.get(q, 0) for q in primes) for f in factored)
 
     # unknowns a_i; one equation per prime q: sum_i a_i e_i(q) = 0
-    rows = [
-        [Fraction(matrix[i][col]) for i in range(len(ps))]
-        for col in range(len(primes))
-    ]
-    combos = kernel(rows, len(ps), QQ)
+    combos = kernel([list(col) for col in zip(*matrix)], len(ps), QQ)
     if not combos:
         return IndependenceCertificate(ps, "independent", primes, matrix, None, False)
-    rel = _int_rows_from_scalars(combos[0])
+    rel = int_row(combos[0], QQ)  # the primitive multiple
     lead = next((a for a in rel if a), 0)
     if lead < 0:
         # negation inverts the product, so it stays 1; fixes a sign convention

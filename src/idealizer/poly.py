@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import comb
 from typing import Mapping, Sequence
 
-from .fields import Scalar
+from .fields import Scalar, int_row
 
 __all__ = [
     "HomogPoly",
@@ -77,10 +77,11 @@ def basis_dim(nvars: int, degree: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def monomial_values(coords: tuple[Scalar, ...], field, degree: int) -> tuple[Scalar, ...]:
+def monomial_values(coords: tuple[Scalar, ...], field, degree: int) -> tuple[int, ...]:
     """Values at coords of the degree-n monomials, in the frozen order.
 
-    This row is evaluation at the point as a functional on U_n.
+    This int row is evaluation at the point as a functional on U_n, up
+    to a nonzero scale.
     """
     values = []
     for mono in monomials(len(coords), degree):
@@ -89,7 +90,7 @@ def monomial_values(coords: tuple[Scalar, ...], field, degree: int) -> tuple[Sca
             if e:
                 v = v * x**e
         values.append(v)
-    return tuple(values)
+    return tuple(int_row(values, field))
 
 
 @dataclass(frozen=True)
@@ -196,12 +197,13 @@ class HomogPoly:
         return total
 
 
-def poly_to_vector(f: HomogPoly, field) -> tuple[Scalar, ...]:
+def poly_to_vector(f: HomogPoly, field) -> list[int]:
+    """The coefficients of f as an int row, up to a scale set by the coefficients alone."""
     idx = basis_index(f.nvars, f.degree)
-    row = [field.zero] * len(idx)
-    for m, c in f.terms:
-        row[idx[m]] = c
-    return tuple(row)
+    row = [0] * len(idx)
+    for (m, _), v in zip(f.terms, int_row([c for _, c in f.terms], field)):
+        row[idx[m]] = v
+    return row
 
 
 def vector_to_poly(vec: Sequence[Scalar], nvars: int, degree: int) -> HomogPoly:

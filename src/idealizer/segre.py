@@ -56,20 +56,17 @@ class SegreContext:
         """J_m: the kernel of multiplication on pairs, via fiber differences."""
         amb = self.ambient(m)
         dim_m = basis_dim(self.nvars, m)
-        fibers: dict[tuple, list[tuple[int, int]]] = {}
+        fibers: dict[tuple, list[int]] = {}
         for i, mu in enumerate(monomial_basis(self.d, m)):
             for j, nu in enumerate(monomial_basis(self.d, m)):
                 w = tuple(a + b for a, b in zip(mu, nu))
-                fibers.setdefault(w, []).append((i, j))
-        one, zero = self.field.one, self.field.zero
+                fibers.setdefault(w, []).append(i * dim_m + j)
         vecs = []
         for w in sorted(fibers, reverse=True):
-            pairs = fibers[w]
-            base = pairs[0]
-            for other in pairs[1:]:
-                vec = [zero] * amb.dim
-                vec[other[0] * dim_m + other[1]] = one
-                vec[base[0] * dim_m + base[1]] = -one
+            base, *others = fibers[w]
+            for other in others:
+                vec = [0] * amb.dim
+                vec[other], vec[base] = 1, -1
                 vecs.append(vec)
         return span(vecs, amb, self.field)
 
@@ -99,12 +96,9 @@ class SegreContext:
                 kpairs = [
                     (mu, nu) for mu, nu in fiber if mu != pure and nu != pure
                 ]
-                if len(kpairs) >= 1:
-                    meet_total += len(kpairs) - 1
+                meet_total += max(len(kpairs) - 1, 0)
                 index = {pair: t for t, pair in enumerate(kpairs)}
                 ech = Echelon(len(kpairs), self.field)
-                one = self.field.one
-                zero = self.field.zero
                 for i in range(1, self.nvars):
                     if not w[i]:
                         continue
@@ -124,27 +118,16 @@ class SegreContext:
 
                         def lift(pair):
                             alpha, beta = pair
-                            left = list(alpha)
-                            left[i] += 1
-                            right = list(beta)
-                            right[j] += 1
-                            return tuple(left), tuple(right)
+                            left = tuple(a + (k == i) for k, a in enumerate(alpha))
+                            return left, tuple(b + (k == j) for k, b in enumerate(beta))
 
                         base = lift(sub[0])
                         for other in sub[1:]:
-                            lifted = lift(other)
-                            vec = [zero] * len(kpairs)
-                            ok = True
-                            for pair, sign in ((lifted, one), (base, -one)):
-                                t = index.get(pair)
-                                if t is None:
-                                    ok = False
-                                    break
-                                vec[t] = vec[t] + sign
-                            if not ok:
-                                raise ArithmeticError(
-                                    "product generator escapes the K block"
-                                )
+                            vec = [0] * len(kpairs)
+                            for pair, sign in ((lift(other), 1), (base, -1)):
+                                if pair not in index:
+                                    raise ArithmeticError("product generator escapes the K block")
+                                vec[index[pair]] += sign
                             ech.insert(vec)
                 prod_total += ech.dim
             meet_dims[m] = meet_total

@@ -45,7 +45,7 @@ from typing import Callable
 from .automorphism import ProjPoint, evaluate_at
 from .config import ConfigError, Instance
 from .ext import ExtEngine, QuotientModule, euler_characteristic_check
-from .fields import is_prime
+from .fields import int_row, is_prime
 from .linalg import kernel
 from .orbit import (
     FactorBoundError,
@@ -55,10 +55,10 @@ from .orbit import (
     multiplicative_independence,
     orbit_points,
 )
-from .poly import basis_dim, format_poly, vector_to_poly
+from .poly import basis_dim, format_poly
 from .report import FAIL, OBSERVED, PASS, SKIPPED, CheckRecord, VerificationReport
 from .segre import SegreContext, local_witness_check, nonvanishing_from
-from .twist import GradedIdeal, PointIdeal, associativity_sample
+from .twist import GradedIdeal, PointIdeal, associativity_sample, kernel_form
 
 ASSOCIATIVITY_TRIALS = 200
 ASSOCIATIVITY_SEED = 811
@@ -580,8 +580,9 @@ def _right_noetherian_probes(ctx):
     cm1 = ctx.orbit.points[-1]
     # f_a vanishes at c_0 and c_{-1}; f_b is the first form of I_1 that
     # does not vanish at c_{-1}
-    two_point = kernel([list(ctx.orbit.points[0].coords), list(cm1.coords)], ring.nvars, field)
-    f_a = vector_to_poly(two_point[0], ring.nvars, 1) if two_point else None
+    rows = [int_row(pt.coords, field) for pt in (ctx.orbit.points[0], cm1)]
+    two_point = kernel(rows, ring.nvars, field)
+    f_a = kernel_form(ring, two_point[0]) if two_point else None
     f_b = next((f for f in ctx.idl.forms if bool(evaluate_at(f, cm1, field))), None)
     probes = []
     ok = True

@@ -29,6 +29,7 @@ from __future__ import annotations
 import random
 
 from .automorphism import AutoMap, ProjPoint
+from .fields import scalar_row
 from .linalg import GradedSubspace, kernel, poly_ambient, span, span_polys
 from .poly import (
     HomogPoly,
@@ -38,7 +39,7 @@ from .poly import (
     vector_to_poly,
 )
 
-__all__ = ["GradedIdeal", "PointIdeal", "TwistRing", "point_ideal_forms"]
+__all__ = ["GradedIdeal", "PointIdeal", "TwistRing", "kernel_form", "point_ideal_forms"]
 
 
 class TwistRing:
@@ -204,11 +205,17 @@ def _vanishing_vectors(ring: TwistRing, point: ProjPoint, n: int) -> list:
     return kernel([row], basis_dim(ring.nvars, n), ring.field)
 
 
+def kernel_form(ring: TwistRing, vec) -> HomogPoly:
+    """The linear form of a kernel vector, scaled so its last nonzero coefficient is 1."""
+    last = next(x for x in reversed(vec) if x)
+    return vector_to_poly(scalar_row(vec, ring.field, last), ring.nvars, 1)
+
+
 def point_ideal_forms(ring: TwistRing, point: ProjPoint) -> list[HomogPoly]:
     """Canonical basis of the linear forms vanishing at the point."""
     if point.nvars != ring.nvars:
         raise ValueError("point arity does not match the ring")
-    return [vector_to_poly(v, ring.nvars, 1) for v in _vanishing_vectors(ring, point, 1)]
+    return [kernel_form(ring, v) for v in _vanishing_vectors(ring, point, 1)]
 
 
 class PointIdeal(GradedIdeal):

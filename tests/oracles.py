@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from idealizer.automorphism import AutoMap
+from idealizer.fields import int_row
 from idealizer.linalg import Echelon, GradedSubspace, intersect, kernel, span
 from idealizer.poly import HomogPoly, basis_dim, basis_index, monomial_basis, poly_to_vector
 from idealizer.twist import GradedIdeal, TwistRing, point_ideal_forms
@@ -35,7 +36,7 @@ def residual_quotient_row(idl, ideal, shifted, source_degree):
         if len(coords) != 1:
             raise ArithmeticError("point ideal piece is not of codimension one")
         row.append(coords[0])
-    return row
+    return int_row(row, idl.field)
 
 
 def _kernel_span(idl, rows, degree):
@@ -105,7 +106,7 @@ def is_piece_uncapped(idl, m):
 def veronese_idealizer_piece_uncapped(idl, n, m, j_cap):
     """R'_m from the kernel of every constraint row, j <= cap."""
     if m == 0:
-        return span_all([[idl.field.one]], idl.ring.ambient(0), idl.field)
+        return span_all([[1]], idl.ring.ambient(0), idl.field)
     rows = [
         idl._quotient_row(idl.ring.twisted(n * m, b), n * m)
         for j in range(1, j_cap + 1)
@@ -135,7 +136,7 @@ def K_piece(ctx, m):
                 if a:
                     vec.extend(a * b for b in v)
                 else:
-                    vec.extend(ctx.field.zero for _ in v)
+                    vec.extend(0 for _ in v)
             vecs.append(vec)
     return span(vecs, ctx.ambient(m), ctx.field)
 
@@ -152,12 +153,11 @@ def segre_product_span(ctx, v, w):
     dim_b = basis_dim(ctx.nvars, b)
     dim_t = basis_dim(ctx.nvars, a + b)
     idx_t = basis_index(ctx.nvars, a + b)
-    zero = ctx.field.zero
 
     def gens():
         for x in v.rows:
             for y in w.rows:
-                vec = [zero] * target.dim
+                vec = [0] * target.dim
                 for p, xval in enumerate(x):
                     if not xval:
                         continue
@@ -195,10 +195,9 @@ def phi_tensor_invariance(ctx, auto, m):
     """Is J_m stable under phi tensor phi acting on pairs?"""
     piece = ctx.diagonal_ideal_piece(m)
     dim_m = basis_dim(ctx.nvars, m)
-    vecs = [
-        poly_to_vector(auto.apply(HomogPoly.monomial(mu, ctx.field.one)), ctx.field)
-        for mu in monomial_basis(ctx.d, m)
-    ]
+    basis = monomial_basis(ctx.d, m)
+    images = [auto.apply(HomogPoly.monomial(mu, ctx.field.one)) for mu in basis]
+    vecs = [[g.coeff(nu, ctx.field) for nu in basis] for g in images]
     image_vecs = []
     for row in piece.rows:
         out = [ctx.field.zero] * piece.ambient.dim
@@ -215,7 +214,7 @@ def phi_tensor_invariance(ctx, auto, m):
                     if rv:
                         slot = li * dim_m + ri
                         out[slot] = out[slot] + coeff * rv
-        image_vecs.append(out)
+        image_vecs.append(int_row(out, ctx.field))
     return span(image_vecs, piece.ambient, ctx.field) == piece
 
 

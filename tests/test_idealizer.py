@@ -184,7 +184,7 @@ def test_veronese_rank_one_guard_fires(monkeypatch):
 
     def broken(g, source_degree):
         row = real(g, source_degree)
-        row[0] = row[0] + idl.field.one
+        row[0] = row[0] + 1
         return row
 
     monkeypatch.setattr(idl, "_quotient_row", broken)

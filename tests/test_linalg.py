@@ -1,11 +1,12 @@
 """Exact echelon forms, kernels, and graded subspaces."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from properties import FIELDS, property_test
 
-from idealizer.fields import QQ, PrimeField
+from idealizer.fields import QQ, PrimeField, int_row, scalar_row
 from idealizer.linalg import (
     Ambient,
     Echelon,
@@ -28,7 +29,7 @@ def free_ambient(dim, label=""):
 
 
 def _q(*vals):
-    return [Fraction(v) for v in vals]
+    return list(vals)
 
 
 def test_span_dim_and_membership():
@@ -95,7 +96,7 @@ def test_subspace_sum_and_quotient_dim():
     V = span([_q(1, 0, 0)], amb, QQ)
     W = span([_q(0, 1, 0)], amb, QQ)
     assert V.sum(W).dim == 2
-    assert V.sum(W).quotient_dim(V) == 1
+    assert V.sum(W).contains_subspace(V) and V.sum(W).dim - V.dim == 1
     assert V.contains_subspace(span([_q(3, 0, 0)], amb, QQ))
 
 
@@ -109,8 +110,8 @@ def test_ambient_mismatch_rejected():
 def test_prime_field_linear_algebra():
     F = PrimeField(7)
     rows = [[F.from_int(v) for v in r] for r in [[1, 2, 3], [2, 4, 6], [0, 1, 1]]]
-    assert rank_rows(rows, 3, F) == 2
-    ker = kernel(rows, 3, F)
+    assert rank_rows(_ints(rows, F), 3, F) == 2
+    ker = kernel(_ints(rows, F), 3, F)
     assert len(ker) == 1
     for row in rows:
         total = F.zero
@@ -188,17 +189,23 @@ def _from_sympy(x, field):
     return field.from_int(int(x))
 
 
+def _ints(rows, field):
+    return [int_row(r, field) for r in rows]
+
+
 def _rref(rows, width, field):
+    """Pivots and exact RREF rows, read off the echelon's canonical int rows."""
     ech = Echelon(width, field)
-    for r in rows:
+    for r in _ints(rows, field):
         ech.insert(r)
-    return ech.canonical_rows()
+    pivots, rref = ech.canonical_rows()
+    return pivots, tuple(scalar_row(r, field, r[j]) for j, r in zip(pivots, rref))
 
 
 @_property(lambda st: _field_and(st, lambda F: _matrix(st, F)))
 def test_rank_pivots_and_rref_match_sympy(field, rows, width):
     pivots, rref = _rref(rows, width, field)
-    assert rank_rows(rows, width, field) == len(pivots)
+    assert rank_rows(_ints(rows, field), width, field) == len(pivots)
     if not rows:
         assert pivots == () and rref == ()
         return
@@ -209,8 +216,24 @@ def test_rank_pivots_and_rref_match_sympy(field, rows, width):
 
 
 @_property(lambda st: _field_and(st, lambda F: _matrix(st, F)))
+def test_canonical_int_rows_are_normalized(field, rows, width):
+    """Primitive with a positive pivot over Q, least residues with pivot 1 mod p.
+
+    With the sympy comparison above, this makes the int form unique.
+    """
+    ech = Echelon(width, field)
+    for r in _ints(rows, field):
+        ech.insert(r)
+    for j, r in zip(*ech.canonical_rows()):
+        if field.char:
+            assert r[j] == 1 and all(0 <= x < field.char for x in r)
+        else:
+            assert r[j] > 0 and gcd(*r) == 1
+
+
+@_property(lambda st: _field_and(st, lambda F: _matrix(st, F)))
 def test_kernel_dimension_and_annihilation(field, rows, width):
-    ker = kernel(rows, width, field)
+    ker = kernel(_ints(rows, field), width, field)
     rank = _sympy_matrix(rows, width, field).rank() if rows else 0
     assert len(ker) == width - rank
     for v in ker:
@@ -229,7 +252,7 @@ def test_kernel_dimension_and_annihilation(field, rows, width):
 def test_intersection_dimension_formula(field, left, right):
     (a, width), (b, _) = left, right
     amb = free_ambient(width)
-    V, W = span(a, amb, field), span(b, amb, field)
+    V, W = span(_ints(a, field), amb, field), span(_ints(b, field), amb, field)
     meet = intersect(V, W)
     assert meet.dim == V.dim + W.dim - V.sum(W).dim
     assert V.contains_subspace(meet) and W.contains_subspace(meet)
