@@ -20,6 +20,8 @@ nonzero-coords  the point has a coordinate that is zero in the field in use,
                 so its orbit stays in a coordinate hyperplane
 window          the window leaves fewer degrees after degree 1 than the
                 required trailing zeros
+generator-      the window leaves fewer degrees after degree 2 than the
+window          required trailing zeros
 prime           rational arithmetic is exact
 off-orbit       no off-orbit sample point found
 twin            second prime unusable: <why the config fails mod q>
@@ -27,10 +29,10 @@ twin-regime     the primes decide a regime gate (distinct, nonzero-coords)
                 differently
 ==============  ============================================================
 
-The ``window`` gate is a skip, not a usage error: degrees 0 and 1 of
-S/IS and the generator count in degree 1 never vanish, so a window with
-trailing_zeros >= N cannot hold the zeros the two trailing-zero checks
-require, while every other check still runs in it.
+The window gates are skips, not usage errors: degrees 0 and 1 of S/IS
+never vanish, nor do the generator counts in degrees 1 and 2 (T_1.T_1
+vanishes at two orbit points, T_2 at one), so the required trailing
+zeros fit only if trailing_zeros <= N - 1, resp. N - 2.
 """
 
 from __future__ import annotations
@@ -246,12 +248,13 @@ class _Context:
         return None
 
 
-def _window_reason(ctx: _Context) -> str | None:
-    if ctx.cfg.trailing_zeros < ctx.N:
-        return None
-    return (
-        "the window leaves %d degrees after degree 1, fewer than the %d "
-        "trailing zero degrees required" % (ctx.N - 1, ctx.cfg.trailing_zeros)
+def _window_after(last: int) -> Callable[[_Context], str | None]:
+    """The gate of a trailing-zero check whose degrees up to ``last`` never vanish."""
+    return lambda ctx: (
+        None
+        if ctx.cfg.trailing_zeros <= ctx.N - last
+        else "the window leaves %d degrees after degree %d, fewer than the %d trailing "
+        "zero degrees required" % (ctx.N - last, last, ctx.cfg.trailing_zeros)
     )
 
 
@@ -265,7 +268,8 @@ GATES: dict[str, Callable[[_Context], str | None]] = {
     "nonzero-coords": lambda ctx: None if all(ctx.instance.point.coords) else HYPERPLANE_REASON,
     "prime": lambda ctx: "rational arithmetic is exact" if ctx.instance.rational else None,
     "off-orbit": lambda ctx: None if ctx.off is not None else "no off-orbit sample point found",
-    "window": _window_reason,
+    "window": _window_after(1),
+    "generator-window": _window_after(2),
     "twin": lambda ctx: ctx.twin if isinstance(ctx.twin, str) else None,
     "twin-regime": lambda ctx: ctx.twin_regime,
 }
@@ -381,8 +385,10 @@ def _general_position_ranks(ctx):
         )
         for m in (1, 2)
     ]
+    # mod p a rank can drop on specialization, so only full rank is evidence
+    full = all(rec["full"] for rec in ranks) or not ctx.instance.rational
     return (
-        _verdict(all(rec["full"] for rec in ranks), OBSERVED),
+        _verdict(full, OBSERVED),
         "degree-m evaluation at dim U_m consecutive orbit points has "
         "full rank for m = 1, 2",
         {"ranks": jsonable(ranks)},
@@ -445,7 +451,11 @@ def _hilbert_s_mod_is(ctx):
     )
 
 
-@_check("generator-degrees", "minimal generator degrees of T", ("structural", "window"))
+@_check(
+    "generator-degrees",
+    "minimal generator degrees of T",
+    ("structural", "window", "generator-window"),
+)
 def _generator_degrees(ctx):
     gens = ctx.idl.algebra_generator_degrees(ctx.N)
     tz = _trailing_zero_count([c for _, c in gens])

@@ -1,6 +1,11 @@
 """Command-line interface: payload shapes, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+
+from oracles import brute_force_relation
+from properties import FIELDS, property_test
 
 from idealizer.cli import main
 
@@ -229,3 +234,54 @@ def test_suite_failure_maps_to_exit_one(capsys, monkeypatch):
     code, payload = _run_json(capsys, "verify-suite")
     assert code == 1
     assert payload["ok"] is False
+
+
+# -- fuzz over small configs ------------------------------------------------------
+
+
+def _generic(field, multipliers, point, max_degree, trailing):
+    """A valid window, independent multipliers, nonzero coordinates, distinct orbit.
+
+    With c0 fixed, c_n = c_m iff every multiplier has (n - m)-th power 1.
+    """
+    p = field.char
+    if trailing > max_degree or brute_force_relation(multipliers) is not None:
+        return False
+    if any((c % p if p else c) == 0 for c in point):
+        return False
+    return not any(
+        all((pow(m, k, p) if p else m**k) == 1 for m in multipliers)
+        for k in range(1, 2 * max_degree + 1)
+    )
+
+
+@property_test(
+    lambda st: st.tuples(
+        st.sampled_from(FIELDS),
+        st.lists(
+            st.sampled_from((-3, -2, -1, 2, 3, 4, 5)), min_size=2, max_size=2, unique=True
+        ),
+        st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+        # trailing zeros up to one past the max degree, which is a usage error
+        st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n + 1))),
+    ),
+    max_examples=20,
+)
+def test_small_configs_exit_cleanly(field, multipliers, point, window):
+    """Every run exits 0, 1 or 2; a config meeting the generic gates exits 0."""
+    max_degree, trailing = window
+    argv = [
+        "verify-suite",
+        "--field", field.name,
+        "--p", ",".join(map(str, multipliers)),
+        "--point", ",".join(map(str, point)),
+        "--max-degree", str(max_degree),
+        "--trailing-zeros", str(trailing),
+    ]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if _generic(field, multipliers, point, max_degree, trailing):
+        assert code == 0, (argv, out.getvalue())

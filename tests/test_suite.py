@@ -206,6 +206,29 @@ def test_short_window_skips_trailing_zero_checks(capsys):
     assert by_name["idealizer-structure"]["status"] == "pass"
 
 
+def test_generator_window_leaves_room_after_degree_two(capsys):
+    # degree 2 holds a new generator, so N = 4 leaves room for 2 trailing zeros, not 3
+    assert main(["verify-suite", "--format", "json", "--max-degree", "4"]) == 0
+    by_name = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert by_name["hilbert-s-mod-is"]["status"] == "observed"
+    assert by_name["generator-degrees"]["status"] == "skipped"
+    assert by_name["generator-degrees"]["data"]["reason"] == (
+        "the window leaves 2 degrees after degree 2, fewer than the 3 "
+        "trailing zero degrees required"
+    )
+
+
+def test_rank_drop_mod_p_is_observed(capsys):
+    # mod 7 the six orbit points c_-3..c_2 of (1:1:1) lie on a conic
+    argv = ["--field", "prime:7", "--p", "-3,-2", "--point", "1,1,1"]
+    argv += ["--max-degree", "1", "--trailing-zeros", "1"]
+    assert main(["verify-suite", "--format", "json", *argv]) == 0
+    by_name = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    check = by_name["general-position-ranks"]
+    assert check["status"] == "observed"
+    assert [r["rank"] for r in check["data"]["ranks"]] == [3, 5]
+
+
 def test_prime_mode_runs_crosscheck():
     rep = _report(field="prime:10007", max_degree=5)
     by_name = {c.name: c for c in rep.checks}
