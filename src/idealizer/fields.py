@@ -237,11 +237,11 @@ def int_row(vec: Sequence[Scalar], field) -> list[int]:
 
 def scalar_row(row: Sequence[int], field, denom: int) -> tuple[Scalar, ...]:
     """The exact scalars row / denom, for a nonzero int denom."""
-    p = field.char
+    p, zero = field.char, field.zero  # rows are sparse; zeros share one object
     if p:
         inv = pow(denom, -1, p)
-        return tuple(Residue(v * inv % p, p) for v in row)
-    return tuple(Fraction(v, denom) for v in row)
+        return tuple(Residue(v * inv % p, p) if v else zero for v in row)
+    return tuple(Fraction(v, denom) if v else zero for v in row)
 
 
 def field_from_name(name: str):
