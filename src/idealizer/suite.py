@@ -30,9 +30,9 @@ twin-regime     the primes decide a regime gate (distinct, nonzero-coords)
 ==============  ============================================================
 
 The window gates are skips, not usage errors: degrees 0 and 1 of S/IS
-never vanish, nor do the generator counts in degrees 1 and 2 (T_1.T_1
-vanishes at two orbit points, T_2 at one), so the required trailing
-zeros fit only if trailing_zeros <= N - 1, resp. N - 2.
+never vanish, nor do the generator counts in degree 1 and, off phi = id,
+degree 2 (T_1.T_1 vanishes at two orbit points, T_2 at one), so the
+required trailing zeros fit only if trailing_zeros <= N - 1, resp. N - 2.
 """
 
 from __future__ import annotations
