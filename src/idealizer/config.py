@@ -2,8 +2,9 @@
 
 A configuration pins the instance (d, automorphism, point, field) and the
 two window parameters every observed claim must carry: the degree cap N
-and the trailing-zero count.  Validation failures raise ConfigError, which
-the command line maps to the usage exit code.
+and the trailing-zero count, which defaults to min(3, N) when unset.
+Validation failures raise ConfigError, which the command line maps to the
+usage exit code.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class RingConfig:
     point: tuple[Fraction, ...] = (Fraction(1), Fraction(1), Fraction(1))
     field: str = "rational"
     max_degree: int = 10
-    trailing_zeros: int = 3
+    trailing_zeros: int | None = None  # unset: validate() fills in min(3, max_degree)
 
     def validate(self) -> "RingConfig":
         if not isinstance(self.d, int) or self.d < 2:
@@ -77,6 +78,8 @@ class RingConfig:
             raise ConfigError(str(exc)) from exc
         if not isinstance(self.max_degree, int) or self.max_degree < 1:
             raise ConfigError("max degree must be a positive integer")
+        if self.trailing_zeros is None:
+            return replace(self, trailing_zeros=min(3, self.max_degree)).validate()
         if not isinstance(self.trailing_zeros, int) or not (
             1 <= self.trailing_zeros <= self.max_degree
         ):
@@ -204,6 +207,8 @@ class RingConfig:
     # -- realisation ---------------------------------------------------------------
 
     def build(self) -> "Instance":
+        if self.trailing_zeros is None:
+            return self.validate().build()
         self.validate()
         field = field_from_name(self.field)
 

@@ -218,6 +218,20 @@ def test_generator_window_leaves_room_after_degree_two(capsys):
     )
 
 
+@pytest.mark.parametrize("max_degree", [1, 2])
+def test_unset_tail_fits_a_short_window(capsys, max_degree):
+    # the default tail of 3 shrinks to N; the window gates then skip
+    assert main(["verify-suite", "--format", "json", "--max-degree", str(max_degree)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["config"]["trailing_zeros"] == max_degree
+    by_name = {c["name"]: c for c in payload["checks"]}
+    for name in ("hilbert-s-mod-is", "generator-degrees"):
+        assert by_name[name]["status"] == "skipped", name
+    # an explicit tail beyond the window is still a usage error
+    argv = ["--max-degree", str(max_degree), "--trailing-zeros", "3"]
+    assert main(["verify-suite", "--format", "json", *argv]) == 2
+
+
 def test_rank_drop_mod_p_is_observed(capsys):
     # mod 7 the six orbit points c_-3..c_2 of (1:1:1) lie on a conic
     argv = ["--field", "prime:7", "--p", "-3,-2", "--point", "1,1,1"]
