@@ -58,7 +58,7 @@ class AutoMap:
             tuple(diag[i] if i == j else zero for j in range(n)) for i in range(n)
         )
         inv = tuple(
-            tuple(field.one / diag[i] if i == j else zero for j in range(n))
+            tuple(field.inv(diag[i]) if i == j else zero for j in range(n))
             for i in range(n)
         )
         return AutoMap(mat, inv, field, diag)
@@ -74,7 +74,7 @@ class AutoMap:
     def inv(self) -> "AutoMap":
         diag = None
         if self.diagonal is not None:
-            diag = tuple(self.field.one / x for x in self.diagonal)
+            diag = tuple(self.field.inv(x) for x in self.diagonal)
         return AutoMap(self.inverse, self.matrix, self.field, diag)
 
     def compose(self, other: "AutoMap") -> "AutoMap":
@@ -83,7 +83,7 @@ class AutoMap:
         inv = mat_mul(other.inverse, self.inverse, self.field)
         diag = None
         if self.diagonal is not None and other.diagonal is not None:
-            diag = tuple(a * b for a, b in zip(self.diagonal, other.diagonal))
+            diag = tuple(self.field.reduce(a * b) for a, b in zip(self.diagonal, other.diagonal))
         return AutoMap(
             tuple(tuple(r) for r in mat), tuple(tuple(r) for r in inv), self.field, diag
         )
@@ -99,8 +99,8 @@ class AutoMap:
 
     def apply(self, f: HomogPoly) -> HomogPoly:
         """The substitution x_i -> sum_j matrix[j][i] x_j applied to f."""
-        if f.nvars != self.nvars:
-            raise ValueError("arity mismatch")
+        if (f.nvars, f.char) != (self.nvars, self.field.char):
+            raise ValueError("arity or characteristic mismatch")
         if f.is_zero() or f.degree == 0:
             return f
         if self.diagonal is not None:
@@ -111,16 +111,16 @@ class AutoMap:
                     if e:
                         v = v * x**e
                 out[m] = v
-            return HomogPoly.from_dict(f.nvars, f.degree, out)
+            return HomogPoly.from_dict(f.nvars, f.degree, out, f.char)
         images = [
-            HomogPoly(
+            HomogPoly.from_dict(
                 f.nvars,
                 1,
-                tuple(
-                    (tuple(1 if k == j else 0 for k in range(f.nvars)), self.matrix[j][i])
+                {
+                    tuple(1 if k == j else 0 for k in range(f.nvars)): self.matrix[j][i]
                     for j in range(f.nvars)
-                    if self.matrix[j][i]
-                ),
+                },
+                f.char,
             )
             for i in range(f.nvars)
         ]
@@ -134,7 +134,7 @@ class AutoMap:
                 power_cache[key] = got
             return got
 
-        total = HomogPoly.zero(f.nvars, f.degree)
+        total = HomogPoly.zero(f.nvars, f.degree, f.char)
         for m, c in f.terms:
             term = None
             for i, e in enumerate(m):

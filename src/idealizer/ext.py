@@ -25,10 +25,9 @@ compare the supports with the vanishing set of f along the orbit.
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 from .automorphism import evaluate_at
-from .fields import int_row
 from .idealizer_ring import IdealizerRing
 from .linalg import intersect, kernel, rank_rows, span, span_polys
 from .orbit import orbit_points
@@ -75,18 +74,21 @@ class QuotientModule:
         return _mult_rows(form, monos, self.piece(n + 1), self.ring.field)
 
 
-def _mult_rows(g: HomogPoly, monos, target, field) -> list[list]:
-    """Matrix of x -> g * x from the span of monos into U / target.
+def _mult_rows(g: HomogPoly, monos, target, field) -> list[list[int]]:
+    """Int matrix of x -> g * x from the span of monos into U / target.
 
-    It is exact for one nonzero multiple of g (poly_to_vector scales
-    every g * mono alike).  That rescales a hom constraint block's rows
-    and conjugates a Koszul differential by a diagonal rescaling of the
-    e_A, so no kernel or rank sees it.
+    It is exact for one nonzero multiple of g: poly_to_vector scales
+    every g * mono alike, and the columns share one denominator, the lcm
+    of their own.  That rescales a hom constraint block's rows and
+    conjugates a Koszul differential by a diagonal rescaling of the e_A,
+    so no kernel or rank sees it.  A scale per column would change ranks.
     """
     cols = [
-        target.quotient_coords(poly_to_vector(g * HomogPoly.monomial(m, field.one), field))
+        target.quotient_coords(poly_to_vector(g * HomogPoly.monomial(m, 1, field.char), field))
         for m in monos
     ]
+    denom = lcm(*(den for _, den in cols))
+    cols = [[v * (denom // den) for v in col] for col, den in cols]
     return [[col[r] for col in cols] for r in range(target.ambient.dim - target.dim)]
 
 
@@ -113,8 +115,7 @@ class KoszulComplex:
         tgt = list(combinations(range(self.d), i + 1))
         sdim = module.dim(n + i)
         tdim = module.dim(n + i + 1)
-        zero = self.field.zero
-        rows = [[zero] * (sdim * len(src_index)) for _ in range(tdim * len(tgt))]
+        rows = [[0] * (sdim * len(src_index)) for _ in range(tdim * len(tgt))]
         mults = {}
         for q, B in enumerate(tgt):
             for t, b in enumerate(B):
@@ -141,8 +142,7 @@ class KoszulComplex:
         got = module.ranks.get(key)
         if got is None:
             width = self.cochain_dim(module, i, n)
-            rows = [int_row(r, self.field) for r in self.cochain_matrix(module, i, n)]
-            got = rank_rows(rows, width, self.field)
+            got = rank_rows(self.cochain_matrix(module, i, n), width, self.field)
             module.ranks[key] = got
         return got
 
@@ -181,7 +181,7 @@ class ExtEngine:
         target = J.piece(n + 1)
         basis = monomial_basis(self.ring.d, n)
         rows = [
-            int_row(r, self.field)
+            r
             for f in self.idealizer.forms
             for r in _mult_rows(self.ring.twisted(n, f), basis, target, self.field)
         ]

@@ -1,14 +1,22 @@
-"""Exact scalar arithmetic: rationals and prime fields.
+"""Exact scalars: rationals and prime fields.
 
-Scalars are plain value objects supporting Python's arithmetic operators
-(``Fraction`` for the rationals, ``Residue`` for a prime field), so the
-polynomial layer never branches on the field.  A field object carries
-construction, parsing, and rendering, plus the characteristic, which
-keys the one elimination engine.
+A scalar is a plain Python number.  Over the rationals it is an ``int``
+or a ``Fraction``; the two mix exactly under ``+ - * ==`` and ``hash``,
+so integer data stays ``int`` until a division makes a ``Fraction``.
+Over GF(p) it is an ``int``, canonically the least residue in [0, p).
 
-The matrix layer (``linalg``) runs on int rows instead, integers over
-the rationals and residues mod p.  ``int_row`` converts scalars into one,
-up to a nonzero scale, and ``scalar_row`` converts back, exactly.
+Sums and products of GF(p) scalars are plain integer arithmetic, so they
+leave [0, p) until reduced.  The field object owns reduction and
+division: ``reduce(x)`` is the identity over Q and ``x % p`` mod p, and
+``inv(x)`` is the exact inverse, raising ``ZeroDivisionError`` on zero.
+Polynomials reduce in one place, ``HomogPoly.from_dict``; the few sums
+and products made outside polynomials (``AutoMap.compose``,
+``linalg.mat_mul``/``mat_vec``, ``HomogPoly.evaluate``) call ``reduce``.
+
+The matrix layer (``linalg``) runs on int rows, integers over the
+rationals and residues mod p.  ``int_row`` converts scalars into one, up
+to a nonzero scale, and ``scalar_row`` converts an int row over a common
+denominator back, exactly.
 
 The rational field is the default everywhere.  Prime fields exist as a
 fast mode for large experiments; any conclusion drawn mod p is heuristic
@@ -27,14 +35,13 @@ __all__ = [
     "QQ",
     "PrimeField",
     "RationalField",
-    "Residue",
     "Scalar",
     "int_row",
     "is_prime",
     "scalar_row",
 ]
 
-Scalar = Union[Fraction, "Residue"]
+Scalar = Union[int, Fraction]
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -64,82 +71,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
-class Residue:
-    """An element of GF(p), stored as the least nonnegative representative."""
-
-    value: int
-    modulus: int
-
-    def _check(self, other: "Residue") -> None:
-        if self.modulus != other.modulus:
-            raise ValueError("mixed moduli: %d vs %d" % (self.modulus, other.modulus))
-
-    def _wrap(self, v: int) -> "Residue":
-        return Residue(v % self.modulus, self.modulus)
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            return self._wrap(self.value + other)
-        self._check(other)
-        return self._wrap(self.value + other.value)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            return self._wrap(self.value - other)
-        self._check(other)
-        return self._wrap(self.value - other.value)
-
-    def __rsub__(self, other):
-        if isinstance(other, int):
-            return self._wrap(other - self.value)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self._wrap(self.value * other)
-        self._check(other)
-        return self._wrap(self.value * other.value)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, int):
-            other = self._wrap(other)
-        self._check(other)
-        if other.value == 0:
-            raise ZeroDivisionError("division by zero in GF(%d)" % self.modulus)
-        return self._wrap(self.value * pow(other.value, -1, self.modulus))
-
-    def __pow__(self, e: int):
-        if e < 0:
-            if self.value == 0:
-                raise ZeroDivisionError("inverting zero in GF(%d)" % self.modulus)
-            return self._wrap(pow(pow(self.value, -1, self.modulus), -e, self.modulus))
-        return self._wrap(pow(self.value, e, self.modulus))
-
-    def __neg__(self):
-        return self._wrap(-self.value)
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.modulus
-        if isinstance(other, Residue):
-            return self.modulus == other.modulus and self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.modulus))
-
-    def __repr__(self):
-        return "%d" % self.value
-
-
 @dataclass(frozen=True)
 class RationalField:
     """The field of arbitrary-precision rationals (characteristic 0)."""
@@ -153,24 +84,30 @@ class RationalField:
         return "rational"
 
     @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
+    def zero(self) -> int:
+        return 0
 
     @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    def one(self) -> int:
+        return 1
 
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
+    def from_int(self, n: int) -> int:
+        return n
 
-    def from_fraction(self, q: Fraction) -> Fraction:
-        return Fraction(q)
+    def from_fraction(self, q: Fraction) -> Scalar:
+        q = Fraction(q)
+        return q.numerator if q.denominator == 1 else q
 
     def parse(self, text: str) -> Fraction:
         return Fraction(text.strip())
 
-    def render(self, x: Fraction) -> str:
-        return str(x)
+    def reduce(self, x: Scalar) -> Scalar:
+        return x
+
+    def inv(self, x: Scalar) -> Fraction:
+        return Fraction(1, x)
+
+    render = staticmethod(str)
 
     def __repr__(self):
         return "QQ"
@@ -198,28 +135,35 @@ class PrimeField:
         return "prime:%d" % self.p
 
     @property
-    def zero(self) -> Residue:
-        return Residue(0, self.p)
+    def zero(self) -> int:
+        return 0
 
     @property
-    def one(self) -> Residue:
-        return Residue(1, self.p)
+    def one(self) -> int:
+        return 1
 
-    def from_int(self, n: int) -> Residue:
-        return Residue(n % self.p, self.p)
+    def from_int(self, n: int) -> int:
+        return n % self.p
 
-    def from_fraction(self, q: Fraction) -> Residue:
+    def from_fraction(self, q: Fraction) -> int:
         if q.denominator % self.p == 0:
             raise ZeroDivisionError(
                 "denominator %d not invertible mod %d" % (q.denominator, self.p)
             )
-        return Residue(q.numerator * pow(q.denominator, -1, self.p) % self.p, self.p)
+        return q.numerator * pow(q.denominator, -1, self.p) % self.p
 
-    def parse(self, text: str) -> Residue:
+    def parse(self, text: str) -> int:
         return self.from_fraction(Fraction(text.strip()))
 
-    def render(self, x: Residue) -> str:
-        return str(x.value)
+    def reduce(self, x: int) -> int:
+        return x % self.p
+
+    def inv(self, x: int) -> int:
+        if not x % self.p:
+            raise ZeroDivisionError("inverting zero in GF(%d)" % self.p)
+        return pow(x, -1, self.p)
+
+    render = staticmethod(str)
 
     def __repr__(self):
         return "GF(%d)" % self.p
@@ -227,8 +171,9 @@ class PrimeField:
 
 def int_row(vec: Sequence[Scalar], field) -> list[int]:
     """The scalars as an int row: the primitive positive multiple over Q, residues mod p."""
-    if field.char:
-        return [x.value for x in vec]
+    p = field.char
+    if p:
+        return [x % p for x in vec]
     denom = lcm(*(x.denominator for x in vec))
     ints = [x.numerator * (denom // x.denominator) for x in vec]
     g = gcd(*ints)
@@ -237,11 +182,13 @@ def int_row(vec: Sequence[Scalar], field) -> list[int]:
 
 def scalar_row(row: Sequence[int], field, denom: int) -> tuple[Scalar, ...]:
     """The exact scalars row / denom, for a nonzero int denom."""
-    p, zero = field.char, field.zero  # rows are sparse; zeros share one object
+    p = field.char
     if p:
         inv = pow(denom, -1, p)
-        return tuple(Residue(v * inv % p, p) if v else zero for v in row)
-    return tuple(Fraction(v, denom) if v else zero for v in row)
+        return tuple(v * inv % p for v in row)
+    if denom == 1:
+        return tuple(row)
+    return tuple(Fraction(v, denom) if v else 0 for v in row)
 
 
 def field_from_name(name: str):

@@ -17,12 +17,16 @@ intersections are scale-free: any row, in or out, may carry a nonzero
 scale of its own.
 
 Scalars enter only through ``fields.int_row`` (``poly_to_vector`` and the
-rows callers build from point values or quotient coordinates) and leave
-only through ``fields.scalar_row``: in ``quotient_coords``, the one
-exact, not scale-free, result; in ``basis_polys``, whose integer
-polynomials every caller only spans or tests up to proportionality; in
-``invert_matrix``; and in the kernel vectors printed as linear forms
-(``twist.kernel_form``).
+rows callers build from point values) and leave only through
+``fields.scalar_row``, in ``invert_matrix`` and in the kernel vectors
+printed as linear forms (``twist.kernel_form``).  Two results stay int:
+``basis_polys`` returns the canonical rows as polynomials, whose integer
+coefficients are scalars in either field, and every caller only spans
+them or tests them up to proportionality; ``quotient_coords``, the one
+exact, not scale-free, result, returns an int row with its denominator.
+
+``mat_mul`` and ``mat_vec`` multiply scalar matrices (automorphisms) and
+reduce each entry with ``field.reduce``.
 """
 
 from __future__ import annotations
@@ -198,20 +202,19 @@ class GradedSubspace:
         self.ambient.require_same(other.ambient)
         return all(self.contains_vector(r) for r in other.rows)
 
-    def quotient_coords(self, vec: Sequence[int]) -> tuple[Scalar, ...]:
-        """Exact coordinates of vec, as given, in the quotient basis (non-pivot columns)."""
+    def quotient_coords(self, vec: Sequence[int]) -> tuple[list[int], int]:
+        """Exact coordinates of vec, as given, in the quotient basis (non-pivot
+        columns): an int row and the denominator it is over (1 mod p)."""
         res = self.residual(vec)
         scale = lcm(*(row[j] for j, row in zip(self.pivots, self.rows) if vec[j]))
-        return scalar_row([res[j] for j in self.nonpivot_columns()], self.field, scale)
+        return [res[j] for j in self.nonpivot_columns()], scale
 
     def basis_polys(self) -> list[HomogPoly]:
         """The canonical rows as polynomials with integer coefficients."""
         if self.ambient.kind != "poly":
             raise ValueError("basis_polys needs a polynomial ambient")
-        return [
-            vector_to_poly(scalar_row(r, self.field, 1), self.ambient.nvars, self.ambient.degree)
-            for r in self.rows
-        ]
+        amb = self.ambient
+        return [vector_to_poly(r, amb.nvars, amb.degree, self.field.char) for r in self.rows]
 
     def sum(self, other: "GradedSubspace") -> "GradedSubspace":
         self.ambient.require_same(other.ambient)
@@ -317,7 +320,7 @@ def mat_mul(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]], field)
             for k in range(inner):
                 if a[i][k] and b[k][j]:
                     s = s + a[i][k] * b[k][j]
-            row.append(s)
+            row.append(field.reduce(s))
         out.append(row)
     return out
 
@@ -330,7 +333,7 @@ def mat_vec(a: Sequence[Sequence[Scalar]], v: Sequence[Scalar], field):
         for x, y in zip(row, v):
             if x and y:
                 s = s + x * y
-        out.append(s)
+        out.append(field.reduce(s))
     return out
 
 

@@ -7,7 +7,7 @@ Every vector and matrix in the package is written over this order, and
 it is never changed.
 
 A ``HomogPoly`` is a sparse sorted tuple of (monomial, coefficient)
-pairs with no zero coefficients.  The ``*`` operator is the commutative
+pairs with no zero coefficients, tagged with its field characteristic.  The ``*`` operator is the commutative
 product of the underlying polynomial ring; twisted products live in the
 ring objects, never here.
 """
@@ -95,11 +95,17 @@ def monomial_values(coords: tuple[Scalar, ...], field, degree: int) -> tuple[int
 
 @dataclass(frozen=True)
 class HomogPoly:
-    """A homogeneous polynomial: sorted sparse terms, no zero coefficients."""
+    """A homogeneous polynomial over the field of characteristic ``char``.
+
+    Terms are sorted and sparse, with no zero coefficients; mod p every
+    coefficient is a least residue.  ``from_dict`` is the one place that
+    reduces and drops zeros, and every operator builds its result there.
+    """
 
     nvars: int
     degree: int
     terms: tuple[tuple[Mono, Scalar], ...]
+    char: int
 
     def __post_init__(self):
         for m, c in self.terms:
@@ -112,26 +118,26 @@ class HomogPoly:
                 )
 
     @staticmethod
-    def from_dict(nvars: int, degree: int, coeffs: Mapping[Mono, Scalar]) -> "HomogPoly":
-        terms = tuple(
-            (m, coeffs[m]) for m in sorted(coeffs, reverse=True) if coeffs[m]
-        )
-        return HomogPoly(nvars, degree, terms)
+    def from_dict(nvars: int, degree: int, coeffs: Mapping[Mono, Scalar], char: int) -> "HomogPoly":
+        items = sorted(coeffs.items(), reverse=True)
+        if char:
+            items = [(m, c % char) for m, c in items]
+        return HomogPoly(nvars, degree, tuple((m, c) for m, c in items if c), char)
 
     @staticmethod
-    def zero(nvars: int, degree: int) -> "HomogPoly":
-        return HomogPoly(nvars, degree, ())
+    def zero(nvars: int, degree: int, char: int) -> "HomogPoly":
+        return HomogPoly(nvars, degree, (), char)
 
     @staticmethod
     def variable(nvars: int, i: int, field) -> "HomogPoly":
         if not 0 <= i < nvars:
             raise ValueError("variable index %d out of range" % i)
         mono = tuple(1 if j == i else 0 for j in range(nvars))
-        return HomogPoly(nvars, 1, ((mono, field.one),))
+        return HomogPoly(nvars, 1, ((mono, field.one),), field.char)
 
     @staticmethod
-    def monomial(mono: Mono, coeff: Scalar) -> "HomogPoly":
-        return HomogPoly(len(mono), mono_degree(mono), ((mono, coeff),) if coeff else ())
+    def monomial(mono: Mono, coeff: Scalar, char: int) -> "HomogPoly":
+        return HomogPoly.from_dict(len(mono), mono_degree(mono), {mono: coeff}, char)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -145,6 +151,11 @@ class HomogPoly:
     def _check_compatible(self, other: "HomogPoly") -> None:
         if self.nvars != other.nvars:
             raise ValueError("mixed variable counts")
+        if self.char != other.char:
+            raise ValueError("mixed characteristics: %d vs %d" % (self.char, other.char))
+
+    def _from_terms(self, degree: int, coeffs: Mapping[Mono, Scalar]) -> "HomogPoly":
+        return HomogPoly.from_dict(self.nvars, degree, coeffs, self.char)
 
     def __add__(self, other: "HomogPoly") -> "HomogPoly":
         self._check_compatible(other)
@@ -158,18 +169,16 @@ class HomogPoly:
         for m, c in other.terms:
             s = acc.get(m)
             acc[m] = c if s is None else s + c
-        return HomogPoly.from_dict(self.nvars, self.degree, acc)
+        return self._from_terms(self.degree, acc)
 
     def __neg__(self) -> "HomogPoly":
-        return HomogPoly(self.nvars, self.degree, tuple((m, -c) for m, c in self.terms))
+        return self._from_terms(self.degree, {m: -c for m, c in self.terms})
 
     def __sub__(self, other: "HomogPoly") -> "HomogPoly":
         return self + (-other)
 
     def scale(self, c: Scalar) -> "HomogPoly":
-        if not c:
-            return HomogPoly.zero(self.nvars, self.degree)
-        return HomogPoly(self.nvars, self.degree, tuple((m, c * a) for m, a in self.terms))
+        return self._from_terms(self.degree, {m: c * a for m, a in self.terms})
 
     def __mul__(self, other: "HomogPoly") -> "HomogPoly":
         """Commutative product in the underlying polynomial ring."""
@@ -181,7 +190,7 @@ class HomogPoly:
                 c = c1 * c2
                 s = acc.get(m)
                 acc[m] = c if s is None else s + c
-        return HomogPoly.from_dict(self.nvars, self.degree + other.degree, acc)
+        return self._from_terms(self.degree + other.degree, acc)
 
     def evaluate(self, coords: Sequence[Scalar], field) -> Scalar:
         """Value at an affine coordinate tuple (not scale-invariant)."""
@@ -194,7 +203,7 @@ class HomogPoly:
                 if e:
                     v = v * x**e
             total = total + v
-        return total
+        return field.reduce(total)
 
 
 def poly_to_vector(f: HomogPoly, field) -> list[int]:
@@ -206,11 +215,11 @@ def poly_to_vector(f: HomogPoly, field) -> list[int]:
     return row
 
 
-def vector_to_poly(vec: Sequence[Scalar], nvars: int, degree: int) -> HomogPoly:
+def vector_to_poly(vec: Sequence[Scalar], nvars: int, degree: int, char: int) -> HomogPoly:
     basis = monomials(nvars, degree)
     if len(vec) != len(basis):
         raise ValueError("vector length %d, basis size %d" % (len(vec), len(basis)))
-    return HomogPoly(nvars, degree, tuple((m, c) for m, c in zip(basis, vec) if c))
+    return HomogPoly.from_dict(nvars, degree, dict(zip(basis, vec)), char)
 
 
 _TERM_RE = re.compile(
@@ -234,7 +243,7 @@ def parse_poly(text: str, nvars: int, field, degree: int | None = None) -> Homog
     if s in ("0", ""):
         if degree is None:
             raise ValueError("zero polynomial needs an explicit degree")
-        return HomogPoly.zero(nvars, degree)
+        return HomogPoly.zero(nvars, degree, field.char)
     acc: dict[Mono, Scalar] = {}
     seen_degree: int | None = None
     pos = 0
@@ -272,7 +281,7 @@ def parse_poly(text: str, nvars: int, field, degree: int | None = None) -> Homog
         first = False
     if degree is not None and seen_degree != degree:
         raise ValueError("parsed degree %d, expected %d" % (seen_degree, degree))
-    return HomogPoly.from_dict(nvars, seen_degree, acc)
+    return HomogPoly.from_dict(nvars, seen_degree, acc, field.char)
 
 
 def _format_mono(m: Mono) -> str:

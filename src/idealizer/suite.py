@@ -106,8 +106,6 @@ def jsonable(value):
         return [jsonable(v) for v in value]
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
-    if hasattr(value, "value") and hasattr(value, "modulus"):
-        return int(value.value)
     raise TypeError("cannot serialize %r" % (value,))
 
 

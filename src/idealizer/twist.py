@@ -85,7 +85,7 @@ class TwistRing:
         return HomogPoly.variable(self.nvars, i, self.field)
 
     def monomial_polys(self, n: int) -> list[HomogPoly]:
-        return [HomogPoly.monomial(m, self.field.one) for m in self.basis(n)]
+        return [HomogPoly.monomial(m, 1, self.field.char) for m in self.basis(n)]
 
     def products(self, lefts, rights):
         """Yield the twisted products f . g = phi^(deg g)(f) * g.
@@ -127,9 +127,9 @@ class TwistRing:
         for a in range(max_total_degree + 1):
             for b in range(max_total_degree + 1 - a):
                 for fm in self.basis(a):
-                    f = HomogPoly.monomial(fm, self.field.one)
+                    f = HomogPoly.monomial(fm, 1, self.field.char)
                     for gm in self.basis(b):
-                        g = HomogPoly.monomial(gm, self.field.one)
+                        g = HomogPoly.monomial(gm, 1, self.field.char)
                         # f .op g is g . f computed in this ring
                         lhs = self.power(-(a + b)).apply(self.mul(g, f))
                         rhs = opposite.mul(
@@ -208,7 +208,7 @@ def _vanishing_vectors(ring: TwistRing, point: ProjPoint, n: int) -> list:
 def kernel_form(ring: TwistRing, vec) -> HomogPoly:
     """The linear form of a kernel vector, scaled so its last nonzero coefficient is 1."""
     last = next(x for x in reversed(vec) if x)
-    return vector_to_poly(scalar_row(vec, ring.field, last), ring.nvars, 1)
+    return vector_to_poly(scalar_row(vec, ring.field, last), ring.nvars, 1, ring.field.char)
 
 
 def point_ideal_forms(ring: TwistRing, point: ProjPoint) -> list[HomogPoly]:
@@ -243,7 +243,7 @@ def associativity_sample(ring: TwistRing, trials: int, seed: int, max_degree: in
         for m in monomials(ring.nvars, deg):
             if rng.random() < 0.6:
                 coeffs[m] = ring.field.from_int(rng.randint(-4, 4))
-        return HomogPoly.from_dict(ring.nvars, deg, coeffs)
+        return HomogPoly.from_dict(ring.nvars, deg, coeffs, ring.field.char)
 
     for _ in range(trials):
         a, b, c = (rng.randint(1, max_degree) for _ in range(3))

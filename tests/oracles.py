@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from idealizer.automorphism import AutoMap
-from idealizer.fields import int_row
+from idealizer.fields import int_row, scalar_row
 from idealizer.linalg import Echelon, GradedSubspace, intersect, kernel, span
 from idealizer.poly import HomogPoly, basis_dim, basis_index, monomial_basis, poly_to_vector
 from idealizer.twist import GradedIdeal, TwistRing, point_ideal_forms
@@ -31,8 +31,9 @@ def residual_quotient_row(idl, ideal, shifted, source_degree):
     target = ideal.piece(source_degree + shifted.degree)
     row = []
     for mono in monomial_basis(idl.ring.d, source_degree):
-        prod = shifted * HomogPoly.monomial(mono, idl.field.one)
-        coords = target.quotient_coords(poly_to_vector(prod, idl.field))
+        prod = shifted * HomogPoly.monomial(mono, 1, idl.field.char)
+        ints, den = target.quotient_coords(poly_to_vector(prod, idl.field))
+        coords = scalar_row(ints, idl.field, den)
         if len(coords) != 1:
             raise ArithmeticError("point ideal piece is not of codimension one")
         row.append(coords[0])
@@ -196,7 +197,7 @@ def phi_tensor_invariance(ctx, auto, m):
     piece = ctx.diagonal_ideal_piece(m)
     dim_m = basis_dim(ctx.nvars, m)
     basis = monomial_basis(ctx.d, m)
-    images = [auto.apply(HomogPoly.monomial(mu, ctx.field.one)) for mu in basis]
+    images = [auto.apply(HomogPoly.monomial(mu, 1, ctx.field.char)) for mu in basis]
     vecs = [[g.coeff(nu, ctx.field) for nu in basis] for g in images]
     image_vecs = []
     for row in piece.rows:

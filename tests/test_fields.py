@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from idealizer.fields import QQ, PrimeField, Residue, field_from_name, is_prime
+from idealizer.fields import QQ, PrimeField, field_from_name, is_prime
 
 
 def test_is_prime_small_values():
@@ -29,14 +29,24 @@ def test_prime_field_arithmetic():
     F = PrimeField(7)
     a = F.from_int(3)
     b = F.from_int(5)
-    assert (a + b) == F.from_int(1)
-    assert (a * b) == F.from_int(1)
-    assert (a - b) == F.from_int(5)
-    assert (b / a) == F.from_int(4)  # 5 * 3^-1 = 5 * 5 = 25 = 4
-    assert (-a) == F.from_int(4)
-    assert a**6 == F.one
+    assert F.reduce(a + b) == F.from_int(1)
+    assert F.reduce(a * b) == F.from_int(1)
+    assert F.reduce(a - b) == F.from_int(5)
+    assert F.reduce(b * F.inv(a)) == F.from_int(4)  # 5 * 3^-1 = 5 * 5 = 25 = 4
+    assert F.reduce(-a) == F.from_int(4)
+    assert F.reduce(a**6) == F.one
     assert bool(F.zero) is False
     assert bool(a) is True
+    with pytest.raises(ZeroDivisionError):
+        F.inv(F.from_int(14))
+
+
+def test_rational_field_reduce_and_inv():
+    assert QQ.reduce(Fraction(6, 4)) == Fraction(3, 2)
+    assert QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+    assert QQ.inv(4) == Fraction(1, 4)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
 
 
 def test_prime_field_rejects_composite_modulus():
@@ -49,13 +59,6 @@ def test_prime_field_from_fraction():
     assert F.from_fraction(Fraction(1, 2)) == F.from_int(6)
     with pytest.raises(ZeroDivisionError):
         F.from_fraction(Fraction(1, 11))
-
-
-def test_residue_modulus_mismatch():
-    a = Residue(1, 7)
-    b = Residue(1, 11)
-    with pytest.raises(ValueError):
-        a + b
 
 
 def test_field_from_name():

@@ -20,6 +20,7 @@ from idealizer.poly import (
     poly_to_vector,
     vector_to_poly,
 )
+from idealizer.twist import TwistRing
 
 
 def test_monomial_helpers():
@@ -60,10 +61,17 @@ def test_poly_degree_mismatch_rejected():
         x0 + sq
 
 
+def test_mixed_characteristics_rejected():
+    a = HomogPoly.variable(3, 0, PrimeField(7))
+    b = HomogPoly.variable(3, 0, PrimeField(11))
+    with pytest.raises(ValueError):
+        a + b
+
+
 def test_poly_vector_round_trip():
     f = parse_poly("x0^2 - 3*x1*x2", 3, QQ)
     vec = poly_to_vector(f, QQ)
-    assert vector_to_poly(vec, 3, 2) == f
+    assert vector_to_poly(vec, 3, 2, QQ.char) == f
     assert len(vec) == basis_dim(3, 2)
 
 
@@ -120,9 +128,9 @@ def test_apply_fixes_constants_for_a_non_diagonal_map():
     ]
     A = AutoMap.from_matrix(rows, QQ)
     assert A.diagonal is None
-    c = HomogPoly.monomial((0, 0, 0), QQ.from_int(5))
+    c = HomogPoly.monomial((0, 0, 0), QQ.from_int(5), QQ.char)
     assert A.apply(c) == c
-    assert A.apply(HomogPoly.zero(3, 0)) == HomogPoly.zero(3, 0)
+    assert A.apply(HomogPoly.zero(3, 0, QQ.char)) == HomogPoly.zero(3, 0, QQ.char)
 
 
 def test_pullback_inverts_image():
@@ -164,7 +172,7 @@ def _poly(st, field, max_degree=3):
     def of_degree(deg):
         monos = monomials(NVARS, deg)
         return st.lists(_scalar(st, field), min_size=len(monos), max_size=len(monos)).map(
-            lambda cs: HomogPoly.from_dict(NVARS, deg, dict(zip(monos, cs)))
+            lambda cs: HomogPoly.from_dict(NVARS, deg, dict(zip(monos, cs)), field.char)
         )
 
     return st.integers(0, max_degree).flatmap(of_degree)
@@ -218,12 +226,16 @@ def test_apply_respects_compose(field, A, B, f):
 def test_apply_then_evaluate_is_evaluate_at_image(field, A, f, P):
     # point_image rescales A^T P to its canonical representative Q = lam * A^T P,
     # and f is homogeneous, so f(Q) = lam^deg f(A^T P)
-    raw = [sum((A.matrix[j][i] * P.coords[j] for j in range(NVARS)), field.zero) for i in range(NVARS)]
+    raw = [
+        field.reduce(sum(A.matrix[j][i] * P.coords[j] for j in range(NVARS)))
+        for i in range(NVARS)
+    ]
     Q = point_image(A, P)
     k = next(i for i, x in enumerate(raw) if x)
-    lam = Q.coords[k] / raw[k]
-    assert list(Q.coords) == [lam * x for x in raw]
-    assert lam**f.degree * evaluate_at(A.apply(f), P, field) == evaluate_at(f, Q, field)
+    lam = field.reduce(Q.coords[k] * field.inv(raw[k]))
+    assert list(Q.coords) == [field.reduce(lam * x) for x in raw]
+    lhs = field.reduce(lam**f.degree * evaluate_at(A.apply(f), P, field))
+    assert lhs == evaluate_at(f, Q, field)
 
 
 @property_test(lambda st: _field_and(st, _automap, _poly))
@@ -243,3 +255,79 @@ def test_diagonal_fast_path_matches_substitution(field, A, f):
 @property_test(lambda st: _field_and(st, _poly))
 def test_format_parse_round_trip(field, f):
     assert parse_poly(format_poly(f, field), NVARS, field, degree=f.degree) == f
+
+
+# -- GF(p) arithmetic against Q arithmetic on integer data, then reduced --------------
+
+
+def _int_data(st):
+    """Integer coefficients for f and g, a scale c and a 3 x 3 integer matrix."""
+
+    def coeffs(deg):
+        monos = monomials(NVARS, deg)
+        return st.lists(st.integers(-40, 40), min_size=len(monos), max_size=len(monos)).map(
+            lambda cs: dict(zip(monos, cs))
+        )
+
+    poly = st.integers(0, 3).flatmap(lambda deg: st.tuples(st.just(deg), coeffs(deg)))
+    entries = st.lists(st.integers(-40, 40), min_size=NVARS * NVARS, max_size=NVARS * NVARS)
+    return st.tuples(
+        st.sampled_from((PrimeField(7), PrimeField(10007))),
+        poly,
+        poly,
+        st.integers(-40, 40),
+        entries,
+        st.booleans(),
+    )
+
+
+def _reduced_terms(f, p):
+    """The Q polynomial's terms with every coefficient reduced mod p, zeros dropped."""
+    return {m: c % p for m, c in f.terms if c % p}
+
+
+def _maps(entries, diagonal, F):
+    """The same integer automorphism over Q and over F, or None if singular mod p."""
+    if diagonal:
+        ms = entries[:NVARS - 1]
+        if any(F.from_int(x) == 0 for x in ms):
+            return None
+        return AutoMap.diagonal_family(ms, QQ), AutoMap.diagonal_family(
+            [F.from_int(x) for x in ms], F
+        )
+    rows = [entries[NVARS * i:NVARS * (i + 1)] for i in range(NVARS)]
+    try:
+        over_p = AutoMap.from_matrix([[F.from_int(x) for x in r] for r in rows], F)
+    except ValueError:
+        return None
+    return AutoMap.from_matrix(rows, QQ), over_p
+
+
+@property_test(_int_data, max_examples=60)
+def test_prime_arithmetic_is_rational_arithmetic_reduced(F, fdata, gdata, c, entries, diagonal):
+    p = F.char
+    (df, cf), (dg, cg) = fdata, gdata
+    fq, gq = HomogPoly.from_dict(NVARS, df, cf, 0), HomogPoly.from_dict(NVARS, dg, cg, 0)
+    fp, gp = HomogPoly.from_dict(NVARS, df, cf, p), HomogPoly.from_dict(NVARS, dg, cg, p)
+    pairs = [(fq * gq, fp * gp), (fq.scale(c), fp.scale(c)), (-fq, -fp), (fq, fp)]
+    if df == dg:
+        pairs.append((fq + gq, fp + gp))
+        pairs.append((fq - gq, fp - gp))
+    maps = _maps(entries, diagonal, F)
+    if maps is not None:
+        pairs.append((maps[0].apply(fq), maps[1].apply(fp)))
+    for over_q, over_p in pairs:
+        assert over_p.char == p
+        assert all(type(x) is int and 1 <= x < p for _, x in over_p.terms)
+        assert dict(over_p.terms) == _reduced_terms(over_q, p)
+
+
+def test_twist_power_reduces_mod_p():
+    """diag(2, 3) has order 6 mod 7: its sixth power must compose to the identity."""
+    F = PrimeField(7)
+    ring = TwistRing(2, AutoMap.diagonal_family([F.from_int(2), F.from_int(3)], F), F)
+    assert not ring.power(3).is_identity()
+    sixth = ring.power(6)
+    assert sixth.is_identity()
+    assert sixth.diagonal == (1, 1, 1)
+    assert ring.power(-6).diagonal == (1, 1, 1)
