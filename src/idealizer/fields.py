@@ -75,21 +75,10 @@ def is_prime(n: int) -> bool:
 class RationalField:
     """The field of arbitrary-precision rationals (characteristic 0)."""
 
-    @property
-    def char(self) -> int:
-        return 0
-
-    @property
-    def name(self) -> str:
-        return "rational"
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
+    char = 0
+    name = "rational"
+    zero, one = 0, 1
+    render = staticmethod(str)
 
     def from_int(self, n: int) -> int:
         return n
@@ -107,8 +96,6 @@ class RationalField:
     def inv(self, x: Scalar) -> Fraction:
         return Fraction(1, x)
 
-    render = staticmethod(str)
-
     def __repr__(self):
         return "QQ"
 
@@ -121,6 +108,8 @@ class PrimeField:
     """GF(p) for a prime p.  A fast heuristic surrogate for the rationals."""
 
     p: int
+    zero, one = 0, 1
+    render = staticmethod(str)
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -133,14 +122,6 @@ class PrimeField:
     @property
     def name(self) -> str:
         return "prime:%d" % self.p
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
 
     def from_int(self, n: int) -> int:
         return n % self.p
@@ -162,8 +143,6 @@ class PrimeField:
         if not x % self.p:
             raise ZeroDivisionError("inverting zero in GF(%d)" % self.p)
         return pow(x, -1, self.p)
-
-    render = staticmethod(str)
 
     def __repr__(self):
         return "GF(%d)" % self.p
