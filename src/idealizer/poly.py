@@ -7,9 +7,9 @@ Every vector and matrix in the package is written over this order, and
 it is never changed.
 
 A ``HomogPoly`` is a sparse sorted tuple of (monomial, coefficient)
-pairs with no zero coefficients, tagged with its field characteristic.  The ``*`` operator is the commutative
-product of the underlying polynomial ring; twisted products live in the
-ring objects, never here.
+pairs with no zero coefficients, tagged with its field characteristic.
+The ``*`` operator is the commutative product of the underlying
+polynomial ring; twisted products live in the ring objects, never here.
 """
 
 from __future__ import annotations
@@ -118,7 +118,9 @@ class HomogPoly:
                 )
 
     @staticmethod
-    def from_dict(nvars: int, degree: int, coeffs: Mapping[Mono, Scalar], char: int) -> "HomogPoly":
+    def from_dict(
+        nvars: int, degree: int, coeffs: Mapping[Mono, Scalar], char: int
+    ) -> "HomogPoly":
         items = sorted(coeffs.items(), reverse=True)
         if char:
             items = [(m, c % char) for m, c in items]
@@ -154,7 +156,7 @@ class HomogPoly:
         if self.char != other.char:
             raise ValueError("mixed characteristics: %d vs %d" % (self.char, other.char))
 
-    def _from_terms(self, degree: int, coeffs: Mapping[Mono, Scalar]) -> "HomogPoly":
+    def _from_coeffs(self, degree: int, coeffs: Mapping[Mono, Scalar]) -> "HomogPoly":
         return HomogPoly.from_dict(self.nvars, degree, coeffs, self.char)
 
     def __add__(self, other: "HomogPoly") -> "HomogPoly":
@@ -169,16 +171,16 @@ class HomogPoly:
         for m, c in other.terms:
             s = acc.get(m)
             acc[m] = c if s is None else s + c
-        return self._from_terms(self.degree, acc)
+        return self._from_coeffs(self.degree, acc)
 
     def __neg__(self) -> "HomogPoly":
-        return self._from_terms(self.degree, {m: -c for m, c in self.terms})
+        return self._from_coeffs(self.degree, {m: -c for m, c in self.terms})
 
     def __sub__(self, other: "HomogPoly") -> "HomogPoly":
         return self + (-other)
 
     def scale(self, c: Scalar) -> "HomogPoly":
-        return self._from_terms(self.degree, {m: c * a for m, a in self.terms})
+        return self._from_coeffs(self.degree, {m: c * a for m, a in self.terms})
 
     def __mul__(self, other: "HomogPoly") -> "HomogPoly":
         """Commutative product in the underlying polynomial ring."""
@@ -190,7 +192,7 @@ class HomogPoly:
                 c = c1 * c2
                 s = acc.get(m)
                 acc[m] = c if s is None else s + c
-        return self._from_terms(self.degree + other.degree, acc)
+        return self._from_coeffs(self.degree + other.degree, acc)
 
     def evaluate(self, coords: Sequence[Scalar], field) -> Scalar:
         """Value at an affine coordinate tuple (not scale-invariant)."""
