@@ -156,8 +156,8 @@ def _parse_ideal(instance: Instance, text: str) -> tuple[GradedIdeal, str]:
             k = int(spec[len("orbit:"):])
         except ValueError as exc:
             raise ConfigError("bad orbit index in %r" % spec) from exc
-        forms = [ring.power(k).apply(f) for f in instance.idealizer.forms]
-        return GradedIdeal(ring, forms), "orbit:%d" % k
+        pt = orbit_points(ring.phi, instance.point, abs(k)).points[k]
+        return PointIdeal(ring, pt), "orbit:%d" % k
     if spec.startswith("gens:"):
         parts = [s for s in spec[len("gens:"):].split(";") if s.strip()]
         if not parts:

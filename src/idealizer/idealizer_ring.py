@@ -14,8 +14,8 @@ c, so a constraint row is multiply-then-evaluate.  The test suite keeps
 an oracle that takes every constraint up to a cap and reduces against a
 recursively built I.
 
-Spans stop at a proven rank ceiling, and each ceiling is guarded so that
-a bug cannot hide behind it:
+Spans and kernels stop at a proven rank ceiling, and each ceiling is
+guarded so that a bug cannot hide behind it:
 
 - a span inside U_m has rank at most dim U_m (the default ceiling of
   ``linalg.span``; is_piece reaches it once IS fills U_m), which needs no
@@ -23,16 +23,17 @@ a bug cannot hide behind it:
 - (T_+^2)_n lies in T_n because T is a ring, so decomposable_piece stops
   at dim T_n; reaching it, the span must equal T_n, a free comparison of
   canonical forms;
-- the idealizer contains its ideal, so I_{nm} lies in R'_m and every
-  Veronese constraint row vanishes on I_{nm} = ker(ev_c).  The constraint
-  matrix therefore has rank at most codim I_{nm} = 1, and
-  veronese_idealizer_piece stops at its first nonzero row.  That row
-  must be a multiple of the evaluation row, which holds iff
-  ker(ev_c) lies in its kernel; the check costs O(dim U_{nm}) and never
-  builds I_{nm}.
+- the idealizer contains its ideal, so I_n lies in T_n and I_{nm} in
+  R'_m: every constraint row of T_n and of the Veronese idealizer R'_m
+  vanishes on I_k = ker(ev_c), k = n or nm.  Each constraint matrix
+  therefore has rank at most codim I_k = 1, and ``_constraint_kernel``
+  stops at its first nonzero row.  That row must be a multiple of the
+  evaluation row, which holds iff ker(ev_c) lies in its kernel; the check
+  costs O(dim U_k), and the kernel is then the cached I_k.
 
-A violated guard raises ``ArithmeticError``.  The uncapped routes live
-with the test oracles.
+A violated guard raises ``ArithmeticError``.  The uncapped routes (the
+kernel of every constraint row of T_n or R'_m, spans that read every
+generator) live with the test oracles.
 
 Everything downstream is a finite-dimensional witness: Hilbert functions
 of S/IS and S/T, minimal generator counts of T, and the comparison of
@@ -88,16 +89,33 @@ class IdealizerRing:
         ]
         return int_row(row, self.field)
 
+    def _constraint_kernel(self, rows, degree: int) -> GradedSubspace:
+        """The kernel in U_degree of constraint rows that vanish on I_degree.
+
+        The matrix has rank at most codim I_degree = 1 (see the module
+        notes), so the rows are read lazily and the first nonzero one
+        decides: it must be a multiple of evaluation at the point, and
+        then the kernel is I_degree.  With no nonzero row it is U_degree.
+        """
+        row = next((r for r in rows if any(r)), None)
+        if row is None:
+            width = basis_dim(self.ring.nvars, degree)
+            return span(kernel([], width, self.field), self.ring.ambient(degree), self.field)
+        values = monomial_values(self.point.coords, self.field, degree)
+        if rank_rows([values, row], len(row), self.field) != 1:
+            raise ArithmeticError("constraint row is not a multiple of evaluation at the point")
+        return self.I.piece(degree)
+
     def idealizer_piece(self, n: int) -> GradedSubspace:
-        """T_n as a subspace of U_n."""
+        """T_n as a subspace of U_n: ``_constraint_kernel`` of the d rows
+        phi^n(f) . x in I_{n+1}, one per linear form f of I_1."""
         if n < 0:
             raise ValueError("degree must be nonnegative")
         cached = self._pieces.get(n)
         if cached is not None:
             return cached
-        rows = [self._quotient_row(self.ring.twisted(n, f), n) for f in self.forms]
-        vecs = kernel(rows, basis_dim(self.ring.nvars, n), self.field)
-        piece = span(vecs, self.ring.ambient(n), self.field)
+        rows = (self._quotient_row(self.ring.twisted(n, f), n) for f in self.forms)
+        piece = self._constraint_kernel(rows, n)
         self._pieces[n] = piece
         return piece
 
@@ -112,22 +130,20 @@ class IdealizerRing:
         distinct, collision = distinct_window(window)
         dims = [self.t_dim(n) for n in range(max_degree + 1)]
         ideal_dims = [self.I.dim(n) for n in range(max_degree + 1)]
-        first_failure = None
-        agree = dims[0] == 1
-        if dims[0] != 1:
-            first_failure = 0
-        for n in range(1, max_degree + 1):
-            if self.idealizer_piece(n) != self.I.piece(n):
-                agree = False
-                if first_failure is None:
-                    first_failure = n
-                break
+        first_failure = next(
+            (
+                n
+                for n in range(max_degree + 1)
+                if (dims[0] != 1 if n == 0 else self.idealizer_piece(n) != self.I.piece(n))
+            ),
+            None,
+        )
         return {
             "orbit_distinct": distinct,
             "collision": collision,
             "dims": dims,
             "ideal_dims": ideal_dims,
-            "agrees": agree,
+            "agrees": first_failure is None,
             "first_failure": first_failure,
         }
 
@@ -210,37 +226,24 @@ class IdealizerRing:
 
         One constraint row per basis element b of I_{nj}, j <= cap: the
         coordinate of phi^{nm}(b) . x in U_{nj+nm}/I_{nj+nm}.  The rows
-        are built lazily and the first nonzero one decides R'_m, because
-        the constraint matrix has rank at most one (see the module notes).
+        vanish on I_{nm}, so ``_constraint_kernel`` reads them lazily and
+        the first nonzero one decides R'_m (at m = 0 every row is zero).
         """
-        if m == 0:
-            return span([[1]], self.ring.ambient(0), self.field)
         rows = (
             self._quotient_row(self.ring.twisted(n * m, b), n * m)
             for j in range(1, j_cap + 1)
             for b in self.I.piece(n * j).basis_polys()
         )
-        row = next((r for r in rows if any(r)), None)
-        if row is not None:
-            values = monomial_values(self.point.coords, self.field, n * m)
-            if rank_rows([values, row], len(row), self.field) != 1:
-                raise ArithmeticError(
-                    "Veronese constraint row is not a multiple of evaluation at the point"
-                )
-        vecs = kernel([] if row is None else [row], basis_dim(self.ring.nvars, n * m), self.field)
-        return span(vecs, self.ring.ambient(n * m), self.field)
+        return self._constraint_kernel(rows, n * m)
 
-    def veronese_idealizer_compare(
-        self, n: int, max_piece: int, j_cap: int | None = None
-    ) -> dict:
+    def veronese_idealizer_compare(self, n: int, max_piece: int) -> dict:
         """Compare (T^(n))_m with R'_m for 0 <= m <= N.
 
         Agreement from some degree on is the finite witness that the two
         rings differ in at most finitely many degrees; D is the least
         such degree inside the window, or None if the top degree differs.
         """
-        if j_cap is None:
-            j_cap = -(-max_piece // 2) + 1
+        j_cap = -(-max_piece // 2) + 1
         agree = []
         dims = []
         for m in range(max_piece + 1):
@@ -248,13 +251,7 @@ class IdealizerRing:
             r_piece = self.veronese_idealizer_piece(n, m, j_cap)
             agree.append(t_piece == r_piece)
             dims.append((t_piece.dim, r_piece.dim))
-        last_false = None
-        for m in range(max_piece + 1):
-            if not agree[m]:
-                last_false = m
-        least = 0 if last_false is None else last_false + 1
-        if least > max_piece:
-            least = None
+        least = next((m for m in range(max_piece + 1) if all(agree[m:])), None)
         return {
             "n": n,
             "max_piece": max_piece,

@@ -113,8 +113,6 @@ def second_prime(instance: Instance) -> int:
     """Deterministic companion prime for the prime-mode cross-check."""
     digest = hashlib.sha256(instance.config.canonical_text().encode()).hexdigest()
     candidate = 10007 + 2 * (int(digest, 16) % 5000)
-    if candidate % 2 == 0:
-        candidate += 1
     while not is_prime(candidate) or candidate == instance.field.char:
         candidate += 2
     return candidate
@@ -199,9 +197,9 @@ class _Context:
         return (self.N + 1) // 2
 
     @cached_property
-    def j_orbit(self) -> GradedIdeal:
+    def j_orbit(self) -> PointIdeal:
         """The ideal of the orbit point c_k."""
-        return GradedIdeal(self.ring, [self.ring.power(self.k).apply(f) for f in self.idl.forms])
+        return PointIdeal(self.ring, self.orbit.points[self.k])
 
     @cached_property
     def off(self) -> ProjPoint | None:

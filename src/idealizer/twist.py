@@ -13,11 +13,11 @@ Graded left ideals of S coincide with graded ideals of U because
 S_1 . J_n = phi^n(U_1) * J_n = U_1 * J_n, so left-ideal pieces follow
 the commutative recursion J_{n+1} = U_1 * J_n + (new generators).  That
 recursion serves every ideal given by generators (zero, maximal,
-principal, twisted point ideals).  The ideal of a point c is built
-without it: the ideal generated by the linear forms vanishing at c is
+principal).  The ideal of a point c, an orbit point c_k among them, is
+built without it: the ideal generated by the linear forms vanishing at c is
 saturated, so its degree-n piece is the kernel of evaluation at c on U_n,
-one row in closed form.  Right ideals do twist: (f S)_m = phi^{m-n}(f) *
-U_{m-n}.
+whose reduced echelon form is read off the evaluation row.  Right ideals
+do twist: (f S)_m = phi^{m-n}(f) * U_{m-n}.
 
 Automorphism powers are cached per ring.  Each cache value is built
 completely before the single dict store that publishes it, so warmed
@@ -33,7 +33,6 @@ from .fields import scalar_row
 from .linalg import GradedSubspace, kernel, poly_ambient, span, span_polys
 from .poly import (
     HomogPoly,
-    basis_dim,
     monomial_values,
     monomials,
     vector_to_poly,
@@ -199,12 +198,6 @@ class GradedIdeal:
         return value
 
 
-def _vanishing_vectors(ring: TwistRing, point: ProjPoint, n: int) -> list:
-    """Canonical kernel basis of evaluation at the point on U_n."""
-    row = monomial_values(point.coords, ring.field, n)
-    return kernel([row], basis_dim(ring.nvars, n), ring.field)
-
-
 def kernel_form(ring: TwistRing, vec) -> HomogPoly:
     """The linear form of a kernel vector, scaled so its last nonzero coefficient is 1."""
     last = next(x for x in reversed(vec) if x)
@@ -215,14 +208,18 @@ def point_ideal_forms(ring: TwistRing, point: ProjPoint) -> list[HomogPoly]:
     """Canonical basis of the linear forms vanishing at the point."""
     if point.nvars != ring.nvars:
         raise ValueError("point arity does not match the ring")
-    return [kernel_form(ring, v) for v in _vanishing_vectors(ring, point, 1)]
+    row = monomial_values(point.coords, ring.field, 1)
+    return [kernel_form(ring, v) for v in kernel([row], ring.nvars, ring.field)]
 
 
 class PointIdeal(GradedIdeal):
     """The ideal of a point c, generated by the linear forms vanishing at c.
 
     The ideal is saturated, so I_n = ker(ev_c) on U_n for every n >= 1
-    and each piece is built from one evaluation row, with no recursion.
+    (and I_0 = 0).  Each piece is written down from the evaluation row
+    ev, with no recursion and no elimination: for L the last monomial
+    with ev[L] != 0, the rows ev[L] x_k - ev[k] x_L, k != L, have
+    distinct pivots k and are already the reduced echelon form.
     """
 
     def __init__(self, ring: TwistRing, point: ProjPoint):
@@ -230,8 +227,15 @@ class PointIdeal(GradedIdeal):
         self.point = point
 
     def _build_piece(self, n: int) -> GradedSubspace:
-        vecs = _vanishing_vectors(self.ring, self.point, n)
-        return span(vecs, self.ring.ambient(n), self.ring.field)
+        ev = monomial_values(self.point.coords, self.ring.field, n)
+        last = max(k for k, v in enumerate(ev) if v)
+        rows = []
+        for k, v in enumerate(ev):
+            if k != last:
+                row = [0] * len(ev)
+                row[k], row[last] = ev[last], -v
+                rows.append(row)
+        return span(rows, self.ring.ambient(n), self.ring.field)
 
 
 def associativity_sample(ring: TwistRing, trials: int, seed: int, max_degree: int = 3) -> bool:

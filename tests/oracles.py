@@ -104,6 +104,13 @@ def is_piece_uncapped(idl, m):
     return _span_all_polys(polys, idl.ring.ambient(m), idl.field)
 
 
+def idealizer_piece_uncapped(idl, n):
+    """T_n from the kernel of all d constraint rows phi^n(I_1) . x <= I_{n+1}."""
+    rows = [idl._quotient_row(idl.ring.twisted(n, f), n) for f in idl.forms]
+    vecs = kernel(rows, basis_dim(idl.ring.nvars, n), idl.field)
+    return span_all(vecs, idl.ring.ambient(n), idl.field)
+
+
 def veronese_idealizer_piece_uncapped(idl, n, m, j_cap):
     """R'_m from the kernel of every constraint row, j <= cap."""
     if m == 0:

@@ -139,6 +139,14 @@ def test_hom_table_orbit_ideal(capsys):
     assert "# total: 1" in out
 
 
+def test_hom_table_far_orbit_ideal(capsys):
+    """c_3000 is one more point: no automorphism power is taken."""
+    code, out, _ = _run(capsys, "hom-table", "--J", "orbit:3000", "--max-degree", "2")
+    assert code == 0
+    rows = [line for line in out.split("\n") if line and not line.startswith("#")]
+    assert rows[1:] == ["0,0", "1,0", "2,0"]
+
+
 def test_hom_table_point_spec(capsys):
     code, out, _ = _run(capsys, "hom-table", "--J", "point:1,5,7", *COMMON)
     assert code == 0

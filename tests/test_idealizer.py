@@ -10,6 +10,7 @@ import pytest
 from oracles import (
     decomposable_piece_uncapped,
     idealizer_piece_full,
+    idealizer_piece_uncapped,
     is_piece_uncapped,
     veronese_idealizer_piece_residual,
     veronese_idealizer_piece_uncapped,
@@ -156,7 +157,8 @@ CEILING_CASES = [
 def test_capped_routes_match_uncapped(field, multipliers, point):
     """Stopping at a rank ceiling changes no piece, n <= 6."""
     idl = _instance(multipliers, field, point)
-    for n in range(1, 7):
+    for n in range(7):
+        assert idl.idealizer_piece(n) == idealizer_piece_uncapped(idl, n)
         assert idl.is_piece(n) == is_piece_uncapped(idl, n)
         assert idl.decomposable_piece(n) == decomposable_piece_uncapped(idl, n)
     for m in range(4):
@@ -178,15 +180,19 @@ def test_decomposable_ceiling_guard_fires(monkeypatch):
 
 
 def test_veronese_rank_one_guard_fires(monkeypatch):
-    """A first constraint row off the evaluation row is an error."""
-    idl = _instance()
-    real = idl._quotient_row
+    """A first constraint row off the evaluation row is an error, for R'_m and T_n."""
+    for piece in (
+        lambda idl: idl.veronese_idealizer_piece(2, 1, 3),
+        lambda idl: idl.idealizer_piece(2),
+    ):
+        idl = _instance()
+        real = idl._quotient_row
 
-    def broken(g, source_degree):
-        row = real(g, source_degree)
-        row[0] = row[0] + 1
-        return row
+        def broken(g, source_degree, real=real):
+            row = real(g, source_degree)
+            row[0] = row[0] + 1
+            return row
 
-    monkeypatch.setattr(idl, "_quotient_row", broken)
-    with pytest.raises(ArithmeticError, match="not a multiple of evaluation"):
-        idl.veronese_idealizer_piece(2, 1, 3)
+        monkeypatch.setattr(idl, "_quotient_row", broken)
+        with pytest.raises(ArithmeticError, match="not a multiple of evaluation"):
+            piece(idl)
