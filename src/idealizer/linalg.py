@@ -238,8 +238,8 @@ def span(
       guards it by comparing the capped span with T_n, a free comparison
       of canonical forms, and raises ``ArithmeticError`` on a mismatch.
 
-    The third ceiling, rank one for the Veronese constraint matrix, is
-    taken and guarded in ``idealizer_ring``.
+    The third ceiling, rank one for the constraint matrices of T_n and
+    of the Veronese idealizer, is taken and guarded in ``idealizer_ring``.
     """
     cap = ambient.dim if cap is None else cap
     ech = Echelon(ambient.dim, field)

@@ -188,7 +188,7 @@ def test_veronese_rank_one_guard_fires(monkeypatch):
         idl = _instance()
         real = idl._quotient_row
 
-        def broken(g, source_degree, real=real):
+        def broken(g, source_degree):
             row = real(g, source_degree)
             row[0] = row[0] + 1
             return row
