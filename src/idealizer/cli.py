@@ -24,6 +24,7 @@ from .orbit import (
     distinct_window,
     general_position_rank,
     multiplicative_independence,
+    orbit_point,
     orbit_points,
 )
 from .poly import basis_dim, format_poly, parse_poly
@@ -156,8 +157,7 @@ def _parse_ideal(instance: Instance, text: str) -> tuple[GradedIdeal, str]:
             k = int(spec[len("orbit:"):])
         except ValueError as exc:
             raise ConfigError("bad orbit index in %r" % spec) from exc
-        pt = orbit_points(ring.phi, instance.point, abs(k)).points[k]
-        return PointIdeal(ring, pt), "orbit:%d" % k
+        return PointIdeal(ring, orbit_point(ring.phi, instance.point, k)), "orbit:%d" % k
     if spec.startswith("gens:"):
         parts = [s for s in spec[len("gens:"):].split(";") if s.strip()]
         if not parts:

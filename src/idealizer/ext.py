@@ -17,6 +17,13 @@ is ranked at most once per complex, module and degree: the rank is kept
 on the module, so it is freed with it, and Ext^i reuses the ranks of
 delta^i and delta^(i-1) that its neighbours already paid for.
 
+Every product here is an int-row product through ``poly.product_index``;
+no polynomial is multiplied.  The hom spaces and the probes report
+dimensions, so they count them from ranks and never build the spaces:
+dim Hom_n is dim U_n - rank M - dim J_n for the constraint matrix M, and
+dim (fS meet T)_m is dim fS + dim T - dim (fS + T).  Each keeps an exact
+guard on the space it no longer builds.
+
 The probes at the end are the finite-dimensional noetherian witnesses:
 for f in T_n they tabulate (S/(fS + T))_m and ((fS meet T)/fT)_m and
 compare the supports with the vanishing set of f along the orbit.
@@ -29,9 +36,9 @@ from math import comb, lcm
 
 from .automorphism import evaluate_at
 from .idealizer_ring import IdealizerRing
-from .linalg import intersect, kernel, rank_rows, span, span_polys
+from .linalg import rank_rows, span
 from .orbit import orbit_points
-from .poly import HomogPoly, basis_dim, monomial_basis, poly_to_vector
+from .poly import HomogPoly, basis_dim, poly_to_vector, row_product, times_monomial
 from .twist import GradedIdeal
 
 __all__ = [
@@ -69,24 +76,23 @@ class QuotientModule:
         """Matrix of multiplication by a linear form, degree n to n + 1."""
         if n < 0:
             return [[] for _ in range(self.dim(n + 1))]
-        basis = monomial_basis(self.ring.d, n)
-        monos = [basis[k] for k in self.piece(n).nonpivot_columns()]
-        return _mult_rows(form, monos, self.piece(n + 1), self.ring.field)
+        return _mult_rows(form, self.piece(n).nonpivot_columns, self.piece(n + 1), self.ring.field)
 
 
-def _mult_rows(g: HomogPoly, monos, target, field) -> list[list[int]]:
-    """Int matrix of x -> g * x from the span of monos into U / target.
+def _mult_rows(g: HomogPoly, indices, target, field) -> list[list[int]]:
+    """Int matrix of x -> g * x from the span of the monomials m_k, k in
+    ``indices``, into U / target.
 
-    It is exact for one nonzero multiple of g: poly_to_vector scales
-    every g * mono alike, and the columns share one denominator, the lcm
-    of their own.  That rescales a hom constraint block's rows and
-    conjugates a Koszul differential by a diagonal rescaling of the e_A,
-    so no kernel or rank sees it.  A scale per column would change ranks.
+    It is exact for one nonzero multiple of g: every column g * m is the
+    one int row of g scattered by m, so all share its scale, and the
+    columns share one denominator, the lcm of their own.  That rescales
+    a hom constraint block's rows and conjugates a Koszul differential
+    by a diagonal rescaling of the e_A, so no kernel or rank sees it.  A
+    scale per column would change ranks.
     """
-    cols = [
-        target.quotient_coords(poly_to_vector(g * HomogPoly.monomial(m, 1, field.char), field))
-        for m in monos
-    ]
+    u = poly_to_vector(g, field)
+    a, b = g.degree, target.ambient.degree - g.degree
+    cols = [target.quotient_coords(times_monomial(u, k, g.nvars, a, b)) for k in indices]
     denom = lcm(*(den for _, den in cols))
     cols = [[v * (denom // den) for v in col] for col, den in cols]
     return [[col[r] for col in cols] for r in range(target.ambient.dim - target.dim)]
@@ -174,23 +180,29 @@ class ExtEngine:
         """dim of { x in U_n : phi^n(I_1) . x <= J_{n+1} } / J_n.
 
         Generation of J as a left ideal makes the degree-1 constraints
-        sufficient, and this count equals ext_S_twisted(0, J, n).
+        sufficient, and this count equals ext_S_twisted(0, J, n).  The
+        solutions are ker M for the constraint matrix M, so the count is
+        dim U_n - rank M - dim J_n; the guard that J_n lies in ker M is the
+        exact product M x for every row x of J_n.
         """
         if n < 0:
             return 0
+        width = basis_dim(self.ring.nvars, n)
         target = J.piece(n + 1)
-        basis = monomial_basis(self.ring.d, n)
         rows = [
             r
             for f in self.idealizer.forms
-            for r in _mult_rows(self.ring.twisted(n, f), basis, target, self.field)
+            for r in _mult_rows(self.ring.twisted(n, f), range(width), target, self.field)
         ]
-        vecs = kernel(rows, len(basis), self.field)
-        sol = span(vecs, self.ring.ambient(n), self.field)
         inner = J.piece(n)
-        if not sol.contains_subspace(inner):
-            raise ArithmeticError("J_n escapes its own hom constraints")
-        return sol.dim - inner.dim
+        p = self.field.char
+        for x in inner.rows:
+            terms = [(k, v) for k, v in enumerate(x) if v]
+            for r in rows:
+                s = sum(r[k] * v for k, v in terms)
+                if (s % p if p else s) != 0:
+                    raise ArithmeticError("J_n escapes its own hom constraints")
+        return width - rank_rows(rows, width, self.field) - inner.dim
 
     def hom_table(self, J: GradedIdeal, max_degree: int) -> list[int]:
         return [self.hom_S_quotient(J, n) for n in range(max_degree + 1)]
@@ -210,16 +222,21 @@ class ExtEngine:
         for m in range(n, max_degree + 1):
             fS = self.ring.principal_right_piece(f, m)
             T = idl.idealizer_piece(m)
-            coker.append(basis_dim(self.ring.nvars, m) - fS.sum(T).dim)
-            meet = intersect(fS, T)
-            fT = span_polys(
-                self.ring.products([f], idl.idealizer_piece(m - n).basis_polys()),
+            total = fS.sum(T).dim
+            coker.append(basis_dim(self.ring.nvars, m) - total)
+            # f . t = phi^(m-n)(f) * t for t in T_{m-n}
+            u = poly_to_vector(self.ring.twisted(m - n, f), self.field)
+            fT = span(
+                (
+                    row_product(u, t, self.ring.nvars, n, m - n, self.field.char)
+                    for t in idl.idealizer_piece(m - n).rows
+                ),
                 self.ring.ambient(m),
                 self.field,
             )
-            if not meet.contains_subspace(fT):
+            if not (fS.contains_subspace(fT) and T.contains_subspace(fT)):
                 raise ArithmeticError("fT escapes fS meet T")
-            torsion.append(meet.dim - fT.dim)
+            torsion.append(fS.dim + T.dim - total - fT.dim)
             value = evaluate_at(f, window.points[n - m], self.field)
             predicted.append(not bool(value))
         degrees = list(range(n, max_degree + 1))

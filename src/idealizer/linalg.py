@@ -25,6 +25,10 @@ coefficients are scalars in either field, and every caller only spans
 them or tests them up to proportionality; ``quotient_coords``, the one
 exact, not scale-free, result, returns an int row with its denominator.
 
+``intersect`` has no caller in the package, which counts the dimension
+of a meet from a sum; it is kept for the benchmark's span list and for
+the test oracles.
+
 ``mat_mul`` and ``mat_vec`` multiply scalar matrices (automorphisms) and
 reduce each entry with ``field.reduce``.
 """
@@ -32,6 +36,7 @@ reduce each entry with ``field.reduce``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -171,13 +176,16 @@ class GradedSubspace:
     def dim(self) -> int:
         return len(self.rows)
 
+    @cached_property
     def nonpivot_columns(self) -> tuple[int, ...]:
+        """The columns of the quotient basis, computed once per subspace."""
         pset = set(self.pivots)
         return tuple(j for j in range(self.ambient.dim) if j not in pset)
 
-    def residual(self, vec: Sequence[int]) -> list[int]:
+    def _reduce(self, vec: Sequence[int]) -> tuple[list[int], int]:
         """vec minus its projection onto this subspace (vec[j] times the RREF
-        row of each pivot j), times the lcm of those rows' int pivots."""
+        row of each pivot j), times the lcm of those rows' int pivots; and
+        that lcm."""
         n = self.ambient.dim
         if len(vec) != n:
             raise ValueError("vector length mismatch")
@@ -190,7 +198,11 @@ class GradedSubspace:
                 if row[k]:
                     res[k] -= c * row[k]
         p = self.field.char
-        return [x % p for x in res] if p else res
+        return ([x % p for x in res] if p else res), scale
+
+    def residual(self, vec: Sequence[int]) -> list[int]:
+        """vec minus its projection onto this subspace, scaled to an int row."""
+        return self._reduce(vec)[0]
 
     def contains_vector(self, vec: Sequence[int]) -> bool:
         return not any(self.residual(vec))
@@ -205,9 +217,8 @@ class GradedSubspace:
     def quotient_coords(self, vec: Sequence[int]) -> tuple[list[int], int]:
         """Exact coordinates of vec, as given, in the quotient basis (non-pivot
         columns): an int row and the denominator it is over (1 mod p)."""
-        res = self.residual(vec)
-        scale = lcm(*(row[j] for j, row in zip(self.pivots, self.rows) if vec[j]))
-        return [res[j] for j in self.nonpivot_columns()], scale
+        res, scale = self._reduce(vec)
+        return [res[j] for j in self.nonpivot_columns], scale
 
     def basis_polys(self) -> list[HomogPoly]:
         """The canonical rows as polynomials with integer coefficients."""

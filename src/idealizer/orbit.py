@@ -30,6 +30,7 @@ __all__ = [
     "distinct_window",
     "general_position_rank",
     "multiplicative_independence",
+    "orbit_point",
     "orbit_points",
 ]
 
@@ -48,6 +49,15 @@ class OrbitWindow:
 
     def point(self, n: int) -> ProjPoint:
         return self.points[n]
+
+
+def orbit_point(auto: AutoMap, start: ProjPoint, n: int) -> ProjPoint:
+    """The single point c_n, c_0 = start, in |n| steps along n's side of the orbit."""
+    step = pullback_point if n > 0 else point_image
+    pt = start
+    for _ in range(abs(n)):
+        pt = step(auto, pt)
+    return pt
 
 
 def orbit_points(auto: AutoMap, start: ProjPoint, window: int) -> OrbitWindow:

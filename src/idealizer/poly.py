@@ -10,6 +10,14 @@ A ``HomogPoly`` is a sparse sorted tuple of (monomial, coefficient)
 pairs with no zero coefficients, tagged with its field characteristic.
 The ``*`` operator is the commutative product of the underlying
 polynomial ring; twisted products live in the ring objects, never here.
+
+The ideal recursion, the right ideals and the Ext matrices multiply int
+rows, not polynomials, through one product: ``product_index(nvars, a,
+b)`` is the table of basis indices of m_i * m_j in degree a + b, built
+lazily and cached, ``row_product`` multiplies two int rows over it, and
+``times_monomial`` is its case of a monomial factor, a scatter of the
+other row.  ``*`` remains for the checks of polynomial arithmetic
+itself: associativity, the opposite-ring transport and ``AutoMap.apply``.
 """
 
 from __future__ import annotations
@@ -33,6 +41,9 @@ __all__ = [
     "monomial_values",
     "monomials",
     "parse_poly",
+    "product_index",
+    "row_product",
+    "times_monomial",
 ]
 
 Mono = tuple[int, ...]
@@ -74,6 +85,48 @@ def basis_dim(nvars: int, degree: int) -> int:
     if degree < 0:
         return 0
     return comb(degree + nvars - 1, nvars - 1)
+
+
+@lru_cache(maxsize=None)
+def product_index(nvars: int, a: int, b: int) -> tuple[tuple[int, ...], ...]:
+    """Row i, column j: the basis index of m_i * m_j in degree a + b, for
+    m_i the i-th monomial of degree a and m_j the j-th of degree b."""
+    idx = basis_index(nvars, a + b)
+    right = monomials(nvars, b)
+    return tuple(tuple(idx[mono_mul(m, r)] for r in right) for m in monomials(nvars, a))
+
+
+def row_product(
+    u: Sequence[int], v: Sequence[int], nvars: int, a: int, b: int, p: int
+) -> list[int]:
+    """The int row of f * g, for f of degree a with int row u and g of
+    degree b with int row v, reduced mod p once at the end (p = 0: over Q).
+
+    The product of the scales of u and v is the scale of the result.
+    """
+    table = product_index(nvars, a, b)
+    out = [0] * basis_dim(nvars, a + b)
+    right = [(j, y) for j, y in enumerate(v) if y]
+    for x, cols in zip(u, table):
+        if x:
+            for j, y in right:
+                out[cols[j]] += x * y
+    return [c % p for c in out] if p else out
+
+
+def times_monomial(row: Sequence[int], j: int, nvars: int, a: int, b: int) -> list[int]:
+    """The int row of m_j * f, for m_j the j-th monomial of degree b and f
+    of degree a with int row ``row``.
+
+    It is a scatter of ``row``, so it keeps the scale and the reduction
+    of ``row``.
+    """
+    cols = product_index(nvars, b, a)[j]
+    out = [0] * basis_dim(nvars, a + b)
+    for i, x in enumerate(row):
+        if x:
+            out[cols[i]] = x
+    return out
 
 
 @lru_cache(maxsize=None)

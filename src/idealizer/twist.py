@@ -13,11 +13,15 @@ Graded left ideals of S coincide with graded ideals of U because
 S_1 . J_n = phi^n(U_1) * J_n = U_1 * J_n, so left-ideal pieces follow
 the commutative recursion J_{n+1} = U_1 * J_n + (new generators).  That
 recursion serves every ideal given by generators (zero, maximal,
-principal).  The ideal of a point c, an orbit point c_k among them, is
-built without it: the ideal generated by the linear forms vanishing at c is
-saturated, so its degree-n piece is the kernel of evaluation at c on U_n,
-whose reduced echelon form is read off the evaluation row.  Right ideals
-do twist: (f S)_m = phi^{m-n}(f) * U_{m-n}.
+principal), and runs on int rows: J_n is spanned by the rows of J_{n-1}
+scattered by each x_v through ``poly.product_index`` and by the degree-n
+generators, each converted once, so no polynomial is multiplied.  The
+ideal of a point c, an orbit point c_k among them, is built without it:
+the ideal generated by the linear forms vanishing at c is saturated, so
+its degree-n piece is the kernel of evaluation at c on U_n, whose reduced
+echelon form is read off the evaluation row.  Right ideals do twist:
+(f S)_m = phi^{m-n}(f) * U_{m-n}, spanned by the int row of phi^{m-n}(f)
+scattered by each monomial of degree m - n.
 
 Automorphism powers are cached per ring.  Each cache value is built
 completely before the single dict store that publishes it, so warmed
@@ -33,8 +37,11 @@ from .fields import scalar_row
 from .linalg import GradedSubspace, kernel, poly_ambient, span, span_polys
 from .poly import (
     HomogPoly,
+    basis_dim,
     monomial_values,
     monomials,
+    poly_to_vector,
+    times_monomial,
     vector_to_poly,
 )
 
@@ -108,10 +115,14 @@ class TwistRing:
         return span_polys(self.products(v.basis_polys(), w.basis_polys()), target, self.field)
 
     def principal_right_piece(self, f: HomogPoly, m: int) -> GradedSubspace:
+        """(f S)_m: the int row of phi^b(f), b = m - deg f, times each monomial of degree b."""
         target = self.ambient(m)
         if m < f.degree or f.is_zero():
-            return span_polys([], target, self.field)
-        return span_polys(self.products([f], self.monomial_polys(m - f.degree)), target, self.field)
+            return span([], target, self.field)
+        a, b = f.degree, m - f.degree
+        u = poly_to_vector(self.twisted(b, f), self.field)
+        rows = (times_monomial(u, j, self.nvars, a, b) for j in range(basis_dim(self.nvars, b)))
+        return span(rows, target, self.field)
 
     def opposite_iso_check(self, max_total_degree: int):
         """Verify degreewise that psi_n = phi^{-n} maps the opposite ring
@@ -168,15 +179,14 @@ class GradedIdeal:
         return value
 
     def _build_piece(self, n: int) -> GradedSubspace:
-        """J_n = U_1 * J_{n-1} + (generators of degree n)."""
+        """J_n = U_1 * J_{n-1} + (generators of degree n), on int rows."""
         ring = self.ring
-        polys = [g for g in self.gens if g.degree == n]
+        rows = [poly_to_vector(g, ring.field) for g in self.gens if g.degree == n]
         if n > 0:
-            prev = self.piece(n - 1)
+            prev = self.piece(n - 1).rows
             for v in range(ring.nvars):
-                xv = HomogPoly.variable(ring.nvars, v, ring.field)
-                polys.extend(xv * f for f in prev.basis_polys())
-        return span_polys(polys, ring.ambient(n), ring.field)
+                rows.extend(times_monomial(r, v, ring.nvars, n - 1, 1) for r in prev)
+        return span(rows, ring.ambient(n), ring.field)
 
     def dim(self, n: int) -> int:
         return self.piece(n).dim

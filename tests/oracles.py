@@ -1,15 +1,19 @@
 """Slow reference computations that tests compare the package against.
 
 Each oracle takes a route the package does not use: point ideals built
-by the degree recursion over their linear generators, quotient
-coordinates obtained by reduction against those pieces, spans that read
-every generator with no rank ceiling, Segre witness spaces in raw pair
-coordinates, and multiplicative relations found by exhaustive search
-over small exponents.  They are exact but only affordable in low degree.
+by the degree recursion over their linear generators, ideal pieces and
+products built from ``HomogPoly`` products, hom spaces and probe meets
+built as subspaces where the package counts their dimensions from ranks,
+quotient coordinates obtained by reduction against those pieces, spans
+that read every generator with no rank ceiling, Segre witness spaces in
+raw pair coordinates, and multiplicative relations found by exhaustive
+search over small exponents.  They are exact but only affordable in low
+degree.
 """
 
 from fractions import Fraction
 from itertools import product as iter_product
+from math import lcm
 
 from idealizer.automorphism import AutoMap
 from idealizer.fields import int_row, scalar_row
@@ -122,6 +126,73 @@ def veronese_idealizer_piece_uncapped(idl, n, m, j_cap):
     ]
     vecs = kernel(rows, basis_dim(idl.ring.nvars, n * m), idl.field)
     return span_all(vecs, idl.ring.ambient(n * m), idl.field)
+
+
+# -- ideal pieces, hom spaces and probes from polynomial products -----------------
+
+
+def recursive_piece_polys(ideal, n):
+    """J_n = U_1 * J_{n-1} + (generators of degree n), with every product a HomogPoly."""
+    ring = ideal.ring
+    polys = [g for g in ideal.gens if g.degree == n]
+    if n > 0:
+        prev = recursive_piece_polys(ideal, n - 1)
+        for v in range(ring.nvars):
+            xv = HomogPoly.variable(ring.nvars, v, ring.field)
+            polys.extend(xv * f for f in prev.basis_polys())
+    return _span_all_polys(polys, ring.ambient(n), ring.field)
+
+
+def _mult_rows_polys(g, degree, target, field):
+    """Int matrix of x -> g * x from U_degree into U / target, column by HomogPoly product."""
+    cols = [
+        target.quotient_coords(poly_to_vector(g * HomogPoly.monomial(m, 1, field.char), field))
+        for m in monomial_basis(g.nvars - 1, degree)
+    ]
+    denom = lcm(*(den for _, den in cols))
+    cols = [[v * (denom // den) for v in col] for col, den in cols]
+    return [[col[r] for col in cols] for r in range(target.ambient.dim - target.dim)]
+
+
+def hom_S_quotient_kernel(engine, J, n):
+    """dim Hom_n as the span of the constraint kernel, checked to hold J_n, less dim J_n."""
+    if n < 0:
+        return 0
+    ring, field = engine.ring, engine.field
+    target = recursive_piece_polys(J, n + 1)
+    rows = [
+        r
+        for f in engine.idealizer.forms
+        for r in _mult_rows_polys(ring.twisted(n, f), n, target, field)
+    ]
+    sol = span_all(kernel(rows, basis_dim(ring.nvars, n), field), ring.ambient(n), field)
+    inner = recursive_piece_polys(J, n)
+    if not sol.contains_subspace(inner):
+        raise ArithmeticError("J_n escapes its own hom constraints")
+    return sol.dim - inner.dim
+
+
+def probe_dims_intersect(engine, f, max_degree):
+    """The probe's cokernel and torsion dimensions, with fS meet T built by ``intersect``.
+
+    fS and fT are spans of HomogPoly products f . g = phi^(deg g)(f) * g.
+    """
+    ring, field, idl = engine.ring, engine.field, engine.idealizer
+    n = f.degree
+    coker, torsion = [], []
+    for m in range(n, max_degree + 1):
+        amb = ring.ambient(m)
+        fS = _span_all_polys(ring.products([f], ring.monomial_polys(m - n)), amb, field)
+        T = idl.idealizer_piece(m)
+        coker.append(amb.dim - fS.sum(T).dim)
+        meet = intersect(fS, T)
+        fT = _span_all_polys(
+            ring.products([f], idl.idealizer_piece(m - n).basis_polys()), amb, field
+        )
+        if not meet.contains_subspace(fT):
+            raise ArithmeticError("fT escapes fS meet T")
+        torsion.append(meet.dim - fT.dim)
+    return coker, torsion
 
 
 # -- Segre witness in raw pair coordinates ----------------------------------------

@@ -7,7 +7,9 @@ import json
 from oracles import brute_force_relation
 from properties import FIELDS, property_test
 
-from idealizer.cli import main
+from idealizer import orbit
+from idealizer.cli import _parse_ideal, main
+from idealizer.config import RingConfig
 
 
 def _run(capsys, *argv):
@@ -145,6 +147,32 @@ def test_hom_table_far_orbit_ideal(capsys):
     assert code == 0
     rows = [line for line in out.split("\n") if line and not line.startswith("#")]
     assert rows[1:] == ["0,0", "1,0", "2,0"]
+
+
+def test_orbit_spec_walks_one_side(monkeypatch):
+    """orbit:k takes |k| steps on k's side and reads the point of the window."""
+    instance = RingConfig().build()
+    steps = []
+
+    def counted(name):
+        real = getattr(orbit, name)
+
+        def step(auto, pt):
+            steps.append(name)
+            return real(auto, pt)
+
+        return step
+
+    for name in ("point_image", "pullback_point"):
+        monkeypatch.setattr(orbit, name, counted(name))
+    for k in (-5, -1, 0, 3, 7):
+        window = orbit.orbit_points(instance.ring.phi, instance.point, abs(k))
+        steps.clear()
+        J, label = _parse_ideal(instance, "orbit:%d" % k)
+        assert label == "orbit:%d" % k
+        assert J.point == window.points[k]
+        side = "pullback_point" if k > 0 else "point_image"
+        assert steps == [side] * abs(k)
 
 
 def test_hom_table_point_spec(capsys):

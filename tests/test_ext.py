@@ -4,21 +4,33 @@ Expected dimension tables were computed independently from the Koszul
 definitions (rank counts of explicit cochain matrices) and frozen here.
 """
 
-import pytest
+import random
 
+import pytest
+from oracles import hom_S_quotient_kernel, probe_dims_intersect, recursive_piece_polys
+
+from idealizer import ext
 from idealizer.automorphism import AutoMap, ProjPoint
 from idealizer.ext import ExtEngine, KoszulComplex, QuotientModule, euler_characteristic_check
-from idealizer.fields import QQ
+from idealizer.fields import QQ, PrimeField
 from idealizer.idealizer_ring import IdealizerRing
-from idealizer.linalg import rank_rows
-from idealizer.poly import parse_poly
+from idealizer.linalg import kernel, rank_rows, span
+from idealizer.orbit import orbit_point
+from idealizer.poly import (
+    HomogPoly,
+    basis_dim,
+    monomial_values,
+    monomials,
+    parse_poly,
+    vector_to_poly,
+)
 from idealizer.twist import GradedIdeal, PointIdeal, TwistRing, point_ideal_forms
 
 
-def _instance():
-    phi = AutoMap.diagonal_family([QQ.from_int(2), QQ.from_int(3)], QQ)
-    ring = TwistRing(2, phi, QQ)
-    c = ProjPoint.make([QQ.one, QQ.one, QQ.one], QQ)
+def _instance(multipliers=(2, 3), field=QQ, point=(1, 1, 1)):
+    phi = AutoMap.diagonal_family([field.from_int(p) for p in multipliers], field)
+    ring = TwistRing(len(multipliers), phi, field)
+    c = ProjPoint.make([field.from_int(v) for v in point], field)
     return IdealizerRing(ring, c)
 
 
@@ -232,3 +244,115 @@ def test_each_differential_is_ranked_once(engine, monkeypatch):
             euler_characteristic_check(engine.koszul, module, n)
     assert calls
     assert len(calls) == len(set(calls)) == 2 * 2 * 7
+
+
+# -- the int-row and rank routes against the polynomial and subspace routes ---------
+
+# generic; identity (phi = id); residual (a point fixed by phi); d = 3
+REGIMES = [
+    ((2, 3), (1, 1, 1)),
+    ((1, 1), (1, 1, 1)),
+    ((2, 3), (1, 0, 0)),
+    ((2, 3, 5), (1, 1, 1, 1)),
+]
+REGIME_IDS = ["generic", "identity", "residual", "d3"]
+FIELD_CASES = pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["Q", "GF10007"])
+
+
+def _ideals(idl):
+    ring, field = idl.ring, idl.field
+    off = ProjPoint.make([field.from_int(v) for v in (1, 5, 7, 11)[: ring.nvars]], field)
+    return {
+        "zero": GradedIdeal(ring, []),
+        "max": GradedIdeal(ring, [ring.variable(i) for i in range(ring.nvars)]),
+        "orbit": PointIdeal(ring, orbit_point(ring.phi, idl.point, 3)),
+        "off-orbit": PointIdeal(ring, off),
+        "principal": GradedIdeal(ring, [ring.variable(0)]),
+        "twisted-I": GradedIdeal(ring, [ring.power(5).apply(f) for f in idl.forms]),
+    }
+
+
+@FIELD_CASES
+@pytest.mark.parametrize("multipliers, point", REGIMES, ids=REGIME_IDS)
+def test_hom_rank_count_matches_kernel_span(field, multipliers, point):
+    """dim U_n - rank M - dim J_n is the dimension of the spanned kernel, n <= 6."""
+    idl = _instance(multipliers, field, point)
+    engine = ExtEngine(idl)
+    for label, J in _ideals(idl).items():
+        want = [hom_S_quotient_kernel(engine, J, n) for n in range(7)]
+        assert engine.hom_table(J, 6) == want, label
+
+
+@FIELD_CASES
+@pytest.mark.parametrize("multipliers, point", REGIMES, ids=REGIME_IDS)
+def test_probe_meet_count_matches_intersect(field, multipliers, point):
+    """dim fS + dim T - dim (fS + T) is the dimension of the Zassenhaus meet."""
+    idl = _instance(multipliers, field, point)
+    engine = ExtEngine(idl)
+    f1, f2 = idl.forms[:2]
+    for f in (f1, f2, f1 + f2, f1 * f2, _through_orbit(idl, 1, 2), _through_orbit(idl, 2, 4)):
+        rec = engine.right_noeth_probe(f, 6)
+        assert (rec["coker_dims"], rec["torsion_dims"]) == probe_dims_intersect(engine, f, 6)
+
+
+def _through_orbit(idl, degree, count):
+    """A form of the given degree vanishing at c_0, c_-1, ..., c_(1-count)."""
+    ring, field = idl.ring, idl.field
+    rows = [
+        monomial_values(orbit_point(ring.phi, idl.point, -k).coords, field, degree)
+        for k in range(count)
+    ]
+    vec = kernel(rows, basis_dim(ring.nvars, degree), field)[0]
+    return vector_to_poly(vec, ring.nvars, degree, field.char)
+
+
+def _random_gens(ring, seed):
+    rng = random.Random(seed)
+    gens = []
+    for deg in (1, 2, 2, 3):
+        coeffs = {m: ring.field.from_int(rng.randint(-3, 3)) for m in monomials(ring.nvars, deg)}
+        gens.append(HomogPoly.from_dict(ring.nvars, deg, coeffs, ring.field.char))
+    return gens
+
+
+@FIELD_CASES
+@pytest.mark.parametrize("d", [2, 3])
+def test_ideal_pieces_match_polynomial_recursion(field, d):
+    """J_n from scattered int rows equals J_n from HomogPoly products, n <= 6."""
+    ring = _instance((2, 3, 5)[:d], field, (1,) * (d + 1)).ring
+    cases = {
+        "max": [ring.variable(i) for i in range(ring.nvars)],
+        "principal": [ring.variable(0)],
+        "random": _random_gens(ring, d),
+        "random-top": _random_gens(ring, d)[2:],
+    }
+    for label, gens in cases.items():
+        J = GradedIdeal(ring, gens)
+        for n in range(7):
+            assert J.piece(n) == recursive_piece_polys(J, n), (label, n)
+
+
+def test_hom_guard_fires_when_J_escapes(monkeypatch):
+    """A constraint block that J_n does not satisfy is an error, not a count."""
+    engine = ExtEngine(_instance())
+    J = PointIdeal(engine.ring, engine.idealizer.point)
+    real = ext._mult_rows
+
+    def broken(*args):
+        rows = real(*args)
+        return [[v + 1 if k == 0 else v for k, v in enumerate(rows[0])]] + rows[1:]
+
+    monkeypatch.setattr(ext, "_mult_rows", broken)
+    with pytest.raises(ArithmeticError, match="J_n escapes its own hom constraints"):
+        engine.hom_S_quotient(J, 1)
+
+
+def test_probe_guard_fires_when_fT_escapes(monkeypatch):
+    """An fS that misses fT is an error, not a torsion count."""
+    engine = ExtEngine(_instance())
+    ring = engine.ring
+    monkeypatch.setattr(
+        ring, "principal_right_piece", lambda f, m: span([], ring.ambient(m), ring.field)
+    )
+    with pytest.raises(ArithmeticError, match="fT escapes fS meet T"):
+        engine.right_noeth_probe(parse_poly("x0 - x1", 3, QQ), 3)

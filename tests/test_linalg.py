@@ -57,7 +57,7 @@ def test_quotient_coords_vanish_on_members():
     assert scalar_row(row, QQ, den) == (Fraction(0),)
     row, den = V.quotient_coords(_q(1, 0))
     assert scalar_row(row, QQ, den) != (Fraction(0),)
-    assert len(V.nonpivot_columns()) == 1
+    assert len(V.nonpivot_columns) == 1
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import pytest
 from properties import FIELDS, property_test
 
 from idealizer.automorphism import AutoMap, ProjPoint, evaluate_at, point_image, pullback_point
-from idealizer.fields import QQ, PrimeField
+from idealizer.fields import QQ, PrimeField, int_row
 from idealizer.poly import (
     HomogPoly,
     basis_dim,
@@ -18,6 +18,8 @@ from idealizer.poly import (
     monomials,
     parse_poly,
     poly_to_vector,
+    row_product,
+    times_monomial,
     vector_to_poly,
 )
 from idealizer.twist import TwistRing
@@ -255,6 +257,45 @@ def test_diagonal_fast_path_matches_substitution(field, A, f):
 @property_test(lambda st: _field_and(st, _poly))
 def test_format_parse_round_trip(field, f):
     assert parse_poly(format_poly(f, field), NVARS, field, degree=f.degree) == f
+
+
+# -- the int-row product against the polynomial product, in 3-4 variables -----------
+
+
+def _product_case(st):
+    """A field, two polynomials of degrees <= 4 in 3 or 4 variables, a monomial index."""
+
+    def of(field, nvars, deg):
+        monos = monomials(nvars, deg)
+        return st.lists(_scalar(st, field), min_size=len(monos), max_size=len(monos)).map(
+            lambda cs: HomogPoly.from_dict(nvars, deg, dict(zip(monos, cs)), field.char)
+        )
+
+    def case(field, nvars, a, b):
+        j = st.integers(0, basis_dim(nvars, b) - 1)
+        return st.tuples(st.just(field), of(field, nvars, a), of(field, nvars, b), j)
+
+    return st.tuples(
+        st.sampled_from(FIELDS), st.integers(3, 4), st.integers(0, 4), st.integers(0, 4)
+    ).flatmap(lambda t: case(*t))
+
+
+@property_test(_product_case, max_examples=60)
+def test_row_product_is_poly_product(field, f, g, j):
+    """Exact mod p; over Q the same primitive row, so proportional by a positive scale."""
+    nvars, a, b = f.nvars, f.degree, g.degree
+    u, v = poly_to_vector(f, field), poly_to_vector(g, field)
+    mono = HomogPoly.monomial(monomials(nvars, b)[j], 1, field.char)
+    pairs = [
+        (row_product(u, v, nvars, a, b, field.char), poly_to_vector(f * g, field)),
+        (times_monomial(u, j, nvars, a, b), poly_to_vector(f * mono, field)),
+    ]
+    for got, want in pairs:
+        assert len(got) == basis_dim(nvars, a + b)
+        if field.char:
+            assert got == want
+        else:
+            assert int_row(got, field) == want
 
 
 # -- GF(p) arithmetic against Q arithmetic on integer data, then reduced --------------
