@@ -10,8 +10,10 @@ these digests keeps the reports.
 
 ``CLI_GOLDEN`` pins the default-format stdout of the table and probe
 commands, which reach what the suite does not: the twisted-module route
-of ``ext-table`` on the ``orbit:``, ``gens:`` and ``max`` ideal specs, a
-``point:`` hom table and a noetherian probe.
+of ``ext-table`` on the ``orbit:``, ``gens:`` and ``max`` ideal specs (the
+``orbit:`` spec also under the non-diagonal matrix, where a twisted point
+ideal is the ideal of a point moved by a full matrix), a ``point:`` hom
+table and a noetherian probe.
 """
 
 import contextlib
@@ -90,14 +92,28 @@ CLI_GOLDEN = [
         0,
         "04d6af130c6fe0ce243b3b905a79356602192ed981e42b8e7dc2a53a24667441",
     ),
+    (
+        ("ext-table", "--config", "matrix.json", "--J", "orbit:-2", "--max-degree", "4"),
+        0,
+        "031b5c5db38d2aa985fa1a9697a2e4182856df31eff7be6a96fd459415ac2942",
+    ),
+    (
+        ("ext-table", "--config", "matrix.json", "--J", "orbit:-2", "--max-degree", "4", "--field", "prime:7"),
+        0,
+        "541cc6bdfd1ee7d7ea751d9591303bf3e120676ec098ad3217fef3a63d512084",
+    ),
 ]
+
+
+def _write_configs(tmp_path, monkeypatch):
+    for name, data in CONFIGS.items():
+        (tmp_path / name).write_text(json.dumps(data), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
 
 
 @pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
 def test_verify_suite_digest(argv, code, digest, tmp_path, monkeypatch):
-    for name, data in CONFIGS.items():
-        (tmp_path / name).write_text(json.dumps(data), encoding="utf-8")
-    monkeypatch.chdir(tmp_path)
+    _write_configs(tmp_path, monkeypatch)
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         got = main(["verify-suite", "--format", "json", *argv])
@@ -106,7 +122,8 @@ def test_verify_suite_digest(argv, code, digest, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("argv,code,digest", CLI_GOLDEN, ids=[" ".join(g[0]) for g in CLI_GOLDEN])
-def test_cli_table_digest(argv, code, digest):
+def test_cli_table_digest(argv, code, digest, tmp_path, monkeypatch):
+    _write_configs(tmp_path, monkeypatch)
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         got = main(list(argv))
