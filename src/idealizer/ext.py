@@ -17,12 +17,18 @@ is ranked at most once per complex, module and degree: the rank is kept
 on the module, so it is freed with it, and Ext^i reuses the ranks of
 delta^i and delta^(i-1) that its neighbours already paid for.
 
-Every product here is an int-row product through ``poly.product_index``;
-no polynomial is multiplied.  The hom spaces and the probes report
-dimensions, so they count them from ranks and never build the spaces:
-dim Hom_n is dim U_n - rank M - dim J_n for the constraint matrix M, and
-dim (fS meet T)_m is dim fS + dim T - dim (fS + T).  Each keeps an exact
-guard on the space it no longer builds.
+Every product here is an int-row product through ``poly.product_index``,
+fed nonzero by nonzero into the target piece's cached quotient map; no
+polynomial is multiplied and no full-width product row is built.  The
+hom spaces and the probes report dimensions, so they count them from
+ranks and never build the spaces: dim Hom_n is dim U_n - rank M - dim J_n
+for the constraint matrix M.  The probe counts its sum in the quotient
+by T_m: dim (fS + T)_m is dim T_m plus the rank r of the image of the
+rows of (fS)_m in U_m/T_m, a dim fS x codim T_m matrix (codim T_m is 1
+in the generic regime), so S/(fS + T) has dimension codim T_m - r and
+(fS meet T)_m has dimension dim fS - r.  Each keeps an exact guard on
+the space it no longer builds: J_n lies in ker M, and fT lies in both
+fS and T.
 
 The probes at the end are the finite-dimensional noetherian witnesses:
 for f in T_n they tabulate (S/(fS + T))_m and ((fS meet T)/fT)_m and
@@ -32,13 +38,13 @@ compare the supports with the vanishing set of f along the orbit.
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 
 from .automorphism import evaluate_at
 from .idealizer_ring import IdealizerRing
 from .linalg import rank_rows, span
 from .orbit import orbit_points
-from .poly import HomogPoly, basis_dim, poly_to_vector, row_product, times_monomial
+from .poly import HomogPoly, basis_dim, poly_to_vector, product_index, row_product
 from .twist import GradedIdeal
 
 __all__ = [
@@ -83,18 +89,18 @@ def _mult_rows(g: HomogPoly, indices, target, field) -> list[list[int]]:
     """Int matrix of x -> g * x from the span of the monomials m_k, k in
     ``indices``, into U / target.
 
-    It is exact for one nonzero multiple of g: every column g * m is the
-    one int row of g scattered by m, so all share its scale, and the
-    columns share one denominator, the lcm of their own.  That rescales
-    a hom constraint block's rows and conjugates a Koszul differential
-    by a diagonal rescaling of the e_A, so no kernel or rank sees it.  A
-    scale per column would change ranks.
+    Column k is g * m_k: the nonzeros of g's int row, scattered by
+    ``poly.product_index``, go straight into the target's quotient map,
+    so no full-width row is built.  It is exact for one nonzero multiple
+    of g: every column shares the scale of g's int row and the one
+    denominator of the target's quotient map (the lcm of its int pivots
+    over Q, 1 mod p).  That rescales a hom constraint block's rows and
+    conjugates a Koszul differential by a diagonal rescaling of the e_A,
+    so no kernel or rank sees it.  A scale per column would change ranks.
     """
-    u = poly_to_vector(g, field)
-    a, b = g.degree, target.ambient.degree - g.degree
-    cols = [target.quotient_coords(times_monomial(u, k, g.nvars, a, b)) for k in indices]
-    denom = lcm(*(den for _, den in cols))
-    cols = [[v * (denom // den) for v in col] for col, den in cols]
+    terms = [(i, x) for i, x in enumerate(poly_to_vector(g, field)) if x]
+    table = product_index(g.nvars, target.ambient.degree - g.degree, g.degree)
+    cols = [target.quotient_terms((table[k][i], x) for i, x in terms)[0] for k in indices]
     return [[col[r] for col in cols] for r in range(target.ambient.dim - target.dim)]
 
 
@@ -222,8 +228,10 @@ class ExtEngine:
         for m in range(n, max_degree + 1):
             fS = self.ring.principal_right_piece(f, m)
             T = idl.idealizer_piece(m)
-            total = fS.sum(T).dim
-            coker.append(basis_dim(self.ring.nvars, m) - total)
+            # dim (fS + T) = dim T + rank of the image of fS in U/T
+            image = [T.quotient_coords(r)[0] for r in fS.rows]
+            rank = rank_rows(image, T.ambient.dim - T.dim, self.field)
+            coker.append(T.ambient.dim - T.dim - rank)
             # f . t = phi^(m-n)(f) * t for t in T_{m-n}
             u = poly_to_vector(self.ring.twisted(m - n, f), self.field)
             fT = span(
@@ -236,7 +244,7 @@ class ExtEngine:
             )
             if not (fS.contains_subspace(fT) and T.contains_subspace(fT)):
                 raise ArithmeticError("fT escapes fS meet T")
-            torsion.append(fS.dim + T.dim - total - fT.dim)
+            torsion.append(fS.dim - rank - fT.dim)
             value = evaluate_at(f, window.points[n - m], self.field)
             predicted.append(not bool(value))
         degrees = list(range(n, max_degree + 1))

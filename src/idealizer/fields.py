@@ -19,9 +19,9 @@ to a nonzero scale, and ``scalar_row`` converts an int row over a common
 denominator back, exactly.
 
 The rational field is the default everywhere.  Prime fields exist as a
-fast mode for large experiments; any conclusion drawn mod p is heuristic
-(dimensions can drop on specialization) and is flagged as such by the
-reporting layer.
+modular mode that bounds coefficient size; any conclusion drawn mod p is
+heuristic (dimensions can drop on specialization) and is flagged as such
+by the reporting layer.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ QQ = RationalField()
 
 @dataclass(frozen=True)
 class PrimeField:
-    """GF(p) for a prime p.  A fast heuristic surrogate for the rationals."""
+    """GF(p) for a prime p.  A heuristic surrogate for the rationals."""
 
     p: int
     zero, one = 0, 1

@@ -12,9 +12,21 @@ residues mod p.  One engine, ``Echelon``, computes every rank and RREF.
 Over Q elimination is fraction-free (cross-multiplication with gcd
 reduction) and each canonical row is the RREF row scaled to primitive
 integers with a positive pivot, which is still unique; mod p the pivot
-is 1.  Spans, ranks, kernels, residuals, containment, sums and
-intersections are scale-free: any row, in or out, may carry a nonzero
-scale of its own.
+is 1.  Spans, ranks, kernels, residuals, containment and intersections
+are scale-free: any row, in or out, may carry a nonzero scale of its
+own.
+
+Every question about U/V goes through one quotient map per subspace,
+built on first use and cached on it: with P the pivot columns and NP the
+rest, v maps to v[NP] - sum over j in P of v[j] row_j[NP] / row_j[j].
+It is stored per ambient column as (quotient index, coefficient) pairs
+over one denominator, the lcm of the int pivots over Q and 1 mod p, so
+``quotient_terms`` costs one pass over the nonzeros of the vector and
+``contains_vector`` asks whether every quotient coordinate is zero.  A
+sum V + W is never built: its dimension is dim W plus the rank of the
+image of V in U/W.  ``residual`` scatters the quotient coordinates back
+onto the non-pivot columns; the package no longer calls it, and it is
+kept for the benchmark's span list.
 
 Scalars enter only through ``fields.int_row`` (``poly_to_vector`` and the
 rows callers build from point values) and leave only through
@@ -182,30 +194,55 @@ class GradedSubspace:
         pset = set(self.pivots)
         return tuple(j for j in range(self.ambient.dim) if j not in pset)
 
-    def _reduce(self, vec: Sequence[int]) -> tuple[list[int], int]:
-        """vec minus its projection onto this subspace (vec[j] times the RREF
-        row of each pivot j), times the lcm of those rows' int pivots; and
-        that lcm."""
-        n = self.ambient.dim
-        if len(vec) != n:
-            raise ValueError("vector length mismatch")
-        hits = [(vec[j], j, row) for j, row in zip(self.pivots, self.rows) if vec[j]]
-        scale = lcm(*(row[j] for _, j, row in hits))
-        res = [scale * x for x in vec]
-        for c, j, row in hits:
-            c *= scale // row[j]
-            for k in range(j, n):
-                if row[k]:
-                    res[k] -= c * row[k]
+    @cached_property
+    def quotient_map(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+        """The projection U -> U/V, built once per subspace: a denominator D
+        (the lcm of the int pivots over Q, 1 mod p) and, per ambient column
+        c, the (quotient index, coefficient) pairs of D times the image of
+        e_c.  A non-pivot column is its own basis vector; the pivot column
+        of an RREF row r is -r[k]/r[c] on each non-pivot k."""
         p = self.field.char
-        return ([x % p for x in res] if p else res), scale
+        index = {j: i for i, j in enumerate(self.nonpivot_columns)}
+        denom = 1 if p else lcm(*(r[j] for j, r in zip(self.pivots, self.rows)))
+        cols: list[tuple[tuple[int, int], ...]] = [()] * self.ambient.dim
+        for j, i in index.items():
+            cols[j] = ((i, denom),)
+        for j, r in zip(self.pivots, self.rows):
+            s = denom // r[j]
+            cols[j] = tuple(
+                (index[k], (-x * s) % p if p else -x * s) for k, x in enumerate(r) if x and k != j
+            )
+        return denom, tuple(cols)
+
+    def quotient_terms(self, terms: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
+        """Exact coordinates in the quotient basis (non-pivot columns) of the
+        vector with the given (column, value) nonzeros: an int row and the
+        denominator it is over (1 mod p)."""
+        denom, cols = self.quotient_map
+        out = [0] * (self.ambient.dim - self.dim)
+        for c, x in terms:
+            for i, y in cols[c]:
+                out[i] += x * y
+        p = self.field.char
+        return ([v % p for v in out] if p else out), denom
+
+    def quotient_coords(self, vec: Sequence[int]) -> tuple[list[int], int]:
+        """``quotient_terms`` of a full int row."""
+        if len(vec) != self.ambient.dim:
+            raise ValueError("vector length mismatch")
+        return self.quotient_terms((c, x) for c, x in enumerate(vec) if x)
 
     def residual(self, vec: Sequence[int]) -> list[int]:
-        """vec minus its projection onto this subspace, scaled to an int row."""
-        return self._reduce(vec)[0]
+        """vec minus its projection onto this subspace, times the quotient
+        denominator: the quotient coordinates scattered onto the non-pivot
+        columns."""
+        out = [0] * self.ambient.dim
+        for j, v in zip(self.nonpivot_columns, self.quotient_coords(vec)[0]):
+            out[j] = v
+        return out
 
     def contains_vector(self, vec: Sequence[int]) -> bool:
-        return not any(self.residual(vec))
+        return not any(self.quotient_coords(vec)[0])
 
     def contains_poly(self, f: HomogPoly) -> bool:
         return self.contains_vector(poly_to_vector(f, self.field))
@@ -214,22 +251,12 @@ class GradedSubspace:
         self.ambient.require_same(other.ambient)
         return all(self.contains_vector(r) for r in other.rows)
 
-    def quotient_coords(self, vec: Sequence[int]) -> tuple[list[int], int]:
-        """Exact coordinates of vec, as given, in the quotient basis (non-pivot
-        columns): an int row and the denominator it is over (1 mod p)."""
-        res, scale = self._reduce(vec)
-        return [res[j] for j in self.nonpivot_columns], scale
-
     def basis_polys(self) -> list[HomogPoly]:
         """The canonical rows as polynomials with integer coefficients."""
         if self.ambient.kind != "poly":
             raise ValueError("basis_polys needs a polynomial ambient")
         amb = self.ambient
         return [vector_to_poly(r, amb.nvars, amb.degree, self.field.char) for r in self.rows]
-
-    def sum(self, other: "GradedSubspace") -> "GradedSubspace":
-        self.ambient.require_same(other.ambient)
-        return span(self.rows + other.rows, self.ambient, self.field)
 
 
 def span(

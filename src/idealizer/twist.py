@@ -19,9 +19,15 @@ generators, each converted once, so no polynomial is multiplied.  The
 ideal of a point c, an orbit point c_k among them, is built without it:
 the ideal generated by the linear forms vanishing at c is saturated, so
 its degree-n piece is the kernel of evaluation at c on U_n, whose reduced
-echelon form is read off the evaluation row.  Right ideals do twist:
-(f S)_m = phi^{m-n}(f) * U_{m-n}, spanned by the int row of phi^{m-n}(f)
-scattered by each monomial of degree m - n.
+echelon form is read off the evaluation row.  A twisted point ideal is
+again a point ideal: phi^k(I_c) is the ideal of the moved point P' =
+pullback_point(phi^k, c), because apply(A, f)(P') = f(c), so its pieces
+are read off the evaluation row at P' and no polynomial is substituted.
+Other ideals twist a piece by ``AutoMap.apply`` on its basis
+polynomials, the route the tests keep as the point ideals' oracle.
+
+Right ideals do twist: (f S)_m = phi^{m-n}(f) * U_{m-n}, spanned by the
+int row of phi^{m-n}(f) scattered by each monomial of degree m - n.
 
 Automorphism powers are cached per ring.  Each cache value is built
 completely before the single dict store that publishes it, so warmed
@@ -31,8 +37,9 @@ rings can be read from several threads.
 from __future__ import annotations
 
 import random
+from math import gcd
 
-from .automorphism import AutoMap, ProjPoint
+from .automorphism import AutoMap, ProjPoint, pullback_point
 from .fields import scalar_row
 from .linalg import GradedSubspace, kernel, poly_ambient, span, span_polys
 from .poly import (
@@ -172,7 +179,7 @@ class GradedIdeal:
         if got is not None:
             return got
         if n < 0:
-            value = span_polys([], poly_ambient(self.ring.nvars, 0), self.ring.field)
+            value = span([], self.ring.ambient(n), self.ring.field)
         else:
             value = self._build_piece(n)
         self._pieces[n] = value
@@ -229,23 +236,46 @@ class PointIdeal(GradedIdeal):
     (and I_0 = 0).  Each piece is written down from the evaluation row
     ev, with no recursion and no elimination: for L the last monomial
     with ev[L] != 0, the rows ev[L] x_k - ev[k] x_L, k != L, have
-    distinct pivots k and are already the reduced echelon form.
+    distinct pivots k and are already the reduced echelon form, and each
+    is scaled to its canonical int row here.
+
+    phi^power moves the ideal of c to the ideal of the point P' with
+    f(c) = apply(phi^power, f)(P'), so a twisted piece is a piece of the
+    moved point's ideal, built once per power.
     """
 
     def __init__(self, ring: TwistRing, point: ProjPoint):
         super().__init__(ring, point_ideal_forms(ring, point))
         self.point = point
+        self._moved: dict[int, PointIdeal] = {}
 
     def _build_piece(self, n: int) -> GradedSubspace:
         ev = monomial_values(self.point.coords, self.ring.field, n)
         last = max(k for k, v in enumerate(ev) if v)
-        rows = []
+        lead, p = ev[last], self.ring.field.char
+        inv = pow(lead, -1, p) if p else None
+        pivots, rows = [], []
         for k, v in enumerate(ev):
-            if k != last:
-                row = [0] * len(ev)
-                row[k], row[last] = ev[last], -v
-                rows.append(row)
-        return span(rows, self.ring.ambient(n), self.ring.field)
+            if k == last:
+                continue
+            row = [0] * len(ev)
+            if p:
+                row[k], row[last] = 1, -v * inv % p
+            else:
+                g = gcd(lead, v) if lead > 0 else -gcd(lead, v)
+                row[k], row[last] = lead // g, -v // g
+            pivots.append(k)
+            rows.append(tuple(row))
+        return GradedSubspace(self.ring.ambient(n), self.ring.field, tuple(pivots), tuple(rows))
+
+    def twisted_piece(self, power: int, n: int) -> GradedSubspace:
+        """The degree-n piece of the ideal of pullback_point(phi^power, c)."""
+        moved = self._moved.get(power)
+        if moved is None:
+            pt = pullback_point(self.ring.power(power), self.point)
+            moved = self if pt == self.point else PointIdeal(self.ring, pt)
+            self._moved[power] = moved
+        return moved.piece(n)
 
 
 def associativity_sample(ring: TwistRing, trials: int, seed: int, max_degree: int = 3) -> bool:

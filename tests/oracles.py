@@ -4,11 +4,12 @@ Each oracle takes a route the package does not use: point ideals built
 by the degree recursion over their linear generators, ideal pieces and
 products built from ``HomogPoly`` products, hom spaces and probe meets
 built as subspaces where the package counts their dimensions from ranks,
-quotient coordinates obtained by reduction against those pieces, spans
-that read every generator with no rank ceiling, Segre witness spaces in
-raw pair coordinates, and multiplicative relations found by exhaustive
-search over small exponents.  They are exact but only affordable in low
-degree.
+quotient coordinates obtained by reduction against those pieces, sums of
+subspaces as spans of both row sets where the package counts them in a
+quotient, spans that read every generator with no rank ceiling, Segre
+witness spaces in raw pair coordinates, and multiplicative relations
+found by exhaustive search over small exponents.  They are exact but
+only affordable in low degree.
 """
 
 from fractions import Fraction
@@ -25,6 +26,40 @@ from idealizer.twist import GradedIdeal, TwistRing, point_ideal_forms
 def recursive_point_ideal(ring, point):
     """The point ideal with pieces from the x_v * I_{n-1} recursion."""
     return GradedIdeal(ring, point_ideal_forms(ring, point))
+
+
+# -- reduction against RREF rows, and sums of subspaces -----------------------------
+
+
+def reduce_against(V, vec):
+    """vec minus its projection onto V (vec[j] times the RREF row of each
+    pivot j), times the lcm of those rows' int pivots; and that lcm."""
+    n = V.ambient.dim
+    if len(vec) != n:
+        raise ValueError("vector length mismatch")
+    hits = [(vec[j], j, row) for j, row in zip(V.pivots, V.rows) if vec[j]]
+    scale = lcm(*(row[j] for _, j, row in hits))
+    res = [scale * x for x in vec]
+    for c, j, row in hits:
+        c *= scale // row[j]
+        for k in range(j, n):
+            if row[k]:
+                res[k] -= c * row[k]
+    p = V.field.char
+    return ([x % p for x in res] if p else res), scale
+
+
+def quotient_coords_by_reduction(V, vec):
+    """Quotient coordinates of vec read off its reduction: the non-pivot
+    entries and the scale they are over."""
+    res, scale = reduce_against(V, vec)
+    return [res[j] for j in V.nonpivot_columns], scale
+
+
+def subspace_sum(v, w):
+    """V + W as the span of both row sets."""
+    v.ambient.require_same(w.ambient)
+    return span(v.rows + w.rows, v.ambient, v.field)
 
 
 # -- idealizer constraints by reduction -----------------------------------------
@@ -184,7 +219,7 @@ def probe_dims_intersect(engine, f, max_degree):
         amb = ring.ambient(m)
         fS = _span_all_polys(ring.products([f], ring.monomial_polys(m - n)), amb, field)
         T = idl.idealizer_piece(m)
-        coker.append(amb.dim - fS.sum(T).dim)
+        coker.append(amb.dim - subspace_sum(fS, T).dim)
         meet = intersect(fS, T)
         fT = _span_all_polys(
             ring.products([f], idl.idealizer_piece(m - n).basis_polys()), amb, field

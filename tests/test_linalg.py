@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from oracles import quotient_coords_by_reduction, reduce_against, subspace_sum
 from properties import FIELDS, property_test
 
 from idealizer.fields import QQ, PrimeField, int_row, scalar_row
@@ -98,8 +99,8 @@ def test_subspace_sum_and_quotient_dim():
     amb = poly_ambient(3, 1)
     V = span([_q(1, 0, 0)], amb, QQ)
     W = span([_q(0, 1, 0)], amb, QQ)
-    assert V.sum(W).dim == 2
-    assert V.sum(W).contains_subspace(V) and V.sum(W).dim - V.dim == 1
+    assert subspace_sum(V, W).dim == 2
+    assert subspace_sum(V, W).contains_subspace(V) and subspace_sum(V, W).dim - V.dim == 1
     assert V.contains_subspace(span([_q(3, 0, 0)], amb, QQ))
 
 
@@ -257,10 +258,33 @@ def test_intersection_dimension_formula(field, left, right):
     amb = free_ambient(width)
     V, W = span(_ints(a, field), amb, field), span(_ints(b, field), amb, field)
     meet = intersect(V, W)
-    assert meet.dim == V.dim + W.dim - V.sum(W).dim
+    assert meet.dim == V.dim + W.dim - subspace_sum(V, W).dim
     assert V.contains_subspace(meet) and W.contains_subspace(meet)
     both = a + b
-    assert V.sum(W).dim == (_sympy_matrix(both, width, field).rank() if both else 0)
+    assert subspace_sum(V, W).dim == (_sympy_matrix(both, width, field).rank() if both else 0)
+
+
+@property_test(
+    lambda st: _field_and(
+        st,
+        lambda F: st.integers(1, 5).flatmap(
+            lambda w: st.tuples(_matrix(st, F, 4, w), _matrix(st, F, 3, w, 1))
+        ),
+    )
+)
+def test_quotient_map_matches_reduction(field, subspace, vectors):
+    """The cached quotient map gives the exact quotient coordinates, residuals
+    and membership that reduction against the RREF rows gives."""
+    (a, width), (vecs, _) = subspace, vectors
+    V = span(_ints(a, field), free_ambient(width), field)
+    members = [[sum(x) for x in zip(*pair)] for pair in zip(V.rows, V.rows[1:])]
+    for v in _ints(vecs, field) + members + [list(r) for r in V.rows]:
+        row, den = V.quotient_coords(v)
+        want_row, want_den = quotient_coords_by_reduction(V, v)
+        assert scalar_row(row, field, den) == scalar_row(want_row, field, want_den)
+        res, scale = reduce_against(V, v)
+        assert scalar_row(V.residual(v), field, den) == scalar_row(res, field, scale)
+        assert V.contains_vector(v) == (not any(res))
 
 
 @_property(

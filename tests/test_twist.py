@@ -1,10 +1,11 @@
 """Twisted multiplication, graded ideals, and the opposite-ring identity."""
 
 import pytest
+from oracles import recursive_point_ideal
 
 from idealizer.automorphism import AutoMap, ProjPoint
 from idealizer.fields import QQ, PrimeField
-from idealizer.linalg import span_polys
+from idealizer.linalg import span, span_polys
 from idealizer.poly import format_poly, parse_poly
 from idealizer.twist import (
     GradedIdeal,
@@ -108,6 +109,68 @@ def test_point_ideal_matches_recursion(field, coords):
         assert fast.piece(n) == slow.piece(n)
         assert fast.twisted_piece(1, n) == slow.twisted_piece(1, n)
     assert [fast.dim(n) for n in range(1, 4)] == [_full_piece(S, n).dim - 1 for n in range(1, 4)]
+
+
+# a negative last coordinate makes ev[L] negative in odd degrees
+CANONICAL_POINTS = POINTS + [(2, 3, -5)]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["Q", "GF10007"])
+@pytest.mark.parametrize("coords", CANONICAL_POINTS, ids=[str(c) for c in CANONICAL_POINTS])
+def test_point_ideal_pieces_are_canonical(field, coords):
+    """The written-down rows are the RREF that ``span`` computes from the same rows."""
+    S = _ring(tuple(range(2, len(coords) + 1)), field)
+    pt = ProjPoint.make([field.from_int(c) for c in coords], field)
+    ideal = PointIdeal(S, pt)
+    for n in range(7):
+        piece = ideal.piece(n)
+        assert piece == span(piece.rows, S.ambient(n), field)
+
+
+def test_negative_degree_pieces_share_one_ambient():
+    """J_n = 0 for n < 0 lives in U_n, whichever route builds it."""
+    S = _ring()
+    pt = ProjPoint.make([QQ.from_int(c) for c in (1, 2, 3)], QQ)
+    for ideal in (PointIdeal(S, pt), GradedIdeal(S, [S.variable(0)]), GradedIdeal(S, [])):
+        for n in (-1, -2):
+            assert ideal.piece(n).ambient == S.ambient(n)
+            assert ideal.piece(n).dim == 0
+            assert ideal.piece(n) == ideal.twisted_piece(1, n) == ideal.twisted_piece(-2, n)
+
+
+NON_DIAGONAL = ((1, 1, 0), (0, 2, 0), (0, 0, 3))
+
+# generic; identity (phi = id); residual (a point fixed by phi); d = 3; a
+# non-diagonal matrix, whose moved points are not coordinate rescalings
+TWIST_REGIMES = [
+    ((2, 3), (1, 1, 1)),
+    ((1, 1), (1, 1, 1)),
+    ((2, 3), (1, 0, 0)),
+    ((2, 3, 5), (1, 1, 1, 1)),
+    (NON_DIAGONAL, (1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["Q", "GF10007"])
+@pytest.mark.parametrize(
+    "phi_data, coords",
+    TWIST_REGIMES,
+    ids=["generic", "identity", "residual", "d3", "non-diagonal"],
+)
+def test_moved_point_twist_matches_apply_route(field, phi_data, coords):
+    """phi^k(I_c) is the ideal of the moved point: the same pieces as
+    ``AutoMap.apply`` on the recursive ideal's basis, k = +-1, +-2, +-3, n <= 5."""
+    if phi_data == NON_DIAGONAL:
+        phi = AutoMap.from_matrix([[field.from_int(v) for v in r] for r in phi_data], field)
+        S = TwistRing(2, phi, field)
+    else:
+        S = _ring(phi_data, field)
+    pt = ProjPoint.make([field.from_int(c) for c in coords], field)
+    fast = PointIdeal(S, pt)
+    slow = recursive_point_ideal(S, pt)
+    for power in (1, -1, 2, -2, 3, -3):
+        for n in range(-1, 6):
+            assert fast.twisted_piece(power, n) == slow.twisted_piece(power, n)
 
 
 def test_point_ideal_forms_are_exact():
