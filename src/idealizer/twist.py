@@ -247,7 +247,7 @@ class PointIdeal(GradedIdeal):
     def __init__(self, ring: TwistRing, point: ProjPoint):
         super().__init__(ring, point_ideal_forms(ring, point))
         self.point = point
-        self._moved: dict[int, PointIdeal] = {}
+        self._moved: dict[int, PointIdeal | None] = {}
 
     def _build_piece(self, n: int) -> GradedSubspace:
         ev = monomial_values(self.point.coords, self.ring.field, n)
@@ -270,12 +270,12 @@ class PointIdeal(GradedIdeal):
 
     def twisted_piece(self, power: int, n: int) -> GradedSubspace:
         """The degree-n piece of the ideal of pullback_point(phi^power, c)."""
-        moved = self._moved.get(power)
-        if moved is None:
+        if power not in self._moved:
             pt = pullback_point(self.ring.power(power), self.point)
-            moved = self if pt == self.point else PointIdeal(self.ring, pt)
-            self._moved[power] = moved
-        return moved.piece(n)
+            # None marks a fixed point: storing self would keep a reference cycle
+            self._moved[power] = None if pt == self.point else PointIdeal(self.ring, pt)
+        moved = self._moved[power]
+        return (self if moved is None else moved).piece(n)
 
 
 def associativity_sample(ring: TwistRing, trials: int, seed: int, max_degree: int = 3) -> bool:
