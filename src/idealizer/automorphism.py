@@ -161,8 +161,9 @@ class ProjPoint:
         if not any(coords):
             raise ValueError("projective point needs a nonzero coordinate")
         ints = int_row(coords, field)
-        lead = next(v for v in ints if v)
-        return ProjPoint(scalar_row(ints, field, lead if field.char else abs(lead) // lead))
+        lead = ints[0][1]
+        scaled = dict(scalar_row(ints, field, lead if field.char else abs(lead) // lead))
+        return ProjPoint(tuple(scaled.get(k, field.zero) for k in range(len(coords))))
 
     @property
     def nvars(self) -> int:

@@ -85,9 +85,10 @@ class QuotientModule:
         return _mult_rows(form, self.piece(n).nonpivot_columns, self.piece(n + 1), self.ring.field)
 
 
-def _mult_rows(g: HomogPoly, indices, target, field) -> list[list[int]]:
+def _mult_rows(g: HomogPoly, indices, target, field) -> list[list[tuple[int, int]]]:
     """Int matrix of x -> g * x from the span of the monomials m_k, k in
-    ``indices``, into U / target.
+    ``indices``, into U / target, as one sparse row per quotient index
+    whose columns are positions in ``indices``.
 
     Column k is g * m_k: the nonzeros of g's int row, scattered by
     ``poly.product_index``, go straight into the target's quotient map,
@@ -98,10 +99,13 @@ def _mult_rows(g: HomogPoly, indices, target, field) -> list[list[int]]:
     conjugates a Koszul differential by a diagonal rescaling of the e_A,
     so no kernel or rank sees it.  A scale per column would change ranks.
     """
-    terms = [(i, x) for i, x in enumerate(poly_to_vector(g, field)) if x]
+    terms = poly_to_vector(g, field)
     table = product_index(g.nvars, target.ambient.degree - g.degree, g.degree)
-    cols = [target.quotient_terms((table[k][i], x) for i, x in terms)[0] for k in indices]
-    return [[col[r] for col in cols] for r in range(target.ambient.dim - target.dim)]
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(target.ambient.dim - target.dim)]
+    for pos, k in enumerate(indices):
+        for r, v in target.quotient_coords([(table[k][i], x) for i, x in terms])[0]:
+            rows[r].append((pos, v))
+    return rows
 
 
 class KoszulComplex:
@@ -121,24 +125,26 @@ class KoszulComplex:
         self.field = field
         self.d = len(forms)
 
-    def cochain_matrix(self, module, i: int, n: int):
-        """delta^i: C^i(M)_n -> C^{i+1}(M)_n."""
+    def cochain_matrix(self, module, i: int, n: int) -> list[list[tuple[int, int]]]:
+        """delta^i: C^i(M)_n -> C^{i+1}(M)_n, as sparse int rows.
+
+        Block (B, B minus b) is +-(multiplication by forms[b]); each of its
+        rows lands in the row of its target summand, shifted to the
+        columns of its source summand."""
         src_index = {A: p for p, A in enumerate(combinations(range(self.d), i))}
         tgt = list(combinations(range(self.d), i + 1))
         sdim = module.dim(n + i)
         tdim = module.dim(n + i + 1)
-        rows = [[0] * (sdim * len(src_index)) for _ in range(tdim * len(tgt))]
+        rows: list[list[tuple[int, int]]] = [[] for _ in range(tdim * len(tgt))]
         mults = {}
         for q, B in enumerate(tgt):
             for t, b in enumerate(B):
-                p = src_index[B[:t] + B[t + 1:]]
+                offset = src_index[B[:t] + B[t + 1:]] * sdim
+                sign = -1 if t % 2 else 1
                 if b not in mults:
                     mults[b] = module.mult_matrix(self.forms[b], n + i)
                 for r, block_row in enumerate(mults[b]):
-                    row = rows[q * tdim + r]
-                    for k, v in enumerate(block_row):
-                        if v:
-                            row[p * sdim + k] = -v if t % 2 else v
+                    rows[q * tdim + r].extend((offset + k, sign * v) for k, v in block_row)
         return rows
 
     def cochain_dim(self, module, i: int, n: int) -> int:
@@ -202,10 +208,10 @@ class ExtEngine:
         ]
         inner = J.piece(n)
         p = self.field.char
+        lookups = [dict(r) for r in rows]
         for x in inner.rows:
-            terms = [(k, v) for k, v in enumerate(x) if v]
-            for r in rows:
-                s = sum(r[k] * v for k, v in terms)
+            for r in lookups:
+                s = sum(r.get(k, 0) * v for k, v in x)
                 if (s % p if p else s) != 0:
                     raise ArithmeticError("J_n escapes its own hom constraints")
         return width - rank_rows(rows, width, self.field) - inner.dim

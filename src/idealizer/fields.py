@@ -13,10 +13,13 @@ Polynomials reduce in one place, ``HomogPoly.from_dict``; the few sums
 and products made outside polynomials (``AutoMap.compose``,
 ``linalg.mat_mul``/``mat_vec``, ``HomogPoly.evaluate``) call ``reduce``.
 
-The matrix layer (``linalg``) runs on int rows, integers over the
-rationals and residues mod p.  ``int_row`` converts scalars into one, up
-to a nonzero scale, and ``scalar_row`` converts an int row over a common
-denominator back, exactly.
+The matrix layer (``linalg``) runs on sparse int rows: (column, value)
+pairs with distinct columns and nonzero values, integers over the
+rationals and residues mod p.  ``int_row`` converts a dense list of
+scalars into one, up to a nonzero scale, its columns the list positions;
+``scalar_row`` converts an int row over a common denominator back to
+exact scalars, exactly, keeping its columns.  Those two and the
+coefficients read by ``poly.poly_to_vector`` are where scalars meet rows.
 
 The rational field is the default everywhere.  Prime fields exist as a
 modular mode that bounds coefficient size; any conclusion drawn mod p is
@@ -29,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 __all__ = [
     "QQ",
@@ -148,26 +151,27 @@ class PrimeField:
         return "GF(%d)" % self.p
 
 
-def int_row(vec: Sequence[Scalar], field) -> list[int]:
-    """The scalars as an int row: the primitive positive multiple over Q, residues mod p."""
+def int_row(vec: Sequence[Scalar], field) -> list[tuple[int, int]]:
+    """The nonzero scalars of a dense list as a sparse int row, keyed by
+    position: the primitive positive multiple over Q, residues mod p."""
     p = field.char
     if p:
-        return [x % p for x in vec]
+        return [(k, x % p) for k, x in enumerate(vec) if x % p]
     denom = lcm(*(x.denominator for x in vec))
-    ints = [x.numerator * (denom // x.denominator) for x in vec]
-    g = gcd(*ints)
-    return [v // g for v in ints] if g > 1 else ints
+    ints = [(k, x.numerator * (denom // x.denominator)) for k, x in enumerate(vec) if x]
+    g = gcd(*(v for _, v in ints))
+    return [(k, v // g) for k, v in ints] if g > 1 else ints
 
 
-def scalar_row(row: Sequence[int], field, denom: int) -> tuple[Scalar, ...]:
-    """The exact scalars row / denom, for a nonzero int denom."""
+def scalar_row(row: Iterable[tuple[int, int]], field, denom: int) -> tuple[tuple[int, Scalar], ...]:
+    """The exact scalars row / denom, for a nonzero int denom, on the same columns."""
     p = field.char
     if p:
         inv = pow(denom, -1, p)
-        return tuple(v * inv % p for v in row)
+        return tuple((k, v * inv % p) for k, v in row if v % p)
     if denom == 1:
         return tuple(row)
-    return tuple(Fraction(v, denom) if v else 0 for v in row)
+    return tuple((k, Fraction(v, denom)) for k, v in row)
 
 
 def field_from_name(name: str):

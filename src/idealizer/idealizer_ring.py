@@ -53,6 +53,8 @@ from .poly import (
     mono_mul,
     monomial_basis,
     monomial_values,
+    poly_to_vector,
+    row_product,
 )
 from .twist import PointIdeal, TwistRing
 
@@ -81,11 +83,11 @@ class IdealizerRing:
         nonzero scalar that does not change the kernel.
         """
         degree = source_degree + g.degree
-        values = monomial_values(self.point.coords, self.field, degree)
+        values = dict(monomial_values(self.point.coords, self.field, degree))
         index = basis_index(self.ring.nvars, degree)
         row = [
-            sum((gc * values[index[mono_mul(gm, mono)]] for gm, gc in g.terms), self.field.zero)
-            for mono in monomial_basis(self.ring.d, source_degree)
+            sum((gc * values.get(index[mono_mul(gm, m)], 0) for gm, gc in g.terms), self.field.zero)
+            for m in monomial_basis(self.ring.d, source_degree)
         ]
         return int_row(row, self.field)
 
@@ -97,12 +99,12 @@ class IdealizerRing:
         decides: it must be a multiple of evaluation at the point, and
         then the kernel is I_degree.  With no nonzero row it is U_degree.
         """
-        row = next((r for r in rows if any(r)), None)
+        row = next((r for r in rows if r), None)
+        width = basis_dim(self.ring.nvars, degree)
         if row is None:
-            width = basis_dim(self.ring.nvars, degree)
             return span(kernel([], width, self.field), self.ring.ambient(degree), self.field)
         values = monomial_values(self.point.coords, self.field, degree)
-        if rank_rows([values, row], len(row), self.field) != 1:
+        if rank_rows([values, row], width, self.field) != 1:
             raise ArithmeticError("constraint row is not a multiple of evaluation at the point")
         return self.I.piece(degree)
 
@@ -182,18 +184,24 @@ class IdealizerRing:
     def decomposable_piece(self, n: int) -> GradedSubspace:
         """Degree-n span of products of positive-degree elements of T.
 
+        A product t . s of t in T_a and s in T_{n-a} is phi^(n-a)(t) * s,
+        so each basis element t of T_a is twisted once and its int row
+        multiplied by every row of T_{n-a} through ``poly.row_product``.
         The span lies in T_n, so it stops at rank dim T_n; reaching that
         ceiling it must equal T_n, or the pieces of T are wrong.
         """
+        nvars, p = self.ring.nvars, self.field.char
+
         def gens():
             for a in range(1, n):
-                yield from self.ring.products(
-                    self.idealizer_piece(a).basis_polys(),
-                    self.idealizer_piece(n - a).basis_polys(),
-                )
+                rights = self.idealizer_piece(n - a).rows
+                for t in self.idealizer_piece(a).basis_polys():
+                    u = poly_to_vector(self.ring.twisted(n - a, t), self.field)
+                    for s in rights:
+                        yield row_product(u, s, nvars, a, n - a, p)
 
         target = self.idealizer_piece(n)
-        piece = span_polys(gens(), self.ring.ambient(n), self.field, target.dim)
+        piece = span(gens(), self.ring.ambient(n), self.field, target.dim)
         if piece.dim == target.dim and piece != target:
             raise ArithmeticError("products of T reach dim T_%d but leave T_%d" % (n, n))
         return piece

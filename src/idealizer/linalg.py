@@ -7,24 +7,32 @@ Ambients carry a shape tag (polynomial piece, pair piece, free) so that
 an operation mixing vectors from different ambients is a hard error
 instead of a silent misalignment.
 
-Every vector here is an int row: integers over the rationals (p = 0),
-residues mod p.  One engine, ``Echelon``, computes every rank and RREF.
+Every vector here is a sparse int row: (column, value) pairs with
+distinct columns in [0, width) and nonzero values, integers over the
+rationals (p = 0), residues mod p.  Rows stay sparse (a few percent of
+their width is nonzero, and elimination fills in little), so no
+operation here allocates or walks a full-width row: every loop runs
+over nonzeros.  One engine, ``Echelon``, computes every rank and RREF.
+Its working and kept rows are dicts from column to value; elimination
+clears the least column of a row while a kept row has its pivot there.
 Over Q elimination is fraction-free (cross-multiplication with gcd
 reduction) and each canonical row is the RREF row scaled to primitive
 integers with a positive pivot, which is still unique; mod p the pivot
-is 1.  Spans, ranks, kernels, residuals, containment and intersections
-are scale-free: any row, in or out, may carry a nonzero scale of its
-own.
+is 1.  ``GradedSubspace`` stores each canonical row as a tuple of pairs
+in increasing column order, pivot first, so the stored rows are
+hashable and compare as the subspaces do.  Spans, ranks, kernels,
+residuals, containment and intersections are scale-free: any row, in or
+out, may carry a nonzero scale of its own.
 
 Every question about U/V goes through one quotient map per subspace,
 built on first use and cached on it: with P the pivot columns and NP the
 rest, v maps to v[NP] - sum over j in P of v[j] row_j[NP] / row_j[j].
 It is stored per ambient column as (quotient index, coefficient) pairs
 over one denominator, the lcm of the int pivots over Q and 1 mod p, so
-``quotient_terms`` costs one pass over the nonzeros of the vector and
+``quotient_coords`` costs one pass over the nonzeros of the vector and
 ``contains_vector`` asks whether every quotient coordinate is zero.  A
 sum V + W is never built: its dimension is dim W plus the rank of the
-image of V in U/W.  ``residual`` scatters the quotient coordinates back
+image of V in U/W.  ``residual`` moves the quotient coordinates back
 onto the non-pivot columns; the package no longer calls it, and it is
 kept for the benchmark's span list.
 
@@ -92,87 +100,100 @@ def segre_ambient(nvars: int, degree: int) -> Ambient:
     return Ambient("pair", nvars, degree, n * n)
 
 
-def _normalize(vec: list[int], p: int) -> None:
-    """Scale vec in place: leading entry 1 mod p, positive and primitive over Q."""
-    lead = next(v for v in vec if v)
+Row = Sequence[tuple[int, int]]
+
+
+def _normalize(vec: dict[int, int], j: int, p: int) -> dict[int, int]:
+    """vec scaled so its pivot vec[j] is 1 mod p, positive and primitive over Q."""
+    lead = vec[j]
     if p:
+        if lead == 1:
+            return vec
         inv = pow(lead, -1, p)
-        vec[:] = [v * inv % p for v in vec]
-        return
-    g = gcd(*vec)
+        return {k: v * inv % p for k, v in vec.items()}
+    g = gcd(*vec.values())
     if lead < 0:
         g = -g
-    if g != 1:
-        vec[:] = [v // g for v in vec]
+    return vec if g == 1 else {k: v // g for k, v in vec.items()}
 
 
-def _eliminate(vec: list[int], row: list[int], j: int, p: int, start: int) -> None:
-    """Clear vec[j] using row, whose pivot is j (positive, or 1 mod p); both are 0 before start."""
-    # Pivot rows are sparse, so skipping their zeros beats a comprehension.
+def _eliminate(vec: dict[int, int], row: dict[int, int], j: int, p: int) -> dict[int, int]:
+    """vec with vec[j] cleared by row, whose pivot is j (positive, or 1 mod p)."""
     if p:
         c = vec[j]
-        for k in range(start, len(vec)):
-            if row[k]:
-                vec[k] = (vec[k] - c * row[k]) % p
-        return
+        for k, x in row.items():
+            v = (vec.get(k, 0) - c * x) % p
+            if v:
+                vec[k] = v
+            else:
+                del vec[k]
+        return vec
     g = gcd(row[j], vec[j])
     a, b = row[j] // g, vec[j] // g
-    for k in range(start, len(vec)):
-        if row[k] or vec[k]:
-            vec[k] = a * vec[k] - b * row[k]
-    g = gcd(*vec)
-    if g > 1:
-        vec[:] = [v // g for v in vec]
+    if a != 1:
+        vec = {k: a * v for k, v in vec.items()}
+    for k, x in row.items():
+        v = vec.get(k, 0) - b * x
+        if v:
+            vec[k] = v
+        else:
+            del vec[k]
+    g = gcd(*vec.values())
+    return {k: v // g for k, v in vec.items()} if g > 1 else vec
 
 
 class Echelon:
-    """Row echelon accumulator on int rows, used by every span builder.
+    """Row echelon accumulator on sparse int rows, used by every span builder.
 
     ``insert`` takes an int row of any nonzero scale (any residues mod p)
-    and keeps it, reduced, when it raises the rank.  Kept rows are
-    primitive with a positive pivot over Q, and have pivot 1 mod p, so
-    ``canonical_rows`` only back-substitutes; no scalar is built here.
+    and keeps it, reduced, when it raises the rank.  Kept rows are dicts,
+    primitive with a positive pivot over Q and with pivot 1 mod p, keyed
+    by their pivot, the least column of each; ``canonical_rows`` only
+    back-substitutes.  No scalar is built here.
     """
 
-    __slots__ = ("width", "p", "rows", "pivot_to_row")
+    __slots__ = ("width", "p", "pivot_rows")
 
     def __init__(self, width: int, field):
         self.width = width
         self.p = field.char
-        self.rows: list[list[int]] = []
-        self.pivot_to_row: dict[int, int] = {}
+        self.pivot_rows: dict[int, dict[int, int]] = {}
 
-    def insert(self, vec: Sequence[int]) -> bool:
-        if len(vec) != self.width:
-            raise ValueError("vector length %d, ambient dim %d" % (len(vec), self.width))
+    def insert(self, row: Row) -> bool:
         p = self.p
-        ints = [v % p for v in vec] if p else list(vec)
-        for j in range(self.width):
-            if ints[j]:
-                r = self.pivot_to_row.get(j)
-                if r is None:
-                    _normalize(ints, p)
-                    self.pivot_to_row[j] = len(self.rows)
-                    self.rows.append(ints)
-                    return True
-                _eliminate(ints, self.rows[r], j, p, j)
+        vec = dict(row)
+        if vec and (min(vec) < 0 or max(vec) >= self.width):
+            raise ValueError("row has a column outside the ambient of dim %d" % self.width)
+        if p:
+            vec = {k: v % p for k, v in vec.items() if v % p}
+        elif 0 in vec.values():
+            vec = {k: v for k, v in vec.items() if v}
+        pivot_rows = self.pivot_rows
+        while vec:
+            j = min(vec)
+            kept = pivot_rows.get(j)
+            if kept is None:
+                pivot_rows[j] = _normalize(vec, j, p)
+                return True
+            vec = _eliminate(vec, kept, j, p)
         return False
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivot_rows)
 
-    def canonical_rows(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    def canonical_rows(self) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]:
         """Pivot columns and the int rows of the reduced row echelon form."""
         p = self.p
-        order = sorted(self.pivot_to_row)
-        rows = [list(self.rows[self.pivot_to_row[j]]) for j in order]
+        order = sorted(self.pivot_rows)
+        rows = [dict(self.pivot_rows[j]) for j in order]
         # Back-substitute bottom-up so every pivot column is cleared above.
         for i in range(len(rows) - 1, -1, -1):
+            j, row = order[i], rows[i]
             for h in range(i):
-                if rows[h][order[i]]:
-                    _eliminate(rows[h], rows[i], order[i], p, order[h])
-        return tuple(order), tuple(map(tuple, rows))
+                if j in rows[h]:
+                    rows[h] = _eliminate(rows[h], row, j, p)
+        return tuple(order), tuple(tuple(sorted(r.items())) for r in rows)
 
 
 @dataclass(frozen=True)
@@ -182,7 +203,7 @@ class GradedSubspace:
     ambient: Ambient
     field: object
     pivots: tuple[int, ...]
-    rows: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
     def dim(self) -> int:
@@ -195,54 +216,46 @@ class GradedSubspace:
         return tuple(j for j in range(self.ambient.dim) if j not in pset)
 
     @cached_property
-    def quotient_map(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+    def quotient_map(self) -> tuple[int, dict[int, tuple[tuple[int, int], ...]]]:
         """The projection U -> U/V, built once per subspace: a denominator D
         (the lcm of the int pivots over Q, 1 mod p) and, per ambient column
         c, the (quotient index, coefficient) pairs of D times the image of
         e_c.  A non-pivot column is its own basis vector; the pivot column
-        of an RREF row r is -r[k]/r[c] on each non-pivot k."""
+        of an RREF row r, whose first pair is its pivot, is -r[k]/r[c] on
+        each non-pivot k."""
         p = self.field.char
+        denom = 1 if p else lcm(*(r[0][1] for r in self.rows))
         index = {j: i for i, j in enumerate(self.nonpivot_columns)}
-        denom = 1 if p else lcm(*(r[j] for j, r in zip(self.pivots, self.rows)))
-        cols: list[tuple[tuple[int, int], ...]] = [()] * self.ambient.dim
-        for j, i in index.items():
-            cols[j] = ((i, denom),)
-        for j, r in zip(self.pivots, self.rows):
-            s = denom // r[j]
-            cols[j] = tuple(
-                (index[k], (-x * s) % p if p else -x * s) for k, x in enumerate(r) if x and k != j
-            )
-        return denom, tuple(cols)
+        images = {j: ((i, denom),) for j, i in index.items()}
+        for r in self.rows:
+            (j, lead), rest = r[0], r[1:]
+            s = denom // lead
+            images[j] = tuple((index[k], (-x * s) % p if p else -x * s) for k, x in rest)
+        return denom, images
 
-    def quotient_terms(self, terms: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
-        """Exact coordinates in the quotient basis (non-pivot columns) of the
-        vector with the given (column, value) nonzeros: an int row and the
-        denominator it is over (1 mod p)."""
-        denom, cols = self.quotient_map
-        out = [0] * (self.ambient.dim - self.dim)
-        for c, x in terms:
-            for i, y in cols[c]:
-                out[i] += x * y
+    def quotient_coords(self, vec: Iterable[tuple[int, int]]) -> tuple[list[tuple[int, int]], int]:
+        """Exact coordinates in the quotient basis (non-pivot columns) of an
+        int row: an int row over the quotient indices and the denominator
+        it is over (1 mod p)."""
+        denom, images = self.quotient_map
+        out: dict[int, int] = {}
+        for c, x in vec:
+            for i, y in images[c]:
+                out[i] = out.get(i, 0) + x * y
         p = self.field.char
-        return ([v % p for v in out] if p else out), denom
+        if p:
+            return [(i, v % p) for i, v in out.items() if v % p], denom
+        return [(i, v) for i, v in out.items() if v], denom
 
-    def quotient_coords(self, vec: Sequence[int]) -> tuple[list[int], int]:
-        """``quotient_terms`` of a full int row."""
-        if len(vec) != self.ambient.dim:
-            raise ValueError("vector length mismatch")
-        return self.quotient_terms((c, x) for c, x in enumerate(vec) if x)
-
-    def residual(self, vec: Sequence[int]) -> list[int]:
+    def residual(self, vec: Row) -> list[tuple[int, int]]:
         """vec minus its projection onto this subspace, times the quotient
-        denominator: the quotient coordinates scattered onto the non-pivot
+        denominator: the quotient coordinates moved onto the non-pivot
         columns."""
-        out = [0] * self.ambient.dim
-        for j, v in zip(self.nonpivot_columns, self.quotient_coords(vec)[0]):
-            out[j] = v
-        return out
+        columns = self.nonpivot_columns
+        return sorted((columns[i], v) for i, v in self.quotient_coords(vec)[0])
 
-    def contains_vector(self, vec: Sequence[int]) -> bool:
-        return not any(self.quotient_coords(vec)[0])
+    def contains_vector(self, vec: Row) -> bool:
+        return not self.quotient_coords(vec)[0]
 
     def contains_poly(self, f: HomogPoly) -> bool:
         return self.contains_vector(poly_to_vector(f, self.field))
@@ -260,7 +273,7 @@ class GradedSubspace:
 
 
 def span(
-    vectors: Iterable[Sequence[int]], ambient: Ambient, field, cap: int | None = None
+    vectors: Iterable[Row], ambient: Ambient, field, cap: int | None = None
 ) -> GradedSubspace:
     """The span of the vectors, read lazily until the rank reaches ``cap``.
 
@@ -304,26 +317,31 @@ def span_polys(
     return span(vectors(), ambient, field, cap)
 
 
-def kernel(rows: Sequence[Sequence[int]], width: int, field) -> list[tuple[int, ...]]:
+def kernel(rows: Iterable[Row], width: int, field) -> list[tuple[tuple[int, int], ...]]:
     """Basis of {x : M x = 0}: for each non-pivot column f, an int multiple
     of the canonical kernel vector, whose last nonzero entry is 1, at f."""
     ech = Echelon(width, field)
     for r in rows:
         ech.insert(r)
     pivots, rref = ech.canonical_rows()
+    # per non-pivot column f: (pivot j, int pivot, entry at f) of each row hitting f
+    hits: dict[int, list[tuple[int, int, int]]] = {}
+    for r in rref:
+        j, lead = r[0]
+        for f, x in r[1:]:
+            hits.setdefault(f, []).append((j, lead, x))
+    pset = set(pivots)
     out = []
-    for f in sorted(set(range(width)) - set(pivots)):
-        hits = [(j, r) for j, r in zip(pivots, rref) if r[f]]
-        scale = lcm(*(r[j] for j, r in hits))
-        v = [0] * width
-        v[f] = scale
-        for j, r in hits:
-            v[j] = -r[f] * (scale // r[j])
-        out.append(tuple(v))
+    for f in range(width):
+        if f in pset:
+            continue
+        col = hits.get(f, [])
+        scale = lcm(*(lead for _, lead, _ in col))
+        out.append(tuple(sorted([(j, -x * (scale // lead)) for j, lead, x in col] + [(f, scale)])))
     return out
 
 
-def rank_rows(rows: Sequence[Sequence[int]], width: int, field) -> int:
+def rank_rows(rows: Iterable[Row], width: int, field) -> int:
     ech = Echelon(width, field)
     for r in rows:
         ech.insert(r)
@@ -333,17 +351,19 @@ def rank_rows(rows: Sequence[Sequence[int]], width: int, field) -> int:
 def intersect(v: GradedSubspace, w: GradedSubspace) -> GradedSubspace:
     """Intersection by Zassenhaus: echelon the rows (x | x), x in v, and (y | 0), y in w.
 
-    A kept row with a zero left half is (0 | z) with z in v and -z in w,
-    and these right halves span v meet w.
+    The right half of a row sits n columns to the right.  A kept row
+    with a zero left half is (0 | z) with z in v and -z in w, and these
+    right halves span v meet w.
     """
     v.ambient.require_same(w.ambient)
     n = v.ambient.dim
     ech = Echelon(2 * n, v.field)
     for r in v.rows:
-        ech.insert(r + r)
+        ech.insert(r + tuple((c + n, x) for c, x in r))
     for r in w.rows:
-        ech.insert(r + (0,) * n)
-    return span((r[n:] for r in ech.rows if not any(r[:n])), v.ambient, v.field)
+        ech.insert(r)
+    right = ([(c - n, x) for c, x in r.items()] for j, r in ech.pivot_rows.items() if j >= n)
+    return span(right, v.ambient, v.field)
 
 
 def mat_mul(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]], field):
@@ -385,4 +405,8 @@ def invert_matrix(a: Sequence[Sequence[Scalar]], field):
     pivots, rows = ech.canonical_rows()
     if pivots != tuple(range(n)):
         return None
-    return [list(scalar_row(r[n:], field, r[i])) for i, r in enumerate(rows)]
+    out = []
+    for r in rows:
+        scaled = dict(scalar_row(r, field, r[0][1]))
+        out.append([scaled.get(n + k, zero) for k in range(n)])
+    return out

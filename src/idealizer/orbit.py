@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .automorphism import AutoMap, ProjPoint, point_image, pullback_point
 from .fields import QQ, int_row
@@ -155,10 +156,12 @@ def multiplicative_independence(
     matrix = tuple(tuple(f.get(q, 0) for q in primes) for f in factored)
 
     # unknowns a_i; one equation per prime q: sum_i a_i e_i(q) = 0
-    combos = kernel([list(col) for col in zip(*matrix)], len(ps), QQ)
+    combos = kernel([int_row(col, QQ) for col in zip(*matrix)], len(ps), QQ)
     if not combos:
         return IndependenceCertificate(ps, "independent", primes, matrix, None, False)
-    rel = int_row(combos[0], QQ)  # the primitive multiple
+    combo = dict(combos[0])
+    g = gcd(*combo.values())
+    rel = [combo.get(i, 0) // g for i in range(len(ps))]  # the primitive multiple
     lead = next((a for a in rel if a), 0)
     if lead < 0:
         # negation inverts the product, so it stays 1; fixes a sign convention

@@ -11,13 +11,20 @@ pairs with no zero coefficients, tagged with its field characteristic.
 The ``*`` operator is the commutative product of the underlying
 polynomial ring; twisted products live in the ring objects, never here.
 
-The ideal recursion, the right ideals and the Ext matrices multiply int
-rows, not polynomials, through one product: ``product_index(nvars, a,
-b)`` is the table of basis indices of m_i * m_j in degree a + b, built
-lazily and cached, ``row_product`` multiplies two int rows over it, and
-``times_monomial`` is its case of a monomial factor, a scatter of the
-other row.  ``*`` remains for the checks of polynomial arithmetic
-itself: associativity, the opposite-ring transport and ``AutoMap.apply``.
+Vectors over this order are sparse int rows (see ``fields``): (column,
+value) pairs, columns the basis indices.  ``poly_to_vector`` reads one
+off the terms of a polynomial and ``vector_to_poly`` turns one back.
+
+The ideal recursion, the right ideals, the idealizer's decomposable
+products and the Ext matrices multiply int rows, not polynomials,
+through one product: ``product_index(nvars, a, b)`` is the table of
+basis indices of m_i * m_j in degree a + b, built lazily and cached.
+``row_product`` multiplies two int rows over it, visiting only pairs of
+nonzeros and summing into a dict, and ``times_monomial`` is its case of
+a monomial factor: the columns of the other row moved through one table
+row, its values untouched.  No full-width row is built.  ``*`` remains
+for the checks of polynomial arithmetic itself: associativity, the
+opposite-ring transport and ``AutoMap.apply``.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .fields import Scalar, int_row
 
@@ -97,44 +104,47 @@ def product_index(nvars: int, a: int, b: int) -> tuple[tuple[int, ...], ...]:
 
 
 def row_product(
-    u: Sequence[int], v: Sequence[int], nvars: int, a: int, b: int, p: int
-) -> list[int]:
+    u: Iterable[tuple[int, int]], v: Sequence[tuple[int, int]], nvars: int, a: int, b: int, p: int
+) -> list[tuple[int, int]]:
     """The int row of f * g, for f of degree a with int row u and g of
     degree b with int row v, reduced mod p once at the end (p = 0: over Q).
 
     The product of the scales of u and v is the scale of the result.
     """
     table = product_index(nvars, a, b)
-    out = [0] * basis_dim(nvars, a + b)
-    right = [(j, y) for j, y in enumerate(v) if y]
-    for x, cols in zip(u, table):
-        if x:
-            for j, y in right:
-                out[cols[j]] += x * y
-    return [c % p for c in out] if p else out
+    out: dict[int, int] = {}
+    for i, x in u:
+        cols = table[i]
+        for j, y in v:
+            c = cols[j]
+            out[c] = out.get(c, 0) + x * y
+    if p:
+        return [(c, s % p) for c, s in out.items() if s % p]
+    return [(c, s) for c, s in out.items() if s]
 
 
-def times_monomial(row: Sequence[int], j: int, nvars: int, a: int, b: int) -> list[int]:
+def times_monomial(
+    row: Iterable[tuple[int, int]], j: int, nvars: int, a: int, b: int
+) -> list[tuple[int, int]]:
     """The int row of m_j * f, for m_j the j-th monomial of degree b and f
     of degree a with int row ``row``.
 
-    It is a scatter of ``row``, so it keeps the scale and the reduction
-    of ``row``.
+    Multiplying by a monomial is injective and keeps the monomial order,
+    so the result has the values, the scale, the reduction and the
+    column order of ``row``.
     """
     cols = product_index(nvars, b, a)[j]
-    out = [0] * basis_dim(nvars, a + b)
-    for i, x in enumerate(row):
-        if x:
-            out[cols[i]] = x
-    return out
+    return [(cols[i], x) for i, x in row]
 
 
 @lru_cache(maxsize=None)
-def monomial_values(coords: tuple[Scalar, ...], field, degree: int) -> tuple[int, ...]:
+def monomial_values(
+    coords: tuple[Scalar, ...], field, degree: int
+) -> tuple[tuple[int, int], ...]:
     """Values at coords of the degree-n monomials, in the frozen order.
 
     This int row is evaluation at the point as a functional on U_n, up
-    to a nonzero scale.
+    to a nonzero scale; a column with a zero value is absent.
     """
     values = []
     for mono in monomials(len(coords), degree):
@@ -261,20 +271,25 @@ class HomogPoly:
         return field.reduce(total)
 
 
-def poly_to_vector(f: HomogPoly, field) -> list[int]:
-    """The coefficients of f as an int row, up to a scale set by the coefficients alone."""
+def poly_to_vector(f: HomogPoly, field) -> list[tuple[int, int]]:
+    """The coefficients of f as an int row in column order, up to a scale
+    set by the coefficients alone."""
     idx = basis_index(f.nvars, f.degree)
-    row = [0] * len(idx)
-    for (m, _), v in zip(f.terms, int_row([c for _, c in f.terms], field)):
-        row[idx[m]] = v
-    return row
+    terms = f.terms
+    return [(idx[terms[k][0]], v) for k, v in int_row([c for _, c in terms], field)]
 
 
-def vector_to_poly(vec: Sequence[Scalar], nvars: int, degree: int, char: int) -> HomogPoly:
+def vector_to_poly(
+    vec: Iterable[tuple[int, Scalar]], nvars: int, degree: int, char: int
+) -> HomogPoly:
+    """The polynomial with coefficient c at the basis monomial of each (column, c)."""
     basis = monomials(nvars, degree)
-    if len(vec) != len(basis):
-        raise ValueError("vector length %d, basis size %d" % (len(vec), len(basis)))
-    return HomogPoly.from_dict(nvars, degree, dict(zip(basis, vec)), char)
+    coeffs = {}
+    for k, c in vec:
+        if not 0 <= k < len(basis):
+            raise ValueError("column %d outside the basis of size %d" % (k, len(basis)))
+        coeffs[basis[k]] = c
+    return HomogPoly.from_dict(nvars, degree, coeffs, char)
 
 
 _TERM_RE = re.compile(

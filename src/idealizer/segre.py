@@ -64,10 +64,7 @@ class SegreContext:
         vecs = []
         for w in sorted(fibers, reverse=True):
             base, *others = fibers[w]
-            for other in others:
-                vec = [0] * amb.dim
-                vec[other], vec[base] = 1, -1
-                vecs.append(vec)
+            vecs.extend(((other, 1), (base, -1)) for other in others)
         return span(vecs, amb, self.field)
 
     # -- adapted coordinates, one fiber at a time --------------------------------
@@ -123,12 +120,10 @@ class SegreContext:
 
                         base = lift(sub[0])
                         for other in sub[1:]:
-                            vec = [0] * len(kpairs)
-                            for pair, sign in ((lift(other), 1), (base, -1)):
-                                if pair not in index:
-                                    raise ArithmeticError("product generator escapes the K block")
-                                vec[index[pair]] += sign
-                            ech.insert(vec)
+                            pairs = lift(other), base
+                            if any(pair not in index for pair in pairs):
+                                raise ArithmeticError("product generator escapes the K block")
+                            ech.insert(((index[pairs[0]], 1), (index[pairs[1]], -1)))
                 prod_total += ech.dim
             meet_dims[m] = meet_total
             product_dims[m] = prod_total

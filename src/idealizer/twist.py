@@ -217,7 +217,7 @@ class GradedIdeal:
 
 def kernel_form(ring: TwistRing, vec) -> HomogPoly:
     """The linear form of a kernel vector, scaled so its last nonzero coefficient is 1."""
-    last = next(x for x in reversed(vec) if x)
+    last = max(vec)[1]
     return vector_to_poly(scalar_row(vec, ring.field, last), ring.nvars, 1, ring.field.char)
 
 
@@ -250,22 +250,24 @@ class PointIdeal(GradedIdeal):
         self._moved: dict[int, PointIdeal | None] = {}
 
     def _build_piece(self, n: int) -> GradedSubspace:
-        ev = monomial_values(self.point.coords, self.ring.field, n)
-        last = max(k for k, v in enumerate(ev) if v)
+        ev = dict(monomial_values(self.point.coords, self.ring.field, n))
+        last = max(ev)
         lead, p = ev[last], self.ring.field.char
         inv = pow(lead, -1, p) if p else None
         pivots, rows = [], []
-        for k, v in enumerate(ev):
+        for k in range(basis_dim(self.ring.nvars, n)):
             if k == last:
                 continue
-            row = [0] * len(ev)
-            if p:
-                row[k], row[last] = 1, -v * inv % p
+            v = ev.get(k)
+            if v is None:
+                row = ((k, 1),)
+            elif p:
+                row = ((k, 1), (last, -v * inv % p))
             else:
                 g = gcd(lead, v) if lead > 0 else -gcd(lead, v)
-                row[k], row[last] = lead // g, -v // g
+                row = ((k, lead // g), (last, -v // g))
             pivots.append(k)
-            rows.append(tuple(row))
+            rows.append(row)
         return GradedSubspace(self.ring.ambient(n), self.ring.field, tuple(pivots), tuple(rows))
 
     def twisted_piece(self, power: int, n: int) -> GradedSubspace:

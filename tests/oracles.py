@@ -10,17 +10,115 @@ quotient, spans that read every generator with no rank ceiling, Segre
 witness spaces in raw pair coordinates, and multiplicative relations
 found by exhaustive search over small exponents.  They are exact but
 only affordable in low degree.
+
+The package's rows are sparse (column, value) pairs.  ``DenseEchelon``
+is the echelon engine the package used on full-width int lists before
+it went sparse, kept as the oracle its sparse engine is compared with;
+``densify`` and ``sparsify`` move rows between the two forms.
 """
 
 from fractions import Fraction
 from itertools import product as iter_product
-from math import lcm
+from math import gcd, lcm
 
 from idealizer.automorphism import AutoMap
 from idealizer.fields import int_row, scalar_row
-from idealizer.linalg import Echelon, GradedSubspace, intersect, kernel, span
+from idealizer.linalg import Echelon, GradedSubspace, intersect, kernel, span, span_polys
 from idealizer.poly import HomogPoly, basis_dim, basis_index, monomial_basis, poly_to_vector
 from idealizer.twist import GradedIdeal, TwistRing, point_ideal_forms
+
+
+def densify(row, width, zero=0):
+    """The full-width list of a sparse row."""
+    out = [zero] * width
+    for c, x in row:
+        out[c] = x
+    return out
+
+
+def sparsify(vec):
+    """The sparse row of a full-width list."""
+    return [(c, x) for c, x in enumerate(vec) if x]
+
+
+# -- the dense echelon engine ---------------------------------------------------------
+
+
+def _dense_normalize(vec, p):
+    """Scale vec in place: leading entry 1 mod p, positive and primitive over Q."""
+    lead = next(v for v in vec if v)
+    if p:
+        inv = pow(lead, -1, p)
+        vec[:] = [v * inv % p for v in vec]
+        return
+    g = gcd(*vec)
+    if lead < 0:
+        g = -g
+    if g != 1:
+        vec[:] = [v // g for v in vec]
+
+
+def _dense_eliminate(vec, row, j, p, start):
+    """Clear vec[j] using row, whose pivot is j (positive, or 1 mod p); both are 0 before start."""
+    if p:
+        c = vec[j]
+        for k in range(start, len(vec)):
+            if row[k]:
+                vec[k] = (vec[k] - c * row[k]) % p
+        return
+    g = gcd(row[j], vec[j])
+    a, b = row[j] // g, vec[j] // g
+    for k in range(start, len(vec)):
+        if row[k] or vec[k]:
+            vec[k] = a * vec[k] - b * row[k]
+    g = gcd(*vec)
+    if g > 1:
+        vec[:] = [v // g for v in vec]
+
+
+class DenseEchelon:
+    """Row echelon accumulator on full-width int lists: the package's
+    ``Echelon`` before its rows went sparse, scanning every column."""
+
+    def __init__(self, width, field):
+        self.width = width
+        self.p = field.char
+        self.rows = []
+        self.pivot_to_row = {}
+
+    def insert(self, vec):
+        if len(vec) != self.width:
+            raise ValueError("vector length %d, ambient dim %d" % (len(vec), self.width))
+        p = self.p
+        ints = [v % p for v in vec] if p else list(vec)
+        for j in range(self.width):
+            if ints[j]:
+                r = self.pivot_to_row.get(j)
+                if r is None:
+                    _dense_normalize(ints, p)
+                    self.pivot_to_row[j] = len(self.rows)
+                    self.rows.append(ints)
+                    return True
+                _dense_eliminate(ints, self.rows[r], j, p, j)
+        return False
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    def canonical_rows(self):
+        """Pivot columns and the full-width int rows of the reduced row echelon form."""
+        p = self.p
+        order = sorted(self.pivot_to_row)
+        rows = [list(self.rows[self.pivot_to_row[j]]) for j in order]
+        for i in range(len(rows) - 1, -1, -1):
+            for h in range(i):
+                if rows[h][order[i]]:
+                    _dense_eliminate(rows[h], rows[i], order[i], p, order[h])
+        return tuple(order), tuple(map(tuple, rows))
+
+
+# -- point ideals by recursion ------------------------------------------------------
 
 
 def recursive_point_ideal(ring, point):
@@ -33,11 +131,12 @@ def recursive_point_ideal(ring, point):
 
 def reduce_against(V, vec):
     """vec minus its projection onto V (vec[j] times the RREF row of each
-    pivot j), times the lcm of those rows' int pivots; and that lcm."""
+    pivot j), times the lcm of those rows' int pivots, as a full-width
+    list; and that lcm."""
     n = V.ambient.dim
-    if len(vec) != n:
-        raise ValueError("vector length mismatch")
-    hits = [(vec[j], j, row) for j, row in zip(V.pivots, V.rows) if vec[j]]
+    vec = densify(vec, n)
+    rows = [densify(row, n) for row in V.rows]
+    hits = [(vec[j], j, row) for j, row in zip(V.pivots, rows) if vec[j]]
     scale = lcm(*(row[j] for _, j, row in hits))
     res = [scale * x for x in vec]
     for c, j, row in hits:
@@ -51,9 +150,9 @@ def reduce_against(V, vec):
 
 def quotient_coords_by_reduction(V, vec):
     """Quotient coordinates of vec read off its reduction: the non-pivot
-    entries and the scale they are over."""
+    entries as a sparse row in column order, and the scale they are over."""
     res, scale = reduce_against(V, vec)
-    return [res[j] for j in V.nonpivot_columns], scale
+    return sparsify([res[j] for j in V.nonpivot_columns]), scale
 
 
 def subspace_sum(v, w):
@@ -71,11 +170,10 @@ def residual_quotient_row(idl, ideal, shifted, source_degree):
     row = []
     for mono in monomial_basis(idl.ring.d, source_degree):
         prod = shifted * HomogPoly.monomial(mono, 1, idl.field.char)
-        ints, den = target.quotient_coords(poly_to_vector(prod, idl.field))
-        coords = scalar_row(ints, idl.field, den)
-        if len(coords) != 1:
+        if target.ambient.dim - target.dim != 1:
             raise ArithmeticError("point ideal piece is not of codimension one")
-        row.append(coords[0])
+        ints, den = target.quotient_coords(poly_to_vector(prod, idl.field))
+        row.append(dict(scalar_row(ints, idl.field, den)).get(0, idl.field.zero))
     return int_row(row, idl.field)
 
 
@@ -121,6 +219,23 @@ def _span_all_polys(polys, ambient, field):
     return span_all((poly_to_vector(f, field) for f in polys), ambient, field)
 
 
+def decomposable_piece_polys(idl, n):
+    """(T_+^2)_n from HomogPoly products T_a . T_{n-a}, 0 < a < n, stopped at
+    rank dim T_n and checked against T_n there, as the package once built it."""
+    polys = (
+        g
+        for a in range(1, n)
+        for g in idl.ring.products(
+            idl.idealizer_piece(a).basis_polys(), idl.idealizer_piece(n - a).basis_polys()
+        )
+    )
+    target = idl.idealizer_piece(n)
+    piece = span_polys(polys, idl.ring.ambient(n), idl.field, target.dim)
+    if piece.dim == target.dim and piece != target:
+        raise ArithmeticError("products of T reach dim T_%d but leave T_%d" % (n, n))
+    return piece
+
+
 def decomposable_piece_uncapped(idl, n):
     """(T_+^2)_n from every product T_a . T_{n-a}, 0 < a < n."""
     polys = (
@@ -153,7 +268,7 @@ def idealizer_piece_uncapped(idl, n):
 def veronese_idealizer_piece_uncapped(idl, n, m, j_cap):
     """R'_m from the kernel of every constraint row, j <= cap."""
     if m == 0:
-        return span_all([[1]], idl.ring.ambient(0), idl.field)
+        return span_all([[(0, 1)]], idl.ring.ambient(0), idl.field)
     rows = [
         idl._quotient_row(idl.ring.twisted(n * m, b), n * m)
         for j in range(1, j_cap + 1)
@@ -179,14 +294,18 @@ def recursive_piece_polys(ideal, n):
 
 
 def _mult_rows_polys(g, degree, target, field):
-    """Int matrix of x -> g * x from U_degree into U / target, column by HomogPoly product."""
+    """Int matrix of x -> g * x from U_degree into U / target, column by
+    HomogPoly product, as sparse rows over the monomial positions."""
     cols = [
         target.quotient_coords(poly_to_vector(g * HomogPoly.monomial(m, 1, field.char), field))
         for m in monomial_basis(g.nvars - 1, degree)
     ]
     denom = lcm(*(den for _, den in cols))
-    cols = [[v * (denom // den) for v in col] for col, den in cols]
-    return [[col[r] for col in cols] for r in range(target.ambient.dim - target.dim)]
+    rows = [[] for _ in range(target.ambient.dim - target.dim)]
+    for k, (col, den) in enumerate(cols):
+        for r, v in col:
+            rows[r].append((k, v * (denom // den)))
+    return rows
 
 
 def hom_S_quotient_kernel(engine, J, n):
@@ -241,17 +360,11 @@ def ideal_piece(ctx, m):
 
 def K_piece(ctx, m):
     """Span of I_m tensor I_m: outer products of basis vectors."""
-    rows = ideal_piece(ctx, m).rows
-    vecs = []
-    for u in rows:
-        for v in rows:
-            vec = []
-            for a in u:
-                if a:
-                    vec.extend(a * b for b in v)
-                else:
-                    vec.extend(0 for _ in v)
-            vecs.append(vec)
+    piece = ideal_piece(ctx, m)
+    dim = piece.ambient.dim
+    vecs = [
+        [(i * dim + j, a * b) for i, a in u for j, b in v] for u in piece.rows for v in piece.rows
+    ]
     return span(vecs, ctx.ambient(m), ctx.field)
 
 
@@ -272,19 +385,15 @@ def segre_product_span(ctx, v, w):
         for x in v.rows:
             for y in w.rows:
                 vec = [0] * target.dim
-                for p, xval in enumerate(x):
-                    if not xval:
-                        continue
+                for p, xval in x:
                     mu, nu = basis_a[p // dim_a], basis_a[p % dim_a]
-                    for q, yval in enumerate(y):
-                        if not yval:
-                            continue
+                    for q, yval in y:
                         mu2, nu2 = basis_b[q // dim_b], basis_b[q % dim_b]
                         left = idx_t[tuple(s + t for s, t in zip(mu, mu2))]
                         right = idx_t[tuple(s + t for s, t in zip(nu, nu2))]
                         slot = left * dim_t + right
                         vec[slot] = vec[slot] + xval * yval
-                yield vec
+                yield sparsify(vec)
 
     return span(gens(), target, ctx.field)
 
@@ -315,9 +424,7 @@ def phi_tensor_invariance(ctx, auto, m):
     image_vecs = []
     for row in piece.rows:
         out = [ctx.field.zero] * piece.ambient.dim
-        for p, val in enumerate(row):
-            if not val:
-                continue
+        for p, val in row:
             lvec = vecs[p // dim_m]
             rvec = vecs[p % dim_m]
             for li, lv in enumerate(lvec):

@@ -8,6 +8,7 @@ tables below were frozen from an independent run of the definitions
 
 import pytest
 from oracles import (
+    decomposable_piece_polys,
     decomposable_piece_uncapped,
     idealizer_piece_full,
     idealizer_piece_uncapped,
@@ -167,6 +168,18 @@ def test_capped_routes_match_uncapped(field, multipliers, point):
         )
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["Q", "GF10007"])
+@pytest.mark.parametrize(
+    "multipliers, point", CEILING_CASES, ids=["generic", "identity", "residual", "d3"]
+)
+def test_decomposable_rows_match_polynomial_products(field, multipliers, point):
+    """Row products of twisted T_a rows with T_(n-a) rows span what the
+    HomogPoly products of basis polynomials span, n <= 6."""
+    idl = _instance(multipliers, field, point)
+    for n in range(1, 7):
+        assert idl.decomposable_piece(n) == decomposable_piece_polys(idl, n)
+
+
 def test_decomposable_ceiling_guard_fires(monkeypatch):
     """Products of T filling dim T_3 must span T_3 itself."""
     idl = _instance()
@@ -189,9 +202,9 @@ def test_veronese_rank_one_guard_fires(monkeypatch):
         real = idl._quotient_row
 
         def broken(g, source_degree):
-            row = real(g, source_degree)
-            row[0] = row[0] + 1
-            return row
+            row = dict(real(g, source_degree))
+            row[0] = row.get(0, 0) + 1
+            return list(row.items())
 
         monkeypatch.setattr(idl, "_quotient_row", broken)
         with pytest.raises(ArithmeticError, match="not a multiple of evaluation"):

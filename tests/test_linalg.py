@@ -4,7 +4,14 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from oracles import quotient_coords_by_reduction, reduce_against, subspace_sum
+from oracles import (
+    DenseEchelon,
+    densify,
+    quotient_coords_by_reduction,
+    reduce_against,
+    sparsify,
+    subspace_sum,
+)
 from properties import FIELDS, property_test
 
 from idealizer.fields import QQ, PrimeField, int_row, scalar_row
@@ -30,7 +37,13 @@ def free_ambient(dim, label=""):
 
 
 def _q(*vals):
-    return list(vals)
+    """The sparse int row with the given dense entries."""
+    return sparsify(vals)
+
+
+def _scalars(row, field, den, width):
+    """The exact scalars row / den of a sparse int row, as a dense tuple."""
+    return tuple(densify(scalar_row(row, field, den), width))
 
 
 def test_span_dim_and_membership():
@@ -55,9 +68,9 @@ def test_quotient_coords_vanish_on_members():
     amb = poly_ambient(2, 1)
     V = span([_q(1, 1)], amb, QQ)
     row, den = V.quotient_coords(_q(2, 2))
-    assert scalar_row(row, QQ, den) == (Fraction(0),)
+    assert _scalars(row, QQ, den, 1) == (Fraction(0),)
     row, den = V.quotient_coords(_q(1, 0))
-    assert scalar_row(row, QQ, den) != (Fraction(0),)
+    assert _scalars(row, QQ, den, 1) != (Fraction(0),)
     assert len(V.nonpivot_columns) == 1
 
 
@@ -68,7 +81,7 @@ def test_quotient_coords_are_exact(field, want):
     """span((2, 3, 0)) leaves (1, 0, 0) with residual (0, -3/2, 0)."""
     V = span_polys([parse_poly("2*x0 + 3*x1", 3, field)], poly_ambient(3, 1), field)
     row, den = V.quotient_coords(poly_to_vector(parse_poly("x0", 3, field), field))
-    assert scalar_row(row, field, den) == want
+    assert _scalars(row, field, den, 2) == want
 
 
 def test_kernel_matches_rank():
@@ -76,9 +89,9 @@ def test_kernel_matches_rank():
     ker = kernel(rows, 3, QQ)
     assert rank_rows(rows, 3, QQ) == 2
     assert len(ker) == 1
-    v = ker[0]
+    v = densify(ker[0], 3)
     for row in rows:
-        assert sum(a * b for a, b in zip(row, v)) == 0
+        assert sum(a * b for a, b in zip(densify(row, 3), v)) == 0
 
 
 def test_kernel_full_rank_is_empty():
@@ -119,7 +132,7 @@ def test_prime_field_linear_algebra():
     assert len(ker) == 1
     for row in rows:
         total = F.zero
-        for a, b in zip(row, ker[0]):
+        for a, b in zip(row, densify(ker[0], 3)):
             total = total + a * b
         assert not total
 
@@ -203,7 +216,7 @@ def _rref(rows, width, field):
     for r in _ints(rows, field):
         ech.insert(r)
     pivots, rref = ech.canonical_rows()
-    return pivots, tuple(scalar_row(r, field, r[j]) for j, r in zip(pivots, rref))
+    return pivots, tuple(_scalars(r, field, r[0][1], width) for r in rref)
 
 
 @_property(lambda st: _field_and(st, lambda F: _matrix(st, F)))
@@ -219,20 +232,49 @@ def test_rank_pivots_and_rref_match_sympy(field, rows, width):
     assert rref == tuple(tuple(_from_sympy(x, field) for x in r) for r in want_rows)
 
 
-@_property(lambda st: _field_and(st, lambda F: _matrix(st, F)))
-def test_canonical_int_rows_are_normalized(field, rows, width):
-    """Primitive with a positive pivot over Q, least residues with pivot 1 mod p.
+def _shuffled_rescaled_repeated(st, F):
+    """A matrix with a row order, one nonzero scale per row and the rows to repeat."""
+    return _matrix(st, F).flatmap(
+        lambda m: st.tuples(
+            st.just(m),
+            st.permutations(range(len(m[0]))),
+            st.lists(
+                st.integers(1, 10**4).map(F.from_int).filter(bool),
+                min_size=len(m[0]),
+                max_size=len(m[0]),
+            ),
+            st.lists(st.booleans(), min_size=len(m[0]), max_size=len(m[0])),
+        )
+    )
 
-    With the sympy comparison above, this makes the int form unique.
+
+@_property(lambda st: _field_and(st, lambda F: _shuffled_rescaled_repeated(st, F)))
+def test_canonical_int_rows_are_normalized(field, matrix, order, scales, repeat):
+    """Primitive with a positive pivot over Q, least residues with pivot 1 mod p,
+    columns increasing from the pivot and no zero entry.
+
+    With the sympy comparison above, this makes the int form unique: a
+    span of shuffled, rescaled and repeated generators stores the same
+    rows, equal and with the same hash.
     """
+    rows, width = matrix
     ech = Echelon(width, field)
     for r in _ints(rows, field):
         ech.insert(r)
     for j, r in zip(*ech.canonical_rows()):
+        columns = [c for c, _ in r]
+        assert columns == sorted(set(columns)) and columns[0] == j and columns[-1] < width
+        assert all(x for _, x in r)
         if field.char:
-            assert r[j] == 1 and all(0 <= x < field.char for x in r)
+            assert r[0][1] == 1 and all(0 <= x < field.char for _, x in r)
         else:
-            assert r[j] > 0 and gcd(*r) == 1
+            assert r[0][1] > 0 and gcd(*(x for _, x in r)) == 1
+    moved = [[scales[i] * x for x in rows[i]] for i in order]
+    moved += [row for row, again in zip(moved, repeat) if again]
+    amb = free_ambient(width)
+    V, W = span(_ints(rows, field), amb, field), span(_ints(moved, field), amb, field)
+    assert V.rows == W.rows == ech.canonical_rows()[1]
+    assert V == W and hash(V) == hash(W)
 
 
 @_property(lambda st: _field_and(st, lambda F: _matrix(st, F)))
@@ -241,6 +283,7 @@ def test_kernel_dimension_and_annihilation(field, rows, width):
     rank = _sympy_matrix(rows, width, field).rank() if rows else 0
     assert len(ker) == width - rank
     for v in ker:
+        v = densify(v, width)
         assert not all(x == 0 for x in v)
         assert all(x == 0 for x in mat_vec(rows, v, field))
 
@@ -277,13 +320,17 @@ def test_quotient_map_matches_reduction(field, subspace, vectors):
     and membership that reduction against the RREF rows gives."""
     (a, width), (vecs, _) = subspace, vectors
     V = span(_ints(a, field), free_ambient(width), field)
-    members = [[sum(x) for x in zip(*pair)] for pair in zip(V.rows, V.rows[1:])]
+    dense = [densify(r, width) for r in V.rows]
+    members = [sparsify([sum(x) for x in zip(*pair)]) for pair in zip(dense, dense[1:])]
+    codim = width - V.dim
     for v in _ints(vecs, field) + members + [list(r) for r in V.rows]:
         row, den = V.quotient_coords(v)
         want_row, want_den = quotient_coords_by_reduction(V, v)
-        assert scalar_row(row, field, den) == scalar_row(want_row, field, want_den)
+        assert _scalars(row, field, den, codim) == _scalars(want_row, field, want_den, codim)
         res, scale = reduce_against(V, v)
-        assert scalar_row(V.residual(v), field, den) == scalar_row(res, field, scale)
+        assert _scalars(V.residual(v), field, den, width) == _scalars(
+            sparsify(res), field, scale, width
+        )
         assert V.contains_vector(v) == (not any(res))
 
 
@@ -324,3 +371,46 @@ def test_rref_invariant_under_row_shuffles_and_scaling(field, matrix, order, sca
     rows, width = matrix
     moved = [[scales[i] * x for x in rows[i]] for i in order]
     assert _rref(moved, width, field) == _rref(rows, width, field)
+
+
+def test_echelon_rejects_columns_outside_the_ambient():
+    """A row that does not fit the ambient is a hard error, whatever its values."""
+    for field in FIELDS:
+        ech = Echelon(3, field)
+        for row in ([(3, 1)], [(-1, 1)], [(0, 1), (5, 2)], [(4, 0)]):
+            with pytest.raises(ValueError):
+                ech.insert(row)
+        assert ech.dim == 0
+        assert ech.insert([(2, 1)]) and ech.canonical_rows() == ((2,), (((2, 1),),))
+
+
+def _sparse_rows(st):
+    """Rows of width up to 60 with 2-50% of their columns set, zero values,
+    zero rows and repeated rows among them."""
+
+    def rows(F, width, density):
+        entry = st.one_of(st.just(0), st.integers(-(10**6), 10**6).map(F.from_int))
+        row = st.dictionaries(
+            st.integers(0, width - 1), entry, max_size=max(1, round(density * width))
+        ).map(lambda d: sorted(d.items()))
+        return st.lists(row, max_size=14).flatmap(
+            lambda rs: st.lists(st.sampled_from(rs), max_size=4).map(lambda again: rs + again)
+            if rs
+            else st.just(rs)
+        )
+
+    return st.tuples(
+        st.sampled_from(FIELDS), st.integers(1, 60), st.sampled_from((0.02, 0.05, 0.2, 0.5))
+    ).flatmap(lambda t: rows(*t).map(lambda rs: (t[0], t[1], rs)))
+
+
+@property_test(_sparse_rows)
+def test_sparse_engine_matches_dense_engine(field, width, rows):
+    """Echelon keeps the rows the dense engine keeps and ends in the same RREF."""
+    sparse, dense = Echelon(width, field), DenseEchelon(width, field)
+    for r in rows:
+        assert sparse.insert(r) == dense.insert(densify(r, width))
+    pivots, canonical = sparse.canonical_rows()
+    want_pivots, want = dense.canonical_rows()
+    assert pivots == want_pivots
+    assert canonical == tuple(tuple(sparsify(r)) for r in want)
