@@ -13,7 +13,8 @@ commands, which reach what the suite does not: the twisted-module route
 of ``ext-table`` on the ``orbit:``, ``gens:`` and ``max`` ideal specs (the
 ``orbit:`` spec also under the non-diagonal matrix, where a twisted point
 ideal is the ideal of a point moved by a full matrix), a ``point:`` hom
-table and a noetherian probe.
+table, a noetherian probe, and the ``segre`` witness table in three, four
+and five variables, over Q and mod 7, in degrees past the suite's.
 """
 
 import contextlib
@@ -101,6 +102,21 @@ CLI_GOLDEN = [
         ("ext-table", "--config", "matrix.json", "--J", "orbit:-2", "--max-degree", "4", "--field", "prime:7"),
         0,
         "541cc6bdfd1ee7d7ea751d9591303bf3e120676ec098ad3217fef3a63d512084",
+    ),
+    (
+        ("segre", "--max-degree", "8"),
+        0,
+        "0c16eb73b699ef112ee8be1ac6e9340bf110cffca1c536531782f6b286ff66d0",
+    ),
+    (
+        ("segre", "--d", "4", "--p", "2,3,5,7", "--point", "1,1,1,1,1", "--max-degree", "4"),
+        0,
+        "125505f72b8df5d166bca8b7b163d8c6fd236898903d2ee4a1447e7727a2664f",
+    ),
+    (
+        ("segre", "--d", "3", "--p", "2,3,5", "--point", "1,1,1,1", "--field", "prime:7", "--max-degree", "5"),
+        0,
+        "a5f8c9dab443aeb98c2528b5182e28e1a113e1014187af274788dbff2c10cc6f",
     ),
 ]
 
