@@ -7,11 +7,14 @@ point ideal I, the degreewise quotient
     ((J meet K) / (J . K))_m
 
 is nonzero in every positive degree; its dimensions are the witness that
-the Segre square of the idealizer is not noetherian.  They are computed
-blockwise: in coordinates where the point is (1:0:...:0), I is spanned by
-the last d variables and every space in sight splits over the fibers of
-the multiplication map.  The test suite keeps a naive oracle on honest
-coordinate vectors of monomial pairs and checks that the two agree where
+the Segre square of the idealizer is not noetherian.  They are counted
+without elimination: in coordinates where the point is (1:0:...:0), I is
+spanned by the last d variables and every space in sight splits over the
+fibers of the multiplication map.  Inside a fiber, both J meet K and J.K
+are spanned by differences e_a - e_b of monomial pairs, so their ranks
+are vertex counts minus component counts (witness_dims).  The test suite
+keeps a naive oracle on honest coordinate vectors of monomial pairs and
+a fiber-by-fiber echelon route, and checks that all three agree where
 it is affordable.
 
 The dimension counts do not depend on the point: a linear change of
@@ -24,14 +27,10 @@ from __future__ import annotations
 
 from .automorphism import ProjPoint
 from .fields import QQ
-from .linalg import Ambient, Echelon, GradedSubspace, poly_ambient, segre_ambient, span, span_polys
-from .poly import HomogPoly, basis_dim, monomial_basis, monomials
+from .linalg import Ambient, GradedSubspace, poly_ambient, segre_ambient, span, span_polys
+from .poly import HomogPoly, basis_dim, monomial_basis
 
 __all__ = ["SegreContext", "local_witness_check", "nonvanishing_from"]
-
-
-def _pure_power(nvars: int, degree: int):
-    return tuple(degree if i == 0 else 0 for i in range(nvars))
 
 
 class SegreContext:
@@ -70,69 +69,63 @@ class SegreContext:
     # -- adapted coordinates, one fiber at a time --------------------------------
 
     def witness_dims(self, max_piece: int) -> dict:
-        """Blockwise dims of (J meet K), (J.K), and their quotient.
+        """Dims of (J meet K), (J.K) and their quotient, by counting components.
 
         In adapted coordinates the three spaces split over the fibers
-        F_w = {(mu, nu) : mu nu = w}; K selects the pairs with both sides
-        different from the pure power of the nonvanishing coordinate, and
-        (J.K)_m = J_{m-1}.K_1 because K_{b+1} = U_1.K_b for point ideals.
+        F_w = {(mu, nu) : mu nu = w}.  K keeps the pairs with neither side
+        the pure power x_0^m; J meet K in F_w is spanned by the differences
+        of those K pairs, so it has dimension |K_w| - 1.  Since
+        K_{b+1} = U_1.K_b for point ideals, (J.K)_m = J_{m-1}.K_1, and the
+        lifts of the block J_{m-1}.(x_i tensor x_j) into F_w are exactly
+        the K pairs with mu_i > 0 and nu_j > 0, the pairs with label
+        (i, j).  So (J.K)_m meet F_w is spanned by the differences inside
+        each label class: an oriented incidence matrix, whose rank over
+        every field is |K_w| minus the number c_w of components of the
+        pairs linked through shared labels.  A class of one pair spans no
+        difference and so adds no row, but its pair still counts as a
+        vertex: a component of its own unless another of its labels links
+        it.  The witness in F_w is c_w - 1.
         """
         meet_dims = {}
         product_dims = {}
         witness = {}
         for m in range(1, max_piece + 1):
-            pure = _pure_power(self.nvars, m)
-            meet_total = 0
-            prod_total = 0
-            for w in monomials(self.nvars, 2 * m):
-                fiber = [
-                    (mu, tuple(a - b for a, b in zip(w, mu)))
-                    for mu in monomials(self.nvars, m)
-                    if all(a >= b for a, b in zip(w, mu))
-                ]
-                kpairs = [
-                    (mu, nu) for mu, nu in fiber if mu != pure and nu != pure
-                ]
-                meet_total += max(len(kpairs) - 1, 0)
-                index = {pair: t for t, pair in enumerate(kpairs)}
-                ech = Echelon(len(kpairs), self.field)
-                for i in range(1, self.nvars):
-                    if not w[i]:
-                        continue
-                    for j in range(1, self.nvars):
-                        s = list(w)
-                        s[i] -= 1
-                        s[j] -= 1
-                        if s[j] < 0:
-                            continue
-                        sub = [
-                            (alpha, tuple(a - b for a, b in zip(s, alpha)))
-                            for alpha in monomials(self.nvars, m - 1)
-                            if all(a - b >= 0 for a, b in zip(s, alpha))
-                        ]
-                        if len(sub) < 2:
-                            continue
-
-                        def lift(pair):
-                            alpha, beta = pair
-                            left = tuple(a + (k == i) for k, a in enumerate(alpha))
-                            return left, tuple(b + (k == j) for k, b in enumerate(beta))
-
-                        base = lift(sub[0])
-                        for other in sub[1:]:
-                            pairs = lift(other), base
-                            if any(pair not in index for pair in pairs):
-                                raise ArithmeticError("product generator escapes the K block")
-                            ech.insert(((index[pairs[0]], 1), (index[pairs[1]], -1)))
-                prod_total += ech.dim
-            meet_dims[m] = meet_total
-            product_dims[m] = prod_total
-            witness[m] = meet_total - prod_total
+            kbasis = [mu for mu in monomial_basis(self.d, m) if mu[0] < m]
+            fibers: dict[tuple, list] = {}
+            for mu in kbasis:
+                for nu in kbasis:
+                    fibers.setdefault(tuple(a + b for a, b in zip(mu, nu)), []).append(mu)
+            meet_dims[m] = len(kbasis) ** 2 - len(fibers)
+            witness[m] = sum(_components(w, lefts) - 1 for w, lefts in fibers.items())
+            product_dims[m] = meet_dims[m] - witness[m]
         return {
             "meet_dims": meet_dims,
             "product_dims": product_dims,
             "witness_dims": witness,
         }
+
+
+def _components(w: tuple, lefts: list) -> int:
+    """Components of the K pairs (mu, w / mu), mu in lefts, by union-find.
+
+    The pair carries the labels (i, j), i, j >= 1, with mu_i > 0 and
+    (w / mu)_j > 0; two pairs are linked when they share a label.
+    """
+    parent: dict = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for mu in lefts:
+        left = [i for i in range(1, len(w)) if mu[i]]
+        right = [j for j in range(1, len(w)) if w[j] > mu[j]]
+        root = find((left[0], right[0]))
+        for i in left:
+            for j in right:
+                parent[find((i, j))] = root
+    return sum(1 for x in parent if parent[x] == x)
 
 
 def nonvanishing_from(witness_dims: dict) -> int | None:

@@ -7,7 +7,8 @@ built as subspaces where the package counts their dimensions from ranks,
 quotient coordinates obtained by reduction against those pieces, sums of
 subspaces as spans of both row sets where the package counts them in a
 quotient, spans that read every generator with no rank ceiling, Segre
-witness spaces in raw pair coordinates, and multiplicative relations
+witness spaces in raw pair coordinates and fiber by fiber through an
+echelon where the package counts components, and multiplicative relations
 found by exhaustive search over small exponents.  They are exact but
 only affordable in low degree.
 
@@ -24,7 +25,14 @@ from math import gcd, lcm
 from idealizer.automorphism import AutoMap
 from idealizer.fields import int_row, scalar_row
 from idealizer.linalg import Echelon, GradedSubspace, intersect, kernel, span, span_polys
-from idealizer.poly import HomogPoly, basis_dim, basis_index, monomial_basis, poly_to_vector
+from idealizer.poly import (
+    HomogPoly,
+    basis_dim,
+    basis_index,
+    monomial_basis,
+    monomials,
+    poly_to_vector,
+)
 from idealizer.twist import GradedIdeal, TwistRing, point_ideal_forms
 
 
@@ -412,6 +420,78 @@ def witness_dims_naive(ctx, max_piece):
                 ech.insert(row)
         out[m] = meet.dim - ech.dim
     return out
+
+
+def _pure_power(nvars: int, degree: int):
+    return tuple(degree if i == 0 else 0 for i in range(nvars))
+
+
+def witness_dims_blockwise(ctx, max_piece):
+    """Blockwise dims of (J meet K), (J.K), and their quotient.
+
+    In adapted coordinates the three spaces split over the fibers
+    F_w = {(mu, nu) : mu nu = w}; K selects the pairs with both sides
+    different from the pure power of the nonvanishing coordinate, and
+    (J.K)_m = J_{m-1}.K_1 because K_{b+1} = U_1.K_b for point ideals.
+    Each fiber's product rows, lifted from the degree-(m-1) sub-fibers,
+    go through an ``Echelon``.
+    """
+    meet_dims = {}
+    product_dims = {}
+    witness = {}
+    for m in range(1, max_piece + 1):
+        pure = _pure_power(ctx.nvars, m)
+        meet_total = 0
+        prod_total = 0
+        for w in monomials(ctx.nvars, 2 * m):
+            fiber = [
+                (mu, tuple(a - b for a, b in zip(w, mu)))
+                for mu in monomials(ctx.nvars, m)
+                if all(a >= b for a, b in zip(w, mu))
+            ]
+            kpairs = [
+                (mu, nu) for mu, nu in fiber if mu != pure and nu != pure
+            ]
+            meet_total += max(len(kpairs) - 1, 0)
+            index = {pair: t for t, pair in enumerate(kpairs)}
+            ech = Echelon(len(kpairs), ctx.field)
+            for i in range(1, ctx.nvars):
+                if not w[i]:
+                    continue
+                for j in range(1, ctx.nvars):
+                    s = list(w)
+                    s[i] -= 1
+                    s[j] -= 1
+                    if s[j] < 0:
+                        continue
+                    sub = [
+                        (alpha, tuple(a - b for a, b in zip(s, alpha)))
+                        for alpha in monomials(ctx.nvars, m - 1)
+                        if all(a - b >= 0 for a, b in zip(s, alpha))
+                    ]
+                    if len(sub) < 2:
+                        continue
+
+                    def lift(pair):
+                        alpha, beta = pair
+                        left = tuple(a + (k == i) for k, a in enumerate(alpha))
+                        return left, tuple(b + (k == j) for k, b in enumerate(beta))
+
+                    base = lift(sub[0])
+                    for other in sub[1:]:
+                        pairs = lift(other), base
+                        if any(pair not in index for pair in pairs):
+                            raise ArithmeticError("product generator escapes the K block")
+                        ech.insert(((index[pairs[0]], 1), (index[pairs[1]], -1)))
+            prod_total += ech.dim
+        meet_dims[m] = meet_total
+        product_dims[m] = prod_total
+        witness[m] = meet_total - prod_total
+    return {
+        "meet_dims": meet_dims,
+        "product_dims": product_dims,
+        "witness_dims": witness,
+    }
 
 
 def phi_tensor_invariance(ctx, auto, m):

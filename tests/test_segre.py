@@ -1,7 +1,13 @@
 """Segre-product witness spaces: (J meet K) strictly exceeds J * K."""
 
 import pytest
-from oracles import K_piece, ideal_piece, phi_tensor_invariance, witness_dims_naive
+from oracles import (
+    K_piece,
+    ideal_piece,
+    phi_tensor_invariance,
+    witness_dims_blockwise,
+    witness_dims_naive,
+)
 
 from idealizer.automorphism import AutoMap, ProjPoint
 from idealizer.fields import QQ, PrimeField
@@ -47,6 +53,13 @@ def test_naive_route_agrees(ctx):
     block = ctx.witness_dims(3)
     for m in range(1, 4):
         assert naive[m] == block["witness_dims"][m]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(10007)], ids=["Q", "GF7", "GF10007"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_component_count_matches_blockwise_echelon(d, field):
+    ctx_d = _ctx(d=d, field=field)
+    assert ctx_d.witness_dims(4) == witness_dims_blockwise(ctx_d, 4)
 
 
 def test_point_choice_does_not_matter():
