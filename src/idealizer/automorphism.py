@@ -8,12 +8,20 @@ satisfies
     apply(A, f)(P) = f(point_image(A, P)),   point_image(A, P) = A^T P.
 
 The diagonal family diag(1, p_1, ..., p_d) (top-left entry normalized
-to 1) is the case of interest; it gets a fast path in apply().
+to 1) is the case of interest.  A diagonal map scales each monomial x^e
+by its weight prod_i diag_i^e_i and keeps the monomials, so apply()
+keeps the term order and never re-sorts.  Each map caches the reduced
+weight of every monomial it has scaled, filled lazily on first use; the
+cache is kept out of == and hash, and each weight is computed in full
+before the single dict store that publishes it.
+
+power(n) is closed-form: one power per entry of a diagonal map, and
+repeated squaring of the matrix and its inverse otherwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import Sequence
 
 from .fields import Scalar, int_row, scalar_row
@@ -31,6 +39,9 @@ class AutoMap:
     inverse: tuple[tuple[Scalar, ...], ...]
     field: object
     diagonal: tuple[Scalar, ...] | None = None
+    _weights: dict[Mono, Scalar] = dataclass_field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @staticmethod
     def from_matrix(rows: Sequence[Sequence[Scalar]], field) -> "AutoMap":
@@ -52,6 +63,10 @@ class AutoMap:
         diag = (field.one,) + tuple(multipliers)
         if any(not x for x in diag):
             raise ValueError("multipliers must be nonzero")
+        return AutoMap._from_diagonal(diag, field)
+
+    @staticmethod
+    def _from_diagonal(diag: tuple[Scalar, ...], field) -> "AutoMap":
         n = len(diag)
         zero = field.zero
         mat = tuple(
@@ -88,6 +103,23 @@ class AutoMap:
             tuple(tuple(r) for r in mat), tuple(tuple(r) for r in inv), self.field, diag
         )
 
+    def power(self, n: int) -> "AutoMap":
+        """The map f -> self^n(f) for any integer n, in closed form."""
+        if n < 0:
+            return self.inv().power(-n)
+        if self.diagonal is not None:
+            p = self.field.char
+            diag = tuple(pow(x, n, p) if p else x**n for x in self.diagonal)
+            return AutoMap._from_diagonal(diag, self.field)
+        out, base = AutoMap.identity(self.nvars, self.field), self
+        while n:
+            if n & 1:
+                out = out.compose(base)
+            n >>= 1
+            if n:
+                base = base.compose(base)
+        return out
+
     def is_identity(self) -> bool:
         one, zero = self.field.one, self.field.zero
         n = self.nvars
@@ -104,14 +136,19 @@ class AutoMap:
         if f.is_zero() or f.degree == 0:
             return f
         if self.diagonal is not None:
-            out: dict[Mono, Scalar] = {}
+            weights, p = self._weights, f.char
+            terms = []
             for m, c in f.terms:
-                v = c
-                for x, e in zip(self.diagonal, m):
-                    if e:
-                        v = v * x**e
-                out[m] = v
-            return HomogPoly.from_dict(f.nvars, f.degree, out, f.char)
+                w = weights.get(m)
+                if w is None:
+                    w = self.field.one
+                    for x, e in zip(self.diagonal, m):
+                        if e:
+                            w = w * x**e
+                    w = self.field.reduce(w)
+                    weights[m] = w
+                terms.append((m, c * w % p if p else c * w))
+            return HomogPoly(f.nvars, f.degree, tuple(terms), f.char)
         images = [
             HomogPoly.from_dict(
                 f.nvars,

@@ -53,12 +53,12 @@ class OrbitWindow:
 
 
 def orbit_point(auto: AutoMap, start: ProjPoint, n: int) -> ProjPoint:
-    """The single point c_n, c_0 = start, in |n| steps along n's side of the orbit."""
-    step = pullback_point if n > 0 else point_image
-    pt = start
-    for _ in range(abs(n)):
-        pt = step(auto, pt)
-    return pt
+    """The single point c_n, c_0 = start, as one pullback along auto^n.
+
+    Pullback along A sends P to (A^-1)^T P, so n steps along either side
+    of the orbit compose to the pullback along A^n.
+    """
+    return pullback_point(auto.power(n), start)
 
 
 def orbit_points(auto: AutoMap, start: ProjPoint, window: int) -> OrbitWindow:

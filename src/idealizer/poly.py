@@ -171,7 +171,10 @@ class HomogPoly:
     char: int
 
     def __post_init__(self):
+        idx = basis_index(self.nvars, self.degree)
         for m, c in self.terms:
+            if m in idx:
+                continue
             if len(m) != self.nvars:
                 raise ValueError("monomial %r has wrong arity" % (m,))
             if mono_degree(m) != self.degree:
@@ -179,6 +182,7 @@ class HomogPoly:
                     "term %r has degree %d, expected %d"
                     % (m, mono_degree(m), self.degree)
                 )
+            raise ValueError("monomial %r has a negative exponent" % (m,))
 
     @staticmethod
     def from_dict(
@@ -246,16 +250,17 @@ class HomogPoly:
         return self._from_coeffs(self.degree, {m: c * a for m, a in self.terms})
 
     def __mul__(self, other: "HomogPoly") -> "HomogPoly":
-        """Commutative product in the underlying polynomial ring."""
+        """Commutative product in the underlying polynomial ring, through
+        ``row_product``; columns ascend in the term order, so sorting the
+        product row by column sorts its terms."""
         self._check_compatible(other)
-        acc: dict[Mono, Scalar] = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = mono_mul(m1, m2)
-                c = c1 * c2
-                s = acc.get(m)
-                acc[m] = c if s is None else s + c
-        return self._from_coeffs(self.degree + other.degree, acc)
+        n, a, b = self.nvars, self.degree, other.degree
+        left, right = basis_index(n, a), basis_index(n, b)
+        u = [(left[m], c) for m, c in self.terms]
+        v = [(right[m], c) for m, c in other.terms]
+        basis = monomials(n, a + b)
+        row = sorted(row_product(u, v, n, a, b, self.char))
+        return HomogPoly(n, a + b, tuple((basis[k], c) for k, c in row), self.char)
 
     def evaluate(self, coords: Sequence[Scalar], field) -> Scalar:
         """Value at an affine coordinate tuple (not scale-invariant)."""

@@ -67,7 +67,7 @@ class TwistRing:
         self.nvars = d + 1
         self.phi = phi
         self.field = field
-        self._powers: dict[int, AutoMap] = {0: AutoMap.identity(self.nvars, field)}
+        self._powers: dict[int, AutoMap] = {}
 
     def ambient(self, n: int):
         return poly_ambient(self.nvars, n)
@@ -76,16 +76,11 @@ class TwistRing:
         return monomials(self.nvars, n)
 
     def power(self, n: int) -> AutoMap:
-        """phi^n for any integer n, cached."""
+        """phi^n for any integer n, in closed form by ``AutoMap.power``, cached."""
         got = self._powers.get(n)
-        if got is not None:
-            return got
-        if n > 0:
-            value = self.power(n - 1).compose(self.phi)
-        else:
-            value = self.power(n + 1).compose(self.phi.inv())
-        self._powers[n] = value
-        return value
+        if got is None:
+            got = self._powers[n] = self.phi.power(n)
+        return got
 
     def twisted(self, n: int, f: HomogPoly) -> HomogPoly:
         return self.power(n).apply(f)
@@ -137,23 +132,33 @@ class TwistRing:
         every pair of basis monomials with deg f + deg g bounded by the
         given total degree.
 
+        With f of degree a and g of degree b, f .op g = g . f =
+        phi^a(g) * f and psi(f) .' psi(g) = phi'^b(phi^-a(f)) * phi^-b(g),
+        phi' = phi^{-1} the opposite ring's twist.  Per degree pair (a, b)
+        the twists of g are made once per g and those of f once per f, so
+        each pair costs one ``apply`` (phi^-(a+b) on the left side) and
+        two products.  Pairs run in (a, b, f, g) order and the first
+        failing pair is reported.
+
         Returns (ok, pairs_checked, first_failure).
         """
         opposite = TwistRing(self.d, self.phi.inv(), self.field)
+        char = self.field.char
         checked = 0
         for a in range(max_total_degree + 1):
             for b in range(max_total_degree + 1 - a):
+                back = self.power(-(a + b))
+                rights = []
+                for gm in self.basis(b):
+                    g = HomogPoly.monomial(gm, 1, char)
+                    rights.append((gm, self.twisted(a, g), self.twisted(-b, g)))
                 for fm in self.basis(a):
-                    f = HomogPoly.monomial(fm, 1, self.field.char)
-                    for gm in self.basis(b):
-                        g = HomogPoly.monomial(gm, 1, self.field.char)
+                    f = HomogPoly.monomial(fm, 1, char)
+                    tf = opposite.twisted(b, self.twisted(-a, f))
+                    for gm, g_a, g_b in rights:
                         # f .op g is g . f computed in this ring
-                        lhs = self.power(-(a + b)).apply(self.mul(g, f))
-                        rhs = opposite.mul(
-                            self.power(-a).apply(f), self.power(-b).apply(g)
-                        )
                         checked += 1
-                        if lhs != rhs:
+                        if back.apply(g_a * f) != tf * g_b:
                             return False, checked, (fm, gm)
         return True, checked, None
 

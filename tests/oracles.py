@@ -12,6 +12,12 @@ echelon where the package counts components, and multiplicative relations
 found by exhaustive search over small exponents.  They are exact but
 only affordable in low degree.
 
+The polynomial primitives keep their first routes here too: the product
+by one ``mono_mul`` per pair of terms, a diagonal map applied by one
+power per variable per term, the opposite-ring check that twists both
+factors of every pair afresh, and orbit points reached by stepping the
+orbit one point at a time.
+
 The package's rows are sparse (column, value) pairs.  ``DenseEchelon``
 is the echelon engine the package used on full-width int lists before
 it went sparse, kept as the oracle its sparse engine is compared with;
@@ -22,7 +28,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from math import gcd, lcm
 
-from idealizer.automorphism import AutoMap
+from idealizer.automorphism import AutoMap, point_image, pullback_point
 from idealizer.fields import int_row, scalar_row
 from idealizer.linalg import Echelon, GradedSubspace, intersect, kernel, span, span_polys
 from idealizer.poly import (
@@ -31,6 +37,7 @@ from idealizer.poly import (
     basis_index,
     monomial_basis,
     monomials,
+    mono_mul,
     poly_to_vector,
 )
 from idealizer.twist import GradedIdeal, TwistRing, point_ideal_forms
@@ -124,6 +131,62 @@ class DenseEchelon:
                 if rows[h][order[i]]:
                     _dense_eliminate(rows[h], rows[i], order[i], p, order[h])
         return tuple(order), tuple(map(tuple, rows))
+
+
+# -- polynomial products, diagonal maps, the opposite check and orbit points -------
+
+
+def poly_mul_terms(f, g):
+    """f * g summed over pairs of terms, one ``mono_mul`` per pair."""
+    acc = {}
+    for m1, c1 in f.terms:
+        for m2, c2 in g.terms:
+            m = mono_mul(m1, m2)
+            c = c1 * c2
+            s = acc.get(m)
+            acc[m] = c if s is None else s + c
+    return HomogPoly.from_dict(f.nvars, f.degree + g.degree, acc, f.char)
+
+
+def diagonal_apply_per_term(auto, f):
+    """A diagonal map applied to f with one power per variable per term, uncached."""
+    out = {}
+    for m, c in f.terms:
+        v = c
+        for x, e in zip(auto.diagonal, m):
+            if e:
+                v = v * x**e
+        out[m] = v
+    return HomogPoly.from_dict(f.nvars, f.degree, out, f.char)
+
+
+def opposite_iso_check_per_pair(ring, max_total_degree):
+    """``TwistRing.opposite_iso_check`` with five ``apply`` calls and two
+    products for every pair, nothing hoisted out of the pair loop."""
+    opposite = TwistRing(ring.d, ring.phi.inv(), ring.field)
+    checked = 0
+    for a in range(max_total_degree + 1):
+        for b in range(max_total_degree + 1 - a):
+            for fm in ring.basis(a):
+                f = HomogPoly.monomial(fm, 1, ring.field.char)
+                for gm in ring.basis(b):
+                    g = HomogPoly.monomial(gm, 1, ring.field.char)
+                    # f .op g is g . f computed in this ring
+                    lhs = ring.power(-(a + b)).apply(ring.mul(g, f))
+                    rhs = opposite.mul(ring.power(-a).apply(f), ring.power(-b).apply(g))
+                    checked += 1
+                    if lhs != rhs:
+                        return False, checked, (fm, gm)
+    return True, checked, None
+
+
+def orbit_point_walk(auto, start, n):
+    """c_n, c_0 = start, in |n| steps along n's side of the orbit."""
+    step = pullback_point if n > 0 else point_image
+    pt = start
+    for _ in range(abs(n)):
+        pt = step(auto, pt)
+    return pt
 
 
 # -- point ideals by recursion ------------------------------------------------------

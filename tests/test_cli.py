@@ -149,8 +149,8 @@ def test_hom_table_far_orbit_ideal(capsys):
     assert rows[1:] == ["0,0", "1,0", "2,0"]
 
 
-def test_orbit_spec_walks_one_side(monkeypatch):
-    """orbit:k takes |k| steps on k's side and reads the point of the window."""
+def test_orbit_spec_is_one_pullback(monkeypatch):
+    """orbit:k takes one pullback along phi^k and reads the point of the window."""
     instance = RingConfig().build()
     steps = []
 
@@ -171,8 +171,7 @@ def test_orbit_spec_walks_one_side(monkeypatch):
         J, label = _parse_ideal(instance, "orbit:%d" % k)
         assert label == "orbit:%d" % k
         assert J.point == window.points[k]
-        side = "pullback_point" if k > 0 else "point_image"
-        assert steps == [side] * abs(k)
+        assert steps == ["pullback_point"]
 
 
 def test_hom_table_point_spec(capsys):

@@ -3,15 +3,16 @@
 from fractions import Fraction
 
 import pytest
-from oracles import brute_force_relation
+from oracles import brute_force_relation, orbit_point_walk
 
 from idealizer.automorphism import AutoMap, ProjPoint
-from idealizer.fields import QQ
+from idealizer.fields import QQ, PrimeField
 from idealizer.orbit import (
     FactorBoundError,
     distinct_window,
     general_position_rank,
     multiplicative_independence,
+    orbit_point,
     orbit_points,
 )
 
@@ -31,6 +32,24 @@ def test_orbit_points_forward_and_backward():
     assert orbit.points[-1].coords == (Fraction(1), Fraction(2), Fraction(3))
     assert orbit.points[2].coords == (Fraction(36), Fraction(9), Fraction(4))
     assert orbit.points[0].coords == (Fraction(1), Fraction(1), Fraction(1))
+
+
+def _orbit_map(kind, field):
+    if kind == "diagonal":
+        multipliers = [field.from_int(2), field.from_fraction(Fraction(3, 5))]
+        return AutoMap.diagonal_family(multipliers, field)
+    rows = [[1, 1, 0], [0, 2, 1], [1, 0, 3]]
+    return AutoMap.from_matrix([[field.from_int(x) for x in r] for r in rows], field)
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "matrix"])
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["Q", "GF10007"])
+def test_orbit_point_matches_walk(kind, field):
+    """One pullback along phi^k lands where |k| steps of the walk do, |k| <= 50."""
+    auto = _orbit_map(kind, field)
+    start = ProjPoint.make([field.from_int(x) for x in (1, 5, 7)], field)
+    for k in range(-50, 51):
+        assert orbit_point(auto, start, k) == orbit_point_walk(auto, start, k)
 
 
 def test_distinct_window_generic():

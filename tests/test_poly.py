@@ -4,7 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from oracles import densify, sparsify
+from oracles import densify, diagonal_apply_per_term, poly_mul_terms, sparsify
 from properties import FIELDS, property_test
 
 from idealizer.automorphism import AutoMap, ProjPoint, evaluate_at, point_image, pullback_point
@@ -62,6 +62,17 @@ def test_poly_degree_mismatch_rejected():
     sq = x0 * x0
     with pytest.raises(ValueError):
         x0 + sq
+
+
+def test_poly_rejects_monomials_outside_the_basis():
+    with pytest.raises(ValueError, match="negative exponent"):
+        HomogPoly(3, 2, (((3, -1, 0), 1),), 0)
+    with pytest.raises(ValueError, match="wrong arity"):
+        HomogPoly(3, 2, (((2, 0), 1),), 0)
+    with pytest.raises(ValueError, match="has degree 3, expected 2"):
+        HomogPoly(3, 2, (((2, 1, 0), 1),), 0)
+    with pytest.raises(ValueError, match="has degree 0, expected -1"):
+        HomogPoly(3, -1, (((0, 0, 0), 1),), 0)
 
 
 def test_mixed_characteristics_rejected():
@@ -301,6 +312,97 @@ def test_row_product_is_poly_product(field, f, g, j):
             assert int_row(got, field) == want
 
 
+# -- the product and the diagonal map against their term-by-term routes ------------
+
+
+def _sparse_poly(st, field, nvars, degree):
+    """Up to eight terms of one degree; zero when the degree is negative."""
+    monos = monomials(nvars, degree)
+    if not monos:
+        return st.just(HomogPoly.zero(nvars, degree, field.char))
+    coeffs = st.dictionaries(st.sampled_from(monos), _scalar(st, field), max_size=8)
+    return coeffs.map(lambda cs: HomogPoly.from_dict(nvars, degree, cs, field.char))
+
+
+def _term_case(st):
+    """A field, nvars in 1-5, two polynomials of degrees -1 to 5 and a diagonal map."""
+
+    def case(field, nvars, a, b):
+        nonzero = _scalar(st, field).filter(bool)
+        diag = st.lists(nonzero, min_size=nvars, max_size=nvars).map(
+            lambda xs: AutoMap.from_matrix(
+                [[x if i == j else field.zero for j in range(nvars)] for i, x in enumerate(xs)],
+                field,
+            )
+        )
+        return st.tuples(
+            st.just(field),
+            _sparse_poly(st, field, nvars, a),
+            _sparse_poly(st, field, nvars, b),
+            diag,
+        )
+
+    return st.tuples(
+        st.sampled_from(FIELDS), st.integers(1, 5), st.integers(-1, 5), st.integers(-1, 5)
+    ).flatmap(lambda t: case(*t))
+
+
+@property_test(_term_case, max_examples=80)
+def test_product_matches_term_by_term(field, f, g, A):
+    want = poly_mul_terms(f, g)
+    assert f * g == want
+    assert g * f == want
+    assert (f * g).degree == f.degree + g.degree
+
+
+@property_test(_term_case, max_examples=80)
+def test_diagonal_apply_matches_per_term(field, f, g, A):
+    assert A.diagonal is not None
+    for auto in (A, A.inv()):
+        for h in (f, g, f * g):
+            want = diagonal_apply_per_term(auto, h)
+            assert auto.apply(h) == want
+            # a second pass reads the weights cached by the first
+            assert auto.apply(h) == want
+
+
+def test_weight_cache_stays_out_of_equality():
+    A = AutoMap.diagonal_family([QQ.from_int(2), Fraction(1, 3)], QQ)
+    B = AutoMap.diagonal_family([QQ.from_int(2), Fraction(1, 3)], QQ)
+    f = parse_poly("x0*x1 + 2*x2^2", 3, QQ)
+    assert A.apply(f) == parse_poly("2*x0*x1 + 2/9*x2^2", 3, QQ)
+    assert A == B and hash(A) == hash(B)
+    assert "_weights" not in repr(A)
+
+
+# -- closed-form powers against repeated composition -------------------------------
+
+
+def _repeated(A, n):
+    """A^n by |n| compositions with A or its inverse, from the identity."""
+    step = A if n > 0 else A.inv()
+    out = AutoMap.identity(A.nvars, A.field)
+    for _ in range(abs(n)):
+        out = out.compose(step)
+    return out
+
+
+@property_test(lambda st: _field_and(st, _automap, lambda st, F: st.integers(-9, 9)))
+def test_power_matches_repeated_compose(field, A, n):
+    assert A.power(n) == _repeated(A, n)
+
+
+def test_power_of_a_matrix_map_by_squaring():
+    F = PrimeField(10007)
+    rows = [[1, 1, 0], [0, 2, 1], [1, 0, 3]]
+    for field in (QQ, F):
+        A = AutoMap.from_matrix([[field.from_int(x) for x in r] for r in rows], field)
+        assert A.diagonal is None
+        for n in (0, 1, 2, 5, 16, 37, -1, -6, -37):
+            assert A.power(n) == _repeated(A, n)
+        assert A.power(41).compose(A.power(-41)).is_identity()
+
+
 # -- GF(p) arithmetic against Q arithmetic on integer data, then reduced --------------
 
 
@@ -375,3 +477,11 @@ def test_twist_power_reduces_mod_p():
     assert sixth.is_identity()
     assert sixth.diagonal == (1, 1, 1)
     assert ring.power(-6).diagonal == (1, 1, 1)
+
+
+def test_twist_power_is_closed_form():
+    """Deep powers need no chain of lower ones."""
+    ring = TwistRing(2, AutoMap.diagonal_family([QQ.from_int(2), QQ.from_int(3)], QQ), QQ)
+    assert ring.power(2000).diagonal == (1, 2**2000, 3**2000)
+    assert ring.power(-2000).diagonal == (1, Fraction(1, 2**2000), Fraction(1, 3**2000))
+    assert ring.power(2000) is ring.power(2000)

@@ -1,7 +1,7 @@
 """Twisted multiplication, graded ideals, and the opposite-ring identity."""
 
 import pytest
-from oracles import recursive_point_ideal
+from oracles import opposite_iso_check_per_pair, recursive_point_ideal
 
 from idealizer.automorphism import AutoMap, ProjPoint
 from idealizer.fields import QQ, PrimeField
@@ -221,6 +221,53 @@ def test_opposite_iso_check():
     ok, checked, first_bad = _ring().opposite_iso_check(3)
     assert ok and first_bad is None
     assert checked == 84
+
+
+class _FaultyPower(TwistRing):
+    """A ring whose phi^fault is phi^(fault + 1): one wrong twist."""
+
+    def __init__(self, fault, *args):
+        super().__init__(*args)
+        self.fault = fault
+
+    def power(self, n):
+        got = super().power(n)
+        return got.compose(self.phi) if n == self.fault else got
+
+
+def _matrix_ring(field):
+    rows = [[1, 1, 0], [0, 2, 1], [1, 0, 3]]
+    phi = AutoMap.from_matrix([[field.from_int(x) for x in r] for r in rows], field)
+    return TwistRing(2, phi, field)
+
+
+_OPPOSITE_RINGS = {
+    "diag-q": lambda: _ring(),
+    "diag-q-d3": lambda: _ring((2, 3, 5)),
+    "identity-q": lambda: _ring((1, 1)),
+    "diag-gf7": lambda: _ring((2, 3), PrimeField(7)),
+    "matrix-q": lambda: _matrix_ring(QQ),
+    "matrix-gf10007": lambda: _matrix_ring(PrimeField(10007)),
+    "fault-at-minus-3": lambda: _FaultyPower(-3, 2, _ring().phi, QQ),
+    "fault-at-2-gf7": lambda: _FaultyPower(2, 2, _ring((2, 3), PrimeField(7)).phi, PrimeField(7)),
+    "fault-at-minus-1-matrix": lambda: _FaultyPower(-1, 2, _matrix_ring(QQ).phi, QQ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OPPOSITE_RINGS))
+def test_opposite_iso_check_matches_per_pair(name):
+    ring = _OPPOSITE_RINGS[name]()
+    got = ring.opposite_iso_check(4)
+    assert got == opposite_iso_check_per_pair(ring, 4)
+    assert got[0] == (got[2] is None) == (not name.startswith("fault"))
+
+
+def test_opposite_iso_check_reports_the_first_failing_pair():
+    """With phi^-3 off by one factor of phi, the pairs of degrees (0, 3)
+    use it on both sides and pass, as does x0 . x0^2, which has weight 1.
+    The first failure is x0 . x0 x1, the 49th pair."""
+    ring = _FaultyPower(-3, 2, _ring().phi, QQ)
+    assert ring.opposite_iso_check(4) == (False, 49, ((1, 0, 0), (1, 1, 0)))
 
 
 def test_ambient_basis_shape():
