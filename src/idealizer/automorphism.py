@@ -8,15 +8,12 @@ satisfies
     apply(A, f)(P) = f(point_image(A, P)),   point_image(A, P) = A^T P.
 
 The diagonal family diag(1, p_1, ..., p_d) (top-left entry normalized
-to 1) is the case of interest.  A diagonal map scales each monomial x^e
-by its weight prod_i diag_i^e_i and keeps the monomials, so apply()
-keeps the term order and never re-sorts.  Each map caches the reduced
-weight of every monomial it has scaled, filled lazily on first use; the
-cache is kept out of == and hash, and each weight is computed in full
-before the single dict store that publishes it.
-
-power(n) is closed-form: one power per entry of a diagonal map, and
-repeated squaring of the matrix and its inverse otherwise.
+to 1) is the case of interest.  A diagonal map scales each monomial by
+its weight prod_i diag_i^e_i, so apply() keeps the term order.  Each map
+caches the reduced weight of every monomial it has scaled, outside ==
+and hash; a weight is computed in full before the one store that
+publishes it.  power(n) is closed-form: one power per diagonal entry,
+else repeated squaring of the matrix and its inverse.
 """
 
 from __future__ import annotations

@@ -9,7 +9,8 @@ Sums and products of GF(p) scalars are plain integer arithmetic, so they
 leave [0, p) until reduced.  The field object owns reduction and
 division: ``reduce(x)`` is the identity over Q and ``x % p`` mod p, and
 ``inv(x)`` is the exact inverse, raising ``ZeroDivisionError`` on zero.
-Polynomials reduce in one place, ``HomogPoly.from_dict``; the few sums
+Polynomials reduce in ``HomogPoly.from_dict``, in ``poly.row_product``
+(which ``*`` runs on) and in the diagonal ``AutoMap.apply``; the few sums
 and products made outside polynomials (``AutoMap.compose``,
 ``linalg.mat_mul``/``mat_vec``, ``HomogPoly.evaluate``) call ``reduce``.
 

@@ -22,9 +22,12 @@ basis indices of m_i * m_j in degree a + b, built lazily and cached.
 ``row_product`` multiplies two int rows over it, visiting only pairs of
 nonzeros and summing into a dict, and ``times_monomial`` is its case of
 a monomial factor: the columns of the other row moved through one table
-row, its values untouched.  No full-width row is built.  ``*`` remains
-for the checks of polynomial arithmetic itself: associativity, the
-opposite-ring transport and ``AutoMap.apply``.
+row, its values untouched.  No full-width row is built.  ``*`` runs on
+the same table: it maps the terms of both factors to columns, multiplies
+by ``row_product`` (whose values may be any exact scalars) and maps the
+columns back, sorted, because column order is term order.  The checks of
+polynomial arithmetic itself (associativity, the opposite-ring transport,
+the non-diagonal ``AutoMap.apply``) multiply with it.
 """
 
 from __future__ import annotations
@@ -110,6 +113,8 @@ def row_product(
     degree b with int row v, reduced mod p once at the end (p = 0: over Q).
 
     The product of the scales of u and v is the scale of the result.
+    Values may be any exact scalars: ``HomogPoly.__mul__`` passes its
+    coefficients, ``Fraction`` included.
     """
     table = product_index(nvars, a, b)
     out: dict[int, int] = {}
@@ -161,8 +166,10 @@ class HomogPoly:
     """A homogeneous polynomial over the field of characteristic ``char``.
 
     Terms are sorted and sparse, with no zero coefficients; mod p every
-    coefficient is a least residue.  ``from_dict`` is the one place that
-    reduces and drops zeros, and every operator builds its result there.
+    coefficient is a least residue.  Every monomial lies in the basis of
+    the degree.  ``from_dict`` reduces, drops zeros and sorts, and the
+    additive operators build their results there; ``*`` reduces in
+    ``row_product`` and sorts by column.
     """
 
     nvars: int
@@ -252,12 +259,14 @@ class HomogPoly:
     def __mul__(self, other: "HomogPoly") -> "HomogPoly":
         """Commutative product in the underlying polynomial ring, through
         ``row_product``; columns ascend in the term order, so sorting the
-        product row by column sorts its terms."""
+        product row by column sorts its terms.  The factor of lower degree
+        goes first, so f * g and g * f share one table."""
         self._check_compatible(other)
-        n, a, b = self.nvars, self.degree, other.degree
+        f, g = (self, other) if self.degree <= other.degree else (other, self)
+        n, a, b = self.nvars, f.degree, g.degree
         left, right = basis_index(n, a), basis_index(n, b)
-        u = [(left[m], c) for m, c in self.terms]
-        v = [(right[m], c) for m, c in other.terms]
+        u = [(left[m], c) for m, c in f.terms]
+        v = [(right[m], c) for m, c in g.terms]
         basis = monomials(n, a + b)
         row = sorted(row_product(u, v, n, a, b, self.char))
         return HomogPoly(n, a + b, tuple((basis[k], c) for k, c in row), self.char)

@@ -29,9 +29,10 @@ polynomials, the route the tests keep as the point ideals' oracle.
 Right ideals do twist: (f S)_m = phi^{m-n}(f) * U_{m-n}, spanned by the
 int row of phi^{m-n}(f) scattered by each monomial of degree m - n.
 
-Automorphism powers are cached per ring.  Each cache value is built
-completely before the single dict store that publishes it, so warmed
-rings can be read from several threads.
+Automorphism powers are cached per ring, each computed in closed form
+by ``AutoMap.power``.  Each cache value is built completely before the
+single dict store that publishes it, so warmed rings can be read from
+several threads.
 """
 
 from __future__ import annotations
@@ -132,13 +133,11 @@ class TwistRing:
         every pair of basis monomials with deg f + deg g bounded by the
         given total degree.
 
-        With f of degree a and g of degree b, f .op g = g . f =
-        phi^a(g) * f and psi(f) .' psi(g) = phi'^b(phi^-a(f)) * phi^-b(g),
-        phi' = phi^{-1} the opposite ring's twist.  Per degree pair (a, b)
-        the twists of g are made once per g and those of f once per f, so
-        each pair costs one ``apply`` (phi^-(a+b) on the left side) and
-        two products.  Pairs run in (a, b, f, g) order and the first
-        failing pair is reported.
+        For deg f = a and deg g = b the two sides are phi^-(a+b)(phi^a(g) * f)
+        and phi'^b(phi^-a(f)) * phi^-b(g), phi' = phi^{-1}.  The twists of
+        each g and each f are made once per degree pair (a, b), so a pair
+        costs one ``apply`` and two products.  Pairs run in (a, b, f, g)
+        order, and the first failing pair is reported.
 
         Returns (ok, pairs_checked, first_failure).
         """

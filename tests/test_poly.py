@@ -387,20 +387,9 @@ def _repeated(A, n):
     return out
 
 
-@property_test(lambda st: _field_and(st, _automap, lambda st, F: st.integers(-9, 9)))
+@property_test(lambda st: _field_and(st, _automap, lambda st, F: st.integers(-40, 40)))
 def test_power_matches_repeated_compose(field, A, n):
     assert A.power(n) == _repeated(A, n)
-
-
-def test_power_of_a_matrix_map_by_squaring():
-    F = PrimeField(10007)
-    rows = [[1, 1, 0], [0, 2, 1], [1, 0, 3]]
-    for field in (QQ, F):
-        A = AutoMap.from_matrix([[field.from_int(x) for x in r] for r in rows], field)
-        assert A.diagonal is None
-        for n in (0, 1, 2, 5, 16, 37, -1, -6, -37):
-            assert A.power(n) == _repeated(A, n)
-        assert A.power(41).compose(A.power(-41)).is_identity()
 
 
 # -- GF(p) arithmetic against Q arithmetic on integer data, then reduced --------------
