@@ -12,9 +12,12 @@ these digests keeps the reports.
 commands, which reach what the suite does not: the twisted-module route
 of ``ext-table`` on the ``orbit:``, ``gens:`` and ``max`` ideal specs (the
 ``orbit:`` spec also under the non-diagonal matrix, where a twisted point
-ideal is the ideal of a point moved by a full matrix), a ``point:`` hom
-table, a noetherian probe, and the ``segre`` witness table in three, four
-and five variables, over Q and mod 7, in degrees past the suite's.
+ideal is the ideal of a point moved by a full matrix, and the ``gens:``
+spec under that matrix, where a twisted ideal is a new ideal on the
+generators' images), a ``point:`` hom table, a noetherian probe, the
+Hilbert function of S/IS past the suite's window and under the matrix,
+and the ``segre`` witness table in three, four and five variables, over Q
+and mod 7, in degrees past the suite's.
 """
 
 import contextlib
@@ -102,6 +105,26 @@ CLI_GOLDEN = [
         ("ext-table", "--config", "matrix.json", "--J", "orbit:-2", "--max-degree", "4", "--field", "prime:7"),
         0,
         "541cc6bdfd1ee7d7ea751d9591303bf3e120676ec098ad3217fef3a63d512084",
+    ),
+    (
+        ("ext-table", "--config", "matrix.json", "--J", "gens:x0^2;x1*x2", "--max-degree", "4"),
+        0,
+        "61f152298620b54205dbdf9d74bc41728139340febf26576b31c948e913f74e3",
+    ),
+    (
+        ("ext-table", "--config", "matrix.json", "--J", "gens:x0^2;x1*x2", "--max-degree", "4", "--field", "prime:7"),
+        0,
+        "3bd9c163e74b818dc67cec095639fc2f880c0c998fdbcb18f78e2842715d79ec",
+    ),
+    (
+        ("hilbert", "--series", "S_mod_IS", "--max-degree", "12"),
+        0,
+        "8f2957fc906002e9aeb9f92213c7e5fe146baffe47d64d1f8453bbc02e8db3e4",
+    ),
+    (
+        ("hilbert", "--series", "S_mod_IS", "--config", "matrix.json", "--max-degree", "8"),
+        0,
+        "ab8fecb761f1bfdaab80fb9b9a8122d8456b77ce984468e3cafc3abb80daf27c",
     ),
     (
         ("segre", "--max-degree", "8"),
