@@ -9,11 +9,14 @@ satisfies
 
 The diagonal family diag(1, p_1, ..., p_d) (top-left entry normalized
 to 1) is the case of interest.  A diagonal map scales each monomial by
-its weight prod_i diag_i^e_i, so apply() keeps the term order.  Each map
-caches the reduced weight of every monomial it has scaled, outside ==
-and hash; a weight is computed in full before the one store that
-publishes it.  power(n) is closed-form: one power per diagonal entry,
-else repeated squaring of the matrix and its inverse.
+its weight prod_i diag_i^e_i, so apply() keeps the term order; any other
+map sends each monomial to a polynomial, its image, and apply() sums the
+images scaled by the coefficients.  Each map caches the reduced weight
+or the image of every monomial it has met, outside ==, hash and repr; a
+value is computed in full before the one store that publishes it, and an
+image is built from the cached image of the monomial one variable lower.
+power(n) is closed-form: one power per diagonal entry, else repeated
+squaring of the matrix and its inverse.
 """
 
 from __future__ import annotations
@@ -37,6 +40,9 @@ class AutoMap:
     field: object
     diagonal: tuple[Scalar, ...] | None = None
     _weights: dict[Mono, Scalar] = dataclass_field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _images: dict[Mono, HomogPoly] = dataclass_field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -146,37 +152,31 @@ class AutoMap:
                     weights[m] = w
                 terms.append((m, c * w % p if p else c * w))
             return HomogPoly(f.nvars, f.degree, tuple(terms), f.char)
-        images = [
-            HomogPoly.from_dict(
-                f.nvars,
-                1,
-                {
-                    tuple(1 if k == j else 0 for k in range(f.nvars)): self.matrix[j][i]
-                    for j in range(f.nvars)
-                },
-                f.char,
-            )
-            for i in range(f.nvars)
-        ]
-        power_cache: dict[tuple[int, int], HomogPoly] = {}
-
-        def var_power(i: int, e: int) -> HomogPoly:
-            key = (i, e)
-            got = power_cache.get(key)
-            if got is None:
-                got = images[i] if e == 1 else var_power(i, e - 1) * images[i]
-                power_cache[key] = got
-            return got
-
-        total = HomogPoly.zero(f.nvars, f.degree, f.char)
+        acc: dict[Mono, Scalar] = {}
         for m, c in f.terms:
-            term = None
-            for i, e in enumerate(m):
-                if e:
-                    p = var_power(i, e)
-                    term = p if term is None else term * p
-            total = total + term.scale(c)
-        return total
+            for mm, a in self._image(m).terms:
+                s = acc.get(mm)
+                acc[mm] = c * a if s is None else s + c * a
+        return HomogPoly.from_dict(f.nvars, f.degree, acc, f.char)
+
+    def _image(self, m: Mono) -> HomogPoly:
+        """The substitution applied to the monomial m of positive degree,
+        cached per map: the image of x_i, i the first variable of m, times
+        the image of m / x_i."""
+        got = self._images.get(m)
+        if got is None:
+            n = self.nvars
+            i = next(k for k, e in enumerate(m) if e)
+            var = HomogPoly.from_dict(
+                n,
+                1,
+                {tuple(int(k == j) for k in range(n)): self.matrix[j][i] for j in range(n)},
+                self.field.char,
+            )
+            rest = m[:i] + (m[i] - 1,) + m[i + 1:]
+            got = var if sum(rest) == 0 else self._image(rest) * var
+            self._images[m] = got
+        return got
 
 
 @dataclass(frozen=True)

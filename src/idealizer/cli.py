@@ -150,6 +150,8 @@ def _parse_ideal(instance: Instance, text: str) -> tuple[GradedIdeal, str]:
             raise ConfigError("bad point in ideal spec %r" % spec) from exc
         if len(lifted) != ring.nvars:
             raise ConfigError("ideal point needs %d coordinates" % ring.nvars)
+        if not any(lifted):
+            raise ConfigError("ideal point %r is zero in the field" % spec)
         pt = ProjPoint.make(lifted, instance.field)
         return PointIdeal(ring, pt), "point:%s" % pt.render(instance.field)
     if spec.startswith("orbit:"):
@@ -261,6 +263,8 @@ def cmd_critdense(args, instance: Instance) -> int:
     if args.window is not None or args.degree is not None:
         window = args.window if args.window is not None else cfg.max_degree
         degree_cap = args.degree if args.degree is not None else 2
+        if window < 1 or degree_cap < 1:
+            raise ConfigError("the window and the degree cap must be positive")
         orbit = orbit_points(instance.ring.phi, instance.point, window)
         ok, collision = distinct_window(orbit)
         ranks = []
@@ -381,6 +385,8 @@ def cmd_segre(args, instance: Instance) -> int:
 
 
 def cmd_opposite_check(args, instance: Instance) -> int:
+    if args.total_degree < 0:
+        raise ConfigError("the total degree must be nonnegative")
     ok, checked, first_bad = instance.ring.opposite_iso_check(args.total_degree)
     payload = {
         "schema": SCHEMA,

@@ -17,9 +17,11 @@ is ranked at most once per complex, module and degree: the rank is kept
 on the module, so it is freed with it, and Ext^i reuses the ranks of
 delta^i and delta^(i-1) that its neighbours already paid for.
 
-Every product here is an int-row product through ``poly.product_index``,
-fed nonzero by nonzero into the target piece's cached quotient map; no
-polynomial is multiplied and no full-width product row is built.  The
+Every product here is an int-row product through ``poly.product_index``:
+the multiplication matrices feed it nonzero by nonzero into the target
+piece's cached quotient map, and the probe's fS and fT are
+``TwistRing.product_rows``.  No polynomial is multiplied and no
+full-width product row is built.  The
 hom spaces and the probes report dimensions, so they count them from
 ranks and never build the spaces: dim Hom_n is dim U_n - rank M - dim J_n
 for the constraint matrix M.  The probe counts its sum in the quotient
@@ -44,7 +46,7 @@ from .automorphism import evaluate_at
 from .idealizer_ring import IdealizerRing
 from .linalg import rank_rows, span
 from .orbit import orbit_points
-from .poly import HomogPoly, basis_dim, poly_to_vector, product_index, row_product
+from .poly import HomogPoly, basis_dim, poly_to_vector, product_index
 from .twist import GradedIdeal
 
 __all__ = [
@@ -238,16 +240,8 @@ class ExtEngine:
             image = [T.quotient_coords(r)[0] for r in fS.rows]
             rank = rank_rows(image, T.ambient.dim - T.dim, self.field)
             coker.append(T.ambient.dim - T.dim - rank)
-            # f . t = phi^(m-n)(f) * t for t in T_{m-n}
-            u = poly_to_vector(self.ring.twisted(m - n, f), self.field)
-            fT = span(
-                (
-                    row_product(u, t, self.ring.nvars, n, m - n, self.field.char)
-                    for t in idl.idealizer_piece(m - n).rows
-                ),
-                self.ring.ambient(m),
-                self.field,
-            )
+            rights = idl.idealizer_piece(m - n).rows
+            fT = span(self.ring.product_rows([f], rights, m - n), self.ring.ambient(m), self.field)
             if not (fS.contains_subspace(fT) and T.contains_subspace(fT)):
                 raise ArithmeticError("fT escapes fS meet T")
             torsion.append(fS.dim - rank - fT.dim)

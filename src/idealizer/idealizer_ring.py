@@ -10,9 +10,14 @@ computed degree by degree as the kernel of an explicit constraint matrix.
 Reducing to the degree-1 generators is legitimate because I is generated
 in degree 1.  Each constraint asks that phi^n(f) * x lie in I_{n+1}; the
 quotient U_{n+1}/I_{n+1} is one-dimensional with coordinate evaluation at
-c, so a constraint row is multiply-then-evaluate.  The test suite keeps
-an oracle that takes every constraint up to a cap and reduces against a
-recursively built I.
+c, so a constraint row is multiply-then-evaluate: the int row of
+phi^n(f) scattered by ``poly.product_index`` and read against the
+evaluation row.  The test suite keeps an oracle that takes every
+constraint up to a cap and reduces against a recursively built I.
+
+The pieces of IS and of (T_+^2), and T_n . T_n, are spans of twisted
+products of pieces, each one ``TwistRing.product_rows``; no polynomial
+is multiplied.
 
 Spans and kernels stop at a proven rank ceiling, and each ceiling is
 guarded so that a bug cannot hide behind it:
@@ -44,18 +49,9 @@ from __future__ import annotations
 
 from .automorphism import ProjPoint
 from .fields import int_row
-from .linalg import GradedSubspace, kernel, rank_rows, span, span_polys
+from .linalg import GradedSubspace, kernel, rank_rows, span
 from .orbit import distinct_window, orbit_points
-from .poly import (
-    HomogPoly,
-    basis_dim,
-    basis_index,
-    mono_mul,
-    monomial_basis,
-    monomial_values,
-    poly_to_vector,
-    row_product,
-)
+from .poly import HomogPoly, basis_dim, monomial_values, poly_to_vector, product_index
 from .twist import PointIdeal, TwistRing
 
 __all__ = ["IdealizerRing"]
@@ -75,19 +71,22 @@ class IdealizerRing:
 
     # -- degreewise pieces ------------------------------------------------
 
-    def _quotient_row(self, g: HomogPoly, source_degree: int) -> list[int]:
+    def _quotient_row(self, g: HomogPoly, source_degree: int) -> list[tuple[int, int]]:
         """Constraint row: coordinate of g * e_k in U/I, one per monomial e_k.
 
         I_m is the kernel of evaluation at the point, so the coordinate in
         the one-dimensional quotient is the value at the point, up to a
-        nonzero scalar that does not change the kernel.
+        nonzero scalar that does not change the kernel.  The int row of g
+        goes through ``poly.product_index``, so the row is exact up to the
+        scale of g's int row and of the evaluation row.
         """
-        degree = source_degree + g.degree
-        values = dict(monomial_values(self.point.coords, self.field, degree))
-        index = basis_index(self.ring.nvars, degree)
+        nvars = self.ring.nvars
+        values = dict(monomial_values(self.point.coords, self.field, source_degree + g.degree))
+        table = product_index(nvars, g.degree, source_degree)
+        u = [(table[i], x) for i, x in poly_to_vector(g, self.field)]
         row = [
-            sum((gc * values.get(index[mono_mul(gm, m)], 0) for gm, gc in g.terms), self.field.zero)
-            for m in monomial_basis(self.ring.d, source_degree)
+            sum(x * values.get(cols[k], 0) for cols, x in u)
+            for k in range(basis_dim(nvars, source_degree))
         ]
         return int_row(row, self.field)
 
@@ -158,18 +157,21 @@ class IdealizerRing:
     # -- the two-sided ideal IS --------------------------------------------
 
     def is_piece(self, m: int) -> GradedSubspace:
-        """(IS)_m = sum over i of phi^i(I_{m-i}) . U_i."""
+        """(IS)_m = sum over i of I_{m-i} . U_i, each I_{m-i} . U_i the
+        products phi^i(f) * e for f in I_{m-i} and e a monomial of degree i."""
         cached = self._is_pieces.get(m)
         if cached is not None:
             return cached
-
-        def gens():
-            for i in range(m):
-                yield from self.ring.products(
-                    self.I.piece(m - i).basis_polys(), self.ring.monomial_polys(i)
-                )
-
-        piece = span_polys(gens(), self.ring.ambient(m), self.field)
+        rows = (
+            row
+            for i in range(m)
+            for row in self.ring.product_rows(
+                self.I.piece(m - i).basis_polys(),
+                [((j, 1),) for j in range(basis_dim(self.ring.nvars, i))],
+                i,
+            )
+        )
+        piece = span(rows, self.ring.ambient(m), self.field)
         self._is_pieces[m] = piece
         return piece
 
@@ -184,24 +186,21 @@ class IdealizerRing:
     def decomposable_piece(self, n: int) -> GradedSubspace:
         """Degree-n span of products of positive-degree elements of T.
 
-        A product t . s of t in T_a and s in T_{n-a} is phi^(n-a)(t) * s,
-        so each basis element t of T_a is twisted once and its int row
-        multiplied by every row of T_{n-a} through ``poly.row_product``.
-        The span lies in T_n, so it stops at rank dim T_n; reaching that
-        ceiling it must equal T_n, or the pieces of T are wrong.
+        A product t . s of t in T_a and s in T_{n-a} is one
+        ``TwistRing.product_rows`` of a basis polynomial of T_a and a row
+        of T_{n-a}.  The span lies in T_n, so it stops at rank dim T_n;
+        reaching that ceiling it must equal T_n, or the pieces of T are
+        wrong.
         """
-        nvars, p = self.ring.nvars, self.field.char
-
-        def gens():
-            for a in range(1, n):
-                rights = self.idealizer_piece(n - a).rows
-                for t in self.idealizer_piece(a).basis_polys():
-                    u = poly_to_vector(self.ring.twisted(n - a, t), self.field)
-                    for s in rights:
-                        yield row_product(u, s, nvars, a, n - a, p)
-
+        rows = (
+            row
+            for a in range(1, n)
+            for row in self.ring.product_rows(
+                self.idealizer_piece(a).basis_polys(), self.idealizer_piece(n - a).rows, n - a
+            )
+        )
         target = self.idealizer_piece(n)
-        piece = span(gens(), self.ring.ambient(n), self.field, target.dim)
+        piece = span(rows, self.ring.ambient(n), self.field, target.dim)
         if piece.dim == target.dim and piece != target:
             raise ArithmeticError("products of T reach dim T_%d but leave T_%d" % (n, n))
         return piece

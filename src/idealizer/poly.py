@@ -15,9 +15,11 @@ Vectors over this order are sparse int rows (see ``fields``): (column,
 value) pairs, columns the basis indices.  ``poly_to_vector`` reads one
 off the terms of a polynomial and ``vector_to_poly`` turns one back.
 
-The ideal recursion, the right ideals, the idealizer's decomposable
-products and the Ext matrices multiply int rows, not polynomials,
-through one product: ``product_index(nvars, a, b)`` is the table of
+The ideal recursion, every twisted product of pieces (the right ideals,
+IS, the idealizer's decomposable products and fT, all through
+``TwistRing.product_rows``), the idealizer's constraint rows and the Ext
+matrices multiply int rows, not polynomials, through one product:
+``product_index(nvars, a, b)`` is the table of
 basis indices of m_i * m_j in degree a + b, built lazily and cached.
 ``row_product`` multiplies two int rows over it, visiting only pairs of
 nonzeros and summing into a dict, and ``times_monomial`` is its case of

@@ -19,15 +19,23 @@ generators, each converted once, so no polynomial is multiplied.  The
 ideal of a point c, an orbit point c_k among them, is built without it:
 the ideal generated by the linear forms vanishing at c is saturated, so
 its degree-n piece is the kernel of evaluation at c on U_n, whose reduced
-echelon form is read off the evaluation row.  A twisted point ideal is
-again a point ideal: phi^k(I_c) is the ideal of the moved point P' =
-pullback_point(phi^k, c), because apply(A, f)(P') = f(c), so its pieces
-are read off the evaluation row at P' and no polynomial is substituted.
-Other ideals twist a piece by ``AutoMap.apply`` on its basis
-polynomials, the route the tests keep as the point ideals' oracle.
+echelon form is read off the evaluation row.
 
-Right ideals do twist: (f S)_m = phi^{m-n}(f) * U_{m-n}, spanned by the
-int row of phi^{m-n}(f) scattered by each monomial of degree m - n.
+Every twisted ideal is a moved ideal.  phi^k is a ring automorphism of
+U, so phi^k(J) is the ideal generated by the images of J's generators,
+and its pieces come from the same recursion; when the images are the
+generators themselves (phi(x0) = x0 for the diagonal family) the ideal
+is its own twist.  A point ideal moves to a point ideal: phi^k(I_c) is
+the ideal of P' = pullback_point(phi^k, c), because apply(A, f)(P') =
+f(c), so no polynomial is substituted at all.  Each ideal keeps one
+moved ideal per power.
+
+Every twisted product of two pieces, f . g = phi^b(f) * g for g of degree
+b, is one ``TwistRing.product_rows``: each left polynomial is twisted
+once and its int row multiplied by each right int row through
+``poly.row_product``.  The products of pieces of T, the right ideals
+(f S)_m = phi^{m-n}(f) * U_{m-n} (right factors the monomial rows), the
+pieces of IS and the probe's fT all take it.
 
 Automorphism powers are cached per ring, each computed in closed form
 by ``AutoMap.power``.  Each cache value is built completely before the
@@ -42,13 +50,14 @@ from math import gcd
 
 from .automorphism import AutoMap, ProjPoint, pullback_point
 from .fields import scalar_row
-from .linalg import GradedSubspace, kernel, poly_ambient, span, span_polys
+from .linalg import GradedSubspace, kernel, poly_ambient, span
 from .poly import (
     HomogPoly,
     basis_dim,
     monomial_values,
     monomials,
     poly_to_vector,
+    row_product,
     times_monomial,
     vector_to_poly,
 )
@@ -93,39 +102,32 @@ class TwistRing:
     def variable(self, i: int) -> HomogPoly:
         return HomogPoly.variable(self.nvars, i, self.field)
 
-    def monomial_polys(self, n: int) -> list[HomogPoly]:
-        return [HomogPoly.monomial(m, 1, self.field.char) for m in self.basis(n)]
+    def product_rows(self, lefts, rights, b: int):
+        """Yield the int rows of the twisted products f . g = phi^b(f) * g.
 
-    def products(self, lefts, rights):
-        """Yield the twisted products f . g = phi^(deg g)(f) * g.
-
-        The right factors are a list sharing one degree, so each f is
-        twisted once; f is the outer loop and g the inner one.
+        ``lefts`` are polynomials and ``rights`` a sequence of int rows of
+        degree b.  Each f is twisted once; f is the outer loop and g the
+        inner one.
         """
-        if not rights:
-            return
-        b = rights[0].degree
+        nvars, p = self.nvars, self.field.char
         for f in lefts:
-            tf = self.twisted(b, f)
+            u = poly_to_vector(self.twisted(b, f), self.field)
             for g in rights:
-                yield tf * g
+                yield row_product(u, g, nvars, f.degree, b, p)
 
     def product_piece(self, v: GradedSubspace, w: GradedSubspace) -> GradedSubspace:
         """Span of the twisted products of two graded pieces v . w."""
         if v.ambient.kind != "poly" or w.ambient.kind != "poly":
             raise ValueError("twisted products need polynomial ambients")
-        target = self.ambient(v.ambient.degree + w.ambient.degree)
-        return span_polys(self.products(v.basis_polys(), w.basis_polys()), target, self.field)
+        b = w.ambient.degree
+        rows = self.product_rows(v.basis_polys(), w.rows, b)
+        return span(rows, self.ambient(v.ambient.degree + b), self.field)
 
     def principal_right_piece(self, f: HomogPoly, m: int) -> GradedSubspace:
-        """(f S)_m: the int row of phi^b(f), b = m - deg f, times each monomial of degree b."""
-        target = self.ambient(m)
-        if m < f.degree or f.is_zero():
-            return span([], target, self.field)
-        a, b = f.degree, m - f.degree
-        u = poly_to_vector(self.twisted(b, f), self.field)
-        rows = (times_monomial(u, j, self.nvars, a, b) for j in range(basis_dim(self.nvars, b)))
-        return span(rows, target, self.field)
+        """(f S)_m: phi^b(f), b = m - deg f, times each monomial of degree b."""
+        b = m - f.degree
+        monos = [((j, 1),) for j in range(basis_dim(self.nvars, b))]
+        return span(self.product_rows([f], monos, b), self.ambient(m), self.field)
 
     def opposite_iso_check(self, max_total_degree: int):
         """Verify degreewise that psi_n = phi^{-n} maps the opposite ring
@@ -176,7 +178,7 @@ class GradedIdeal:
         self.ring = ring
         self.gens = [g for g in gens if not g.is_zero()]
         self._pieces: dict[int, GradedSubspace] = {}
-        self._twisted: dict[tuple[int, int], GradedSubspace] = {}
+        self._moved: dict[int, GradedIdeal | None] = {}
 
     def piece(self, n: int) -> GradedSubspace:
         got = self._pieces.get(n)
@@ -204,19 +206,16 @@ class GradedIdeal:
 
     def twisted_piece(self, power: int, n: int) -> GradedSubspace:
         """The piece of phi^power applied to the ideal, in degree n."""
-        auto = self.ring.power(power)
-        if auto.is_identity():
-            return self.piece(n)
-        got = self._twisted.get((power, n))
-        if got is not None:
-            return got
-        value = span_polys(
-            [auto.apply(f) for f in self.piece(n).basis_polys()],
-            self.ring.ambient(n),
-            self.ring.field,
-        )
-        self._twisted[(power, n)] = value
-        return value
+        if power not in self._moved:
+            # None marks an ideal phi^power fixes: storing self would keep a reference cycle
+            self._moved[power] = self._move(self.ring.power(power))
+        moved = self._moved[power]
+        return (self if moved is None else moved).piece(n)
+
+    def _move(self, auto: AutoMap) -> GradedIdeal | None:
+        """auto(J), the ideal on the images of the generators, or None if they are the generators."""
+        gens = [auto.apply(g) for g in self.gens]
+        return None if gens == self.gens else GradedIdeal(self.ring, gens)
 
 
 def kernel_form(ring: TwistRing, vec) -> HomogPoly:
@@ -245,13 +244,12 @@ class PointIdeal(GradedIdeal):
 
     phi^power moves the ideal of c to the ideal of the point P' with
     f(c) = apply(phi^power, f)(P'), so a twisted piece is a piece of the
-    moved point's ideal, built once per power.
+    moved point's ideal.
     """
 
     def __init__(self, ring: TwistRing, point: ProjPoint):
         super().__init__(ring, point_ideal_forms(ring, point))
         self.point = point
-        self._moved: dict[int, PointIdeal | None] = {}
 
     def _build_piece(self, n: int) -> GradedSubspace:
         ev = dict(monomial_values(self.point.coords, self.ring.field, n))
@@ -274,14 +272,10 @@ class PointIdeal(GradedIdeal):
             rows.append(row)
         return GradedSubspace(self.ring.ambient(n), self.ring.field, tuple(pivots), tuple(rows))
 
-    def twisted_piece(self, power: int, n: int) -> GradedSubspace:
-        """The degree-n piece of the ideal of pullback_point(phi^power, c)."""
-        if power not in self._moved:
-            pt = pullback_point(self.ring.power(power), self.point)
-            # None marks a fixed point: storing self would keep a reference cycle
-            self._moved[power] = None if pt == self.point else PointIdeal(self.ring, pt)
-        moved = self._moved[power]
-        return (self if moved is None else moved).piece(n)
+    def _move(self, auto: AutoMap) -> PointIdeal | None:
+        """The ideal of pullback_point(auto, c), or None if auto fixes c."""
+        pt = pullback_point(auto, self.point)
+        return None if pt == self.point else PointIdeal(self.ring, pt)
 
 
 def associativity_sample(ring: TwistRing, trials: int, seed: int, max_degree: int = 3) -> bool:

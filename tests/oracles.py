@@ -14,9 +14,14 @@ only affordable in low degree.
 
 The polynomial primitives keep their first routes here too: the product
 by one ``mono_mul`` per pair of terms, a diagonal map applied by one
-power per variable per term, the opposite-ring check that twists both
-factors of every pair afresh, and orbit points reached by stepping the
-orbit one point at a time.
+power per variable per term, a non-diagonal map applied with the powers
+of the variable images rebuilt on every call, the opposite-ring check
+that twists both factors of every pair afresh, and orbit points reached
+by stepping the orbit one point at a time.  Twisted products of pieces
+are ``HomogPoly`` products ``twisted_products`` over ``monomial_polys``
+where the package multiplies int rows, and a twisted ideal's piece is
+``AutoMap.apply`` on the basis of the piece (``twisted_piece_apply``)
+where the package moves the ideal once per power.
 
 The package's rows are sparse (column, value) pairs.  ``DenseEchelon``
 is the echelon engine the package used on full-width int lists before
@@ -180,6 +185,31 @@ def opposite_iso_check_per_pair(ring, max_total_degree):
     return True, checked, None
 
 
+def matrix_apply_per_call(auto, f):
+    """A non-diagonal map applied to f, the images of the variables and
+    their powers rebuilt on every call and nothing cached on the map."""
+    images = [
+        HomogPoly.from_dict(
+            f.nvars,
+            1,
+            {
+                tuple(1 if k == j else 0 for k in range(f.nvars)): auto.matrix[j][i]
+                for j in range(f.nvars)
+            },
+            f.char,
+        )
+        for i in range(f.nvars)
+    ]
+    total = HomogPoly.zero(f.nvars, f.degree, f.char)
+    for m, c in f.terms:
+        term = HomogPoly.monomial(tuple(0 for _ in m), 1, f.char)
+        for i, e in enumerate(m):
+            for _ in range(e):
+                term = term * images[i]
+        total = total + term.scale(c)
+    return total
+
+
 def orbit_point_walk(auto, start, n):
     """c_n, c_0 = start, in |n| steps along n's side of the orbit."""
     step = pullback_point if n > 0 else point_image
@@ -187,6 +217,34 @@ def orbit_point_walk(auto, start, n):
     for _ in range(abs(n)):
         pt = step(auto, pt)
     return pt
+
+
+# -- twisted products and twisted ideals by polynomials -----------------------------
+
+
+def monomial_polys(ring, n):
+    """The degree-n monomials of the ring as polynomials."""
+    return [HomogPoly.monomial(m, 1, ring.field.char) for m in ring.basis(n)]
+
+
+def twisted_products(ring, lefts, rights):
+    """Yield the HomogPoly products f . g = phi^(deg g)(f) * g, g of one degree,
+    each f twisted once; f is the outer loop and g the inner one."""
+    if not rights:
+        return
+    b = rights[0].degree
+    for f in lefts:
+        tf = ring.twisted(b, f)
+        for g in rights:
+            yield tf * g
+
+
+def twisted_piece_apply(ideal, power, n):
+    """The degree-n piece of phi^power(J): ``AutoMap.apply`` on each basis
+    polynomial of J_n."""
+    auto = ideal.ring.power(power)
+    polys = [auto.apply(f) for f in ideal.piece(n).basis_polys()]
+    return span_polys(polys, ideal.ring.ambient(n), ideal.ring.field)
 
 
 # -- point ideals by recursion ------------------------------------------------------
@@ -296,7 +354,7 @@ def decomposable_piece_polys(idl, n):
     polys = (
         g
         for a in range(1, n)
-        for g in idl.ring.products(
+        for g in twisted_products(idl.ring, 
             idl.idealizer_piece(a).basis_polys(), idl.idealizer_piece(n - a).basis_polys()
         )
     )
@@ -312,7 +370,7 @@ def decomposable_piece_uncapped(idl, n):
     polys = (
         g
         for a in range(1, n)
-        for g in idl.ring.products(
+        for g in twisted_products(idl.ring, 
             idl.idealizer_piece(a).basis_polys(), idl.idealizer_piece(n - a).basis_polys()
         )
     )
@@ -324,7 +382,7 @@ def is_piece_uncapped(idl, m):
     polys = (
         g
         for i in range(m)
-        for g in idl.ring.products(idl.I.piece(m - i).basis_polys(), idl.ring.monomial_polys(i))
+        for g in twisted_products(idl.ring, idl.I.piece(m - i).basis_polys(), monomial_polys(idl.ring, i))
     )
     return _span_all_polys(polys, idl.ring.ambient(m), idl.field)
 
@@ -407,12 +465,12 @@ def probe_dims_intersect(engine, f, max_degree):
     coker, torsion = [], []
     for m in range(n, max_degree + 1):
         amb = ring.ambient(m)
-        fS = _span_all_polys(ring.products([f], ring.monomial_polys(m - n)), amb, field)
+        fS = _span_all_polys(twisted_products(ring, [f], monomial_polys(ring, m - n)), amb, field)
         T = idl.idealizer_piece(m)
         coker.append(amb.dim - subspace_sum(fS, T).dim)
         meet = intersect(fS, T)
         fT = _span_all_polys(
-            ring.products([f], idl.idealizer_piece(m - n).basis_polys()), amb, field
+            twisted_products(ring, [f], idl.idealizer_piece(m - n).basis_polys()), amb, field
         )
         if not meet.contains_subspace(fT):
             raise ArithmeticError("fT escapes fS meet T")

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 
+import pytest
 from oracles import brute_force_relation
 from properties import FIELDS, property_test
 
@@ -191,6 +192,24 @@ def test_hom_table_gens_spec(capsys):
 def test_bad_ideal_spec_exits_two(capsys):
     code, out, err = _run(capsys, "hom-table", "--J", "orbit:x", *COMMON)
     assert code == 2
+    assert "config error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ext-table", "--J", "point:0,0,0"),
+        ("hom-table", "--J", "point:7,0,0", "--field", "prime:7"),
+        ("critdense", "--window", "-1"),
+        ("critdense", "--degree", "0"),
+        ("opposite-check", "--total-degree", "-1"),
+    ],
+    ids=["zero-point", "zero-point-mod-7", "negative-window", "zero-degree", "negative-total"],
+)
+def test_vacuous_or_degenerate_input_exits_two(capsys, argv):
+    code, out, err = _run(capsys, *argv, "--max-degree", "3")
+    assert code == 2
+    assert out == ""
     assert "config error" in err
 
 

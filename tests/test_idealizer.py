@@ -180,6 +180,22 @@ def test_decomposable_rows_match_polynomial_products(field, multipliers, point):
         assert idl.decomposable_piece(n) == decomposable_piece_polys(idl, n)
 
 
+NON_DIAGONAL = ((1, 1, 0), (0, 2, 1), (1, 0, 3))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["Q", "GF10007"])
+def test_non_diagonal_routes_match_polynomial_products(field):
+    """Under a full matrix, where a twist is no rescaling of monomials, the
+    int-row products of IS and (T_+^2) span what the HomogPoly products
+    span, n <= 6."""
+    phi = AutoMap.from_matrix([[field.from_int(v) for v in r] for r in NON_DIAGONAL], field)
+    c = ProjPoint.make([field.from_int(v) for v in (1, 2, 3)], field)
+    idl = IdealizerRing(TwistRing(2, phi, field), c)
+    for n in range(7):
+        assert idl.is_piece(n) == is_piece_uncapped(idl, n)
+        assert idl.decomposable_piece(n) == decomposable_piece_polys(idl, n)
+
+
 def test_decomposable_ceiling_guard_fires(monkeypatch):
     """Products of T filling dim T_3 must span T_3 itself."""
     idl = _instance()

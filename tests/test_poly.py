@@ -4,7 +4,13 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from oracles import densify, diagonal_apply_per_term, poly_mul_terms, sparsify
+from oracles import (
+    densify,
+    diagonal_apply_per_term,
+    matrix_apply_per_call,
+    poly_mul_terms,
+    sparsify,
+)
 from properties import FIELDS, property_test
 
 from idealizer.automorphism import AutoMap, ProjPoint, evaluate_at, point_image, pullback_point
@@ -366,6 +372,43 @@ def test_diagonal_apply_matches_per_term(field, f, g, A):
             assert auto.apply(h) == want
 
 
+def _matrix_case(st):
+    """A field, nvars in 1-4, two polynomials of degrees -1 to 4 and an
+    invertible matrix map, mostly not diagonal."""
+
+    def invertible(field, rows):
+        try:
+            return AutoMap.from_matrix(rows, field)
+        except ValueError:
+            return None
+
+    def case(field, nvars, a, b):
+        row = st.lists(_scalar(st, field), min_size=nvars, max_size=nvars)
+        matrix = st.lists(row, min_size=nvars, max_size=nvars).map(
+            lambda rows: invertible(field, rows)
+        )
+        return st.tuples(
+            st.just(field),
+            _sparse_poly(st, field, nvars, a),
+            _sparse_poly(st, field, nvars, b),
+            matrix.filter(lambda A: A is not None),
+        )
+
+    return st.tuples(
+        st.sampled_from(FIELDS), st.integers(1, 4), st.integers(-1, 4), st.integers(-1, 4)
+    ).flatmap(lambda t: case(*t))
+
+
+@property_test(_matrix_case, max_examples=60)
+def test_matrix_apply_matches_per_call(field, f, g, A):
+    for auto in (A, A.inv()):
+        for h in (f, g, f * g):
+            want = matrix_apply_per_call(auto, h)
+            assert auto.apply(h) == want
+            # a second pass reads the monomial images cached by the first
+            assert auto.apply(h) == want
+
+
 def test_weight_cache_stays_out_of_equality():
     A = AutoMap.diagonal_family([QQ.from_int(2), Fraction(1, 3)], QQ)
     B = AutoMap.diagonal_family([QQ.from_int(2), Fraction(1, 3)], QQ)
@@ -373,6 +416,17 @@ def test_weight_cache_stays_out_of_equality():
     assert A.apply(f) == parse_poly("2*x0*x1 + 2/9*x2^2", 3, QQ)
     assert A == B and hash(A) == hash(B)
     assert "_weights" not in repr(A)
+
+
+def test_image_cache_stays_out_of_equality():
+    f = parse_poly("x0*x1 + 2*x2^2", 3, QQ)
+    M = AutoMap.from_matrix([[1, 1, 0], [0, 2, 1], [1, 0, 3]], QQ)
+    N = AutoMap.from_matrix([[1, 1, 0], [0, 2, 1], [1, 0, 3]], QQ)
+    want = "x0^2 + 2*x0*x1 + x0*x2 + 2*x1^2 + 14*x1*x2 + 18*x2^2"
+    assert M.apply(f) == parse_poly(want, 3, QQ)
+    assert M._images and not N._images
+    assert M == N and hash(M) == hash(N)
+    assert "_images" not in repr(M)
 
 
 # -- closed-form powers against repeated composition -------------------------------

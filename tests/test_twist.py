@@ -1,7 +1,13 @@
 """Twisted multiplication, graded ideals, and the opposite-ring identity."""
 
 import pytest
-from oracles import opposite_iso_check_per_pair, recursive_point_ideal
+from oracles import (
+    monomial_polys,
+    opposite_iso_check_per_pair,
+    recursive_point_ideal,
+    twisted_piece_apply,
+    twisted_products,
+)
 
 from idealizer.automorphism import AutoMap, ProjPoint
 from idealizer.fields import QQ, PrimeField
@@ -23,7 +29,7 @@ def _ring(multipliers=(2, 3), field=QQ):
 
 def _full_piece(S, n):
     """U_n, spanned by its monomials."""
-    return span_polys(S.monomial_polys(n), S.ambient(n), S.field)
+    return span_polys(monomial_polys(S, n), S.ambient(n), S.field)
 
 
 def test_normalization_pin():
@@ -107,7 +113,7 @@ def test_point_ideal_matches_recursion(field, coords):
     assert fast.gens == slow.gens
     for n in range(-1, 7):
         assert fast.piece(n) == slow.piece(n)
-        assert fast.twisted_piece(1, n) == slow.twisted_piece(1, n)
+        assert fast.twisted_piece(1, n) == twisted_piece_apply(slow, 1, n)
     assert [fast.dim(n) for n in range(1, 4)] == [_full_piece(S, n).dim - 1 for n in range(1, 4)]
 
 
@@ -151,6 +157,13 @@ TWIST_REGIMES = [
 ]
 
 
+def _regime_ring(phi_data, field):
+    if phi_data == NON_DIAGONAL:
+        phi = AutoMap.from_matrix([[field.from_int(v) for v in r] for r in phi_data], field)
+        return TwistRing(2, phi, field)
+    return _ring(phi_data, field)
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["Q", "GF10007"])
 @pytest.mark.parametrize(
     "phi_data, coords",
@@ -160,17 +173,52 @@ TWIST_REGIMES = [
 def test_moved_point_twist_matches_apply_route(field, phi_data, coords):
     """phi^k(I_c) is the ideal of the moved point: the same pieces as
     ``AutoMap.apply`` on the recursive ideal's basis, k = +-1, +-2, +-3, n <= 5."""
-    if phi_data == NON_DIAGONAL:
-        phi = AutoMap.from_matrix([[field.from_int(v) for v in r] for r in phi_data], field)
-        S = TwistRing(2, phi, field)
-    else:
-        S = _ring(phi_data, field)
+    S = _regime_ring(phi_data, field)
     pt = ProjPoint.make([field.from_int(c) for c in coords], field)
     fast = PointIdeal(S, pt)
     slow = recursive_point_ideal(S, pt)
     for power in (1, -1, 2, -2, 3, -3):
         for n in range(-1, 6):
-            assert fast.twisted_piece(power, n) == slow.twisted_piece(power, n)
+            assert fast.twisted_piece(power, n) == twisted_piece_apply(slow, power, n)
+
+
+IDEAL_GENS = {
+    "principal": ["x0"],
+    "principal-moving": ["x0 - 2*x1 + x2"],
+    "max": ["x0", "x1", "x2"],
+    "two-generator": ["x0^2", "x1*x2"],
+}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["Q", "GF10007"])
+@pytest.mark.parametrize(
+    "phi_data", [(2, 3), (1, 1), NON_DIAGONAL], ids=["generic", "identity", "non-diagonal"]
+)
+@pytest.mark.parametrize("label", sorted(IDEAL_GENS))
+def test_moved_ideal_twist_matches_apply_route(field, phi_data, label):
+    """phi^k(J) is the ideal on the images of J's generators: the same
+    pieces as ``AutoMap.apply`` on each basis of J_n, k = +-1, +-2, +-3, n <= 5."""
+    S = _regime_ring(phi_data, field)
+    J = GradedIdeal(S, [parse_poly(g, 3, field) for g in IDEAL_GENS[label]])
+    for power in (1, -1, 2, -2, 3, -3):
+        for n in range(-1, 6):
+            assert J.twisted_piece(power, n) == twisted_piece_apply(J, power, n)
+
+
+def test_fixed_ideal_is_its_own_twist():
+    """phi(x0) = x0 for the diagonal family, so (x0) keeps no moved copy,
+    and a fixed point's ideal neither; a moving ideal keeps one per power."""
+    S = _ring()
+    principal = GradedIdeal(S, [S.variable(0)])
+    fixed = PointIdeal(S, ProjPoint.make([QQ.one, QQ.zero, QQ.zero], QQ))
+    for ideal in (principal, fixed):
+        for power in (-2, 1, 3):
+            assert ideal.twisted_piece(power, 3) is ideal.piece(3)
+        assert set(ideal._moved.values()) == {None}
+    moving = GradedIdeal(S, [parse_poly("x0 - x1", 3, QQ)])
+    assert moving.twisted_piece(1, 2) is moving.twisted_piece(1, 2)
+    assert moving.twisted_piece(1, 2) != moving.piece(2)
+    assert list(moving._moved) == [1]
 
 
 def test_point_ideal_forms_are_exact():
@@ -207,6 +255,28 @@ def test_product_piece_twists_left_factor():
     Q = S.product_piece(gens.piece(1), V)
     for g in (S.variable(0), S.variable(1), S.variable(2)):
         assert Q.contains_poly(S.mul(f, g))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["Q", "GF10007"])
+@pytest.mark.parametrize(
+    "phi_data", [(2, 3), (1, 1), NON_DIAGONAL], ids=["generic", "identity", "non-diagonal"]
+)
+def test_product_rows_match_polynomial_products(field, phi_data):
+    """``product_piece`` and ``principal_right_piece`` span what the
+    HomogPoly twisted products of their factors span, total degree <= 5."""
+    S = _regime_ring(phi_data, field)
+    pt = ProjPoint.make([field.from_int(c) for c in (1, 2, 3)], field)
+    pieces = [PointIdeal(S, pt).piece, lambda n: _full_piece(S, n)]
+    f = parse_poly("x0 - 2*x1 + x2", 3, field)
+    for a in range(1, 4):
+        for b in range(0, 6 - a):
+            for left in pieces:
+                for right in pieces:
+                    v, w = left(a), right(b)
+                    want = twisted_products(S, v.basis_polys(), w.basis_polys())
+                    assert S.product_piece(v, w) == span_polys(want, S.ambient(a + b), field)
+        fS = twisted_products(S, [f], monomial_polys(S, a))
+        assert S.principal_right_piece(f, a + 1) == span_polys(fS, S.ambient(a + 1), field)
 
 
 def test_principal_right_piece():
