@@ -213,7 +213,8 @@ class GradedIdeal:
         return (self if moved is None else moved).piece(n)
 
     def _move(self, auto: AutoMap) -> GradedIdeal | None:
-        """auto(J), the ideal on the images of the generators, or None if they are the generators."""
+        """auto(J), the ideal on the images of the generators; None when
+        the images are the generators."""
         gens = [auto.apply(g) for g in self.gens]
         return None if gens == self.gens else GradedIdeal(self.ring, gens)
 

@@ -354,8 +354,8 @@ def decomposable_piece_polys(idl, n):
     polys = (
         g
         for a in range(1, n)
-        for g in twisted_products(idl.ring, 
-            idl.idealizer_piece(a).basis_polys(), idl.idealizer_piece(n - a).basis_polys()
+        for g in twisted_products(
+            idl.ring, idl.idealizer_piece(a).basis_polys(), idl.idealizer_piece(n - a).basis_polys()
         )
     )
     target = idl.idealizer_piece(n)
@@ -370,8 +370,8 @@ def decomposable_piece_uncapped(idl, n):
     polys = (
         g
         for a in range(1, n)
-        for g in twisted_products(idl.ring, 
-            idl.idealizer_piece(a).basis_polys(), idl.idealizer_piece(n - a).basis_polys()
+        for g in twisted_products(
+            idl.ring, idl.idealizer_piece(a).basis_polys(), idl.idealizer_piece(n - a).basis_polys()
         )
     )
     return _span_all_polys(polys, idl.ring.ambient(n), idl.field)
@@ -382,7 +382,9 @@ def is_piece_uncapped(idl, m):
     polys = (
         g
         for i in range(m)
-        for g in twisted_products(idl.ring, idl.I.piece(m - i).basis_polys(), monomial_polys(idl.ring, i))
+        for g in twisted_products(
+            idl.ring, idl.I.piece(m - i).basis_polys(), monomial_polys(idl.ring, i)
+        )
     )
     return _span_all_polys(polys, idl.ring.ambient(m), idl.field)
 
