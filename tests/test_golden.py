@@ -16,8 +16,11 @@ ideal is the ideal of a point moved by a full matrix, and the ``gens:``
 spec under that matrix, where a twisted ideal is a new ideal on the
 generators' images), a ``point:`` hom table, a noetherian probe, the
 Hilbert function of S/IS past the suite's window and under the matrix,
-and the ``segre`` witness table in three, four and five variables, over Q
-and mod 7, in degrees past the suite's.
+the ``segre`` witness table in three, four and five variables, over Q
+and mod 7, in degrees past the suite's, and three runs whose maps have
+fractional entries, so that a positive power needs a denominator: the
+suite with a multiplier 1/2, and the opposite check and a twisted-module
+``ext-table`` under the matrix of ``frac.json``.
 """
 
 import contextlib
@@ -34,6 +37,10 @@ CONFIGS = {
     "matrix.json": {
         "automorphism": {"matrix": [["1", "1", "0"], ["0", "2", "0"], ["0", "0", "3"]]},
         "max_degree": 5,
+    },
+    "frac.json": {
+        "automorphism": {"matrix": [["1/2", "1", "0"], ["0", "2/3", "1"], ["1", "0", "3"]]},
+        "point": ["1", "2", "3"],
     },
 }
 
@@ -140,6 +147,21 @@ CLI_GOLDEN = [
         ("segre", "--d", "3", "--p", "2,3,5", "--point", "1,1,1,1", "--field", "prime:7", "--max-degree", "5"),
         0,
         "a5f8c9dab443aeb98c2528b5182e28e1a113e1014187af274788dbff2c10cc6f",
+    ),
+    (
+        ("verify-suite", "--p", "1/2,3", "--max-degree", "6"),
+        0,
+        "80e858c1d0789456531e9542cc53bad98ee1aa7c392b6ca29071c5e97594302f",
+    ),
+    (
+        ("opposite-check", "--config", "frac.json", "--total-degree", "5"),
+        0,
+        "95b7cb74e6ebeb1212d6720261197153fb4fbe101c30b281bc3ab5758a98bc5d",
+    ),
+    (
+        ("ext-table", "--config", "frac.json", "--J", "orbit:-2", "--max-degree", "4"),
+        0,
+        "45f0d1d2e41566b1304f729e63ee1fdd02bbb54fcc8dac5ead25e40c7b01daf2",
     ),
 ]
 
