@@ -8,25 +8,32 @@ satisfies
     apply(A, f)(P) = f(point_image(A, P)),   point_image(A, P) = A^T P.
 
 The diagonal family diag(1, p_1, ..., p_d) (top-left entry normalized
-to 1) is the case of interest.  A diagonal map scales each monomial by
-its weight prod_i diag_i^e_i, so apply() keeps the term order; any other
-map sends each monomial to a polynomial, its image, and apply() sums the
-images scaled by the coefficients.  Each map caches the reduced weight
-or the image of every monomial it has met, outside ==, hash and repr; a
-value is computed in full before the one store that publishes it, and an
-image is built from the cached image of the monomial one variable lower.
-power(n) is closed-form: one power per diagonal entry, else repeated
-squaring of the matrix and its inverse.
+to 1) is the case of interest.  A map acts on int rows: it has one
+denominator ``den``, the lcm of its entries' denominators over Q (1 mod
+p), and one int image table per degree, whose row j is the int row of
+the j-th monomial's image under den * matrix.  A diagonal map's row is
+the monomial times its weight, written down directly; any other map's
+row is the image of a variable times a row of the table one degree
+lower.  ``apply_row(row, n)`` is den^n times the substitution on an int
+row, the row's values times the image rows of its columns summed, and
+the identity needs no table.  ``apply`` wraps it: the exact int row of f
+over f's own denominator, ``apply_row``, and one division at the end.
+Each table is built once per map and degree, outside ==, hash and repr,
+and completely before the one store that publishes it.  power(n) is
+closed-form: one power per diagonal entry, else repeated squaring of the
+matrix and its inverse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import Sequence
+from functools import cached_property
+from math import lcm, prod
+from typing import Iterable, Sequence
 
 from .fields import Scalar, int_row, scalar_row
 from .linalg import invert_matrix, mat_mul, mat_vec
-from .poly import HomogPoly, Mono
+from .poly import HomogPoly, basis_dim, basis_index, monomials, product_index, row_product
 
 __all__ = ["AutoMap", "ProjPoint", "point_image", "pullback_point"]
 
@@ -39,10 +46,7 @@ class AutoMap:
     inverse: tuple[tuple[Scalar, ...], ...]
     field: object
     diagonal: tuple[Scalar, ...] | None = None
-    _weights: dict[Mono, Scalar] = dataclass_field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _images: dict[Mono, HomogPoly] = dataclass_field(
+    _tables: dict[int, tuple[tuple[tuple[int, int], ...], ...]] = dataclass_field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -132,51 +136,81 @@ class AutoMap:
             for j in range(n)
         )
 
+    @cached_property
+    def den(self) -> int:
+        """The one denominator: the lcm of the entries' denominators (1 mod p)."""
+        return lcm(*(x.denominator for r in self.matrix for x in r))
+
+    @cached_property
+    def _identity(self) -> bool:
+        """``is_identity()``, computed once: the identity needs no table."""
+        return self.is_identity()
+
+    def apply_row(self, row: Iterable[tuple[int, int]], n: int) -> list[tuple[int, int]]:
+        """den^n times the substitution applied to the degree-n polynomial
+        with int row ``row``, as an int row (reduced mod p): the row's
+        values times the image rows of its columns, summed."""
+        if self._identity:
+            return list(row)
+        table = self._image_table(n)
+        out: dict[int, int] = {}
+        for j, x in row:
+            for k, a in table[j]:
+                out[k] = out.get(k, 0) + x * a
+        p = self.field.char
+        if p:
+            return [(k, v % p) for k, v in out.items() if v % p]
+        return [(k, v) for k, v in out.items() if v]
+
+    def _image_table(self, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Row j: the int row of the j-th degree-n monomial's image under
+        den * matrix, built once per degree.  A diagonal map scales each
+        monomial by its weight; any other map's image of a monomial is the
+        image of x_i times the image, one degree lower, of the monomial
+        over x_i."""
+        got = self._tables.get(n)
+        if got is None:
+            nvars, p, den = self.nvars, self.field.char, self.den
+            if self.diagonal is not None:
+                scale = [x.numerator * (den // x.denominator) for x in self.diagonal]
+                rows = []
+                for j, m in enumerate(monomials(nvars, n)):
+                    w = prod(x**e for x, e in zip(scale, m))
+                    rows.append(((j, w % p if p else w),))
+                got = tuple(rows)
+            elif n == 0:
+                got = (((0, 1),),)
+            else:
+                prev, cols = self._image_table(n - 1), product_index(nvars, 1, n - 1)
+                table: list = [None] * basis_dim(nvars, n)
+                for i in range(nvars):
+                    var = [
+                        (j, x.numerator * (den // x.denominator))
+                        for j, r in enumerate(self.matrix)
+                        if (x := r[i])
+                    ]
+                    for k, c in enumerate(cols[i]):
+                        if table[c] is None:
+                            table[c] = tuple(row_product(var, prev[k], nvars, 1, n - 1, p))
+                got = tuple(table)
+            self._tables[n] = got
+        return got
+
     def apply(self, f: HomogPoly) -> HomogPoly:
-        """The substitution x_i -> sum_j matrix[j][i] x_j applied to f."""
+        """The substitution x_i -> sum_j matrix[j][i] x_j applied to f:
+        ``apply_row`` on f's exact int row over its own denominator, and
+        one division at the end."""
         if (f.nvars, f.char) != (self.nvars, self.field.char):
             raise ValueError("arity or characteristic mismatch")
         if f.is_zero() or f.degree == 0:
             return f
-        if self.diagonal is not None:
-            weights, p = self._weights, f.char
-            terms = []
-            for m, c in f.terms:
-                w = weights.get(m)
-                if w is None:
-                    w = self.field.one
-                    for x, e in zip(self.diagonal, m):
-                        if e:
-                            w = w * x**e
-                    w = self.field.reduce(w)
-                    weights[m] = w
-                terms.append((m, c * w % p if p else c * w))
-            return HomogPoly(f.nvars, f.degree, tuple(terms), f.char)
-        acc: dict[Mono, Scalar] = {}
-        for m, c in f.terms:
-            for mm, a in self._image(m).terms:
-                s = acc.get(mm)
-                acc[mm] = c * a if s is None else s + c * a
-        return HomogPoly.from_dict(f.nvars, f.degree, acc, f.char)
-
-    def _image(self, m: Mono) -> HomogPoly:
-        """The substitution applied to the monomial m of positive degree,
-        cached per map: the image of x_i, i the first variable of m, times
-        the image of m / x_i."""
-        got = self._images.get(m)
-        if got is None:
-            n = self.nvars
-            i = next(k for k, e in enumerate(m) if e)
-            var = HomogPoly.from_dict(
-                n,
-                1,
-                {tuple(int(k == j) for k in range(n)): self.matrix[j][i] for j in range(n)},
-                self.field.char,
-            )
-            rest = m[:i] + (m[i] - 1,) + m[i + 1:]
-            got = var if sum(rest) == 0 else self._image(rest) * var
-            self._images[m] = got
-        return got
+        n = f.degree
+        index = basis_index(f.nvars, n)
+        denom = lcm(*(c.denominator for _, c in f.terms))
+        row = [(index[m], c.numerator * (denom // c.denominator)) for m, c in f.terms]
+        basis = monomials(f.nvars, n)
+        out = scalar_row(sorted(self.apply_row(row, n)), self.field, denom * self.den**n)
+        return HomogPoly(f.nvars, n, tuple((basis[k], c) for k, c in out), f.char)
 
 
 @dataclass(frozen=True)

@@ -13,15 +13,20 @@ pullback under phi^n.
 
 There is one module type, QuotientModule(J, power) = U/phi^power(J);
 the free module U is the quotient by the zero ideal.  Each differential
-is ranked at most once per complex, module and degree: the rank is kept
-on the module, so it is freed with it, and Ext^i reuses the ranks of
-delta^i and delta^(i-1) that its neighbours already paid for.
+is ranked at most once per complex, ideal and degree: the rank is kept
+on the ideal that supplies the module's pieces (J, or the moved ideal
+phi^power(J)), so every module on that ideal shares it and it is freed
+with the ideal.  The zero ideal is its own twist, so the free module's
+ranks, paid for by ``koszul-acyclicity``, serve ``ext-top-twisted`` and
+``chi-sample``, and Ext^i reuses the ranks of delta^i and delta^(i-1)
+that its neighbours already paid for.
 
 Every product here is an int-row product through ``poly.product_index``:
 the multiplication matrices feed it nonzero by nonzero into the target
-piece's cached quotient map, and the probe's fS and fT are
-``TwistRing.product_rows``.  No polynomial is multiplied and no
-full-width product row is built.  The
+piece's cached quotient map, the hom constraints twist the int rows of
+the forms by ``AutoMap.apply_row``, and the probe's fS and fT are
+``TwistRing.product_rows``.  No polynomial is multiplied or twisted and
+no full-width product row is built.  The
 hom spaces and the probes report dimensions, so they count them from
 ranks and never build the spaces: dim Hom_n is dim U_n - rank M - dim J_n
 for the constraint matrix M.  The probe counts its sum in the quotient
@@ -59,53 +64,56 @@ __all__ = [
 class QuotientModule:
     """U/J for a graded ideal J, pulled back by phi^power.
 
-    The degree-n piece is J.twisted_piece(power, n), memoized by the
-    ideal.  The degree-n basis is the set of monomials at the non-pivot
-    columns of that piece, so multiplication matrices are reductions of
+    The pieces are those of ``J.moved(power)``, memoized by that ideal.
+    The degree-n basis is the set of monomials at the non-pivot columns
+    of the degree-n piece, so multiplication matrices are reductions of
     honest products.  Ranks of Koszul differentials on this module are
-    kept in `ranks`, keyed (complex, i, n), and live as long as it does.
+    kept in `ranks`, keyed (complex, i, n), on the ideal that supplies
+    the pieces: every module on one ideal shares them, and they live as
+    long as it does.
     """
 
     def __init__(self, ideal: GradedIdeal, power: int = 0):
-        self.ideal = ideal
-        self.power = power
         self.ring = ideal.ring
-        self.ranks = {}
+        self.source = ideal.moved(power)
+        self.ranks = self.source.ranks
 
     def piece(self, n: int):
-        return self.ideal.twisted_piece(self.power, n)
+        return self.source.piece(n)
 
     def dim(self, n: int) -> int:
         if n < 0:
             return 0
         return basis_dim(self.ring.nvars, n) - self.piece(n).dim
 
-    def mult_matrix(self, form: HomogPoly, n: int):
-        """Matrix of multiplication by a linear form, degree n to n + 1."""
+    def mult_matrix(self, form, n: int):
+        """Matrix of multiplication by a linear form, given by its int row,
+        from degree n to n + 1."""
         if n < 0:
             return [[] for _ in range(self.dim(n + 1))]
-        return _mult_rows(form, self.piece(n).nonpivot_columns, self.piece(n + 1), self.ring.field)
+        source, target = self.piece(n), self.piece(n + 1)
+        return _mult_rows(form, 1, source.nonpivot_columns, target, self.ring.field)
 
 
-def _mult_rows(g: HomogPoly, indices, target, field) -> list[list[tuple[int, int]]]:
-    """Int matrix of x -> g * x from the span of the monomials m_k, k in
-    ``indices``, into U / target, as one sparse row per quotient index
-    whose columns are positions in ``indices``.
+def _mult_rows(u, degree: int, indices, target, field) -> list[list[tuple[int, int]]]:
+    """Int matrix of x -> g * x, for g of the given degree with int row u,
+    from the span of the monomials m_k, k in ``indices``, into U / target,
+    as one sparse row per quotient index whose columns are positions in
+    ``indices``.
 
-    Column k is g * m_k: the nonzeros of g's int row, scattered by
+    Column k is g * m_k: the nonzeros of u, scattered by
     ``poly.product_index``, go straight into the target's quotient map,
     so no full-width row is built.  It is exact for one nonzero multiple
-    of g: every column shares the scale of g's int row and the one
-    denominator of the target's quotient map (the lcm of its int pivots
-    over Q, 1 mod p).  That rescales a hom constraint block's rows and
-    conjugates a Koszul differential by a diagonal rescaling of the e_A,
-    so no kernel or rank sees it.  A scale per column would change ranks.
+    of g: every column shares the scale of u and the one denominator of
+    the target's quotient map (the lcm of its int pivots over Q, 1 mod p).
+    That rescales a hom constraint block's rows and conjugates a Koszul
+    differential by a diagonal rescaling of the e_A, so no kernel or rank
+    sees it.  A scale per column would change ranks.
     """
-    terms = poly_to_vector(g, field)
-    table = product_index(g.nvars, target.ambient.degree - g.degree, g.degree)
+    table = product_index(target.ambient.nvars, target.ambient.degree - degree, degree)
     rows: list[list[tuple[int, int]]] = [[] for _ in range(target.ambient.dim - target.dim)]
     for pos, k in enumerate(indices):
-        for r, v in target.quotient_coords([(table[k][i], x) for i, x in terms])[0]:
+        for r, v in target.quotient_coords([(table[k][i], x) for i, x in u])[0]:
             rows[r].append((pos, v))
     return rows
 
@@ -120,8 +128,8 @@ class KoszulComplex:
         nvars = forms[0].nvars
         if any(f.degree != 1 or f.nvars != nvars for f in forms):
             raise ValueError("forms must be linear in a common ring")
-        width = basis_dim(nvars, 1)
-        if rank_rows([poly_to_vector(f, field) for f in forms], width, field) != len(forms):
+        self.rows = [poly_to_vector(f, field) for f in forms]
+        if rank_rows(self.rows, basis_dim(nvars, 1), field) != len(forms):
             raise ValueError("forms must be linearly independent")
         self.forms = forms
         self.field = field
@@ -144,7 +152,7 @@ class KoszulComplex:
                 offset = src_index[B[:t] + B[t + 1:]] * sdim
                 sign = -1 if t % 2 else 1
                 if b not in mults:
-                    mults[b] = module.mult_matrix(self.forms[b], n + i)
+                    mults[b] = module.mult_matrix(self.rows[b], n + i)
                 for r, block_row in enumerate(mults[b]):
                     rows[q * tdim + r].extend((offset + k, sign * v) for k, v in block_row)
         return rows
@@ -203,10 +211,11 @@ class ExtEngine:
             return 0
         width = basis_dim(self.ring.nvars, n)
         target = J.piece(n + 1)
+        twist = self.ring.power(n)
         rows = [
             r
-            for f in self.idealizer.forms
-            for r in _mult_rows(self.ring.twisted(n, f), range(width), target, self.field)
+            for f in self.koszul.rows
+            for r in _mult_rows(twist.apply_row(f, 1), 1, range(width), target, self.field)
         ]
         inner = J.piece(n)
         p = self.field.char
@@ -230,6 +239,7 @@ class ExtEngine:
         if not idl.idealizer_piece(n).contains_poly(f):
             raise ValueError("probe element does not lie in the idealizer")
         window = orbit_points(self.ring.phi, idl.point, max_degree)
+        f_row = poly_to_vector(f, self.field)
         coker = []
         torsion = []
         predicted = []
@@ -241,7 +251,8 @@ class ExtEngine:
             rank = rank_rows(image, T.ambient.dim - T.dim, self.field)
             coker.append(T.ambient.dim - T.dim - rank)
             rights = idl.idealizer_piece(m - n).rows
-            fT = span(self.ring.product_rows([f], rights, m - n), self.ring.ambient(m), self.field)
+            fT_rows = self.ring.product_rows([f_row], n, rights, m - n)
+            fT = span(fT_rows, self.ring.ambient(m), self.field)
             if not (fS.contains_subspace(fT) and T.contains_subspace(fT)):
                 raise ArithmeticError("fT escapes fS meet T")
             torsion.append(fS.dim - rank - fT.dim)

@@ -10,7 +10,7 @@ leave [0, p) until reduced.  The field object owns reduction and
 division: ``reduce(x)`` is the identity over Q and ``x % p`` mod p, and
 ``inv(x)`` is the exact inverse, raising ``ZeroDivisionError`` on zero.
 Polynomials reduce in ``HomogPoly.from_dict``, in ``poly.row_product``
-(which ``*`` runs on) and in the diagonal ``AutoMap.apply``; the few sums
+(which ``*`` runs on) and in ``AutoMap.apply_row``; the few sums
 and products made outside polynomials (``AutoMap.compose``,
 ``linalg.mat_mul``/``mat_vec``, ``HomogPoly.evaluate``) call ``reduce``.
 
@@ -19,13 +19,17 @@ pairs with distinct columns and nonzero values, integers over the
 rationals and residues mod p.  ``int_row`` converts a dense list of
 scalars into one, up to a nonzero scale, its columns the list positions;
 ``scalar_row`` converts an int row over a common denominator back to
-exact scalars, exactly, keeping its columns.  Those two and the
-coefficients read by ``poly.poly_to_vector`` are where scalars meet rows.
+exact scalars, exactly, keeping its columns.  Those two, the
+coefficients read by ``poly.poly_to_vector`` and ``AutoMap``, which reads
+its matrix and the coefficients it applies to over one denominator each,
+are where scalars meet rows.
 
-The rational field is the default everywhere.  Prime fields exist as a
-modular mode that bounds coefficient size; any conclusion drawn mod p is
-heuristic (dimensions can drop on specialization) and is flagged as such
-by the reporting layer.
+The rational field is the default everywhere.  A prime field is a field,
+not a shortcut: every dimension computed over GF(p) is exact for the
+ring over GF(p), and over its algebraic closure too, because rank does
+not change under field extension.  Only the inference to characteristic
+0 is heuristic (a dimension mod p can exceed the rational one), and the
+reporting layer flags it as such.
 """
 
 from __future__ import annotations
@@ -109,7 +113,11 @@ QQ = RationalField()
 
 @dataclass(frozen=True)
 class PrimeField:
-    """GF(p) for a prime p.  A heuristic surrogate for the rationals."""
+    """GF(p) for a prime p.
+
+    Dimensions computed over it are exact over GF(p) and its algebraic
+    closure; reading them as the rational ones is the heuristic step.
+    """
 
     p: int
     zero, one = 0, 1

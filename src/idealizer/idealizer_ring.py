@@ -51,7 +51,7 @@ from .automorphism import ProjPoint
 from .fields import int_row
 from .linalg import GradedSubspace, kernel, rank_rows, span
 from .orbit import distinct_window, orbit_points
-from .poly import HomogPoly, basis_dim, monomial_values, poly_to_vector, product_index
+from .poly import basis_dim, monomial_values, poly_to_vector, product_index
 from .twist import PointIdeal, TwistRing
 
 __all__ = ["IdealizerRing"]
@@ -66,13 +66,15 @@ class IdealizerRing:
         self.point = point
         self.I = PointIdeal(ring, point)
         self.forms = self.I.gens
+        self.form_rows = [poly_to_vector(f, self.field) for f in self.forms]
         self._pieces: dict[int, GradedSubspace] = {}
         self._is_pieces: dict[int, GradedSubspace] = {}
 
     # -- degreewise pieces ------------------------------------------------
 
-    def _quotient_row(self, g: HomogPoly, source_degree: int) -> list[tuple[int, int]]:
-        """Constraint row: coordinate of g * e_k in U/I, one per monomial e_k.
+    def _quotient_row(self, row, degree: int, source_degree: int) -> list[tuple[int, int]]:
+        """Constraint row: coordinate of g * e_k in U/I, one per monomial e_k,
+        for g of the given degree with int row ``row``.
 
         I_m is the kernel of evaluation at the point, so the coordinate in
         the one-dimensional quotient is the value at the point, up to a
@@ -81,9 +83,9 @@ class IdealizerRing:
         scale of g's int row and of the evaluation row.
         """
         nvars = self.ring.nvars
-        values = dict(monomial_values(self.point.coords, self.field, source_degree + g.degree))
-        table = product_index(nvars, g.degree, source_degree)
-        u = [(table[i], x) for i, x in poly_to_vector(g, self.field)]
+        values = dict(monomial_values(self.point.coords, self.field, source_degree + degree))
+        table = product_index(nvars, degree, source_degree)
+        u = [(table[i], x) for i, x in row]
         row = [
             sum(x * values.get(cols[k], 0) for cols, x in u)
             for k in range(basis_dim(nvars, source_degree))
@@ -115,7 +117,8 @@ class IdealizerRing:
         cached = self._pieces.get(n)
         if cached is not None:
             return cached
-        rows = (self._quotient_row(self.ring.twisted(n, f), n) for f in self.forms)
+        twist = self.ring.power(n)
+        rows = (self._quotient_row(twist.apply_row(f, 1), 1, n) for f in self.form_rows)
         piece = self._constraint_kernel(rows, n)
         self._pieces[n] = piece
         return piece
@@ -166,7 +169,8 @@ class IdealizerRing:
             row
             for i in range(m)
             for row in self.ring.product_rows(
-                self.I.piece(m - i).basis_polys(),
+                self.I.piece(m - i).rows,
+                m - i,
                 [((j, 1),) for j in range(basis_dim(self.ring.nvars, i))],
                 i,
             )
@@ -187,16 +191,15 @@ class IdealizerRing:
         """Degree-n span of products of positive-degree elements of T.
 
         A product t . s of t in T_a and s in T_{n-a} is one
-        ``TwistRing.product_rows`` of a basis polynomial of T_a and a row
-        of T_{n-a}.  The span lies in T_n, so it stops at rank dim T_n;
-        reaching that ceiling it must equal T_n, or the pieces of T are
-        wrong.
+        ``TwistRing.product_rows`` of a row of T_a and a row of T_{n-a}.
+        The span lies in T_n, so it stops at rank dim T_n; reaching that
+        ceiling it must equal T_n, or the pieces of T are wrong.
         """
         rows = (
             row
             for a in range(1, n)
             for row in self.ring.product_rows(
-                self.idealizer_piece(a).basis_polys(), self.idealizer_piece(n - a).rows, n - a
+                self.idealizer_piece(a).rows, a, self.idealizer_piece(n - a).rows, n - a
             )
         )
         target = self.idealizer_piece(n)
@@ -236,10 +239,11 @@ class IdealizerRing:
         vanish on I_{nm}, so ``_constraint_kernel`` reads them lazily and
         the first nonzero one decides R'_m (at m = 0 every row is zero).
         """
+        twist = self.ring.power(n * m)
         rows = (
-            self._quotient_row(self.ring.twisted(n * m, b), n * m)
+            self._quotient_row(twist.apply_row(b, n * j), n * j, n * m)
             for j in range(1, j_cap + 1)
-            for b in self.I.piece(n * j).basis_polys()
+            for b in self.I.piece(n * j).rows
         )
         return self._constraint_kernel(rows, n * m)
 

@@ -17,8 +17,10 @@ off the terms of a polynomial and ``vector_to_poly`` turns one back.
 
 The ideal recursion, every twisted product of pieces (the right ideals,
 IS, the idealizer's decomposable products and fT, all through
-``TwistRing.product_rows``), the idealizer's constraint rows and the Ext
-matrices multiply int rows, not polynomials, through one product:
+``TwistRing.product_rows``), the idealizer's constraint rows, the Ext
+matrices, the two checks of twisted arithmetic (associativity and the
+opposite-ring transport) and a non-diagonal ``AutoMap``'s image tables
+multiply int rows, not polynomials, through one product:
 ``product_index(nvars, a, b)`` is the table of
 basis indices of m_i * m_j in degree a + b, built lazily and cached.
 ``row_product`` multiplies two int rows over it, visiting only pairs of
@@ -27,9 +29,8 @@ a monomial factor: the columns of the other row moved through one table
 row, its values untouched.  No full-width row is built.  ``*`` runs on
 the same table: it maps the terms of both factors to columns, multiplies
 by ``row_product`` (whose values may be any exact scalars) and maps the
-columns back, sorted, because column order is term order.  The checks of
-polynomial arithmetic itself (associativity, the opposite-ring transport,
-the non-diagonal ``AutoMap.apply``) multiply with it.
+columns back, sorted, because column order is term order; it serves the
+polynomials that remain, such as ``TwistRing.mul``.
 """
 
 from __future__ import annotations

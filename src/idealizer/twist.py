@@ -28,14 +28,22 @@ generators themselves (phi(x0) = x0 for the diagonal family) the ideal
 is its own twist.  A point ideal moves to a point ideal: phi^k(I_c) is
 the ideal of P' = pullback_point(phi^k, c), because apply(A, f)(P') =
 f(c), so no polynomial is substituted at all.  Each ideal keeps one
-moved ideal per power.
+moved ideal per power, and the Koszul ranks of U/J (``ext.QuotientModule``).
 
 Every twisted product of two pieces, f . g = phi^b(f) * g for g of degree
-b, is one ``TwistRing.product_rows``: each left polynomial is twisted
-once and its int row multiplied by each right int row through
-``poly.row_product``.  The products of pieces of T, the right ideals
-(f S)_m = phi^{m-n}(f) * U_{m-n} (right factors the monomial rows), the
-pieces of IS and the probe's fT all take it.
+b, is one ``TwistRing.product_rows``: each left int row is twisted once
+by ``AutoMap.apply_row`` and multiplied by each right int row through
+``poly.row_product``, so no polynomial is built to twist a piece.  A
+product row carries the scale den^a of phi^b, and every caller spans it.
+The products of pieces of T, the right ideals (f S)_m = phi^{m-n}(f) *
+U_{m-n} (right factors the monomial rows), the pieces of IS and the
+probe's fT all take it.
+
+The two checks of twisted arithmetic, ``associativity_sample`` and
+``TwistRing.opposite_iso_check``, run on int rows as well.  Each side of
+an identity is an int row times a known product of den powers, so the
+sides are compared cross-multiplied by each other's product; mod p
+every den is 1.
 
 Automorphism powers are cached per ring, each computed in closed form
 by ``AutoMap.power``.  Each cache value is built completely before the
@@ -102,32 +110,34 @@ class TwistRing:
     def variable(self, i: int) -> HomogPoly:
         return HomogPoly.variable(self.nvars, i, self.field)
 
-    def product_rows(self, lefts, rights, b: int):
+    def product_rows(self, lefts, a: int, rights, b: int):
         """Yield the int rows of the twisted products f . g = phi^b(f) * g.
 
-        ``lefts`` are polynomials and ``rights`` a sequence of int rows of
-        degree b.  Each f is twisted once; f is the outer loop and g the
-        inner one.
+        ``lefts`` are int rows of degree a and ``rights`` int rows of
+        degree b.  Each f is twisted once, by ``AutoMap.apply_row``, so a
+        row carries the scale den^a of phi^b besides its factors' scales;
+        every caller spans the rows.  f is the outer loop and g the inner
+        one.
         """
-        nvars, p = self.nvars, self.field.char
+        nvars, p, auto = self.nvars, self.field.char, self.power(b)
         for f in lefts:
-            u = poly_to_vector(self.twisted(b, f), self.field)
+            u = auto.apply_row(f, a)
             for g in rights:
-                yield row_product(u, g, nvars, f.degree, b, p)
+                yield row_product(u, g, nvars, a, b, p)
 
     def product_piece(self, v: GradedSubspace, w: GradedSubspace) -> GradedSubspace:
         """Span of the twisted products of two graded pieces v . w."""
         if v.ambient.kind != "poly" or w.ambient.kind != "poly":
             raise ValueError("twisted products need polynomial ambients")
-        b = w.ambient.degree
-        rows = self.product_rows(v.basis_polys(), w.rows, b)
-        return span(rows, self.ambient(v.ambient.degree + b), self.field)
+        a, b = v.ambient.degree, w.ambient.degree
+        return span(self.product_rows(v.rows, a, w.rows, b), self.ambient(a + b), self.field)
 
     def principal_right_piece(self, f: HomogPoly, m: int) -> GradedSubspace:
         """(f S)_m: phi^b(f), b = m - deg f, times each monomial of degree b."""
         b = m - f.degree
         monos = [((j, 1),) for j in range(basis_dim(self.nvars, b))]
-        return span(self.product_rows([f], monos, b), self.ambient(m), self.field)
+        rows = self.product_rows([poly_to_vector(f, self.field)], f.degree, monos, b)
+        return span(rows, self.ambient(m), self.field)
 
     def opposite_iso_check(self, max_total_degree: int):
         """Verify degreewise that psi_n = phi^{-n} maps the opposite ring
@@ -136,32 +146,44 @@ class TwistRing:
         given total degree.
 
         For deg f = a and deg g = b the two sides are phi^-(a+b)(phi^a(g) * f)
-        and phi'^b(phi^-a(f)) * phi^-b(g), phi' = phi^{-1}.  The twists of
-        each g and each f are made once per degree pair (a, b), so a pair
-        costs one ``apply`` and two products.  Pairs run in (a, b, f, g)
-        order, and the first failing pair is reported.
+        and phi'^b(phi^-a(f)) * phi^-b(g), phi' = phi^{-1}.  Each side is
+        an int row by ``AutoMap.apply_row``, exact up to a product of den
+        powers, and the two are compared cross-multiplied by each other's
+        product.  The twists of each g and each f are made once per degree
+        pair (a, b), so a pair costs one ``apply_row`` and two products.
+        Pairs run in (a, b, f, g) order, and the first failing pair is
+        reported.
 
         Returns (ok, pairs_checked, first_failure).
         """
         opposite = TwistRing(self.d, self.phi.inv(), self.field)
-        char = self.field.char
+        nvars, p = self.nvars, self.field.char
         checked = 0
         for a in range(max_total_degree + 1):
             for b in range(max_total_degree + 1 - a):
-                back = self.power(-(a + b))
-                rights = []
-                for gm in self.basis(b):
-                    g = HomogPoly.monomial(gm, 1, char)
-                    rights.append((gm, self.twisted(a, g), self.twisted(-b, g)))
-                for fm in self.basis(a):
-                    f = HomogPoly.monomial(fm, 1, char)
-                    tf = opposite.twisted(b, self.twisted(-a, f))
+                back, g_fwd, g_back = self.power(-(a + b)), self.power(a), self.power(-b)
+                f_back, f_op = self.power(-a), opposite.power(b)
+                lhs_scale = g_fwd.den**b * back.den ** (a + b)
+                rhs_scale = (f_back.den * f_op.den) ** a * g_back.den**b
+                rights = [
+                    (gm, g_fwd.apply_row(((j, 1),), b), g_back.apply_row(((j, 1),), b))
+                    for j, gm in enumerate(self.basis(b))
+                ]
+                for i, fm in enumerate(self.basis(a)):
+                    tf = f_op.apply_row(f_back.apply_row(((i, 1),), a), a)
                     for gm, g_a, g_b in rights:
                         # f .op g is g . f computed in this ring
                         checked += 1
-                        if back.apply(g_a * f) != tf * g_b:
+                        lhs = back.apply_row(times_monomial(g_a, i, nvars, b, a), a + b)
+                        rhs = row_product(tf, g_b, nvars, a, b, p)
+                        if not _same_rows(lhs, rhs_scale, rhs, lhs_scale):
                             return False, checked, (fm, gm)
         return True, checked, None
+
+
+def _same_rows(u, su: int, v, sv: int) -> bool:
+    """Whether su * u and sv * v are one int row (mod p both scales are 1)."""
+    return {k: x * su for k, x in u} == {k: y * sv for k, y in v}
 
 
 class GradedIdeal:
@@ -179,6 +201,8 @@ class GradedIdeal:
         self.gens = [g for g in gens if not g.is_zero()]
         self._pieces: dict[int, GradedSubspace] = {}
         self._moved: dict[int, GradedIdeal | None] = {}
+        # Koszul ranks of U/J, filled by ext.QuotientModule
+        self.ranks: dict = {}
 
     def piece(self, n: int) -> GradedSubspace:
         got = self._pieces.get(n)
@@ -204,13 +228,18 @@ class GradedIdeal:
     def dim(self, n: int) -> int:
         return self.piece(n).dim
 
-    def twisted_piece(self, power: int, n: int) -> GradedSubspace:
-        """The piece of phi^power applied to the ideal, in degree n."""
+    def moved(self, power: int) -> GradedIdeal:
+        """phi^power applied to the ideal: this ideal when phi^power fixes
+        it, else the moved ideal, built once per power."""
         if power not in self._moved:
             # None marks an ideal phi^power fixes: storing self would keep a reference cycle
             self._moved[power] = self._move(self.ring.power(power))
         moved = self._moved[power]
-        return (self if moved is None else moved).piece(n)
+        return self if moved is None else moved
+
+    def twisted_piece(self, power: int, n: int) -> GradedSubspace:
+        """The piece of phi^power applied to the ideal, in degree n."""
+        return self.moved(power).piece(n)
 
     def _move(self, auto: AutoMap) -> GradedIdeal | None:
         """auto(J), the ideal on the images of the generators; None when
@@ -280,19 +309,36 @@ class PointIdeal(GradedIdeal):
 
 
 def associativity_sample(ring: TwistRing, trials: int, seed: int, max_degree: int = 3) -> bool:
-    """Seeded random check that (f.g).h = f.(g.h) in the twisted ring."""
-    rng = random.Random(seed)
+    """Seeded random check that (f.g).h = f.(g.h) in the twisted ring.
 
-    def rand_poly(deg: int) -> HomogPoly:
-        coeffs = {}
-        for m in monomials(ring.nvars, deg):
+    f, g and h are random int rows; each product is ``TwistRing.product_rows``
+    of one left row and one right row, exact up to the den power of its
+    twist, and the two sides are compared cross-multiplied by each
+    other's product of den powers.
+    """
+    rng = random.Random(seed)
+    field = ring.field
+
+    def rand_row(deg: int) -> list[tuple[int, int]]:
+        row = []
+        for j in range(basis_dim(ring.nvars, deg)):
             if rng.random() < 0.6:
-                coeffs[m] = ring.field.from_int(rng.randint(-4, 4))
-        return HomogPoly.from_dict(ring.nvars, deg, coeffs, ring.field.char)
+                v = field.from_int(rng.randint(-4, 4))
+                if v:
+                    row.append((j, v))
+        return row
+
+    def mul(u, a: int, v, b: int):
+        """The row of u . v and the scale it carries, den^a of phi^b."""
+        return next(ring.product_rows([u], a, [v], b)), ring.power(b).den ** a
 
     for _ in range(trials):
         a, b, c = (rng.randint(1, max_degree) for _ in range(3))
-        f, g, h = rand_poly(a), rand_poly(b), rand_poly(c)
-        if ring.mul(ring.mul(f, g), h) != ring.mul(f, ring.mul(g, h)):
+        f, g, h = rand_row(a), rand_row(b), rand_row(c)
+        fg, s_fg = mul(f, a, g, b)
+        left, s_left = mul(fg, a + b, h, c)
+        gh, s_gh = mul(g, b, h, c)
+        right, s_right = mul(f, a, gh, b + c)
+        if not _same_rows(left, s_gh * s_right, right, s_fg * s_left):
             return False
     return True

@@ -16,8 +16,9 @@ The polynomial primitives keep their first routes here too: the product
 by one ``mono_mul`` per pair of terms, a diagonal map applied by one
 power per variable per term, a non-diagonal map applied with the powers
 of the variable images rebuilt on every call, the opposite-ring check
-that twists both factors of every pair afresh, and orbit points reached
-by stepping the orbit one point at a time.  Twisted products of pieces
+that twists both factors of every pair afresh, the associativity sample
+on ``HomogPoly`` products where the package multiplies int rows, and
+orbit points reached by stepping the orbit one point at a time.  Twisted products of pieces
 are ``HomogPoly`` products ``twisted_products`` over ``monomial_polys``
 where the package multiplies int rows, and a twisted ideal's piece is
 ``AutoMap.apply`` on the basis of the piece (``twisted_piece_apply``)
@@ -29,6 +30,7 @@ it went sparse, kept as the oracle its sparse engine is compared with;
 ``densify`` and ``sparsify`` move rows between the two forms.
 """
 
+import random
 from fractions import Fraction
 from itertools import product as iter_product
 from math import gcd, lcm
@@ -138,7 +140,7 @@ class DenseEchelon:
         return tuple(order), tuple(map(tuple, rows))
 
 
-# -- polynomial products, diagonal maps, the opposite check and orbit points -------
+# -- polynomial products, diagonal maps, the twisted-product checks and orbit points
 
 
 def poly_mul_terms(f, g):
@@ -183,6 +185,26 @@ def opposite_iso_check_per_pair(ring, max_total_degree):
                     if lhs != rhs:
                         return False, checked, (fm, gm)
     return True, checked, None
+
+
+def associativity_sample_polys(ring, trials, seed, max_degree=3):
+    """``twist.associativity_sample`` with every factor a ``HomogPoly``:
+    the same random draws, each product ``TwistRing.mul``."""
+    rng = random.Random(seed)
+
+    def rand_poly(deg):
+        coeffs = {}
+        for m in monomials(ring.nvars, deg):
+            if rng.random() < 0.6:
+                coeffs[m] = ring.field.from_int(rng.randint(-4, 4))
+        return HomogPoly.from_dict(ring.nvars, deg, coeffs, ring.field.char)
+
+    for _ in range(trials):
+        a, b, c = (rng.randint(1, max_degree) for _ in range(3))
+        f, g, h = rand_poly(a), rand_poly(b), rand_poly(c)
+        if ring.mul(ring.mul(f, g), h) != ring.mul(f, ring.mul(g, h)):
+            return False
+    return True
 
 
 def matrix_apply_per_call(auto, f):
@@ -391,7 +413,10 @@ def is_piece_uncapped(idl, m):
 
 def idealizer_piece_uncapped(idl, n):
     """T_n from the kernel of all d constraint rows phi^n(I_1) . x <= I_{n+1}."""
-    rows = [idl._quotient_row(idl.ring.twisted(n, f), n) for f in idl.forms]
+    rows = [
+        idl._quotient_row(poly_to_vector(idl.ring.twisted(n, f), idl.field), 1, n)
+        for f in idl.forms
+    ]
     vecs = kernel(rows, basis_dim(idl.ring.nvars, n), idl.field)
     return span_all(vecs, idl.ring.ambient(n), idl.field)
 
@@ -401,7 +426,7 @@ def veronese_idealizer_piece_uncapped(idl, n, m, j_cap):
     if m == 0:
         return span_all([[(0, 1)]], idl.ring.ambient(0), idl.field)
     rows = [
-        idl._quotient_row(idl.ring.twisted(n * m, b), n * m)
+        idl._quotient_row(poly_to_vector(idl.ring.twisted(n * m, b), idl.field), n * j, n * m)
         for j in range(1, j_cap + 1)
         for b in idl.I.piece(n * j).basis_polys()
     ]

@@ -217,8 +217,8 @@ def test_veronese_rank_one_guard_fires(monkeypatch):
         idl = _instance()
         real = idl._quotient_row
 
-        def broken(g, source_degree):
-            row = dict(real(g, source_degree))
+        def broken(*args):
+            row = dict(real(*args))
             row[0] = row.get(0, 0) + 1
             return list(row.items())
 

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from oracles import (
@@ -372,6 +373,28 @@ def test_diagonal_apply_matches_per_term(field, f, g, A):
             assert auto.apply(h) == want
 
 
+def _powers(st, field):
+    return st.sampled_from((-3, -2, -1, 1, 2, 3))
+
+
+@property_test(lambda st: _field_and(st, _automap, _powers, _poly), max_examples=80)
+def test_apply_row_is_den_power_times_apply(field, A, k, f):
+    """apply_row on the exact int row of f over its denominator D is
+    D * den^n times apply(f), n = deg f; apply agrees with the per-call
+    and (for diagonal maps) the per-term routes."""
+    auto = A.power(k)
+    n = f.degree
+    index = basis_index(NVARS, n)
+    denom = lcm(*(c.denominator for _, c in f.terms))
+    row = [(index[m], c.numerator * (denom // c.denominator)) for m, c in f.terms]
+    image = auto.apply(f)
+    scale = denom * auto.den**n
+    assert dict(auto.apply_row(row, n)) == {index[m]: c * scale for m, c in image.terms}
+    assert image == matrix_apply_per_call(auto, f)
+    if auto.diagonal is not None:
+        assert image == diagonal_apply_per_term(auto, f)
+
+
 def _matrix_case(st):
     """A field, nvars in 1-4, two polynomials of degrees -1 to 4 and an
     invertible matrix map, mostly not diagonal."""
@@ -405,7 +428,7 @@ def test_matrix_apply_matches_per_call(field, f, g, A):
         for h in (f, g, f * g):
             want = matrix_apply_per_call(auto, h)
             assert auto.apply(h) == want
-            # a second pass reads the monomial images cached by the first
+            # a second pass reads the image tables cached by the first
             assert auto.apply(h) == want
 
 
@@ -414,8 +437,9 @@ def test_weight_cache_stays_out_of_equality():
     B = AutoMap.diagonal_family([QQ.from_int(2), Fraction(1, 3)], QQ)
     f = parse_poly("x0*x1 + 2*x2^2", 3, QQ)
     assert A.apply(f) == parse_poly("2*x0*x1 + 2/9*x2^2", 3, QQ)
+    assert A._tables and not B._tables
     assert A == B and hash(A) == hash(B)
-    assert "_weights" not in repr(A)
+    assert "_tables" not in repr(A)
 
 
 def test_image_cache_stays_out_of_equality():
@@ -424,9 +448,9 @@ def test_image_cache_stays_out_of_equality():
     N = AutoMap.from_matrix([[1, 1, 0], [0, 2, 1], [1, 0, 3]], QQ)
     want = "x0^2 + 2*x0*x1 + x0*x2 + 2*x1^2 + 14*x1*x2 + 18*x2^2"
     assert M.apply(f) == parse_poly(want, 3, QQ)
-    assert M._images and not N._images
+    assert M._tables and not N._tables
     assert M == N and hash(M) == hash(N)
-    assert "_images" not in repr(M)
+    assert "_tables" not in repr(M)
 
 
 # -- closed-form powers against repeated composition -------------------------------

@@ -272,3 +272,25 @@ def test_every_observed_check_carries_window(generic):
     for c in generic.checks:
         if c.status == "observed":
             assert c.window and "max_degree" in c.window
+
+
+def test_ext_top_twisted_reuses_the_koszul_ranks(monkeypatch):
+    """The free module's ranks live on the zero ideal, so ext-top-twisted
+    ranks nothing after koszul-acyclicity; run alone it does rank."""
+    from idealizer import ext
+
+    bodies = {name: body for name, _, _, body in suite.CHECKS}
+    instance = RingConfig.from_mapping({"d": 2, "max_degree": 5}).validate().build()
+    calls = []
+    real = ext.rank_rows
+    monkeypatch.setattr(ext, "rank_rows", lambda *args: calls.append(args) or real(*args))
+
+    alone = suite._Context(instance)
+    assert bodies["ext-top-twisted"](alone)[0] == "pass"
+    assert calls
+
+    ctx = suite._Context(instance)
+    assert bodies["koszul-acyclicity"](ctx)[0] == "pass"
+    calls.clear()
+    assert bodies["ext-top-twisted"](ctx)[0] == "pass"
+    assert not calls

@@ -1,7 +1,10 @@
 """Twisted multiplication, graded ideals, and the opposite-ring identity."""
 
+from fractions import Fraction
+
 import pytest
 from oracles import (
+    associativity_sample_polys,
     monomial_polys,
     opposite_iso_check_per_pair,
     recursive_point_ideal,
@@ -318,9 +321,15 @@ _OPPOSITE_RINGS = {
     "diag-gf7": lambda: _ring((2, 3), PrimeField(7)),
     "matrix-q": lambda: _matrix_ring(QQ),
     "matrix-gf10007": lambda: _matrix_ring(PrimeField(10007)),
+    # phi^2 = 1, so den is 2 for odd powers and 1 for even ones: no den^k
+    "swap-q": lambda: TwistRing(
+        2, AutoMap.from_matrix([[0, Fraction(1, 2), 0], [2, 0, 0], [0, 0, 1]], QQ), QQ
+    ),
     "fault-at-minus-3": lambda: _FaultyPower(-3, 2, _ring().phi, QQ),
     "fault-at-2-gf7": lambda: _FaultyPower(2, 2, _ring((2, 3), PrimeField(7)).phi, PrimeField(7)),
     "fault-at-minus-1-matrix": lambda: _FaultyPower(-1, 2, _matrix_ring(QQ).phi, QQ),
+    "fault-at-3": lambda: _FaultyPower(3, 2, _ring().phi, QQ),
+    "fault-at-1-matrix": lambda: _FaultyPower(1, 2, _matrix_ring(QQ).phi, QQ),
 }
 
 
@@ -330,6 +339,24 @@ def test_opposite_iso_check_matches_per_pair(name):
     got = ring.opposite_iso_check(4)
     assert got == opposite_iso_check_per_pair(ring, 4)
     assert got[0] == (got[2] is None) == (not name.startswith("fault"))
+
+
+_ASSOCIATIVITY_RINGS = dict(
+    _OPPOSITE_RINGS,
+    **{"diag-q-half": lambda: TwistRing(2, AutoMap.diagonal_family([Fraction(1, 2), 3], QQ), QQ)},
+)
+
+
+@pytest.mark.parametrize("name", sorted(_ASSOCIATIVITY_RINGS))
+def test_associativity_sample_matches_polys(name):
+    """The int-row sample and the HomogPoly route give one verdict.  The
+    sample twists only by phi^k with k >= 1, so a ring whose one wrong
+    power is negative passes both, and every other fault fails both."""
+    ring = _ASSOCIATIVITY_RINGS[name]()
+    got = associativity_sample(ring, trials=60, seed=811)
+    assert got == associativity_sample_polys(ring, trials=60, seed=811)
+    fault = getattr(ring, "fault", None)
+    assert got == (fault is None or fault < 1)
 
 
 def test_opposite_iso_check_reports_the_first_failing_pair():
