@@ -64,22 +64,23 @@ __all__ = [
 class QuotientModule:
     """U/J for a graded ideal J, pulled back by phi^power.
 
-    The pieces are those of ``J.moved(power)``, memoized by that ideal.
-    The degree-n basis is the set of monomials at the non-pivot columns
-    of the degree-n piece, so multiplication matrices are reductions of
-    honest products.  Ranks of Koszul differentials on this module are
-    kept in `ranks`, keyed (complex, i, n), on the ideal that supplies
-    the pieces: every module on one ideal shares them, and they live as
-    long as it does.
+    The degree-n piece is J.twisted_piece(power, n), the piece of
+    ``J.moved(power)``, memoized by that ideal.  The degree-n basis is the
+    set of monomials at the non-pivot columns of that piece, so
+    multiplication matrices are reductions of honest products.  Ranks of
+    Koszul differentials on this module are kept in `ranks`, keyed
+    (complex, i, n), on the ideal that supplies the pieces: every module
+    on one ideal shares them, and they live as long as it does.
     """
 
     def __init__(self, ideal: GradedIdeal, power: int = 0):
+        self.ideal = ideal
+        self.power = power
         self.ring = ideal.ring
-        self.source = ideal.moved(power)
-        self.ranks = self.source.ranks
+        self.ranks = ideal.moved(power).ranks
 
     def piece(self, n: int):
-        return self.source.piece(n)
+        return self.ideal.twisted_piece(self.power, n)
 
     def dim(self, n: int) -> int:
         if n < 0:

@@ -39,11 +39,9 @@ kept for the benchmark's span list.
 Scalars enter only through ``fields.int_row`` (``poly_to_vector`` and the
 rows callers build from point values) and leave only through
 ``fields.scalar_row``, in ``invert_matrix`` and in the kernel vectors
-printed as linear forms (``twist.kernel_form``).  Two results stay int:
-``basis_polys`` returns the canonical rows as polynomials, whose integer
-coefficients are scalars in either field, and every caller only spans
-them or tests them up to proportionality; ``quotient_coords``, the one
-exact, not scale-free, result, returns an int row with its denominator.
+printed as linear forms (``twist.kernel_form``).  ``quotient_coords``,
+the one exact, not scale-free, result, returns an int row with its
+denominator.
 
 ``intersect`` has no caller in the package, which counts the dimension
 of a meet from a sum; it is kept for the benchmark's span list and for
@@ -61,7 +59,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .fields import Scalar, int_row, scalar_row
-from .poly import HomogPoly, basis_dim, poly_to_vector, vector_to_poly
+from .poly import HomogPoly, basis_dim, poly_to_vector
 
 __all__ = [
     "Ambient",
@@ -263,13 +261,6 @@ class GradedSubspace:
     def contains_subspace(self, other: "GradedSubspace") -> bool:
         self.ambient.require_same(other.ambient)
         return all(self.contains_vector(r) for r in other.rows)
-
-    def basis_polys(self) -> list[HomogPoly]:
-        """The canonical rows as polynomials with integer coefficients."""
-        if self.ambient.kind != "poly":
-            raise ValueError("basis_polys needs a polynomial ambient")
-        amb = self.ambient
-        return [vector_to_poly(r, amb.nvars, amb.degree, self.field.char) for r in self.rows]
 
 
 def span(

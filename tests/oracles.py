@@ -22,7 +22,9 @@ orbit points reached by stepping the orbit one point at a time.  Twisted product
 are ``HomogPoly`` products ``twisted_products`` over ``monomial_polys``
 where the package multiplies int rows, and a twisted ideal's piece is
 ``AutoMap.apply`` on the basis of the piece (``twisted_piece_apply``)
-where the package moves the ideal once per power.
+where the package moves the ideal once per power.  ``basis_polys`` reads
+a piece's canonical rows as the polynomials these routes take; the
+package twists and multiplies the rows themselves.
 
 The package's rows are sparse (column, value) pairs.  ``DenseEchelon``
 is the echelon engine the package used on full-width int lists before
@@ -46,6 +48,7 @@ from idealizer.poly import (
     monomials,
     mono_mul,
     poly_to_vector,
+    vector_to_poly,
 )
 from idealizer.twist import GradedIdeal, TwistRing, point_ideal_forms
 
@@ -244,6 +247,12 @@ def orbit_point_walk(auto, start, n):
 # -- twisted products and twisted ideals by polynomials -----------------------------
 
 
+def basis_polys(V):
+    """The canonical rows of a polynomial piece as polynomials with integer coefficients."""
+    amb = V.ambient
+    return [vector_to_poly(r, amb.nvars, amb.degree, V.field.char) for r in V.rows]
+
+
 def monomial_polys(ring, n):
     """The degree-n monomials of the ring as polynomials."""
     return [HomogPoly.monomial(m, 1, ring.field.char) for m in ring.basis(n)]
@@ -265,7 +274,7 @@ def twisted_piece_apply(ideal, power, n):
     """The degree-n piece of phi^power(J): ``AutoMap.apply`` on each basis
     polynomial of J_n."""
     auto = ideal.ring.power(power)
-    polys = [auto.apply(f) for f in ideal.piece(n).basis_polys()]
+    polys = [auto.apply(f) for f in basis_polys(ideal.piece(n))]
     return span_polys(polys, ideal.ring.ambient(n), ideal.ring.field)
 
 
@@ -339,7 +348,7 @@ def idealizer_piece_full(idl, n, j_cap):
     rows = [
         residual_quotient_row(idl, ideal, idl.ring.twisted(n, f), n)
         for j in range(1, j_cap + 1)
-        for f in ideal.piece(j).basis_polys()
+        for f in basis_polys(ideal.piece(j))
     ]
     return _kernel_span(idl, rows, n)
 
@@ -350,7 +359,7 @@ def veronese_idealizer_piece_residual(idl, n, m, j_cap):
     rows = [
         residual_quotient_row(idl, ideal, idl.ring.twisted(n * m, b), n * m)
         for j in range(1, j_cap + 1)
-        for b in ideal.piece(n * j).basis_polys()
+        for b in basis_polys(ideal.piece(n * j))
     ]
     return _kernel_span(idl, rows, n * m)
 
@@ -377,7 +386,9 @@ def decomposable_piece_polys(idl, n):
         g
         for a in range(1, n)
         for g in twisted_products(
-            idl.ring, idl.idealizer_piece(a).basis_polys(), idl.idealizer_piece(n - a).basis_polys()
+            idl.ring,
+            basis_polys(idl.idealizer_piece(a)),
+            basis_polys(idl.idealizer_piece(n - a)),
         )
     )
     target = idl.idealizer_piece(n)
@@ -393,7 +404,9 @@ def decomposable_piece_uncapped(idl, n):
         g
         for a in range(1, n)
         for g in twisted_products(
-            idl.ring, idl.idealizer_piece(a).basis_polys(), idl.idealizer_piece(n - a).basis_polys()
+            idl.ring,
+            basis_polys(idl.idealizer_piece(a)),
+            basis_polys(idl.idealizer_piece(n - a)),
         )
     )
     return _span_all_polys(polys, idl.ring.ambient(n), idl.field)
@@ -405,7 +418,7 @@ def is_piece_uncapped(idl, m):
         g
         for i in range(m)
         for g in twisted_products(
-            idl.ring, idl.I.piece(m - i).basis_polys(), monomial_polys(idl.ring, i)
+            idl.ring, basis_polys(idl.I.piece(m - i)), monomial_polys(idl.ring, i)
         )
     )
     return _span_all_polys(polys, idl.ring.ambient(m), idl.field)
@@ -428,7 +441,7 @@ def veronese_idealizer_piece_uncapped(idl, n, m, j_cap):
     rows = [
         idl._quotient_row(poly_to_vector(idl.ring.twisted(n * m, b), idl.field), n * j, n * m)
         for j in range(1, j_cap + 1)
-        for b in idl.I.piece(n * j).basis_polys()
+        for b in basis_polys(idl.I.piece(n * j))
     ]
     vecs = kernel(rows, basis_dim(idl.ring.nvars, n * m), idl.field)
     return span_all(vecs, idl.ring.ambient(n * m), idl.field)
@@ -445,7 +458,7 @@ def recursive_piece_polys(ideal, n):
         prev = recursive_piece_polys(ideal, n - 1)
         for v in range(ring.nvars):
             xv = HomogPoly.variable(ring.nvars, v, ring.field)
-            polys.extend(xv * f for f in prev.basis_polys())
+            polys.extend(xv * f for f in basis_polys(prev))
     return _span_all_polys(polys, ring.ambient(n), ring.field)
 
 
@@ -497,7 +510,7 @@ def probe_dims_intersect(engine, f, max_degree):
         coker.append(amb.dim - subspace_sum(fS, T).dim)
         meet = intersect(fS, T)
         fT = _span_all_polys(
-            twisted_products(ring, [f], idl.idealizer_piece(m - n).basis_polys()), amb, field
+            twisted_products(ring, [f], basis_polys(idl.idealizer_piece(m - n))), amb, field
         )
         if not meet.contains_subspace(fT):
             raise ArithmeticError("fT escapes fS meet T")

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from oracles import (
     associativity_sample_polys,
+    basis_polys,
     monomial_polys,
     opposite_iso_check_per_pair,
     recursive_point_ideal,
@@ -276,7 +277,7 @@ def test_product_rows_match_polynomial_products(field, phi_data):
             for left in pieces:
                 for right in pieces:
                     v, w = left(a), right(b)
-                    want = twisted_products(S, v.basis_polys(), w.basis_polys())
+                    want = twisted_products(S, basis_polys(v), basis_polys(w))
                     assert S.product_piece(v, w) == span_polys(want, S.ambient(a + b), field)
         fS = twisted_products(S, [f], monomial_polys(S, a))
         assert S.principal_right_piece(f, a + 1) == span_polys(fS, S.ambient(a + 1), field)
