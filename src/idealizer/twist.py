@@ -34,7 +34,7 @@ Every twisted product of two pieces, f . g = phi^b(f) * g for g of degree
 b, is one ``TwistRing.product_rows``: each left int row is twisted once
 by ``AutoMap.apply_row`` and multiplied by each right int row through
 ``poly.row_product``, so no polynomial is built to twist a piece.  A
-product row carries the scale den^a of phi^b, and every caller spans it.
+product row carries the scale den^a of phi^b, which a span ignores.
 The products of pieces of T, the right ideals (f S)_m = phi^{m-n}(f) *
 U_{m-n} (right factors the monomial rows), the pieces of IS and the
 probe's fT all take it.
@@ -115,9 +115,8 @@ class TwistRing:
 
         ``lefts`` are int rows of degree a and ``rights`` int rows of
         degree b.  Each f is twisted once, by ``AutoMap.apply_row``, so a
-        row carries the scale den^a of phi^b besides its factors' scales;
-        every caller spans the rows.  f is the outer loop and g the inner
-        one.
+        row carries the scale den^a of phi^b besides its factors' scales.
+        f is the outer loop and g the inner one.
         """
         nvars, p, auto = self.nvars, self.field.char, self.power(b)
         for f in lefts:
