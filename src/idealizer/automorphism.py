@@ -148,8 +148,8 @@ class AutoMap:
 
     def apply_row(self, row: Iterable[tuple[int, int]], n: int) -> list[tuple[int, int]]:
         """den^n times the substitution applied to the degree-n polynomial
-        with int row ``row``, as an int row (reduced mod p): the row's
-        values times the image rows of its columns, summed."""
+        with int row ``row`` (values reduced mod p), as an int row: the
+        row's values times the image rows of its columns, summed."""
         if self._identity:
             return list(row)
         table = self._image_table(n)
