@@ -20,7 +20,11 @@ the ``segre`` witness table in three, four and five variables, over Q
 and mod 7, in degrees past the suite's, and three runs whose maps have
 fractional entries, so that a positive power needs a denominator: the
 suite with a multiplier 1/2, and the opposite check and a twisted-module
-``ext-table`` under the matrix of ``frac.json``.
+``ext-table`` under the matrix of ``frac.json``.  Five more probes pin
+the probe's counts where its fS and fT rows are twisted by a full
+matrix (``matrix.json``, and ``frac.json``, whose twist carries a
+denominator), mod 10007 past the suite's window, for a probe element of
+degree 2, and in four variables.
 """
 
 import contextlib
@@ -162,6 +166,31 @@ CLI_GOLDEN = [
         ("ext-table", "--config", "frac.json", "--J", "orbit:-2", "--max-degree", "4"),
         0,
         "45f0d1d2e41566b1304f729e63ee1fdd02bbb54fcc8dac5ead25e40c7b01daf2",
+    ),
+    (
+        ("probe", "--config", "matrix.json", "--f", "x0 - x1", "--max-degree", "6"),
+        0,
+        "8e490c1975c9c68e1017b9999612b37a239f04b6d1732e5a2f8bc03b879e0c69",
+    ),
+    (
+        ("probe", "--config", "frac.json", "--f", "2*x0 - x1", "--max-degree", "6"),
+        0,
+        "d81a19b0f3efaa873df76d6c822b842bf6623273f0775161bcdf032ffc9b163c",
+    ),
+    (
+        ("probe", "--f", "x0-x1", "--field", "prime:10007", "--max-degree", "12"),
+        0,
+        "b227293d619c5bc236c9cfb2aed6ff0aeb0980fb21630c77ca6a609bafd14352",
+    ),
+    (
+        ("probe", "--f", "x0^2 - x0*x1", "--max-degree", "8"),
+        0,
+        "e84973f917359bb91cbb81bf87a9d6ead2a6974cbdf464b879fed2fba3165662",
+    ),
+    (
+        ("probe", "--d", "3", "--p", "2,3,5", "--point", "1,1,1,1", "--f", "x0-x1", "--max-degree", "5"),
+        0,
+        "0f6405b075dfc8e7b59d386f0138a6a8be6bf07bf3afd5e9cfc8a0cf5b26a0d5",
     ),
 ]
 
