@@ -24,22 +24,30 @@ that its neighbours already paid for.
 Every product here is an int-row product through ``poly.product_index``:
 the multiplication matrices feed it nonzero by nonzero into the target
 piece's cached quotient map, the hom constraints twist the int rows of
-the forms by ``AutoMap.apply_row``, and the probe's fS and fT are
-``TwistRing.product_rows``.  No polynomial is multiplied or twisted and
-no full-width product row is built.  The
-hom spaces and the probes report dimensions, so they count them from
-ranks and never build the spaces: dim Hom_n is dim U_n - rank M - dim J_n
-for the constraint matrix M.  The probe counts its sum in the quotient
-by T_m: dim (fS + T)_m is dim T_m plus the rank r of the image of the
-rows of (fS)_m in U_m/T_m, a dim fS x codim T_m matrix (codim T_m is 1
-in the generic regime), so S/(fS + T) has dimension codim T_m - r and
-(fS meet T)_m has dimension dim fS - r.  Each keeps an exact guard on
-the space it no longer builds: J_n lies in ker M, and fT lies in both
-fS and T.
+the forms by ``AutoMap.apply_row``, and the probe's fS and fT rows are f
+twisted once per degree and multiplied by monomials and by the rows of
+T.  No polynomial is multiplied or twisted and no full-width product row
+is built.  The hom spaces and the probes report dimensions, so they
+count them and never build the spaces: dim Hom_n is dim U_n - rank M -
+dim J_n for the constraint matrix M, and the guard that J_n lies in
+ker M is exact.
 
 The probes at the end are the finite-dimensional noetherian witnesses:
 for f in T_n they tabulate (S/(fS + T))_m and ((fS meet T)/fT)_m and
-compare the supports with the vanishing set of f along the orbit.
+compare the supports with the vanishing set of f along the orbit.  With
+b = m - n and u = phi^b(f), (fS)_m is spanned by u times the monomials of
+degree b and (fT)_m by u times the RREF rows of T_b.  The Zhang twist of
+a domain is a domain (Zhang, Proc. LMS 1996), so left multiplication by
+f is injective: dim (fS)_m = dim U_b and dim (fT)_m = dim T_b, and fT
+lies in fS because the product is bilinear.  No span checks this.
+Descending lex is a monomial order, so the least column of u * g is the
+product of the least monomials of u and g, and each list of rows has
+pairwise distinct least columns; one pass over them certifies both
+dimensions, and a repeat raises ``ArithmeticError``.  dim (fS + T)_m is
+dim T_m plus the rank r of the image of the fS rows in U_m/T_m, a dim U_b
+x codim T_m matrix (codim T_m is 1 in the generic regime), so S/(fS + T)
+has dimension codim T_m - r and (fS meet T)_m has dimension dim U_b - r.
+The one containment left is exact: every fT row lies in T_m.
 """
 
 from __future__ import annotations
@@ -49,9 +57,9 @@ from math import comb
 
 from .automorphism import evaluate_at
 from .idealizer_ring import IdealizerRing
-from .linalg import rank_rows, span
+from .linalg import rank_rows
 from .orbit import orbit_points
-from .poly import HomogPoly, basis_dim, poly_to_vector, product_index
+from .poly import HomogPoly, basis_dim, poly_to_vector, product_index, row_product
 from .twist import GradedIdeal
 
 __all__ = [
@@ -234,29 +242,37 @@ class ExtEngine:
     # -- noetherian probes ---------------------------------------------------
 
     def right_noeth_probe(self, f: HomogPoly, max_degree: int) -> dict:
-        """Tabulate the two quotients attached to f in T_n, n = deg f."""
+        """Tabulate the two quotients attached to f in T_n, n = deg f.
+
+        In degree m = n + b the rows of (fS)_m are u = phi^b(f) times the
+        monomials of degree b, and the rows of (fT)_m are u times the
+        RREF rows of T_b.  S is a domain, so both lists are bases:
+        ``_leading_count`` certifies it and ``T.contains_vector`` guards
+        fT inside T.  dim (fS + T)_m is dim T_m plus the rank of the
+        image of fS in U_m/T_m.
+        """
         n = f.degree
-        idl = self.idealizer
+        idl, ring, p = self.idealizer, self.ring, self.field.char
         if not idl.idealizer_piece(n).contains_poly(f):
             raise ValueError("probe element does not lie in the idealizer")
-        window = orbit_points(self.ring.phi, idl.point, max_degree)
+        window = orbit_points(ring.phi, idl.point, max_degree)
         f_row = poly_to_vector(f, self.field)
         coker = []
         torsion = []
         predicted = []
         for m in range(n, max_degree + 1):
-            fS = self.ring.principal_right_piece(f, m)
+            b = m - n
+            u = ring.power(b).apply_row(f_row, n)
+            fS = ring.principal_right_rows(u, n, b)
+            fT = [row_product(u, g, ring.nvars, n, b, p) for g in idl.idealizer_piece(b).rows]
             T = idl.idealizer_piece(m)
+            if not all(T.contains_vector(r) for r in fT):
+                raise ArithmeticError("fT escapes T")
             # dim (fS + T) = dim T + rank of the image of fS in U/T
-            image = [T.quotient_coords(r)[0] for r in fS.rows]
+            image = [T.quotient_coords(r)[0] for r in fS]
             rank = rank_rows(image, T.ambient.dim - T.dim, self.field)
             coker.append(T.ambient.dim - T.dim - rank)
-            rights = idl.idealizer_piece(m - n).rows
-            fT_rows = self.ring.product_rows([f_row], n, rights, m - n)
-            fT = span(fT_rows, self.ring.ambient(m), self.field)
-            if not (fS.contains_subspace(fT) and T.contains_subspace(fT)):
-                raise ArithmeticError("fT escapes fS meet T")
-            torsion.append(fS.dim - rank - fT.dim)
+            torsion.append(_leading_count(fS) - rank - _leading_count(fT))
             value = evaluate_at(f, window.points[n - m], self.field)
             predicted.append(not bool(value))
         degrees = list(range(n, max_degree + 1))
@@ -306,6 +322,19 @@ class ExtEngine:
                 "totals": totals,
             }
         return out
+
+
+def _leading_count(rows) -> int:
+    """The dimension of the span of the rows, certified by their least
+    columns: nonzero rows whose least columns are pairwise distinct are
+    linearly independent.  A repeated least column raises
+    ``ArithmeticError``: the least column of u * g is that of u times
+    that of g, so u times distinct monomials or distinct RREF rows never
+    repeats one."""
+    leads = [min(r)[0] for r in rows if r]
+    if len(set(leads)) != len(leads):
+        raise ArithmeticError("product rows share a least column")
+    return len(leads)
 
 
 def euler_characteristic_check(kos: KoszulComplex, module, n: int) -> tuple[int, int]:

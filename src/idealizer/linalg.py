@@ -258,10 +258,6 @@ class GradedSubspace:
     def contains_poly(self, f: HomogPoly) -> bool:
         return self.contains_vector(poly_to_vector(f, self.field))
 
-    def contains_subspace(self, other: "GradedSubspace") -> bool:
-        self.ambient.require_same(other.ambient)
-        return all(self.contains_vector(r) for r in other.rows)
-
 
 def span(
     vectors: Iterable[Row], ambient: Ambient, field, cap: int | None = None

@@ -23,6 +23,12 @@ opposite-ring transport) and a non-diagonal ``AutoMap``'s image tables
 multiply int rows, not polynomials, through one product:
 ``product_index(nvars, a, b)`` is the table of
 basis indices of m_i * m_j in degree a + b, built lazily and cached.
+It is built from integer codes: a monomial's code is the base-(a+b+1)
+number whose digits are its exponents.  No exponent reaches the base,
+so descending lex order is descending code order and the code of a
+product is the sum of the codes of its factors; a table is one dict
+from code to index in degree a + b and one addition and one lookup per
+cell.  The codes are not cached: they are cheap next to the table.
 ``row_product`` multiplies two int rows over it, visiting only pairs of
 nonzeros and summing into a dict, and ``times_monomial`` is its case of
 a monomial factor: the columns of the other row moved through one table
@@ -49,7 +55,6 @@ __all__ = [
     "basis_index",
     "format_poly",
     "mono_degree",
-    "mono_mul",
     "monomial_basis",
     "monomial_values",
     "monomials",
@@ -64,10 +69,6 @@ Mono = tuple[int, ...]
 
 def mono_degree(m: Mono) -> int:
     return sum(m)
-
-
-def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 @lru_cache(maxsize=None)
@@ -100,13 +101,30 @@ def basis_dim(nvars: int, degree: int) -> int:
     return comb(degree + nvars - 1, nvars - 1)
 
 
+def _codes(nvars: int, degree: int, base: int) -> list[int]:
+    """Each monomial of the degree, in the frozen order, as the base-``base``
+    number whose digits are its exponents."""
+    out = []
+    for m in monomials(nvars, degree):
+        c = 0
+        for e in m:
+            c = c * base + e
+        out.append(c)
+    return out
+
+
 @lru_cache(maxsize=None)
 def product_index(nvars: int, a: int, b: int) -> tuple[tuple[int, ...], ...]:
     """Row i, column j: the basis index of m_i * m_j in degree a + b, for
-    m_i the i-th monomial of degree a and m_j the j-th of degree b."""
-    idx = basis_index(nvars, a + b)
-    right = monomials(nvars, b)
-    return tuple(tuple(idx[mono_mul(m, r)] for r in right) for m in monomials(nvars, a))
+    m_i the i-th monomial of degree a and m_j the j-th of degree b.
+
+    No exponent reaches the base a + b + 1, so the code of m_i * m_j is
+    the sum of the codes of m_i and m_j: a cell is one addition and one
+    lookup."""
+    base = a + b + 1
+    idx = {c: i for i, c in enumerate(_codes(nvars, a + b, base))}
+    right = _codes(nvars, b, base)
+    return tuple(tuple([idx[c + r] for r in right]) for c in _codes(nvars, a, base))
 
 
 def row_product(

@@ -89,7 +89,7 @@ PROBE_KEYS = (
     "torsion_matches",
 )
 
-__all__ = ["run_suite", "second_prime"]
+__all__ = ["run_suite", "second_prime", "skip_reason"]
 
 
 def jsonable(value):
@@ -284,11 +284,22 @@ def _check(name: str, statement: str | None = None, requires: tuple[str, ...] = 
     return register
 
 
+def _unmet(ctx: _Context, requires: tuple[str, ...]) -> str | None:
+    """The reason of the first unmet gate among ``requires``, or None."""
+    return next(filter(None, (GATES[r](ctx) for r in requires)), None)
+
+
+def skip_reason(instance: Instance, name: str) -> str | None:
+    """Why the suite skips the named check on this instance, or None."""
+    requires = next(req for check, _, req, _ in CHECKS if check == name)
+    return _unmet(_Context(instance), requires)
+
+
 def run_suite(instance: Instance) -> VerificationReport:
     ctx = _Context(instance)
     checks = []
     for name, statement, requires, body in CHECKS:
-        reason = next(filter(None, (GATES[r](ctx) for r in requires)), None)
+        reason = _unmet(ctx, requires)
         if reason is None:
             checks.append(CheckRecord(name, *body(ctx)))
         else:

@@ -35,9 +35,10 @@ b, is one ``TwistRing.product_rows``: each left int row is twisted once
 by ``AutoMap.apply_row`` and multiplied by each right int row through
 ``poly.row_product``, so no polynomial is built to twist a piece.  A
 product row carries the scale den^a of phi^b, which a span ignores.
-The products of pieces of T, the right ideals (f S)_m = phi^{m-n}(f) *
-U_{m-n} (right factors the monomial rows), the pieces of IS and the
-probe's fT all take it.
+The products of pieces of T and the pieces of IS take it.  A principal
+right ideal (f S)_m = phi^b(f) * U_b, b = m - deg f, is the twisted row
+of f moved by each monomial of degree b (``principal_right_rows``); the
+probe twists f once per degree for these rows and for its fT.
 
 The two checks of twisted arithmetic, ``associativity_sample`` and
 ``TwistRing.opposite_iso_check``, run on int rows as well.  Each side of
@@ -131,12 +132,16 @@ class TwistRing:
         a, b = v.ambient.degree, w.ambient.degree
         return span(self.product_rows(v.rows, a, w.rows, b), self.ambient(a + b), self.field)
 
+    def principal_right_rows(self, u, a: int, b: int) -> list[list[tuple[int, int]]]:
+        """The int rows spanning (f S)_(a+b): u, the int row of phi^b(f) for
+        f of degree a, times each monomial of degree b, in basis order."""
+        return [times_monomial(u, j, self.nvars, a, b) for j in range(basis_dim(self.nvars, b))]
+
     def principal_right_piece(self, f: HomogPoly, m: int) -> GradedSubspace:
-        """(f S)_m: phi^b(f), b = m - deg f, times each monomial of degree b."""
-        b = m - f.degree
-        monos = [((j, 1),) for j in range(basis_dim(self.nvars, b))]
-        rows = self.product_rows([poly_to_vector(f, self.field)], f.degree, monos, b)
-        return span(rows, self.ambient(m), self.field)
+        """(f S)_m, the span of ``principal_right_rows`` for b = m - deg f."""
+        a, b = f.degree, m - f.degree
+        u = self.power(b).apply_row(poly_to_vector(f, self.field), a)
+        return span(self.principal_right_rows(u, a, b), self.ambient(m), self.field)
 
     def opposite_iso_check(self, max_total_degree: int):
         """Verify degreewise that psi_n = phi^{-n} maps the opposite ring

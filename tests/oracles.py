@@ -12,7 +12,13 @@ echelon where the package counts components, and multiplicative relations
 found by exhaustive search over small exponents.  They are exact but
 only affordable in low degree.
 
+The probe keeps its spanning route (``probe_dims_spanning``): fS and fT
+spanned and guarded by ``contains_subspace``, where the package counts
+both from least columns.
+
 The polynomial primitives keep their first routes here too: the product
+table with one ``mono_mul`` tuple per cell (``product_index_mono_mul``),
+where the package adds integer monomial codes, the product
 by one ``mono_mul`` per pair of terms, a diagonal map applied by one
 power per variable per term, a non-diagonal map applied with the powers
 of the variable images rebuilt on every call, the opposite-ring check
@@ -39,14 +45,13 @@ from math import gcd, lcm
 
 from idealizer.automorphism import AutoMap, point_image, pullback_point
 from idealizer.fields import int_row, scalar_row
-from idealizer.linalg import Echelon, GradedSubspace, intersect, kernel, span, span_polys
+from idealizer.linalg import Echelon, GradedSubspace, intersect, kernel, rank_rows, span, span_polys
 from idealizer.poly import (
     HomogPoly,
     basis_dim,
     basis_index,
     monomial_basis,
     monomials,
-    mono_mul,
     poly_to_vector,
     vector_to_poly,
 )
@@ -144,6 +149,19 @@ class DenseEchelon:
 
 
 # -- polynomial products, diagonal maps, the twisted-product checks and orbit points
+
+
+def mono_mul(a, b):
+    """The exponent tuple of the product of two monomials."""
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def product_index_mono_mul(nvars, a, b):
+    """``poly.product_index`` with one ``mono_mul`` tuple and one lookup
+    in the degree-(a + b) basis index per cell."""
+    idx = basis_index(nvars, a + b)
+    right = monomials(nvars, b)
+    return tuple(tuple(idx[mono_mul(m, r)] for r in right) for m in monomials(nvars, a))
 
 
 def poly_mul_terms(f, g):
@@ -313,6 +331,12 @@ def quotient_coords_by_reduction(V, vec):
     entries as a sparse row in column order, and the scale they are over."""
     res, scale = reduce_against(V, vec)
     return sparsify([res[j] for j in V.nonpivot_columns]), scale
+
+
+def contains_subspace(v, w):
+    """Whether the subspace v contains w, row by row of w."""
+    v.ambient.require_same(w.ambient)
+    return all(v.contains_vector(r) for r in w.rows)
 
 
 def subspace_sum(v, w):
@@ -490,7 +514,7 @@ def hom_S_quotient_kernel(engine, J, n):
     ]
     sol = span_all(kernel(rows, basis_dim(ring.nvars, n), field), ring.ambient(n), field)
     inner = recursive_piece_polys(J, n)
-    if not sol.contains_subspace(inner):
+    if not contains_subspace(sol, inner):
         raise ArithmeticError("J_n escapes its own hom constraints")
     return sol.dim - inner.dim
 
@@ -512,9 +536,34 @@ def probe_dims_intersect(engine, f, max_degree):
         fT = _span_all_polys(
             twisted_products(ring, [f], basis_polys(idl.idealizer_piece(m - n))), amb, field
         )
-        if not meet.contains_subspace(fT):
+        if not contains_subspace(meet, fT):
             raise ArithmeticError("fT escapes fS meet T")
         torsion.append(meet.dim - fT.dim)
+    return coker, torsion
+
+
+def probe_dims_spanning(engine, f, max_degree):
+    """The probe's cokernel and torsion dimensions, with fS and fT spanned.
+
+    fS is ``principal_right_piece`` and fT the span of f times the rows of
+    T_(m-n), both guarded to lie in T (fT) and in fS meet T (fT) by
+    containment; dim (fS + T) is dim T plus a rank in U/T, as in the package.
+    """
+    ring, field, idl = engine.ring, engine.field, engine.idealizer
+    n = f.degree
+    f_row = poly_to_vector(f, field)
+    coker, torsion = [], []
+    for m in range(n, max_degree + 1):
+        fS = ring.principal_right_piece(f, m)
+        T = idl.idealizer_piece(m)
+        image = [T.quotient_coords(r)[0] for r in fS.rows]
+        rank = rank_rows(image, T.ambient.dim - T.dim, field)
+        coker.append(T.ambient.dim - T.dim - rank)
+        rights = idl.idealizer_piece(m - n).rows
+        fT = span(ring.product_rows([f_row], n, rights, m - n), ring.ambient(m), field)
+        if not (contains_subspace(fS, fT) and contains_subspace(T, fT)):
+            raise ArithmeticError("fT escapes fS meet T")
+        torsion.append(fS.dim - rank - fT.dim)
     return coker, torsion
 
 

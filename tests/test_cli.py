@@ -119,6 +119,23 @@ def test_probe_two_point_vanishing(capsys):
     assert payload["totals"] == {"coker": 2, "torsion": 1}
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (("--p", "1,1", "--f", "x0-x1"), "phi is the identity"),
+        (("--point", "1,0,0", "--f", "x1-x2"), "orbit points collide"),
+        (("--field", "prime:7", "--max-degree", "10", "--f", "x0-x1"), "orbit points collide"),
+    ],
+    ids=["identity", "fixed-point", "mod-7-collision"],
+)
+def test_probe_reports_the_suite_skip_reason(capsys, argv, reason):
+    """Where the suite skips its probe check, probe reports why and exits 0."""
+    code, payload = _run_json(capsys, "probe", *argv)
+    assert code == 0
+    assert payload["reason"].startswith(reason)
+    assert not (payload["support_matches"] and payload["torsion_matches"])
+
+
 def test_probe_rejects_non_member(capsys):
     code, out, err = _run(capsys, "probe", "--f", "x0 + x1")
     assert code == 2

@@ -11,6 +11,7 @@ from oracles import (
     densify,
     hom_S_quotient_kernel,
     probe_dims_intersect,
+    probe_dims_spanning,
     recursive_piece_polys,
     sparsify,
 )
@@ -303,6 +304,29 @@ def test_probe_meet_count_matches_intersect(field, multipliers, point):
         assert (rec["coker_dims"], rec["torsion_dims"]) == probe_dims_intersect(engine, f, 6)
 
 
+# the maps of the golden configs matrix.json and frac.json, with their points
+MATRIX_MAPS = [
+    ((("1", "1", "0"), ("0", "2", "0"), ("0", "0", "3")), (1, 1, 1)),
+    ((("1/2", "1", "0"), ("0", "2/3", "1"), ("1", "0", "3")), (1, 2, 3)),
+]
+
+
+@FIELD_CASES
+@pytest.mark.parametrize("rows, point", MATRIX_MAPS, ids=["matrix", "frac"])
+def test_probe_counts_match_spans_under_matrix_maps(field, rows, point):
+    """Leading-column counts equal the Zassenhaus meet and the spanned fS
+    and fT when phi is a full matrix, with a denominator for frac."""
+    phi = AutoMap.from_matrix([[field.parse(x) for x in r] for r in rows], field)
+    c = ProjPoint.make([field.from_int(v) for v in point], field)
+    idl = IdealizerRing(TwistRing(2, phi, field), c)
+    engine = ExtEngine(idl)
+    f1, f2 = idl.forms[:2]
+    for f in (f1, f2, f1 + f2, f1 * f2, _through_orbit(idl, 1, 2), _through_orbit(idl, 2, 4)):
+        rec = engine.right_noeth_probe(f, 6)
+        got = (rec["coker_dims"], rec["torsion_dims"])
+        assert got == probe_dims_intersect(engine, f, 6) == probe_dims_spanning(engine, f, 6)
+
+
 def _through_orbit(idl, degree, count):
     """A form of the given degree vanishing at c_0, c_-1, ..., c_(1-count)."""
     ring, field = idl.ring, idl.field
@@ -358,11 +382,32 @@ def test_hom_guard_fires_when_J_escapes(monkeypatch):
 
 
 def test_probe_guard_fires_when_fT_escapes(monkeypatch):
-    """An fS that misses fT is an error, not a torsion count."""
+    """A T_m that misses fT, m > deg f, is an error, not a torsion count."""
+    engine = ExtEngine(_instance())
+    idl = engine.idealizer
+    real = idl.idealizer_piece
+
+    def faulty(m):
+        return span([], idl.ring.ambient(m), idl.field) if m == 3 else real(m)
+
+    monkeypatch.setattr(idl, "idealizer_piece", faulty)
+    with pytest.raises(ArithmeticError, match="fT escapes T"):
+        engine.right_noeth_probe(parse_poly("x0 - x1", 3, QQ), 3)
+
+
+@pytest.mark.parametrize("rows", ["fS", "fT"])
+def test_probe_certificate_fires_on_a_repeated_row(monkeypatch, rows):
+    """Product rows that share a least column are an error, not a count."""
     engine = ExtEngine(_instance())
     ring = engine.ring
-    monkeypatch.setattr(
-        ring, "principal_right_piece", lambda f, m: span([], ring.ambient(m), ring.field)
-    )
-    with pytest.raises(ArithmeticError, match="fT escapes fS meet T"):
+    if rows == "fS":
+        real = ring.principal_right_rows
+        monkeypatch.setattr(ring, "principal_right_rows", lambda *a: real(*a) * 2)
+    else:
+        real, first = ext.row_product, {}
+        # every product of one twisted f repeats the first
+        monkeypatch.setattr(
+            ext, "row_product", lambda u, g, *a: first.setdefault(tuple(u), real(u, g, *a))
+        )
+    with pytest.raises(ArithmeticError, match="product rows share a least column"):
         engine.right_noeth_probe(parse_poly("x0 - x1", 3, QQ), 3)

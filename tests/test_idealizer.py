@@ -8,6 +8,7 @@ tables below were frozen from an independent run of the definitions
 
 import pytest
 from oracles import (
+    contains_subspace,
     decomposable_piece_polys,
     decomposable_piece_uncapped,
     idealizer_piece_full,
@@ -66,7 +67,7 @@ def test_full_constraint_cross_check(idl):
     fast = idl.idealizer_piece(4)
     slow = idealizer_piece_full(idl, 4, j_cap=4)
     assert fast.dim == slow.dim
-    assert fast.contains_subspace(slow) and slow.contains_subspace(fast)
+    assert contains_subspace(fast, slow) and contains_subspace(slow, fast)
 
 
 def test_s_mod_is_dims(idl):
@@ -119,7 +120,7 @@ def test_veronese_routes_agree(idl):
         fast = idl.veronese_idealizer_piece(2, m, j_cap=3)
         slow = veronese_idealizer_piece_residual(idl, 2, m, j_cap=3)
         assert fast.dim == slow.dim
-        assert fast.contains_subspace(slow)
+        assert contains_subspace(fast, slow)
 
 
 def test_prime_field_instance_matches():

@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 from oracles import (
     DenseEchelon,
+    contains_subspace,
     densify,
     quotient_coords_by_reduction,
     reduce_against,
@@ -114,8 +115,8 @@ def test_subspace_sum_and_quotient_dim():
     V = span([_q(1, 0, 0)], amb, QQ)
     W = span([_q(0, 1, 0)], amb, QQ)
     assert subspace_sum(V, W).dim == 2
-    assert subspace_sum(V, W).contains_subspace(V) and subspace_sum(V, W).dim - V.dim == 1
-    assert V.contains_subspace(span([_q(3, 0, 0)], amb, QQ))
+    assert contains_subspace(subspace_sum(V, W), V) and subspace_sum(V, W).dim - V.dim == 1
+    assert contains_subspace(V, span([_q(3, 0, 0)], amb, QQ))
 
 
 def test_ambient_mismatch_rejected():
@@ -303,7 +304,7 @@ def test_intersection_dimension_formula(field, left, right):
     V, W = span(_ints(a, field), amb, field), span(_ints(b, field), amb, field)
     meet = intersect(V, W)
     assert meet.dim == V.dim + W.dim - subspace_sum(V, W).dim
-    assert V.contains_subspace(meet) and W.contains_subspace(meet)
+    assert contains_subspace(V, meet) and contains_subspace(W, meet)
     both = a + b
     assert subspace_sum(V, W).dim == (_sympy_matrix(both, width, field).rank() if both else 0)
 

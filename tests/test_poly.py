@@ -9,7 +9,9 @@ from oracles import (
     densify,
     diagonal_apply_per_term,
     matrix_apply_per_call,
+    mono_mul,
     poly_mul_terms,
+    product_index_mono_mul,
     sparsify,
 )
 from properties import FIELDS, property_test
@@ -22,10 +24,10 @@ from idealizer.poly import (
     basis_index,
     format_poly,
     mono_degree,
-    mono_mul,
     monomials,
     parse_poly,
     poly_to_vector,
+    product_index,
     row_product,
     times_monomial,
     vector_to_poly,
@@ -317,6 +319,15 @@ def test_row_product_is_poly_product(field, f, g, j):
             assert sparsify(got) == want
         else:
             assert int_row(got, field) == want
+
+
+@pytest.mark.parametrize("nvars", range(1, 6))
+def test_product_index_matches_mono_mul_tables(nvars):
+    """The tables from integer codes are the tables from exponent tuples,
+    negative degrees (empty tables) included."""
+    for a in range(-1, 7):
+        for b in range(-1, 7):
+            assert product_index(nvars, a, b) == product_index_mono_mul(nvars, a, b), (a, b)
 
 
 # -- the product and the diagonal map against their term-by-term routes ------------
