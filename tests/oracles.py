@@ -546,8 +546,8 @@ def probe_dims_spanning(engine, f, max_degree):
     """The probe's cokernel and torsion dimensions, with fS and fT spanned.
 
     fS is ``principal_right_piece`` and fT the span of f times the rows of
-    T_(m-n), both guarded to lie in T (fT) and in fS meet T (fT) by
-    containment; dim (fS + T) is dim T plus a rank in U/T, as in the package.
+    T_(m-n), guarded by containment to lie in fS and in T; dim (fS + T) is
+    dim T plus a rank in U/T, as in the package.
     """
     ring, field, idl = engine.ring, engine.field, engine.idealizer
     n = f.degree
