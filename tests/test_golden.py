@@ -25,6 +25,12 @@ the probe's counts where its fS and fT rows are twisted by a full
 matrix (``matrix.json``, and ``frac.json``, whose twist carries a
 denominator), mod 10007 past the suite's window, for a probe element of
 degree 2, and in four variables.
+
+Three pins print polynomials with fractional coefficients, which no
+other entry does: a probe element with halves, a ``gens:`` ideal whose
+generators have fractional coefficients (echoed in the ``J:`` line),
+and the suite under ``frac.json``, whose report prints the kernel form
+``-45/14*x0 + 3/28*x1 + x2`` of the point ideal.
 """
 
 import contextlib
@@ -78,6 +84,11 @@ GOLDEN = [
         ("--config", "matrix.json"),
         0,
         "049b2cc75460e78217b7223922082635642dc246f11dd46b607e3b11964f5d5d",
+    ),
+    (
+        ("--config", "frac.json", "--max-degree", "6"),
+        0,
+        "f095fc26b1871ba052ca5f6679807d4c372dfd51661adbbf9cbdddd4226c7a52",
     ),
 ]
 
@@ -191,6 +202,16 @@ CLI_GOLDEN = [
         ("probe", "--d", "3", "--p", "2,3,5", "--point", "1,1,1,1", "--f", "x0-x1", "--max-degree", "5"),
         0,
         "0f6405b075dfc8e7b59d386f0138a6a8be6bf07bf3afd5e9cfc8a0cf5b26a0d5",
+    ),
+    (
+        ("probe", "--f", "1/2*x0 - 1/2*x1", "--max-degree", "6"),
+        0,
+        "b83f8b4cd4d0f36f26716aa8a82bddadbca73a2509e47fb9a90c8a29aa45134a",
+    ),
+    (
+        ("ext-table", "--J", "gens:1/2*x0^2;x1*x2 - 2/3*x0^2", "--max-degree", "4"),
+        0,
+        "017124fe5f428a826c23cf61ea2ffa97f1f94d8226b1c3b892ecd666d0050976",
     ),
 ]
 
