@@ -16,8 +16,9 @@ the monomial times its weight, written down directly; any other map's
 row is the image of a variable times a row of the table one degree
 lower.  ``apply_row(row, n)`` is den^n times the substitution on an int
 row, the row's values times the image rows of its columns summed, and
-the identity needs no table.  ``apply`` wraps it: the exact int row of f
-over f's own denominator, ``apply_row``, and one division at the end.
+the identity needs no table.  ``apply`` wraps it: a polynomial is
+already an int row over a denominator, so phi(f) is ``apply_row`` of f's
+row over f's denominator times den^n, and no scalar is built.
 Each table is built once per map and degree, outside ==, hash and repr,
 and completely before the one store that publishes it.  power(n) is
 closed-form: one power per diagonal entry, else repeated squaring of the
@@ -33,7 +34,7 @@ from typing import Iterable, Sequence
 
 from .fields import Scalar, int_row, scalar_row
 from .linalg import invert_matrix, mat_mul, mat_vec
-from .poly import HomogPoly, basis_dim, basis_index, monomials, product_index, row_product
+from .poly import HomogPoly, basis_dim, monomials, product_index, row_product
 
 __all__ = ["AutoMap", "ProjPoint", "point_image", "pullback_point"]
 
@@ -198,19 +199,13 @@ class AutoMap:
 
     def apply(self, f: HomogPoly) -> HomogPoly:
         """The substitution x_i -> sum_j matrix[j][i] x_j applied to f:
-        ``apply_row`` on f's exact int row over its own denominator, and
-        one division at the end."""
+        ``apply_row`` on f's row, over f's denominator times den^n."""
         if (f.nvars, f.char) != (self.nvars, self.field.char):
             raise ValueError("arity or characteristic mismatch")
         if f.is_zero() or f.degree == 0:
             return f
         n = f.degree
-        index = basis_index(f.nvars, n)
-        denom = lcm(*(c.denominator for _, c in f.terms))
-        row = [(index[m], c.numerator * (denom // c.denominator)) for m, c in f.terms]
-        basis = monomials(f.nvars, n)
-        out = scalar_row(sorted(self.apply_row(row, n)), self.field, denom * self.den**n)
-        return HomogPoly(f.nvars, n, tuple((basis[k], c) for k, c in out), f.char)
+        return HomogPoly.from_row(f.nvars, n, self.apply_row(f.row, n), f.den * self.den**n, f.char)
 
 
 @dataclass(frozen=True)

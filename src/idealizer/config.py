@@ -137,16 +137,17 @@ class RingConfig:
             if not isinstance(data["field"], str):
                 raise ConfigError("field must be a string")
             cfg = replace(cfg, field=data["field"].strip())
-        for key in ("max_degree", "maxDegree"):
-            if key in data:
-                if not isinstance(data[key], int):
-                    raise ConfigError("max degree must be an integer")
-                cfg = replace(cfg, max_degree=data[key])
-        for key in ("trailing_zeros", "trailingZeros"):
-            if key in data:
-                if not isinstance(data[key], int):
-                    raise ConfigError("trailing zeros must be an integer")
-                cfg = replace(cfg, trailing_zeros=data[key])
+        for key, alias, what in (
+            ("max_degree", "maxDegree", "max degree"),
+            ("trailing_zeros", "trailingZeros", "trailing zeros"),
+        ):
+            given = [k for k in (key, alias) if k in data]
+            if len(given) == 2:
+                raise ConfigError("%s is given twice, as %s and %s" % (what, key, alias))
+            if given:
+                if not isinstance(data[given[0]], int):
+                    raise ConfigError("%s must be an integer" % what)
+                cfg = replace(cfg, **{key: data[given[0]]})
         return cfg
 
     @staticmethod

@@ -253,6 +253,8 @@ class ExtEngine:
         """
         n = f.degree
         idl, ring, p = self.idealizer, self.ring, self.field.char
+        if f.is_zero():
+            raise ValueError("probe element is zero")
         if not idl.idealizer_piece(n).contains_poly(f):
             raise ValueError("probe element does not lie in the idealizer")
         window = orbit_points(ring.phi, idl.point, max_degree)

@@ -9,20 +9,26 @@ Sums and products of GF(p) scalars are plain integer arithmetic, so they
 leave [0, p) until reduced.  The field object owns reduction and
 division: ``reduce(x)`` is the identity over Q and ``x % p`` mod p, and
 ``inv(x)`` is the exact inverse, raising ``ZeroDivisionError`` on zero.
-Polynomials reduce in ``HomogPoly.from_dict``, in ``poly.row_product``
-(which ``*`` runs on) and in ``AutoMap.apply_row``; the few sums
-and products made outside polynomials (``AutoMap.compose``,
+Int rows reduce in ``HomogPoly.from_row`` (which every polynomial goes
+through), in ``poly.row_product`` and in ``AutoMap.apply_row``; the few
+sums and products of scalars (``AutoMap.compose``,
 ``linalg.mat_mul``/``mat_vec``, ``HomogPoly.evaluate``) call ``reduce``.
 
-The matrix layer (``linalg``) runs on sparse int rows: (column, value)
-pairs with distinct columns and nonzero values, integers over the
-rationals and residues mod p.  ``int_row`` converts a dense list of
-scalars into one, up to a nonzero scale, its columns the list positions;
-``scalar_row`` converts an int row over a common denominator back to
-exact scalars, exactly, keeping its columns.  Those two, the
-coefficients read by ``poly.poly_to_vector`` and ``AutoMap``, which reads
-its matrix and the coefficients it applies to over one denominator each,
-are where scalars meet rows.
+Every vector is a sparse int row: (column, value) pairs with distinct
+columns and nonzero values, integers over the rationals and residues mod
+p.  A polynomial is one such row over one denominator
+(``poly.HomogPoly``), and the matrix layer (``linalg``) runs on them.
+Scalars meet rows in few places:
+
+- ``int_row`` converts a dense list of scalars into a row, up to a
+  nonzero scale, its columns the list positions (points and evaluation
+  values);
+- ``scalar_row`` converts a row over a common denominator back to exact
+  scalars, keeping its columns (``ProjPoint.make``,
+  ``linalg.invert_matrix``);
+- ``HomogPoly.from_dict`` writes coefficients over one denominator, and
+  ``HomogPoly.terms`` reads them back for printing and evaluation;
+- ``AutoMap`` reads its matrix over one denominator.
 
 The rational field is the default everywhere.  A prime field is a field,
 not a shortcut: every dimension computed over GF(p) is exact for the

@@ -36,11 +36,13 @@ image of V in U/W.  ``residual`` moves the quotient coordinates back
 onto the non-pivot columns; the package no longer calls it, and it is
 kept for the benchmark's span list.
 
-Scalars enter only through ``fields.int_row`` (``poly_to_vector`` and the
-rows callers build from point values) and leave only through
-``fields.scalar_row``, in ``invert_matrix`` and in the kernel vectors
-printed as linear forms (``twist.kernel_form``).  ``quotient_coords``,
-the one exact, not scale-free, result, returns an int row with its
+A polynomial is already an int row over a denominator, so polynomials
+come in as their rows (``poly_to_vector``) and kernel vectors leave as
+polynomials over their last entry (``twist.kernel_form``), with no
+scalar between.  Scalars enter only through ``fields.int_row`` (the rows
+callers build from point values and matrices) and leave only through
+``fields.scalar_row`` in ``invert_matrix``.  ``quotient_coords``, the
+one exact, not scale-free, result, returns an int row with its
 denominator.
 
 ``intersect`` has no caller in the package, which counts the dimension

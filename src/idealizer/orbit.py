@@ -48,9 +48,6 @@ class OrbitWindow:
     hi: int
     points: dict[int, ProjPoint]
 
-    def point(self, n: int) -> ProjPoint:
-        return self.points[n]
-
 
 def orbit_point(auto: AutoMap, start: ProjPoint, n: int) -> ProjPoint:
     """The single point c_n, c_0 = start, as one pullback along auto^n.

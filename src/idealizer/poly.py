@@ -6,14 +6,21 @@ tuples, so for three variables in degree one the order is x0, x1, x2.
 Every vector and matrix in the package is written over this order, and
 it is never changed.
 
-A ``HomogPoly`` is a sparse sorted tuple of (monomial, coefficient)
-pairs with no zero coefficients, tagged with its field characteristic.
-The ``*`` operator is the commutative product of the underlying
-polynomial ring; twisted products live in the ring objects, never here.
-
-Vectors over this order are sparse int rows (see ``fields``): (column,
-value) pairs, columns the basis indices.  ``poly_to_vector`` reads one
-off the terms of a polynomial and ``vector_to_poly`` turns one back.
+A ``HomogPoly`` is one sparse int row over one denominator, tagged with
+its field characteristic.  The row is (column, value) pairs sorted by
+column, the columns the basis indices of its degree, as every vector in
+the package is (see ``fields``).  The form is canonical, so ``==`` and
+``hash`` compare polynomials: over Q the denominator is positive and
+its gcd with the values is 1, and mod p it is 1 and the values are
+least residues.  ``HomogPoly.from_row`` makes that form, and every
+constructor and operator builds its result there, so no operator builds
+a ``Fraction``.  ``terms``, the (monomial, coefficient) pairs that
+printing, evaluation and ``coeff`` read, is derived on demand, and a
+``Fraction`` is built only there; parsing reads ``Fraction``s and
+``from_dict`` writes them over one denominator.  ``poly_to_vector`` is
+the row made primitive over Q.  The ``*`` operator is the commutative
+product of the underlying polynomial ring; twisted products live in the
+ring objects, never here.
 
 The ideal recursion, every twisted product of pieces (the right ideals,
 IS, the idealizer's decomposable products and fT, all through
@@ -32,19 +39,18 @@ cell.  The codes are not cached: they are cheap next to the table.
 ``row_product`` multiplies two int rows over it, visiting only pairs of
 nonzeros and summing into a dict, and ``times_monomial`` is its case of
 a monomial factor: the columns of the other row moved through one table
-row, its values untouched.  No full-width row is built.  ``*`` runs on
-the same table: it maps the terms of both factors to columns, multiplies
-by ``row_product`` (whose values may be any exact scalars) and maps the
-columns back, sorted, because column order is term order; it serves the
-polynomials that remain, such as ``TwistRing.mul``.
+row, its values untouched.  No full-width row is built.  ``*`` is
+``row_product`` of the two rows over the product of the denominators;
+it serves the polynomials that remain, such as ``TwistRing.mul``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
-from math import comb
+from fractions import Fraction
+from functools import cached_property, lru_cache
+from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .fields import Scalar, int_row
@@ -134,8 +140,6 @@ def row_product(
     degree b with int row v, reduced mod p once at the end (p = 0: over Q).
 
     The product of the scales of u and v is the scale of the result.
-    Values may be any exact scalars: ``HomogPoly.__mul__`` passes its
-    coefficients, ``Fraction`` included.
     """
     table = product_index(nvars, a, b)
     out: dict[int, int] = {}
@@ -184,75 +188,91 @@ def monomial_values(
 
 @dataclass(frozen=True)
 class HomogPoly:
-    """A homogeneous polynomial over the field of characteristic ``char``.
+    """A homogeneous polynomial over the field of characteristic ``char``:
+    the int row ``row`` over the denominator ``den``.
 
-    Terms are sorted and sparse, with no zero coefficients; mod p every
-    coefficient is a least residue.  Every monomial lies in the basis of
-    the degree.  ``from_dict`` reduces, drops zeros and sorts, and the
-    additive operators build their results there; ``*`` reduces in
-    ``row_product`` and sorts by column.
+    The row is sparse and sorted by column, with no zero values.  It is
+    kept canonical, so ``==`` and ``hash`` compare polynomials: over Q
+    ``den`` is positive and its gcd with the values is 1, and mod p
+    ``den`` is 1 and the values are least residues.  ``from_row`` makes
+    that form, and every constructor and operator goes through it.
+    ``terms``, the (monomial, coefficient) pairs, is derived on demand.
     """
 
     nvars: int
     degree: int
-    terms: tuple[tuple[Mono, Scalar], ...]
+    row: tuple[tuple[int, int], ...]
+    den: int
     char: int
 
-    def __post_init__(self):
-        idx = basis_index(self.nvars, self.degree)
-        for m, c in self.terms:
-            if m in idx:
-                continue
-            if len(m) != self.nvars:
-                raise ValueError("monomial %r has wrong arity" % (m,))
-            if mono_degree(m) != self.degree:
-                raise ValueError(
-                    "term %r has degree %d, expected %d"
-                    % (m, mono_degree(m), self.degree)
-                )
-            raise ValueError("monomial %r has a negative exponent" % (m,))
+    @staticmethod
+    def from_row(
+        nvars: int, degree: int, row: Iterable[tuple[int, int]], den: int, char: int
+    ) -> "HomogPoly":
+        """The polynomial row / den, for a nonzero int den, in canonical form."""
+        if char:
+            inv = pow(den, -1, char)
+            vals = sorted((k, x) for k, v in row if (x := v * inv % char))
+            return HomogPoly(nvars, degree, tuple(vals), 1, char)
+        vals = sorted((k, v) for k, v in row if v)
+        g = gcd(den, *(v for _, v in vals))
+        if den < 0:
+            g = -g
+        if g != 1:
+            vals = [(k, v // g) for k, v in vals]
+        return HomogPoly(nvars, degree, tuple(vals), den // g, 0)
 
     @staticmethod
     def from_dict(
         nvars: int, degree: int, coeffs: Mapping[Mono, Scalar], char: int
     ) -> "HomogPoly":
-        items = sorted(coeffs.items(), reverse=True)
-        if char:
-            items = [(m, c % char) for m, c in items]
-        return HomogPoly(nvars, degree, tuple((m, c) for m, c in items if c), char)
+        idx = basis_index(nvars, degree)
+        for m in coeffs:
+            if m in idx:
+                continue
+            if len(m) != nvars:
+                raise ValueError("monomial %r has wrong arity" % (m,))
+            if mono_degree(m) != degree:
+                raise ValueError(
+                    "term %r has degree %d, expected %d" % (m, mono_degree(m), degree)
+                )
+            raise ValueError("monomial %r has a negative exponent" % (m,))
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        row = [(idx[m], c.numerator * (den // c.denominator)) for m, c in coeffs.items()]
+        return HomogPoly.from_row(nvars, degree, row, den, char)
 
     @staticmethod
     def zero(nvars: int, degree: int, char: int) -> "HomogPoly":
-        return HomogPoly(nvars, degree, (), char)
+        return HomogPoly.from_row(nvars, degree, (), 1, char)
 
     @staticmethod
     def variable(nvars: int, i: int, field) -> "HomogPoly":
         if not 0 <= i < nvars:
             raise ValueError("variable index %d out of range" % i)
-        mono = tuple(1 if j == i else 0 for j in range(nvars))
-        return HomogPoly(nvars, 1, ((mono, field.one),), field.char)
+        return HomogPoly.from_row(nvars, 1, ((i, 1),), 1, field.char)
 
     @staticmethod
     def monomial(mono: Mono, coeff: Scalar, char: int) -> "HomogPoly":
         return HomogPoly.from_dict(len(mono), mono_degree(mono), {mono: coeff}, char)
 
+    @cached_property
+    def terms(self) -> tuple[tuple[Mono, Scalar], ...]:
+        """(monomial, coefficient) pairs in the frozen order; a ``Fraction``
+        is built only here, for a coefficient over a denominator."""
+        basis, den = monomials(self.nvars, self.degree), self.den
+        return tuple((basis[k], Fraction(v, den) if den != 1 else v) for k, v in self.row)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.row
 
     def coeff(self, mono: Mono, field) -> Scalar:
-        for m, c in self.terms:
-            if m == mono:
-                return c
-        return field.zero
+        return dict(self.terms).get(mono, field.zero)
 
     def _check_compatible(self, other: "HomogPoly") -> None:
         if self.nvars != other.nvars:
             raise ValueError("mixed variable counts")
         if self.char != other.char:
             raise ValueError("mixed characteristics: %d vs %d" % (self.char, other.char))
-
-    def _from_coeffs(self, degree: int, coeffs: Mapping[Mono, Scalar]) -> "HomogPoly":
-        return HomogPoly.from_dict(self.nvars, degree, coeffs, self.char)
 
     def __add__(self, other: "HomogPoly") -> "HomogPoly":
         self._check_compatible(other)
@@ -262,35 +282,33 @@ class HomogPoly:
             if other.is_zero():
                 return self
             raise ValueError("adding degrees %d and %d" % (self.degree, other.degree))
-        acc = dict(self.terms)
-        for m, c in other.terms:
-            s = acc.get(m)
-            acc[m] = c if s is None else s + c
-        return self._from_coeffs(self.degree, acc)
+        acc = {k: v * other.den for k, v in self.row}
+        for k, v in other.row:
+            acc[k] = acc.get(k, 0) + v * self.den
+        return HomogPoly.from_row(
+            self.nvars, self.degree, acc.items(), self.den * other.den, self.char
+        )
 
     def __neg__(self) -> "HomogPoly":
-        return self._from_coeffs(self.degree, {m: -c for m, c in self.terms})
+        return self.scale(-1)
 
     def __sub__(self, other: "HomogPoly") -> "HomogPoly":
         return self + (-other)
 
     def scale(self, c: Scalar) -> "HomogPoly":
-        return self._from_coeffs(self.degree, {m: c * a for m, a in self.terms})
+        row = [(k, v * c.numerator) for k, v in self.row]
+        return HomogPoly.from_row(self.nvars, self.degree, row, self.den * c.denominator, self.char)
 
     def __mul__(self, other: "HomogPoly") -> "HomogPoly":
-        """Commutative product in the underlying polynomial ring, through
-        ``row_product``; columns ascend in the term order, so sorting the
-        product row by column sorts its terms.  The factor of lower degree
-        goes first, so f * g and g * f share one table."""
+        """Commutative product in the underlying polynomial ring:
+        ``row_product`` of the rows over the product of the denominators.
+        The factor of lower degree goes first, so f * g and g * f share
+        one table."""
         self._check_compatible(other)
         f, g = (self, other) if self.degree <= other.degree else (other, self)
-        n, a, b = self.nvars, f.degree, g.degree
-        left, right = basis_index(n, a), basis_index(n, b)
-        u = [(left[m], c) for m, c in f.terms]
-        v = [(right[m], c) for m, c in g.terms]
-        basis = monomials(n, a + b)
-        row = sorted(row_product(u, v, n, a, b, self.char))
-        return HomogPoly(n, a + b, tuple((basis[k], c) for k, c in row), self.char)
+        n, a, b, p = self.nvars, f.degree, g.degree, self.char
+        row = row_product(f.row, g.row, n, a, b, p)
+        return HomogPoly.from_row(n, a + b, row, f.den * g.den, p)
 
     def evaluate(self, coords: Sequence[Scalar], field) -> Scalar:
         """Value at an affine coordinate tuple (not scale-invariant)."""
@@ -307,24 +325,11 @@ class HomogPoly:
 
 
 def poly_to_vector(f: HomogPoly, field) -> list[tuple[int, int]]:
-    """The coefficients of f as an int row in column order, up to a scale
+    """The int row of f in column order, made primitive over Q: a scale
     set by the coefficients alone."""
-    idx = basis_index(f.nvars, f.degree)
-    terms = f.terms
-    return [(idx[terms[k][0]], v) for k, v in int_row([c for _, c in terms], field)]
-
-
-def vector_to_poly(
-    vec: Iterable[tuple[int, Scalar]], nvars: int, degree: int, char: int
-) -> HomogPoly:
-    """The polynomial with coefficient c at the basis monomial of each (column, c)."""
-    basis = monomials(nvars, degree)
-    coeffs = {}
-    for k, c in vec:
-        if not 0 <= k < len(basis):
-            raise ValueError("column %d outside the basis of size %d" % (k, len(basis)))
-        coeffs[basis[k]] = c
-    return HomogPoly.from_dict(nvars, degree, coeffs, char)
+    row = f.row
+    g = 0 if field.char else gcd(*(v for _, v in row))
+    return [(k, v // g) for k, v in row] if g > 1 else list(row)
 
 
 _TERM_RE = re.compile(

@@ -58,7 +58,6 @@ import random
 from math import gcd
 
 from .automorphism import AutoMap, ProjPoint, pullback_point
-from .fields import scalar_row
 from .linalg import GradedSubspace, kernel, poly_ambient, span
 from .poly import (
     HomogPoly,
@@ -68,7 +67,6 @@ from .poly import (
     poly_to_vector,
     row_product,
     times_monomial,
-    vector_to_poly,
 )
 
 __all__ = ["GradedIdeal", "PointIdeal", "TwistRing", "kernel_form", "point_ideal_forms"]
@@ -254,8 +252,7 @@ class GradedIdeal:
 
 def kernel_form(ring: TwistRing, vec) -> HomogPoly:
     """The linear form of a kernel vector, scaled so its last nonzero coefficient is 1."""
-    last = max(vec)[1]
-    return vector_to_poly(scalar_row(vec, ring.field, last), ring.nvars, 1, ring.field.char)
+    return HomogPoly.from_row(ring.nvars, 1, vec, max(vec)[1], ring.field.char)
 
 
 def point_ideal_forms(ring: TwistRing, point: ProjPoint) -> list[HomogPoly]:

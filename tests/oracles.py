@@ -18,7 +18,10 @@ both from least columns.
 
 The polynomial primitives keep their first routes here too: the product
 table with one ``mono_mul`` tuple per cell (``product_index_mono_mul``),
-where the package adds integer monomial codes, the product
+where the package adds integer monomial codes, polynomials as sorted
+(monomial, coefficient) terms (``terms_from_dict``, ``terms_add``,
+``terms_neg``, ``terms_scale``, ``terms_mul``), where the package keeps
+one int row over one denominator, the product
 by one ``mono_mul`` per pair of terms, a diagonal map applied by one
 power per variable per term, a non-diagonal map applied with the powers
 of the variable images rebuilt on every call, the opposite-ring check
@@ -53,7 +56,6 @@ from idealizer.poly import (
     monomial_basis,
     monomials,
     poly_to_vector,
-    vector_to_poly,
 )
 from idealizer.twist import GradedIdeal, TwistRing, point_ideal_forms
 
@@ -164,15 +166,45 @@ def product_index_mono_mul(nvars, a, b):
     return tuple(tuple(idx[mono_mul(m, r)] for r in right) for m in monomials(nvars, a))
 
 
-def poly_mul_terms(f, g):
-    """f * g summed over pairs of terms, one ``mono_mul`` per pair."""
+def terms_from_dict(coeffs, char):
+    """``HomogPoly.from_dict`` as it was on (monomial, coefficient) terms:
+    the terms sorted in the frozen order, reduced mod p, zeros dropped."""
+    items = sorted(coeffs.items(), reverse=True)
+    if char:
+        items = [(m, c % char) for m, c in items]
+    return tuple((m, c) for m, c in items if c)
+
+
+def terms_add(s, t, char):
+    """The terms of a sum, added monomial by monomial."""
+    acc = dict(s)
+    for m, c in t:
+        prev = acc.get(m)
+        acc[m] = c if prev is None else prev + c
+    return terms_from_dict(acc, char)
+
+
+def terms_neg(s, char):
+    return terms_from_dict({m: -c for m, c in s}, char)
+
+
+def terms_scale(s, c, char):
+    return terms_from_dict({m: c * a for m, a in s}, char)
+
+
+def terms_mul(s, t, char):
+    """The terms of a product summed over pairs of terms, one ``mono_mul`` per pair."""
     acc = {}
-    for m1, c1 in f.terms:
-        for m2, c2 in g.terms:
+    for m1, c1 in s:
+        for m2, c2 in t:
             m = mono_mul(m1, m2)
-            c = c1 * c2
-            s = acc.get(m)
-            acc[m] = c if s is None else s + c
+            acc[m] = acc.get(m, 0) + c1 * c2
+    return terms_from_dict(acc, char)
+
+
+def poly_mul_terms(f, g):
+    """f * g by ``terms_mul``."""
+    acc = dict(terms_mul(f.terms, g.terms, f.char))
     return HomogPoly.from_dict(f.nvars, f.degree + g.degree, acc, f.char)
 
 
@@ -229,28 +261,22 @@ def associativity_sample_polys(ring, trials, seed, max_degree=3):
 
 
 def matrix_apply_per_call(auto, f):
-    """A non-diagonal map applied to f, the images of the variables and
-    their powers rebuilt on every call and nothing cached on the map."""
+    """A non-diagonal map applied to f on terms, the images of the
+    variables and their powers rebuilt on every call and nothing cached on
+    the map."""
+    n, p = f.nvars, f.char
     images = [
-        HomogPoly.from_dict(
-            f.nvars,
-            1,
-            {
-                tuple(1 if k == j else 0 for k in range(f.nvars)): auto.matrix[j][i]
-                for j in range(f.nvars)
-            },
-            f.char,
-        )
-        for i in range(f.nvars)
+        tuple((tuple(1 if k == j else 0 for k in range(n)), auto.matrix[j][i]) for j in range(n))
+        for i in range(n)
     ]
-    total = HomogPoly.zero(f.nvars, f.degree, f.char)
+    total = ()
     for m, c in f.terms:
-        term = HomogPoly.monomial(tuple(0 for _ in m), 1, f.char)
+        term = ((tuple(0 for _ in m), c),)
         for i, e in enumerate(m):
             for _ in range(e):
-                term = term * images[i]
-        total = total + term.scale(c)
-    return total
+                term = terms_mul(term, images[i], p)
+        total = terms_add(total, term, p)
+    return HomogPoly.from_dict(n, f.degree, dict(total), p)
 
 
 def orbit_point_walk(auto, start, n):
@@ -268,7 +294,7 @@ def orbit_point_walk(auto, start, n):
 def basis_polys(V):
     """The canonical rows of a polynomial piece as polynomials with integer coefficients."""
     amb = V.ambient
-    return [vector_to_poly(r, amb.nvars, amb.degree, V.field.char) for r in V.rows]
+    return [HomogPoly.from_row(amb.nvars, amb.degree, r, 1, V.field.char) for r in V.rows]
 
 
 def monomial_polys(ring, n):

@@ -142,6 +142,15 @@ def test_probe_rejects_non_member(capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("f", ["x0-x0", "x0 + x1 - x0 - x1", "0*x0^2"])
+def test_probe_rejects_zero(capsys, f):
+    """An element that cancels to zero is bad input, not a spurious fail."""
+    code, out, err = _run(capsys, "probe", "--f", f)
+    assert code == 2
+    assert "probe element is zero" in err
+    assert out == ""
+
+
 def test_ext_table_zero_ideal(capsys):
     code, out, _ = _run(capsys, "ext-table", "--J", "0", "--max-degree", "4")
     assert code == 0

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from idealizer.cli import main
 from idealizer.config import ConfigError, RingConfig
 
 
@@ -24,6 +25,28 @@ def test_from_mapping_aliases():
     ).validate()
     assert cfg.max_degree == 6
     assert cfg.trailing_zeros == 2
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"max_degree": 5, "maxDegree": 7},
+        {"max_degree": 5, "maxDegree": 5},
+        {"max_degree": 6, "trailing_zeros": 2, "trailingZeros": 3},
+    ],
+    ids=["max-degree", "max-degree-same-value", "trailing-zeros"],
+)
+def test_from_mapping_rejects_a_key_given_twice(data):
+    """Both spellings of one key are an error, not a silent choice of the later one."""
+    with pytest.raises(ConfigError, match="given twice"):
+        RingConfig.from_mapping(data)
+
+
+def test_config_file_naming_a_key_twice_exits_2(tmp_path, capsys):
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps({"max_degree": 5, "maxDegree": 7}), encoding="utf-8")
+    assert main(["verify-suite", "--config", str(path)]) == 2
+    assert "max degree is given twice" in capsys.readouterr().err
 
 
 def test_from_mapping_rejects_unknown_keys():

@@ -29,7 +29,6 @@ from idealizer.poly import (
     monomial_values,
     monomials,
     parse_poly,
-    vector_to_poly,
 )
 from idealizer.twist import GradedIdeal, PointIdeal, TwistRing, point_ideal_forms
 
@@ -335,7 +334,7 @@ def _through_orbit(idl, degree, count):
         for k in range(count)
     ]
     vec = kernel(rows, basis_dim(ring.nvars, degree), field)[0]
-    return vector_to_poly(vec, ring.nvars, degree, field.char)
+    return HomogPoly.from_row(ring.nvars, degree, vec, 1, field.char)
 
 
 def _random_gens(ring, seed):

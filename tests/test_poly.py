@@ -2,7 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from oracles import (
@@ -13,6 +13,11 @@ from oracles import (
     poly_mul_terms,
     product_index_mono_mul,
     sparsify,
+    terms_add,
+    terms_from_dict,
+    terms_mul,
+    terms_neg,
+    terms_scale,
 )
 from properties import FIELDS, property_test
 
@@ -30,7 +35,6 @@ from idealizer.poly import (
     product_index,
     row_product,
     times_monomial,
-    vector_to_poly,
 )
 from idealizer.twist import TwistRing
 
@@ -75,13 +79,13 @@ def test_poly_degree_mismatch_rejected():
 
 def test_poly_rejects_monomials_outside_the_basis():
     with pytest.raises(ValueError, match="negative exponent"):
-        HomogPoly(3, 2, (((3, -1, 0), 1),), 0)
+        HomogPoly.from_dict(3, 2, {(3, -1, 0): 1}, 0)
     with pytest.raises(ValueError, match="wrong arity"):
-        HomogPoly(3, 2, (((2, 0), 1),), 0)
+        HomogPoly.from_dict(3, 2, {(2, 0): 1}, 0)
     with pytest.raises(ValueError, match="has degree 3, expected 2"):
-        HomogPoly(3, 2, (((2, 1, 0), 1),), 0)
+        HomogPoly.from_dict(3, 2, {(2, 1, 0): 1}, 0)
     with pytest.raises(ValueError, match="has degree 0, expected -1"):
-        HomogPoly(3, -1, (((0, 0, 0), 1),), 0)
+        HomogPoly.from_dict(3, -1, {(0, 0, 0): 1}, 0)
 
 
 def test_mixed_characteristics_rejected():
@@ -94,7 +98,7 @@ def test_mixed_characteristics_rejected():
 def test_poly_vector_round_trip():
     f = parse_poly("x0^2 - 3*x1*x2", 3, QQ)
     vec = poly_to_vector(f, QQ)
-    assert vector_to_poly(vec, 3, 2, QQ.char) == f
+    assert HomogPoly.from_row(3, 2, vec, 1, QQ.char) == f
     assert all(0 <= c < basis_dim(3, 2) for c, _ in vec)
 
 
@@ -441,6 +445,96 @@ def test_matrix_apply_matches_per_call(field, f, g, A):
             assert auto.apply(h) == want
             # a second pass reads the image tables cached by the first
             assert auto.apply(h) == want
+
+
+# -- rows over a denominator against the term-dict route ----------------------------
+
+# the maps of the golden configs matrix.json and frac.json
+GOLDEN_MATRICES = (
+    (("1", "1", "0"), ("0", "2", "0"), ("0", "0", "3")),
+    (("1/2", "1", "0"), ("0", "2/3", "1"), ("1", "0", "3")),
+)
+
+
+def _diagonal_or_golden_map(st, field):
+    """A diagonal family, or the matrix of ``matrix.json`` or ``frac.json``."""
+    nonzero = _scalar(st, field).filter(bool)
+    diagonal = st.lists(nonzero, min_size=NVARS - 1, max_size=NVARS - 1).map(
+        lambda ms: AutoMap.diagonal_family(ms, field)
+    )
+    golden = st.sampled_from(GOLDEN_MATRICES).map(
+        lambda rows: AutoMap.from_matrix([[field.parse(x) for x in r] for r in rows], field)
+    )
+    return st.one_of(diagonal, golden)
+
+
+def _coeff_pair(st, field):
+    """Two coefficient dicts of one degree in 0-3, up to eight terms each."""
+
+    def of_degree(deg):
+        monos = st.sampled_from(monomials(NVARS, deg))
+        coeffs = st.dictionaries(monos, _scalar(st, field), max_size=8)
+        return st.tuples(st.just(deg), coeffs, coeffs)
+
+    return st.integers(0, 3).flatmap(of_degree)
+
+
+@property_test(
+    lambda st: _field_and(st, _diagonal_or_golden_map, _coeff_pair, _scalar), max_examples=80
+)
+def test_row_arithmetic_matches_term_oracles(field, A, pair, c):
+    """from_dict, +, -, negation, scale, * and apply read as terms are the
+    term-dict route's terms; apply is the per-call and per-term routes."""
+    p = field.char
+    deg, cf, cg = pair
+    f, g = (HomogPoly.from_dict(NVARS, deg, cs, p) for cs in (cf, cg))
+    assert f.terms == terms_from_dict(cf, p)
+    assert g.terms == terms_from_dict(cg, p)
+    assert (f + g).terms == terms_add(f.terms, g.terms, p)
+    assert (f - g).terms == terms_add(f.terms, terms_neg(g.terms, p), p)
+    assert (-f).terms == terms_neg(f.terms, p)
+    assert f.scale(c).terms == terms_scale(f.terms, c, p)
+    assert (f * g).terms == (g * f).terms == terms_mul(f.terms, g.terms, p)
+    for auto in (A, A.inv(), A.power(2)):
+        for h in (f, f * g):
+            assert auto.apply(h) == matrix_apply_per_call(auto, h)
+            if auto.diagonal is not None:
+                assert auto.apply(h) == diagonal_apply_per_term(auto, h)
+
+
+def _nonzero_int(st, field):
+    return st.integers(-6, 6).filter(bool)
+
+
+@property_test(
+    lambda st: _field_and(st, _poly, lambda st, F: _scalar(st, F).filter(bool), _nonzero_int)
+)
+def test_canonical_form_makes_routes_equal(field, f, c, k):
+    """Different routes to one polynomial give == and equal hash: a
+    scale undone, a row and denominator both times k (negative or not
+    reduced), and the same coefficient written two ways."""
+    p = field.char
+    routes = [
+        f.scale(c).scale(field.inv(c)),
+        HomogPoly.from_row(f.nvars, f.degree, [(j, v * k) for j, v in f.row], f.den * k, p),
+        -(-f),
+        f + HomogPoly.zero(f.nvars, f.degree, p),
+    ]
+    for g in routes:
+        assert g == f and hash(g) == hash(f)
+    if p:
+        assert f.den == 1 and all(0 < v < p for _, v in f.row)
+    else:
+        assert f.den > 0 and gcd(f.den, *(v for _, v in f.row)) == 1
+    mono = monomials(NVARS, 2)[1]
+    halves = [
+        HomogPoly.from_dict(NVARS, 2, {mono: field.from_fraction(Fraction(2, 4))}, p),
+        HomogPoly.from_dict(NVARS, 2, {mono: field.from_fraction(Fraction(1, 2))}, p),
+        HomogPoly.from_row(NVARS, 2, [(1, -3)], -6, p),
+        HomogPoly.monomial(mono, 1, p).scale(field.from_fraction(Fraction(1, 2))),
+        parse_poly("1/2*x0*x1", NVARS, field),
+    ]
+    assert len(set(halves)) == 1 and len({hash(h) for h in halves}) == 1
 
 
 def test_weight_cache_stays_out_of_equality():
