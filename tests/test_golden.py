@@ -24,7 +24,9 @@ suite with a multiplier 1/2, and the opposite check and a twisted-module
 the probe's counts where its fS and fT rows are twisted by a full
 matrix (``matrix.json``, and ``frac.json``, whose twist carries a
 denominator), mod 10007 past the suite's window, for a probe element of
-degree 2, and in four variables.
+degree 2, and in four variables.  Two more ``segre`` tables, in four
+variables to degree 8 and in five to degree 6, pin the witness where
+most fibers share a symmetry class with others.
 
 Three pins print polynomials with fractional coefficients, which no
 other entry does: a probe element with halves, a ``gens:`` ideal whose
@@ -162,6 +164,16 @@ CLI_GOLDEN = [
         ("segre", "--d", "3", "--p", "2,3,5", "--point", "1,1,1,1", "--field", "prime:7", "--max-degree", "5"),
         0,
         "a5f8c9dab443aeb98c2528b5182e28e1a113e1014187af274788dbff2c10cc6f",
+    ),
+    (
+        ("segre", "--d", "3", "--p", "2,3,5", "--point", "1,1,1,1", "--max-degree", "8"),
+        0,
+        "46c70cc2dd49312bc6bcd3ef4a5ae729d734b5b830d2af9f3cfae604b7b22902",
+    ),
+    (
+        ("segre", "--d", "4", "--p", "2,3,5,7", "--point", "1,1,1,1,1", "--max-degree", "6"),
+        0,
+        "747722a67fc3e4227d4df3348671d10dcf17afa07f848895cd2f706cedae26de",
     ),
     (
         ("verify-suite", "--p", "1/2,3", "--max-degree", "6"),
