@@ -249,7 +249,8 @@ class ExtEngine:
         RREF rows of T_b.  S is a domain, so both lists are bases:
         ``_leading_count`` certifies it and ``T.contains_vector`` guards
         fT inside T.  dim (fS + T)_m is dim T_m plus the rank of the
-        image of fS in U_m/T_m.
+        image of fS in U_m/T_m; the image is built lazily, so it is read
+        only until its rank reaches codim T_m.
         """
         n = f.degree
         idl, ring, p = self.idealizer, self.ring, self.field.char
@@ -271,7 +272,7 @@ class ExtEngine:
             if not all(T.contains_vector(r) for r in fT):
                 raise ArithmeticError("fT escapes T")
             # dim (fS + T) = dim T + rank of the image of fS in U/T
-            image = [T.quotient_coords(r)[0] for r in fS]
+            image = (T.quotient_coords(r)[0] for r in fS)
             rank = rank_rows(image, T.ambient.dim - T.dim, self.field)
             coker.append(T.ambient.dim - T.dim - rank)
             torsion.append(_leading_count(fS) - rank - _leading_count(fT))

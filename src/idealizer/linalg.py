@@ -331,9 +331,18 @@ def kernel(rows: Iterable[Row], width: int, field) -> list[tuple[tuple[int, int]
 
 
 def rank_rows(rows: Iterable[Row], width: int, field) -> int:
+    """The rank of the rows, read lazily until it reaches ``width``.
+
+    Rows of that width have rank at most ``width``; once the echelon
+    reaches it, no later row can change the answer, so the rest of the
+    iterable is never read (a generator is never advanced to build it),
+    as with ``span``'s cap.
+    """
     ech = Echelon(width, field)
-    for r in rows:
-        ech.insert(r)
+    if width > 0:
+        for r in rows:
+            if ech.insert(r) and ech.dim >= width:
+                break
     return ech.dim
 
 

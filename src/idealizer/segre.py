@@ -12,10 +12,13 @@ without elimination: in coordinates where the point is (1:0:...:0), I is
 spanned by the last d variables and every space in sight splits over the
 fibers of the multiplication map.  Inside a fiber, both J meet K and J.K
 are spanned by differences e_a - e_b of monomial pairs, so their ranks
-are vertex counts minus component counts (witness_dims).  The test suite
-keeps a naive oracle on honest coordinate vectors of monomial pairs and
-a fiber-by-fiber echelon route, and checks that all three agree where
-it is affordable.
+are vertex counts minus component counts (witness_dims).  Permuting
+x_1..x_d fixes x_0, K and J and carries one fiber onto another with the
+same component count, so the count runs once per symmetry class of
+fibers, weighted by the size of the class.  The test suite keeps a naive
+oracle on honest coordinate vectors of monomial pairs, a fiber-by-fiber
+echelon route and the fiber-by-fiber component count, and checks that
+all four agree where it is affordable.
 
 The dimension counts do not depend on the point: a linear change of
 coordinates moving one point to another carries every ingredient to its
@@ -24,6 +27,8 @@ nonvanishing: u1 v2 - u2 v1 lies in J' meet K' but (J'.K')_2 = 0.
 """
 
 from __future__ import annotations
+
+from math import factorial
 
 from .automorphism import ProjPoint
 from .fields import QQ
@@ -66,7 +71,7 @@ class SegreContext:
             vecs.extend(((other, 1), (base, -1)) for other in others)
         return span(vecs, amb, self.field)
 
-    # -- adapted coordinates, one fiber at a time --------------------------------
+    # -- adapted coordinates, one symmetry class of fibers at a time -------------
 
     def witness_dims(self, max_piece: int) -> dict:
         """Dims of (J meet K), (J.K) and their quotient, by counting components.
@@ -85,24 +90,89 @@ class SegreContext:
         difference and so adds no row, but its pair still counts as a
         vertex: a component of its own unless another of its labels links
         it.  The witness in F_w is c_w - 1.
+
+        A permutation s of x_1..x_d fixes x_0, so it fixes K and J; it
+        carries F_w onto F_sw and the label (i, j) to (s(i), s(j)), so
+        c_sw = c_w.  The fibers are therefore counted once per symmetry
+        class (w_0, tail), with the tail sorted non-increasing, and
+        weighted by the number of distinct arrangements of the tail
+        (``_fiber_classes``).  F_w holds a K pair exactly when
+        w_0 <= 2m - 2, so the number of fibers is the sum of the weights.
         """
         meet_dims = {}
         product_dims = {}
         witness = {}
         for m in range(1, max_piece + 1):
-            kbasis = [mu for mu in monomial_basis(self.d, m) if mu[0] < m]
-            fibers: dict[tuple, list] = {}
-            for mu in kbasis:
-                for nu in kbasis:
-                    fibers.setdefault(tuple(a + b for a, b in zip(mu, nu)), []).append(mu)
-            meet_dims[m] = len(kbasis) ** 2 - len(fibers)
-            witness[m] = sum(_components(w, lefts) - 1 for w, lefts in fibers.items())
-            product_dims[m] = meet_dims[m] - witness[m]
+            fibers = 0
+            excess = 0
+            for w, weight in _fiber_classes(self.d, m):
+                lefts = _class_lefts(w, m)
+                if not lefts:
+                    raise ArithmeticError("a fiber class holds no K pair")
+                fibers += weight
+                excess += weight * (_components(w, lefts) - 1)
+            meet_dims[m] = (basis_dim(self.nvars, m) - 1) ** 2 - fibers
+            witness[m] = excess
+            product_dims[m] = meet_dims[m] - excess
         return {
             "meet_dims": meet_dims,
             "product_dims": product_dims,
             "witness_dims": witness,
         }
+
+
+def _partitions(n: int, parts: int, largest: int | None = None):
+    """Non-increasing tuples of ``parts`` integers >= 0 summing to n, each
+    at most ``largest``."""
+    if parts == 0:
+        if n == 0:
+            yield ()
+        return
+    top = n if largest is None else min(n, largest)
+    for first in range(top, -1, -1):
+        if first * parts < n:
+            return
+        for rest in _partitions(n - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def _bounded_compositions(n: int, bounds: tuple):
+    """Tuples c with sum n and 0 <= c_i <= bounds[i], in descending lex order."""
+    if len(bounds) == 1:
+        if n <= bounds[0]:
+            yield (n,)
+        return
+    rest = sum(bounds[1:])
+    for first in range(min(n, bounds[0]), max(0, n - rest) - 1, -1):
+        for tail in _bounded_compositions(n - first, bounds[1:]):
+            yield (first,) + tail
+
+
+def _fiber_classes(d: int, m: int):
+    """One fiber w = (w_0, tail) of each symmetry class in degree 2m that
+    holds a K pair, with the number of fibers in its class.
+
+    The tail is a non-increasing partition of 2m - w_0 into d parts, and
+    its class holds d! / prod(k!) fibers, k running over the multiplicities
+    of its parts.
+    """
+    for w0 in range(2 * m - 1):
+        for tail in _partitions(2 * m - w0, d):
+            weight = factorial(d)
+            for part in set(tail):
+                weight //= factorial(tail.count(part))
+            yield (w0,) + tail, weight
+
+
+def _class_lefts(w: tuple, m: int) -> list:
+    """The left factors mu of the K pairs (mu, w / mu): mu <= w of degree m
+    with w_0 - m < mu_0 < m, so that neither side is x_0^m."""
+    w0, tail = w[0], w[1:]
+    return [
+        (mu0,) + rest
+        for mu0 in range(max(0, w0 - m + 1), min(w0, m - 1) + 1)
+        for rest in _bounded_compositions(m - mu0, tail)
+    ]
 
 
 def _components(w: tuple, lefts: list) -> int:

@@ -8,7 +8,9 @@ quotient coordinates obtained by reduction against those pieces, sums of
 subspaces as spans of both row sets where the package counts them in a
 quotient, spans that read every generator with no rank ceiling, Segre
 witness spaces in raw pair coordinates and fiber by fiber through an
-echelon where the package counts components, and multiplicative relations
+echelon where the package counts components, the component count itself
+fiber by fiber (``witness_dims_per_fiber``) where the package counts one
+fiber per symmetry class, and multiplicative relations
 found by exhaustive search over small exponents.  They are exact but
 only affordable in low degree.
 
@@ -57,6 +59,7 @@ from idealizer.poly import (
     monomials,
     poly_to_vector,
 )
+from idealizer.segre import _components
 from idealizer.twist import GradedIdeal, TwistRing, point_ideal_forms
 
 
@@ -656,6 +659,32 @@ def witness_dims_naive(ctx, max_piece):
                 ech.insert(row)
         out[m] = meet.dim - ech.dim
     return out
+
+
+def witness_dims_per_fiber(ctx, max_piece):
+    """Dims of (J meet K), (J.K) and their quotient, one fiber at a time.
+
+    Every fiber F_w is built by scanning all |K_m|^2 pairs of K monomials
+    and gets its own union-find, where the package runs one per symmetry
+    class of fibers under permutations of x_1..x_d.
+    """
+    meet_dims = {}
+    product_dims = {}
+    witness = {}
+    for m in range(1, max_piece + 1):
+        kbasis = [mu for mu in monomial_basis(ctx.d, m) if mu[0] < m]
+        fibers = {}
+        for mu in kbasis:
+            for nu in kbasis:
+                fibers.setdefault(tuple(a + b for a, b in zip(mu, nu)), []).append(mu)
+        meet_dims[m] = len(kbasis) ** 2 - len(fibers)
+        witness[m] = sum(_components(w, lefts) - 1 for w, lefts in fibers.items())
+        product_dims[m] = meet_dims[m] - witness[m]
+    return {
+        "meet_dims": meet_dims,
+        "product_dims": product_dims,
+        "witness_dims": witness,
+    }
 
 
 def _pure_power(nvars: int, degree: int):

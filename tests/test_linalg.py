@@ -86,6 +86,17 @@ def test_quotient_coords_are_exact(field, want):
     assert _scalars(row, field, den, 2) == want
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])
+def test_rank_rows_stops_reading_at_full_rank(field):
+    def rows():
+        yield ((0, 1), (1, 2))
+        yield ((1, 3),)
+        raise AssertionError("read past full rank")
+
+    assert rank_rows(rows(), 2, field) == 2
+    assert rank_rows(rows(), 0, field) == 0
+
+
 def test_kernel_matches_rank():
     rows = [_q(1, 2, 3), _q(2, 4, 6), _q(0, 1, 1)]
     ker = kernel(rows, 3, QQ)

@@ -1,5 +1,8 @@
 """Segre-product witness spaces: (J meet K) strictly exceeds J * K."""
 
+from collections import Counter
+from itertools import product
+
 import pytest
 from oracles import (
     K_piece,
@@ -7,11 +10,20 @@ from oracles import (
     phi_tensor_invariance,
     witness_dims_blockwise,
     witness_dims_naive,
+    witness_dims_per_fiber,
 )
 
 from idealizer.automorphism import AutoMap, ProjPoint
 from idealizer.fields import QQ, PrimeField
-from idealizer.segre import SegreContext, local_witness_check
+from idealizer.poly import monomials
+from idealizer.segre import (
+    SegreContext,
+    _bounded_compositions,
+    _class_lefts,
+    _fiber_classes,
+    _partitions,
+    local_witness_check,
+)
 
 MEET_DIMS = {1: 1, 2: 13, 3: 56, 4: 154, 5: 337, 6: 641, 7: 1108, 8: 1786}
 
@@ -60,6 +72,50 @@ def test_naive_route_agrees(ctx):
 def test_component_count_matches_blockwise_echelon(d, field):
     ctx_d = _ctx(d=d, field=field)
     assert ctx_d.witness_dims(4) == witness_dims_blockwise(ctx_d, 4)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])
+@pytest.mark.parametrize("d,cap,low", [(2, 6, 4), (3, 5, 4), (4, 4, 3), (5, 3, 2)])
+def test_class_count_matches_per_fiber_and_blockwise(d, cap, low, field):
+    ctx_d = _ctx(d=d, field=field)
+    assert ctx_d.witness_dims(cap) == witness_dims_per_fiber(ctx_d, cap)
+    assert ctx_d.witness_dims(low) == witness_dims_blockwise(ctx_d, low)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_class_weights_count_every_fiber(d):
+    for m in range(1, 7):
+        kbasis = [mu for mu in monomials(d + 1, m) if mu[0] < m]
+        fibers = {}
+        for mu in kbasis:
+            for nu in kbasis:
+                fibers.setdefault(tuple(a + b for a, b in zip(mu, nu)), []).append(mu)
+        classes = dict(_fiber_classes(d, m))
+        assert sum(classes.values()) == len(fibers)
+        assert classes == Counter((w[0],) + tuple(sorted(w[1:], reverse=True)) for w in fibers)
+        for w in classes:
+            assert sorted(_class_lefts(w, m)) == sorted(fibers[w])
+
+
+def test_empty_fiber_class_raises(monkeypatch):
+    monkeypatch.setattr("idealizer.segre._class_lefts", lambda w, m: [])
+    with pytest.raises(ArithmeticError):
+        _ctx().witness_dims(1)
+
+
+def test_partitions_brute_force():
+    for n in range(9):
+        for parts in range(5):
+            compositions = [c for c in product(range(n + 1), repeat=parts) if sum(c) == n]
+            want = sorted({tuple(sorted(c, reverse=True)) for c in compositions})
+            assert sorted(_partitions(n, parts)) == want
+
+
+def test_bounded_compositions_brute_force():
+    for bounds in [(0,), (3,), (2, 0), (1, 2), (3, 1, 2), (2, 2, 2, 1)]:
+        for n in range(sum(bounds) + 2):
+            want = [c for c in product(*(range(b + 1) for b in bounds)) if sum(c) == n]
+            assert list(_bounded_compositions(n, bounds)) == sorted(want, reverse=True)
 
 
 def test_point_choice_does_not_matter():
