@@ -10,15 +10,17 @@ satisfies
 The diagonal family diag(1, p_1, ..., p_d) (top-left entry normalized
 to 1) is the case of interest.  A map acts on int rows: it has one
 denominator ``den``, the lcm of its entries' denominators over Q (1 mod
-p), and one int image table per degree, whose row j is the int row of
-the j-th monomial's image under den * matrix.  A diagonal map's row is
-the monomial times its weight, written down directly; any other map's
-row is the image of a variable times a row of the table one degree
-lower.  ``apply_row(row, n)`` is den^n times the substitution on an int
-row, the row's values times the image rows of its columns summed, and
-the identity needs no table.  ``apply`` wraps it: a polynomial is
-already an int row over a denominator, so phi(f) is ``apply_row`` of f's
-row over f's denominator times den^n, and no scalar is built.
+p), and one image table per degree under den * matrix.  A diagonal map
+keeps one int per column, the weight of the j-th monomial, and
+``apply_row`` multiplies each value by its column's weight in the row's
+column order.  Any other map keeps the int row of the j-th monomial's
+image, the image of a variable times a row of the table one degree
+lower, and ``apply_row`` sums the row's values times the image rows of
+its columns.  Either way ``apply_row(row, n)`` is den^n times the
+substitution on an int row, and the identity needs no table.  ``apply``
+wraps it: a polynomial is already an int row over a denominator, so
+phi(f) is ``apply_row`` of f's row over f's denominator times den^n, and
+no scalar is built.
 Each table is built once per map and degree, outside ==, hash and repr,
 and completely before the one store that publishes it.  power(n) is
 closed-form: one power per diagonal entry, else repeated squaring of the
@@ -47,7 +49,7 @@ class AutoMap:
     inverse: tuple[tuple[Scalar, ...], ...]
     field: object
     diagonal: tuple[Scalar, ...] | None = None
-    _tables: dict[int, tuple[tuple[tuple[int, int], ...], ...]] = dataclass_field(
+    _tables: dict[int, tuple] = dataclass_field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -149,36 +151,39 @@ class AutoMap:
 
     def apply_row(self, row: Iterable[tuple[int, int]], n: int) -> list[tuple[int, int]]:
         """den^n times the substitution applied to the degree-n polynomial
-        with int row ``row`` (values reduced mod p), as an int row: the
-        row's values times the image rows of its columns, summed."""
+        with int row ``row`` (values reduced mod p), as an int row.  A
+        diagonal map multiplies each value by its column's weight, in the
+        row's column order; any other map sums the row's values times the
+        image rows of its columns."""
         if self._identity:
             return list(row)
         table = self._image_table(n)
+        p = self.field.char
+        if self.diagonal is not None:
+            if p:
+                return [(j, v) for j, x in row if (v := x * table[j] % p)]
+            return [(j, v) for j, x in row if (v := x * table[j])]
         out: dict[int, int] = {}
         for j, x in row:
             for k, a in table[j]:
                 out[k] = out.get(k, 0) + x * a
-        p = self.field.char
         if p:
             return [(k, v % p) for k, v in out.items() if v % p]
         return [(k, v) for k, v in out.items() if v]
 
-    def _image_table(self, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Row j: the int row of the j-th degree-n monomial's image under
-        den * matrix, built once per degree.  A diagonal map scales each
-        monomial by its weight; any other map's image of a monomial is the
-        image of x_i times the image, one degree lower, of the monomial
-        over x_i."""
+    def _image_table(self, n: int) -> tuple:
+        """The images of the degree-n monomials under den * matrix, built
+        once per degree.  A diagonal map's entry j is the j-th monomial's
+        weight, one int; any other map's is the int row of the j-th
+        monomial's image, the image of x_i times the image, one degree
+        lower, of the monomial over x_i."""
         got = self._tables.get(n)
         if got is None:
             nvars, p, den = self.nvars, self.field.char, self.den
             if self.diagonal is not None:
                 scale = [x.numerator * (den // x.denominator) for x in self.diagonal]
-                rows = []
-                for j, m in enumerate(monomials(nvars, n)):
-                    w = prod(x**e for x, e in zip(scale, m))
-                    rows.append(((j, w % p if p else w),))
-                got = tuple(rows)
+                weights = (prod(x**e for x, e in zip(scale, m)) for m in monomials(nvars, n))
+                got = tuple(w % p for w in weights) if p else tuple(weights)
             elif n == 0:
                 got = (((0, 1),),)
             else:

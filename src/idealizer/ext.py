@@ -19,15 +19,24 @@ phi^power(J)), so every module on that ideal shares it and it is freed
 with the ideal.  The zero ideal is its own twist, so the free module's
 ranks, paid for by ``koszul-acyclicity``, serve ``ext-top-twisted`` and
 ``chi-sample``, and Ext^i reuses the ranks of delta^i and delta^(i-1)
-that its neighbours already paid for.
+that its neighbours already paid for.  A rank builds only the rows it
+reads: the cochain rows are yielded one at a time, target summand by
+target summand, and the multiplication block of a form is built when
+the first row that needs it is asked for.  ``rank_rows`` stops at full
+rank and reads nothing at width 0, so the blocks past that point are
+never built; delta^0 on U reads the one block of forms[0], which is
+injective on U.
 
 Every product here is an int-row product through ``poly.product_index``:
-the multiplication matrices feed it nonzero by nonzero into the target
-piece's cached quotient map, the hom constraints twist the int rows of
-the forms by ``AutoMap.apply_row``, and the probe's fS and fT rows are f
-twisted once per degree and multiplied by monomials and by the rows of
-T.  No polynomial is multiplied or twisted and no full-width product row
-is built.  The hom spaces and the probes report dimensions, so they
+a multiplication block reads the target piece's cached quotient map once
+and sums, for each column, the images of the product columns of the
+form's nonzeros, with no product row and no ``quotient_coords`` call,
+and a target of codimension 0 returns no rows before any column is
+visited; the hom constraints twist the int rows of the forms by
+``AutoMap.apply_row``, and the probe's fS and fT rows are f twisted once
+per degree and multiplied by monomials and by the rows of T.  No
+polynomial is multiplied or twisted and no full-width product row is
+built.  The hom spaces and the probes report dimensions, so they
 count them and never build the spaces: dim Hom_n is dim U_n - rank M -
 dim J_n for the constraint matrix M, and the guard that J_n lies in
 ker M is exact.
@@ -54,6 +63,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
+from typing import Iterator
 
 from .automorphism import evaluate_at
 from .idealizer_ring import IdealizerRing
@@ -110,20 +120,36 @@ def _mult_rows(u, degree: int, indices, target, field) -> list[list[tuple[int, i
     as one sparse row per quotient index whose columns are positions in
     ``indices``.
 
-    Column k is g * m_k: the nonzeros of u, scattered by
-    ``poly.product_index``, go straight into the target's quotient map,
-    so no full-width row is built.  It is exact for one nonzero multiple
-    of g: every column shares the scale of u and the one denominator of
-    the target's quotient map (the lcm of its int pivots over Q, 1 mod p).
-    That rescales a hom constraint block's rows and conjugates a Koszul
-    differential by a diagonal rescaling of the e_A, so no kernel or rank
-    sees it.  A scale per column would change ranks.
+    Column k is g * m_k: each nonzero of u, scattered by
+    ``poly.product_index``, picks the image of its product column from
+    the target's quotient map, read once, and the images are summed
+    straight into the column, so no product row is built.  A target of
+    codimension 0 has no rows, and its columns are never visited.  It is
+    exact for one nonzero multiple of g: every column shares the scale of
+    u and the one denominator of the target's quotient map (the lcm of
+    its int pivots over Q, 1 mod p).  That rescales a hom constraint
+    block's rows and conjugates a Koszul differential by a diagonal
+    rescaling of the e_A, so no kernel or rank sees it.  A scale per
+    column would change ranks.
     """
+    codim = target.ambient.dim - target.dim
+    if not codim:
+        return []
+    images = target.quotient_map[1]
     table = product_index(target.ambient.nvars, target.ambient.degree - degree, degree)
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(target.ambient.dim - target.dim)]
+    p = field.char
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(codim)]
     for pos, k in enumerate(indices):
-        for r, v in target.quotient_coords([(table[k][i], x) for i, x in u])[0]:
-            rows[r].append((pos, v))
+        cols = table[k]
+        out: dict[int, int] = {}
+        for i, x in u:
+            for r, y in images[cols[i]]:
+                out[r] = out.get(r, 0) + x * y
+        for r, v in out.items():
+            if p:
+                v %= p
+            if v:
+                rows[r].append((pos, v))
     return rows
 
 
@@ -144,27 +170,34 @@ class KoszulComplex:
         self.field = field
         self.d = len(forms)
 
-    def cochain_matrix(self, module, i: int, n: int) -> list[list[tuple[int, int]]]:
-        """delta^i: C^i(M)_n -> C^{i+1}(M)_n, as sparse int rows.
+    def cochain_matrix(self, module, i: int, n: int) -> Iterator[list[tuple[int, int]]]:
+        """delta^i: C^i(M)_n -> C^{i+1}(M)_n, as sparse int rows yielded one
+        at a time, target summand by target summand.
 
         Block (B, B minus b) is +-(multiplication by forms[b]); each of its
         rows lands in the row of its target summand, shifted to the
-        columns of its source summand."""
-        src_index = {A: p for p, A in enumerate(combinations(range(self.d), i))}
-        tgt = list(combinations(range(self.d), i + 1))
+        columns of its source summand.  The block of forms[b] is built
+        when the first row of a summand that needs it is asked for, so a
+        reader that stops early (``rank_rows`` at full rank, or at width
+        0) never builds the blocks of the summands it did not reach."""
         sdim = module.dim(n + i)
         tdim = module.dim(n + i + 1)
-        rows: list[list[tuple[int, int]]] = [[] for _ in range(tdim * len(tgt))]
-        mults = {}
-        for q, B in enumerate(tgt):
+        if not tdim:
+            return
+        src_index = {A: p for p, A in enumerate(combinations(range(self.d), i))}
+        mults: dict[int, list] = {}
+        for B in combinations(range(self.d), i + 1):
+            parts = []
             for t, b in enumerate(B):
-                offset = src_index[B[:t] + B[t + 1:]] * sdim
-                sign = -1 if t % 2 else 1
                 if b not in mults:
                     mults[b] = module.mult_matrix(self.rows[b], n + i)
-                for r, block_row in enumerate(mults[b]):
-                    rows[q * tdim + r].extend((offset + k, sign * v) for k, v in block_row)
-        return rows
+                offset = src_index[B[:t] + B[t + 1:]] * sdim
+                parts.append((mults[b], offset, -1 if t % 2 else 1))
+            for r in range(tdim):
+                row: list[tuple[int, int]] = []
+                for block, offset, sign in parts:
+                    row.extend((offset + k, sign * v) for k, v in block[r])
+                yield row
 
     def cochain_dim(self, module, i: int, n: int) -> int:
         if i < 0 or i > self.d:

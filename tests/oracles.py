@@ -37,6 +37,15 @@ where the package moves the ideal once per power.  ``basis_polys`` reads
 a piece's canonical rows as the polynomials these routes take; the
 package twists and multiplies the rows themselves.
 
+The Ext layer keeps its eager routes: a Koszul differential as one list
+with every block built before any row is read (``cochain_matrix_eager``,
+and the ranks and Ext dimensions read from it), multiplication blocks
+with one product row per column sent through ``quotient_coords``
+(``mult_rows_per_column``), and a diagonal map's image table with one
+(column, weight) pair per monomial (``diagonal_image_table_pairs``),
+where the package yields rows lazily, sums quotient-map images into each
+column and keeps one weight per column.
+
 The package's rows are sparse (column, value) pairs.  ``DenseEchelon``
 is the echelon engine the package used on full-width int lists before
 it went sparse, kept as the oracle its sparse engine is compared with;
@@ -45,8 +54,9 @@ it went sparse, kept as the oracle its sparse engine is compared with;
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from itertools import product as iter_product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from idealizer.automorphism import AutoMap, point_image, pullback_point
 from idealizer.fields import int_row, scalar_row
@@ -58,6 +68,7 @@ from idealizer.poly import (
     monomial_basis,
     monomials,
     poly_to_vector,
+    product_index,
 )
 from idealizer.segre import _components
 from idealizer.twist import GradedIdeal, TwistRing, point_ideal_forms
@@ -594,6 +605,92 @@ def probe_dims_spanning(engine, f, max_degree):
             raise ArithmeticError("fT escapes fS meet T")
         torsion.append(fS.dim - rank - fT.dim)
     return coker, torsion
+
+
+# -- the Ext layer's eager routes ---------------------------------------------------
+
+
+def mult_rows_per_column(u, degree, indices, target, field):
+    """``ext._mult_rows`` with one product row per column, sent through
+    ``quotient_coords``, and every column visited at codimension 0."""
+    table = product_index(target.ambient.nvars, target.ambient.degree - degree, degree)
+    rows = [[] for _ in range(target.ambient.dim - target.dim)]
+    for pos, k in enumerate(indices):
+        for r, v in target.quotient_coords([(table[k][i], x) for i, x in u])[0]:
+            rows[r].append((pos, v))
+    return rows
+
+
+def mult_matrix_per_column(module, form, n):
+    """``QuotientModule.mult_matrix`` on ``mult_rows_per_column``."""
+    if n < 0:
+        return [[] for _ in range(module.dim(n + 1))]
+    source, target = module.piece(n), module.piece(n + 1)
+    return mult_rows_per_column(form, 1, source.nonpivot_columns, target, module.ring.field)
+
+
+def cochain_matrix_eager(kos, module, i, n):
+    """delta^i as one list of rows, every block built before any row is
+    read, on ``mult_matrix_per_column``."""
+    src_index = {A: p for p, A in enumerate(combinations(range(kos.d), i))}
+    tgt = list(combinations(range(kos.d), i + 1))
+    sdim = module.dim(n + i)
+    tdim = module.dim(n + i + 1)
+    rows = [[] for _ in range(tdim * len(tgt))]
+    mults = {}
+    for q, B in enumerate(tgt):
+        for t, b in enumerate(B):
+            offset = src_index[B[:t] + B[t + 1:]] * sdim
+            sign = -1 if t % 2 else 1
+            if b not in mults:
+                mults[b] = mult_matrix_per_column(module, kos.rows[b], n + i)
+            for r, block_row in enumerate(mults[b]):
+                rows[q * tdim + r].extend((offset + k, sign * v) for k, v in block_row)
+    return rows
+
+
+def koszul_rank_eager(kos, module, i, n):
+    """The rank of delta^i from every row of ``cochain_matrix_eager``, none kept."""
+    if i < 0 or i >= kos.d:
+        return 0
+    ech = Echelon(kos.cochain_dim(module, i, n), kos.field)
+    for r in cochain_matrix_eager(kos, module, i, n):
+        ech.insert(r)
+    return ech.dim
+
+
+def koszul_ext_eager(kos, module, i, n):
+    """dim Ext^i from ``koszul_rank_eager``."""
+    if i < 0 or i > kos.d:
+        return 0
+    ranks = koszul_rank_eager(kos, module, i, n) + koszul_rank_eager(kos, module, i - 1, n)
+    return kos.cochain_dim(module, i, n) - ranks
+
+
+def diagonal_image_table_pairs(auto, n):
+    """A diagonal map's image table with one (column, weight) pair per
+    monomial, the shape of a non-diagonal map's table."""
+    p, den = auto.field.char, auto.den
+    scale = [x.numerator * (den // x.denominator) for x in auto.diagonal]
+    rows = []
+    for j, m in enumerate(monomials(auto.nvars, n)):
+        w = prod(x**e for x, e in zip(scale, m))
+        rows.append(((j, w % p if p else w),))
+    return tuple(rows)
+
+
+def diagonal_apply_row_pairs(auto, row, n):
+    """``AutoMap.apply_row`` for a diagonal map, summing the image rows of
+    ``diagonal_image_table_pairs``."""
+    table = diagonal_image_table_pairs(auto, n)
+    out = {}
+    for j, x in row:
+        for k, a in table[j]:
+            out[k] = out.get(k, 0) + x * a
+    p = auto.field.char
+    if p:
+        return [(k, v % p) for k, v in out.items() if v % p]
+    return [(k, v) for k, v in out.items() if v]
 
 
 # -- Segre witness in raw pair coordinates ----------------------------------------

@@ -8,8 +8,13 @@ import random
 
 import pytest
 from oracles import (
+    cochain_matrix_eager,
     densify,
     hom_S_quotient_kernel,
+    koszul_ext_eager,
+    koszul_rank_eager,
+    mult_matrix_per_column,
+    mult_rows_per_column,
     probe_dims_intersect,
     probe_dims_spanning,
     recursive_piece_polys,
@@ -57,8 +62,8 @@ def test_chain_complex_composes_to_zero(engine):
     kos = engine.koszul
     U = QuotientModule(GradedIdeal(engine.idealizer.ring, []))
     for n in (2, 3, 5):
-        d2 = kos.cochain_matrix(U, 1, n)
-        d1 = kos.cochain_matrix(U, 0, n)
+        d2 = list(kos.cochain_matrix(U, 1, n))
+        d1 = list(kos.cochain_matrix(U, 0, n))
         if not d2 or not d1:
             continue
         width = len(d1)
@@ -410,3 +415,133 @@ def test_probe_certificate_fires_on_a_repeated_row(monkeypatch, rows):
         )
     with pytest.raises(ArithmeticError, match="product rows share a least column"):
         engine.right_noeth_probe(parse_poly("x0 - x1", 3, QQ), 3)
+
+
+# -- lazy Koszul rows and quotient-map blocks against the eager routes --------------
+
+EXT_FIELDS = pytest.mark.parametrize(
+    "field", [QQ, PrimeField(7), PrimeField(10007)], ids=["Q", "GF7", "GF10007"]
+)
+EXT_MAPS = pytest.mark.parametrize(
+    "rows, point",
+    [((("1", "0", "0"), ("0", "2", "0"), ("0", "0", "3")), (1, 1, 1))] + MATRIX_MAPS,
+    ids=["diagonal", "matrix", "frac"],
+)
+
+
+def _matrix_instance(field, rows, point):
+    phi = AutoMap.from_matrix([[field.parse(x) for x in r] for r in rows], field)
+    c = ProjPoint.make([field.from_int(v) for v in point], field)
+    return IdealizerRing(TwistRing(2, phi, field), c)
+
+
+def _ext_modules(idl):
+    """U, U/I, U/max and the point ideal moved by phi^k, k = -3..3."""
+    ring = idl.ring
+    point = PointIdeal(ring, idl.point)
+    modules = {
+        "U": QuotientModule(GradedIdeal(ring, [])),
+        "U/I": QuotientModule(GradedIdeal(ring, idl.forms)),
+        "U/max": QuotientModule(GradedIdeal(ring, [ring.variable(i) for i in range(ring.nvars)])),
+    }
+    modules.update({"point@%d" % k: QuotientModule(point, k) for k in range(-3, 4)})
+    return modules
+
+
+@EXT_FIELDS
+@EXT_MAPS
+def test_lazy_cochain_rows_match_eager_rows(field, rows, point):
+    """The yielded rows, the ranks read from them and Ext equal the eager
+    list route, for i = -1..d and n = -d-1..5."""
+    idl = _matrix_instance(field, rows, point)
+    kos = KoszulComplex(idl.forms, field)
+    d = kos.d
+    for label, module in _ext_modules(idl).items():
+        for n in range(-d - 1, 6):
+            for i in range(-1, d + 1):
+                where = (label, i, n)
+                if i >= 0:
+                    assert list(kos.cochain_matrix(module, i, n)) == cochain_matrix_eager(
+                        kos, module, i, n
+                    ), where
+                assert kos.rank(module, i, n) == koszul_rank_eager(kos, module, i, n), where
+                assert kos.ext(module, i, n) == koszul_ext_eager(kos, module, i, n), where
+
+
+@EXT_FIELDS
+@EXT_MAPS
+def test_quotient_map_blocks_match_per_column_blocks(field, rows, point):
+    """Koszul blocks and hom constraint blocks summed off the quotient map
+    equal the blocks of one quotient_coords call per column."""
+    idl = _matrix_instance(field, rows, point)
+    ring = idl.ring
+    kos = KoszulComplex(idl.forms, field)
+    for label, module in _ext_modules(idl).items():
+        for n in range(-3, 6):
+            for form in kos.rows:
+                assert module.mult_matrix(form, n) == mult_matrix_per_column(module, form, n), (
+                    label,
+                    n,
+                )
+        J = module.ideal.moved(module.power)
+        for n in range(6):
+            width = basis_dim(ring.nvars, n)
+            for form in kos.rows:
+                u = ring.power(n).apply_row(form, 1)
+                args = (u, 1, range(width), J.piece(n + 1), field)
+                assert ext._mult_rows(*args) == mult_rows_per_column(*args), (label, n)
+
+
+# -- the work the lazy rows skip ----------------------------------------------------
+
+
+def _count_blocks(monkeypatch):
+    calls = []
+    real = QuotientModule.mult_matrix
+
+    def counting(self, form, n):
+        calls.append(n)
+        return real(self, form, n)
+
+    monkeypatch.setattr(QuotientModule, "mult_matrix", counting)
+    return calls
+
+
+def test_free_delta0_builds_one_block_per_degree(monkeypatch):
+    """forms[0] is injective on U, so delta^0 reaches full rank on the rows
+    of its first target summand and the block of forms[1] is never built."""
+    calls = _count_blocks(monkeypatch)
+    engine = ExtEngine(_instance())
+    U = QuotientModule(GradedIdeal(engine.ring, []))
+    for n in range(8):
+        calls.clear()
+        assert engine.koszul.rank(U, 0, n) == basis_dim(3, n)
+        assert calls == [n]
+
+
+def test_rank_of_width_zero_builds_no_block(monkeypatch):
+    calls = _count_blocks(monkeypatch)
+    engine = ExtEngine(_instance())
+    ring = engine.ring
+    U = QuotientModule(GradedIdeal(ring, []))
+    Umax = QuotientModule(GradedIdeal(ring, [ring.variable(i) for i in range(3)]))
+    for n in range(-5, 0):
+        assert engine.koszul.rank(U, 0, n) == 0
+    for n in range(1, 5):
+        for i in (0, 1):
+            assert engine.koszul.cochain_dim(Umax, i, n) == 0
+            assert engine.koszul.rank(Umax, i, n) == 0
+    assert calls == []
+
+
+def test_hom_against_max_ideal_visits_no_column(monkeypatch):
+    """J_(n+1) = U_(n+1) for n >= 0 leaves no quotient rows, so the hom
+    constraint blocks return before building a product table."""
+    tables = []
+    real = ext.product_index
+    monkeypatch.setattr(ext, "product_index", lambda *a: tables.append(a) or real(*a))
+    engine = ExtEngine(_instance())
+    ring = engine.ring
+    J = GradedIdeal(ring, [ring.variable(i) for i in range(3)])
+    assert engine.hom_table(J, 8) == [1] + [0] * 8
+    assert tables == []

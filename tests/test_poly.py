@@ -1,5 +1,6 @@
 """Sparse homogeneous polynomials over an exact field."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm
@@ -8,6 +9,7 @@ import pytest
 from oracles import (
     densify,
     diagonal_apply_per_term,
+    diagonal_apply_row_pairs,
     matrix_apply_per_call,
     mono_mul,
     poly_mul_terms,
@@ -556,6 +558,31 @@ def test_image_cache_stays_out_of_equality():
     assert M._tables and not N._tables
     assert M == N and hash(M) == hash(N)
     assert "_tables" not in repr(M)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "GF7", "GF10007"])
+@pytest.mark.parametrize(
+    "multipliers", [(2, 3), (Fraction(1, 2), Fraction(2, 3))], ids=["ints", "halves-thirds"]
+)
+def test_diagonal_apply_row_by_weight_matches_table_routes(field, multipliers):
+    """One weight per column equals the general table route (the same map
+    with diagonal=None) and the one-pair table, in the row's column order,
+    in degrees 0-6, for phi, its inverse and its cube."""
+    rng = random.Random(11)
+    p = field.char
+    A = AutoMap.diagonal_family([field.from_fraction(Fraction(m)) for m in multipliers], field)
+    assert A.den == (6 if isinstance(multipliers[0], Fraction) and not p else 1)
+    for B in (A, A.inv(), A.power(3)):
+        generic = replace(B, diagonal=None)
+        for n in range(7):
+            cols = list(range(basis_dim(NVARS, n)))
+            rng.shuffle(cols)
+            values = (rng.choice([-9, -4, -1, 1, 2, 5, 8]) for _ in cols)
+            row = [(j, v % p if p else v) for j, v in zip(cols, values)]
+            got = B.apply_row(row, n)
+            assert got == generic.apply_row(row, n) == diagonal_apply_row_pairs(B, row, n)
+            assert [j for j, _ in got] == cols
+            assert all(isinstance(w, int) for w in B._image_table(n))
 
 
 # -- closed-form powers against repeated composition -------------------------------
