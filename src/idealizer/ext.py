@@ -22,10 +22,20 @@ ranks, paid for by ``koszul-acyclicity``, serve ``ext-top-twisted`` and
 that its neighbours already paid for.  A rank builds only the rows it
 reads: the cochain rows are yielded one at a time, target summand by
 target summand, and the multiplication block of a form is built when
-the first row that needs it is asked for.  ``rank_rows`` stops at full
-rank and reads nothing at width 0, so the blocks past that point are
+the first row that needs it is asked for.  ``rank_rows`` stops at its
+cap and reads nothing at width 0, so the blocks past that point are
 never built; delta^0 on U reads the one block of forms[0], which is
 injective on U.
+
+A rank reads the cochain rows with column k renamed width - 1 - k, so
+the least-column pivots of ``Echelon`` fall in the last source summand;
+a rank does not depend on the column order.  On the free module the
+rank of delta^i stops at dim C^i - rank delta^(i-1), a bound because
+delta^i delta^(i-1) = 0 on U, so that needs no guard.  On U the
+complex is exact below the top, so the bound is the rank and every row
+after the one that reaches it goes unread.  Quotient modules are ranked
+up to their width: on U/J the bound holds only if J is closed under the
+forms, and a guard for that costs more than the cap saves.
 
 Every product here is an int-row product through ``poly.product_index``:
 a multiplication block reads the target piece's cached quotient map once
@@ -96,6 +106,8 @@ class QuotientModule:
         self.power = power
         self.ring = ideal.ring
         self.ranks = ideal.moved(power).ranks
+        # U itself: the zero ideal, where delta delta = 0 caps every rank
+        self.free = not ideal.gens
 
     def piece(self, n: int):
         return self.ideal.twisted_piece(self.power, n)
@@ -178,8 +190,11 @@ class KoszulComplex:
         rows lands in the row of its target summand, shifted to the
         columns of its source summand.  The block of forms[b] is built
         when the first row of a summand that needs it is asked for, so a
-        reader that stops early (``rank_rows`` at full rank, or at width
-        0) never builds the blocks of the summands it did not reach."""
+        reader that stops early (``rank_rows`` at its cap, or at width
+        0) never builds the blocks of the summands it did not reach.
+        delta^i is the zero map for i outside 0..d-1 and yields no rows."""
+        if i < 0 or i >= self.d:
+            return
         sdim = module.dim(n + i)
         tdim = module.dim(n + i + 1)
         if not tdim:
@@ -205,14 +220,23 @@ class KoszulComplex:
         return comb(self.d, i) * module.dim(n + i)
 
     def rank(self, module, i: int, n: int) -> int:
-        """Rank of delta^i on M in degree n, ranked once and kept on M."""
+        """Rank of delta^i on M in degree n, ranked once and kept on M.
+
+        The rows are read with column k renamed width - 1 - k, so the
+        least-column pivots fall in the last source summand.  On the free
+        module the rank stops at dim C^i - rank delta^(i-1), which bounds
+        it because delta^i delta^(i-1) = 0 on U; a quotient module is
+        ranked up to its width."""
         if i < 0 or i >= self.d:
             return 0
         key = (self, i, n)
         got = module.ranks.get(key)
         if got is None:
             width = self.cochain_dim(module, i, n)
-            got = rank_rows(self.cochain_matrix(module, i, n), width, self.field)
+            cap = width - self.rank(module, i - 1, n) if module.free else width
+            last = width - 1
+            rows = ([(last - k, v) for k, v in r] for r in self.cochain_matrix(module, i, n))
+            got = rank_rows(rows, width, self.field, cap)
             module.ranks[key] = got
         return got
 

@@ -15,19 +15,22 @@ phi^n(f) scattered by ``poly.product_index`` and read against the
 evaluation row.  The test suite keeps an oracle that takes every
 constraint up to a cap and reduces against a recursively built I.
 
-The pieces of IS and of (T_+^2), and T_n . T_n, are spans of twisted
-products of pieces, each one ``TwistRing.product_rows``; no polynomial
-is multiplied.
+The dimensions of IS and of (T_+^2), and the span T_n . T_n, come from
+twisted products of pieces, each one ``TwistRing.product_rows`` or
+``TwistRing.principal_right_rows``; no polynomial is multiplied.  The
+package reads only the dimensions of (IS)_m and (T_+^2)_n, so they are
+ranks (``linalg.rank_rows``), with no reduced echelon form.
 
-Spans and kernels stop at a proven rank ceiling, and each ceiling is
+Ranks and kernels stop at a proven rank ceiling, and each ceiling is
 guarded so that a bug cannot hide behind it:
 
-- a span inside U_m has rank at most dim U_m (the default ceiling of
-  ``linalg.span``; is_piece reaches it once IS fills U_m), which needs no
-  guard;
+- a rank inside U_m is at most dim U_m (the default ceiling of
+  ``linalg.rank_rows``; is_piece reaches it once IS fills U_m), which
+  needs no guard;
 - (T_+^2)_n lies in T_n because T is a ring, so decomposable_piece stops
-  at dim T_n; reaching it, the span must equal T_n, a free comparison of
-  canonical forms;
+  at rank dim T_n; every product row it reads must lie in T_n, a test
+  through T_n's cached quotient map (one column in the generic regime).
+  A span of rows in T_n with rank dim T_n is T_n;
 - the idealizer contains its ideal, so I_n lies in T_n and I_{nm} in
   R'_m: every constraint row of T_n and of the Veronese idealizer R'_m
   vanishes on I_k = ker(ev_c), k = n or nm.  Each constraint matrix
@@ -38,7 +41,8 @@ guarded so that a bug cannot hide behind it:
 
 A violated guard raises ``ArithmeticError``.  The uncapped routes (the
 kernel of every constraint row of T_n or R'_m, spans that read every
-generator) live with the test oracles.
+generator) and the subspace routes of (IS)_m and (T_+^2)_n live with
+the test oracles.
 
 Everything downstream is a finite-dimensional witness: Hilbert functions
 of S/IS and S/T, minimal generator counts of T, and the comparison of
@@ -68,7 +72,7 @@ class IdealizerRing:
         self.forms = self.I.gens
         self.form_rows = [poly_to_vector(f, self.field) for f in self.forms]
         self._pieces: dict[int, GradedSubspace] = {}
-        self._is_pieces: dict[int, GradedSubspace] = {}
+        self._is_dims: dict[int, int] = {}
 
     # -- degreewise pieces ------------------------------------------------
 
@@ -159,54 +163,50 @@ class IdealizerRing:
 
     # -- the two-sided ideal IS --------------------------------------------
 
-    def is_piece(self, m: int) -> GradedSubspace:
-        """(IS)_m = sum over i of I_{m-i} . U_i, each I_{m-i} . U_i the
-        products phi^i(f) * e for f in I_{m-i} and e a monomial of degree i."""
-        cached = self._is_pieces.get(m)
+    def is_piece(self, m: int) -> int:
+        """dim (IS)_m, (IS)_m = sum over i of I_{m-i} . U_i: the rank of
+        the products phi^i(f) * e for f a row of I_{m-i} and e a monomial
+        of degree i, the ``principal_right_rows`` of f twisted once."""
+        cached = self._is_dims.get(m)
         if cached is not None:
             return cached
+        ring = self.ring
         rows = (
             row
             for i in range(m)
-            for row in self.ring.product_rows(
-                self.I.piece(m - i).rows,
-                m - i,
-                [((j, 1),) for j in range(basis_dim(self.ring.nvars, i))],
-                i,
-            )
+            for f in self.I.piece(m - i).rows
+            for row in ring.principal_right_rows(ring.power(i).apply_row(f, m - i), m - i, i)
         )
-        piece = span(rows, self.ring.ambient(m), self.field)
-        self._is_pieces[m] = piece
-        return piece
+        dim = rank_rows(rows, basis_dim(ring.nvars, m), self.field)
+        self._is_dims[m] = dim
+        return dim
 
     def s_mod_is_dims(self, max_degree: int) -> list[int]:
-        return [
-            basis_dim(self.ring.nvars, m) - self.is_piece(m).dim
-            for m in range(max_degree + 1)
-        ]
+        return [basis_dim(self.ring.nvars, m) - self.is_piece(m) for m in range(max_degree + 1)]
 
     # -- generators of T as an algebra ---------------------------------------
 
-    def decomposable_piece(self, n: int) -> GradedSubspace:
-        """Degree-n span of products of positive-degree elements of T.
+    def decomposable_piece(self, n: int) -> int:
+        """dim (T_+^2)_n, the degree-n span of products of positive-degree
+        elements of T.
 
         A product t . s of t in T_a and s in T_{n-a} is one
         ``TwistRing.product_rows`` of a row of T_a and a row of T_{n-a}.
-        The span lies in T_n, so it stops at rank dim T_n; reaching that
-        ceiling it must equal T_n, or the pieces of T are wrong.
+        The span lies in T_n, so its rank stops at dim T_n; every product
+        row read must lie in T_n, checked through T_n's cached quotient
+        map, or the pieces of T are wrong.
         """
-        rows = (
-            row
-            for a in range(1, n)
-            for row in self.ring.product_rows(
-                self.idealizer_piece(a).rows, a, self.idealizer_piece(n - a).rows, n - a
-            )
-        )
         target = self.idealizer_piece(n)
-        piece = span(rows, self.ring.ambient(n), self.field, target.dim)
-        if piece.dim == target.dim and piece != target:
-            raise ArithmeticError("products of T reach dim T_%d but leave T_%d" % (n, n))
-        return piece
+
+        def rows():
+            for a in range(1, n):
+                lefts, rights = self.idealizer_piece(a).rows, self.idealizer_piece(n - a).rows
+                for row in self.ring.product_rows(lefts, a, rights, n - a):
+                    if not target.contains_vector(row):
+                        raise ArithmeticError("products of T leave T_%d" % n)
+                    yield row
+
+        return rank_rows(rows(), target.ambient.dim, self.field, target.dim)
 
     def algebra_generator_degrees(self, max_degree: int) -> list[tuple[int, int]]:
         """Minimal generator counts (n, dim T_n / (T_+^2)_n) for 1 <= n <= N."""
@@ -215,7 +215,7 @@ class IdealizerRing:
             if n == 1:
                 out.append((1, self.t_dim(1)))
                 continue
-            out.append((n, self.t_dim(n) - self.decomposable_piece(n).dim))
+            out.append((n, self.t_dim(n) - self.decomposable_piece(n)))
         return out
 
     # -- Veronese subrings ----------------------------------------------------

@@ -269,25 +269,27 @@ def span(
     ``cap`` must be a proven upper bound on the rank of the span; once
     the echelon reaches it, no later vector can change the answer, so
     the rest of the iterable is never read (a generator is never advanced
-    to build it).  Two ceilings are used:
-
-    - ``ambient.dim``, the default: a span inside U_m has rank at most
-      dim U_m.  It needs no guard.
-    - ``dim T_n`` for the decomposable products (T_+^2)_n, which lie in
-      T_n because T is a ring.  ``IdealizerRing.decomposable_piece``
-      guards it by comparing the capped span with T_n, a free comparison
-      of canonical forms, and raises ``ArithmeticError`` on a mismatch.
-
-    The third ceiling, rank one for the constraint matrices of T_n and
-    of the Veronese idealizer, is taken and guarded in ``idealizer_ring``.
+    to build it).  The default, ``ambient.dim``, needs no guard: a span
+    inside U_m has rank at most dim U_m.  The package passes no other
+    cap to a span.  The ceilings of ranks that nothing reads as a
+    subspace, dim T_n for (T_+^2)_n among them, are taken by
+    ``rank_rows``; rank one for the constraint matrices of T_n and of the
+    Veronese idealizer is taken and guarded in ``idealizer_ring``.
     """
-    cap = ambient.dim if cap is None else cap
-    ech = Echelon(ambient.dim, field)
-    if cap > 0:
-        for v in vectors:
-            if ech.insert(v) and ech.dim >= cap:
-                break
+    ech = _echelon(vectors, ambient.dim, field, cap)
     return GradedSubspace(ambient, field, *ech.canonical_rows())
+
+
+def _echelon(rows: Iterable[Row], width: int, field, cap: int | None) -> Echelon:
+    """An echelon of the rows, read until its rank reaches ``cap`` (default
+    ``width``)."""
+    cap = width if cap is None else cap
+    ech = Echelon(width, field)
+    if cap > 0:
+        for r in rows:
+            if ech.insert(r) and ech.dim >= cap:
+                break
+    return ech
 
 
 def span_polys(
@@ -330,20 +332,25 @@ def kernel(rows: Iterable[Row], width: int, field) -> list[tuple[tuple[int, int]
     return out
 
 
-def rank_rows(rows: Iterable[Row], width: int, field) -> int:
-    """The rank of the rows, read lazily until it reaches ``width``.
+def rank_rows(rows: Iterable[Row], width: int, field, cap: int | None = None) -> int:
+    """The rank of the rows, read lazily until it reaches ``cap``.
 
-    Rows of that width have rank at most ``width``; once the echelon
-    reaches it, no later row can change the answer, so the rest of the
-    iterable is never read (a generator is never advanced to build it),
-    as with ``span``'s cap.
+    ``cap`` must be a proven upper bound on the rank, as for ``span``;
+    once the echelon reaches it, no later row can change the answer, so
+    the rest of the iterable is never read (a generator is never advanced
+    to build it).  The ceilings in use:
+
+    - ``width``, the default: rows of that width have rank at most
+      ``width``.  It needs no guard.
+    - dim C^i - rank delta^(i-1) for the free module's Koszul
+      differential delta^i (``ext.KoszulComplex.rank``): delta^i
+      vanishes on the image of delta^(i-1), because delta delta = 0 on U.
+    - ``dim T_n`` for the decomposable products (T_+^2)_n, which lie in
+      T_n because T is a ring.  ``IdealizerRing.decomposable_piece``
+      guards it by checking that every product row it reads lies in T_n,
+      and raises ``ArithmeticError`` on one that does not.
     """
-    ech = Echelon(width, field)
-    if width > 0:
-        for r in rows:
-            if ech.insert(r) and ech.dim >= width:
-                break
-    return ech.dim
+    return _echelon(rows, width, field, cap).dim
 
 
 def intersect(v: GradedSubspace, w: GradedSubspace) -> GradedSubspace:

@@ -15,8 +15,11 @@ the commutative recursion J_{n+1} = U_1 * J_n + (new generators).  That
 recursion serves every ideal given by generators (zero, maximal,
 principal), and runs on int rows: J_n is spanned by the rows of J_{n-1}
 scattered by each x_v through ``poly.product_index`` and by the degree-n
-generators, each converted once, so no polynomial is multiplied.  The
-ideal of a point c, an orbit point c_k among them, is built without it:
+generators, each converted once, so no polynomial is multiplied.  A
+piece whose spanning rows are all single monomials (the zero and maximal
+ideals, monomial ideals and their diagonal twists) is written down as
+those monomials' unit rows, with no elimination.  The ideal of a point
+c, an orbit point c_k among them, is built without the recursion:
 the ideal generated by the linear forms vanishing at c is saturated, so
 its degree-n piece is the kernel of evaluation at c on U_n, whose reduced
 echelon form is read off the evaluation row.
@@ -35,10 +38,11 @@ b, is one ``TwistRing.product_rows``: each left int row is twisted once
 by ``AutoMap.apply_row`` and multiplied by each right int row through
 ``poly.row_product``, so no polynomial is built to twist a piece.  A
 product row carries the scale den^a of phi^b, which a span ignores.
-The products of pieces of T and the pieces of IS take it.  A principal
-right ideal (f S)_m = phi^b(f) * U_b, b = m - deg f, is the twisted row
-of f moved by each monomial of degree b (``principal_right_rows``); the
-probe twists f once per degree for these rows and for its fT.
+The products of pieces of T take it.  A principal right ideal
+(f S)_m = phi^b(f) * U_b, b = m - deg f, is the twisted row of f moved
+by each monomial of degree b (``principal_right_rows``); the rows of
+(IS)_m are these for each row f of a piece of I, and the probe twists
+f once per degree for these rows and for its fT.
 
 The two checks of twisted arithmetic, ``associativity_sample`` and
 ``TwistRing.opposite_iso_check``, run on int rows as well.  Each side of
@@ -218,13 +222,22 @@ class GradedIdeal:
         return value
 
     def _build_piece(self, n: int) -> GradedSubspace:
-        """J_n = U_1 * J_{n-1} + (generators of degree n), on int rows."""
+        """J_n = U_1 * J_{n-1} + (generators of degree n), on int rows.
+
+        When every spanning row is one monomial, J_n is the span of those
+        distinct monomials, and their unit rows in column order are
+        already its canonical form, so nothing is eliminated."""
         ring = self.ring
         rows = [poly_to_vector(g, ring.field) for g in self.gens if g.degree == n]
         if n > 0:
             prev = self.piece(n - 1).rows
             for v in range(ring.nvars):
                 rows.extend(times_monomial(r, v, ring.nvars, n - 1, 1) for r in prev)
+        if all(len(r) == 1 for r in rows):
+            pivots = tuple(sorted({r[0][0] for r in rows}))
+            return GradedSubspace(
+                ring.ambient(n), ring.field, pivots, tuple(((k, 1),) for k in pivots)
+            )
         return span(rows, ring.ambient(n), ring.field)
 
     def dim(self, n: int) -> int:

@@ -14,6 +14,12 @@ fiber per symmetry class, and multiplicative relations
 found by exhaustive search over small exponents.  They are exact but
 only affordable in low degree.
 
+(IS)_m and (T_+^2)_n keep their subspace routes (``is_piece_span``,
+``decomposable_piece_span``), where the package counts their ranks, and
+an ideal's pieces keep their elimination route
+(``ideal_piece_eliminated``), where the package writes a piece spanned
+by monomials down.
+
 The probe keeps its spanning route (``probe_dims_spanning``): fS and fT
 spanned and guarded by ``contains_subspace``, where the package counts
 both from least columns.
@@ -69,6 +75,7 @@ from idealizer.poly import (
     monomials,
     poly_to_vector,
     product_index,
+    times_monomial,
 )
 from idealizer.segre import _components
 from idealizer.twist import GradedIdeal, TwistRing, point_ideal_forms
@@ -488,6 +495,41 @@ def is_piece_uncapped(idl, m):
     return _span_all_polys(polys, idl.ring.ambient(m), idl.field)
 
 
+def is_piece_span(idl, m):
+    """(IS)_m as a subspace: the span of the int-row products
+    phi^i(I_{m-i}) . U_i, 0 <= i < m, stopped at rank dim U_m, as the
+    package built it before it counted the rank."""
+    rows = (
+        row
+        for i in range(m)
+        for row in idl.ring.product_rows(
+            idl.I.piece(m - i).rows,
+            m - i,
+            [((j, 1),) for j in range(basis_dim(idl.ring.nvars, i))],
+            i,
+        )
+    )
+    return span(rows, idl.ring.ambient(m), idl.field)
+
+
+def decomposable_piece_span(idl, n):
+    """(T_+^2)_n as a subspace: the span of the int-row products
+    T_a . T_{n-a}, 0 < a < n, stopped at rank dim T_n and compared with
+    T_n there, as the package built it before it counted the rank."""
+    rows = (
+        row
+        for a in range(1, n)
+        for row in idl.ring.product_rows(
+            idl.idealizer_piece(a).rows, a, idl.idealizer_piece(n - a).rows, n - a
+        )
+    )
+    target = idl.idealizer_piece(n)
+    piece = span(rows, idl.ring.ambient(n), idl.field, target.dim)
+    if piece.dim == target.dim and piece != target:
+        raise ArithmeticError("products of T reach dim T_%d but leave T_%d" % (n, n))
+    return piece
+
+
 def idealizer_piece_uncapped(idl, n):
     """T_n from the kernel of all d constraint rows phi^n(I_1) . x <= I_{n+1}."""
     rows = [
@@ -524,6 +566,19 @@ def recursive_piece_polys(ideal, n):
             xv = HomogPoly.variable(ring.nvars, v, ring.field)
             polys.extend(xv * f for f in basis_polys(prev))
     return _span_all_polys(polys, ring.ambient(n), ring.field)
+
+
+def ideal_piece_eliminated(ideal, n):
+    """J_n = U_1 * J_{n-1} + (generators of degree n) on int rows, every
+    piece an ``Echelon`` span, as ``GradedIdeal`` built every piece before
+    it wrote monomial pieces down."""
+    ring = ideal.ring
+    rows = [poly_to_vector(g, ring.field) for g in ideal.gens if g.degree == n]
+    if n > 0:
+        prev = ideal_piece_eliminated(ideal, n - 1).rows
+        for v in range(ring.nvars):
+            rows.extend(times_monomial(r, v, ring.nvars, n - 1, 1) for r in prev)
+    return span_all(rows, ring.ambient(n), ring.field)
 
 
 def _mult_rows_polys(g, degree, target, field):

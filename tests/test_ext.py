@@ -9,7 +9,6 @@ import random
 import pytest
 from oracles import (
     cochain_matrix_eager,
-    densify,
     hom_S_quotient_kernel,
     koszul_ext_eager,
     koszul_rank_eager,
@@ -18,7 +17,6 @@ from oracles import (
     probe_dims_intersect,
     probe_dims_spanning,
     recursive_piece_polys,
-    sparsify,
 )
 
 from idealizer import ext
@@ -26,7 +24,7 @@ from idealizer.automorphism import AutoMap, ProjPoint
 from idealizer.ext import ExtEngine, KoszulComplex, QuotientModule, euler_characteristic_check
 from idealizer.fields import QQ, PrimeField
 from idealizer.idealizer_ring import IdealizerRing
-from idealizer.linalg import kernel, rank_rows, span
+from idealizer.linalg import Echelon, kernel, rank_rows, span
 from idealizer.orbit import orbit_point
 from idealizer.poly import (
     HomogPoly,
@@ -36,6 +34,11 @@ from idealizer.poly import (
     parse_poly,
 )
 from idealizer.twist import GradedIdeal, PointIdeal, TwistRing, point_ideal_forms
+
+
+EXT_FIELDS = pytest.mark.parametrize(
+    "field", [QQ, PrimeField(7), PrimeField(10007)], ids=["Q", "GF7", "GF10007"]
+)
 
 
 def _instance(multipliers=(2, 3), field=QQ, point=(1, 1, 1)):
@@ -58,25 +61,81 @@ def test_koszul_rejects_dependent_forms():
         KoszulComplex([parse_poly("x0^2", 3, QQ)], QQ)
 
 
-def test_chain_complex_composes_to_zero(engine):
-    kos = engine.koszul
-    U = QuotientModule(GradedIdeal(engine.idealizer.ring, []))
-    for n in (2, 3, 5):
-        d2 = list(kos.cochain_matrix(U, 1, n))
-        d1 = list(kos.cochain_matrix(U, 0, n))
-        if not d2 or not d1:
-            continue
-        width = len(d1)
-        d1_width = kos.cochain_dim(U, 0, n)
-        d2, d1 = [densify(r, width) for r in d2], [densify(r, d1_width) for r in d1]
-        composed = []
-        for row in d2:
-            out = [QQ.zero] * len(d1[0]) if d1 else []
-            for a, drow in zip(row, d1):
-                if a:
-                    out = [x + a * y for x, y in zip(out, drow)]
-            composed.append(out)
-        assert rank_rows([sparsify(r) for r in composed], len(composed[0]), QQ) == 0
+def _free(d, field=QQ):
+    """The Koszul complex of the point (1 : ... : 1) for the multipliers
+    2, 3, 5, 11 cut to d (distinct and nonzero mod 7), and the free module U."""
+    idl = _instance((2, 3, 5, 11)[:d], field, (1,) * (d + 1))
+    return KoszulComplex(idl.forms, field), QuotientModule(GradedIdeal(idl.ring, []))
+
+
+KOSZUL_DIMS = pytest.mark.parametrize("d", [2, 3, 4])
+
+
+def test_chain_complex_composes_to_zero():
+    """delta^(i+1) delta^i = 0 on U for every i <= d - 2 at d = 2, 3, 4, the
+    identity that caps the free module's ranks."""
+    for d in (2, 3, 4):
+        kos, U = _free(d)
+        for n in (2, 3, 5):
+            for i in range(d - 1):
+                later = list(kos.cochain_matrix(U, i + 1, n))
+                first = list(kos.cochain_matrix(U, i, n))
+                assert later and first
+                for row in later:
+                    composed = {}
+                    for c, a in row:
+                        for k, v in first[c]:
+                            composed[k] = composed.get(k, 0) + a * v
+                    assert not any(composed.values()), (d, i, n)
+
+
+@KOSZUL_DIMS
+def test_cochain_matrix_outside_the_complex_yields_no_rows(d):
+    """delta^-1 and delta^d are zero maps: no rows, for U and U/I."""
+    kos, U = _free(d)
+    UI = QuotientModule(GradedIdeal(U.ring, kos.forms))
+    for module in (U, UI):
+        for i in (-1, d):
+            for n in range(-d - 1, 4):
+                assert list(kos.cochain_matrix(module, i, n)) == [], (i, n)
+
+
+@EXT_FIELDS
+@KOSZUL_DIMS
+def test_capped_free_ranks_match_eager_ranks(field, d):
+    """The free module's ranks, read with reversed columns and stopped at
+    dim C^i - rank delta^(i-1), equal the ranks of every eager row, for
+    i = -1..d and n = -d-1..5."""
+    kos, U = _free(d, field)
+    for n in range(-d - 1, 6):
+        for i in range(-1, d + 1):
+            assert kos.rank(U, i, n) == koszul_rank_eager(kos, U, i, n), (i, n)
+
+
+def test_free_rank_reads_no_row_past_its_cap(monkeypatch):
+    """On U the rank of delta^i, 0 < i < d, stops at the row that brings it
+    to dim C^i - rank delta^(i-1): the rows read before it have rank one
+    less, and some differential leaves rows unread."""
+    pulled = []
+    real = KoszulComplex.cochain_matrix
+
+    def counting(self, module, i, n):
+        for row in real(self, module, i, n):
+            pulled.append(row)
+            yield row
+
+    monkeypatch.setattr(KoszulComplex, "cochain_matrix", counting)
+    kos, U = _free(3)
+    unread = 0
+    for n in range(4):
+        for i in (1, 2):
+            width = kos.cochain_dim(U, i, n)
+            cap = width - kos.rank(U, i - 1, n)
+            pulled.clear()
+            assert kos.rank(U, i, n) == cap < width
+            assert rank_rows(pulled[:-1], width, QQ) == cap - 1, (i, n)
+            unread += len(list(real(kos, U, i, n))) - len(pulled)
+    assert unread > 0
 
 
 def test_koszul_acyclic_below_top(engine):
@@ -419,9 +478,6 @@ def test_probe_certificate_fires_on_a_repeated_row(monkeypatch, rows):
 
 # -- lazy Koszul rows and quotient-map blocks against the eager routes --------------
 
-EXT_FIELDS = pytest.mark.parametrize(
-    "field", [QQ, PrimeField(7), PrimeField(10007)], ids=["Q", "GF7", "GF10007"]
-)
 EXT_MAPS = pytest.mark.parametrize(
     "rows, point",
     [((("1", "0", "0"), ("0", "2", "0"), ("0", "0", "3")), (1, 1, 1))] + MATRIX_MAPS,
@@ -436,13 +492,14 @@ def _matrix_instance(field, rows, point):
 
 
 def _ext_modules(idl):
-    """U, U/I, U/max and the point ideal moved by phi^k, k = -3..3."""
+    """U, U/I, U/max, U/(x0) and the point ideal moved by phi^k, k = -3..3."""
     ring = idl.ring
     point = PointIdeal(ring, idl.point)
     modules = {
         "U": QuotientModule(GradedIdeal(ring, [])),
         "U/I": QuotientModule(GradedIdeal(ring, idl.forms)),
         "U/max": QuotientModule(GradedIdeal(ring, [ring.variable(i) for i in range(ring.nvars)])),
+        "U/(x0)": QuotientModule(GradedIdeal(ring, [ring.variable(0)])),
     }
     modules.update({"point@%d" % k: QuotientModule(point, k) for k in range(-3, 4)})
     return modules
@@ -536,12 +593,19 @@ def test_rank_of_width_zero_builds_no_block(monkeypatch):
 
 def test_hom_against_max_ideal_visits_no_column(monkeypatch):
     """J_(n+1) = U_(n+1) for n >= 0 leaves no quotient rows, so the hom
-    constraint blocks return before building a product table."""
-    tables = []
+    constraint blocks return before building a product table; the pieces
+    of J are spanned by monomials and written down, so no ``Echelon`` row
+    is inserted at all."""
+    tables, inserted = [], []
     real = ext.product_index
     monkeypatch.setattr(ext, "product_index", lambda *a: tables.append(a) or real(*a))
     engine = ExtEngine(_instance())
+    insert = Echelon.insert
+    monkeypatch.setattr(
+        Echelon, "insert", lambda ech, row: inserted.append(row) or insert(ech, row)
+    )
     ring = engine.ring
     J = GradedIdeal(ring, [ring.variable(i) for i in range(3)])
     assert engine.hom_table(J, 8) == [1] + [0] * 8
     assert tables == []
+    assert inserted == []

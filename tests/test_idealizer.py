@@ -10,9 +10,11 @@ import pytest
 from oracles import (
     contains_subspace,
     decomposable_piece_polys,
+    decomposable_piece_span,
     decomposable_piece_uncapped,
     idealizer_piece_full,
     idealizer_piece_uncapped,
+    is_piece_span,
     is_piece_uncapped,
     veronese_idealizer_piece_residual,
     veronese_idealizer_piece_uncapped,
@@ -157,12 +159,16 @@ CEILING_CASES = [
     "multipliers, point", CEILING_CASES, ids=["generic", "identity", "residual", "d3"]
 )
 def test_capped_routes_match_uncapped(field, multipliers, point):
-    """Stopping at a rank ceiling changes no piece, n <= 6."""
+    """Stopping at a rank ceiling changes no piece and no dimension, n <= 6;
+    the subspace routes of (IS)_m and (T_+^2)_n, whose ranks the package
+    counts, span what the routes that read every product span."""
     idl = _instance(multipliers, field, point)
     for n in range(7):
         assert idl.idealizer_piece(n) == idealizer_piece_uncapped(idl, n)
-        assert idl.is_piece(n) == is_piece_uncapped(idl, n)
-        assert idl.decomposable_piece(n) == decomposable_piece_uncapped(idl, n)
+        assert idl.is_piece(n) == is_piece_uncapped(idl, n).dim
+        assert idl.decomposable_piece(n) == decomposable_piece_uncapped(idl, n).dim
+        assert is_piece_span(idl, n) == is_piece_uncapped(idl, n)
+        assert decomposable_piece_span(idl, n) == decomposable_piece_uncapped(idl, n)
     for m in range(4):
         assert idl.veronese_idealizer_piece(2, m, 3) == veronese_idealizer_piece_uncapped(
             idl, 2, m, 3
@@ -178,7 +184,7 @@ def test_decomposable_rows_match_polynomial_products(field, multipliers, point):
     HomogPoly products of basis polynomials span, n <= 6."""
     idl = _instance(multipliers, field, point)
     for n in range(1, 7):
-        assert idl.decomposable_piece(n) == decomposable_piece_polys(idl, n)
+        assert idl.decomposable_piece(n) == decomposable_piece_polys(idl, n).dim
 
 
 NON_DIAGONAL = ((1, 1, 0), (0, 2, 1), (1, 0, 3))
@@ -193,8 +199,8 @@ def test_non_diagonal_routes_match_polynomial_products(field):
     c = ProjPoint.make([field.from_int(v) for v in (1, 2, 3)], field)
     idl = IdealizerRing(TwistRing(2, phi, field), c)
     for n in range(7):
-        assert idl.is_piece(n) == is_piece_uncapped(idl, n)
-        assert idl.decomposable_piece(n) == decomposable_piece_polys(idl, n)
+        assert idl.is_piece(n) == is_piece_uncapped(idl, n).dim
+        assert idl.decomposable_piece(n) == decomposable_piece_polys(idl, n).dim
 
 
 def test_decomposable_ceiling_guard_fires(monkeypatch):
@@ -205,6 +211,18 @@ def test_decomposable_ceiling_guard_fires(monkeypatch):
     wrong = PointIdeal(idl.ring, other).piece(3)
     assert wrong.dim == real(3).dim and wrong != real(3)
     monkeypatch.setattr(idl, "idealizer_piece", lambda n: wrong if n == 3 else real(n))
+    with pytest.raises(ArithmeticError, match="leave T_3"):
+        idl.decomposable_piece(3)
+
+
+def test_decomposable_guard_fires_below_the_cap(monkeypatch):
+    """One product row off T_3 is an error, although the rows read never
+    reach rank dim T_3, where a span compared with T_3 would look."""
+    idl = _instance()
+    T3 = idl.idealizer_piece(3)
+    off = ((0, 1),)  # x0^3 is 1 at (1:1:1), so it lies outside T_3 = I_3
+    assert not T3.contains_vector(off) and T3.dim > 1
+    monkeypatch.setattr(idl.ring, "product_rows", lambda *args: iter([off]))
     with pytest.raises(ArithmeticError, match="leave T_3"):
         idl.decomposable_piece(3)
 

@@ -6,6 +6,7 @@ import pytest
 from oracles import (
     associativity_sample_polys,
     basis_polys,
+    ideal_piece_eliminated,
     monomial_polys,
     opposite_iso_check_per_pair,
     recursive_point_ideal,
@@ -13,6 +14,7 @@ from oracles import (
     twisted_products,
 )
 
+from idealizer import linalg
 from idealizer.automorphism import AutoMap, ProjPoint
 from idealizer.fields import QQ, PrimeField
 from idealizer.linalg import span, span_polys
@@ -207,6 +209,38 @@ def test_moved_ideal_twist_matches_apply_route(field, phi_data, label):
     for power in (1, -1, 2, -2, 3, -3):
         for n in range(-1, 6):
             assert J.twisted_piece(power, n) == twisted_piece_apply(J, power, n)
+
+
+# generators, and whether some piece of n <= 8 has a spanning row that is
+# not one monomial, so that it must still be eliminated
+MONOMIAL_CASES = {
+    "max": (["x0", "x1", "x2"], False),
+    "principal": (["x0"], False),
+    "principal-scaled": (["2*x0"], False),
+    "two-generator": (["x0^2", "x1*x2"], False),
+    "mixed": (["x0", "x1 + x2"], True),
+}
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, PrimeField(7), PrimeField(10007)], ids=["Q", "GF7", "GF10007"]
+)
+@pytest.mark.parametrize("label", sorted(MONOMIAL_CASES))
+def test_monomial_pieces_match_elimination(monkeypatch, field, label):
+    """A piece spanned by monomials is written down as the canonical form
+    that eliminating its spanning rows gives, n <= 8, and with no
+    ``Echelon`` row; an ideal with a non-monomial row still eliminates."""
+    gens, eliminates = MONOMIAL_CASES[label]
+    S = _ring((2, 3), field)
+    J = GradedIdeal(S, [parse_poly(g, 3, field) for g in gens])
+    oracle = [ideal_piece_eliminated(J, n) for n in range(9)]
+    inserted = []
+    real = linalg.Echelon.insert
+    monkeypatch.setattr(
+        linalg.Echelon, "insert", lambda ech, row: inserted.append(row) or real(ech, row)
+    )
+    assert [J.piece(n) for n in range(9)] == oracle
+    assert bool(inserted) == eliminates
 
 
 def test_fixed_ideal_is_its_own_twist():
