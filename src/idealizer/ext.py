@@ -37,19 +37,17 @@ after the one that reaches it goes unread.  Quotient modules are ranked
 up to their width: on U/J the bound holds only if J is closed under the
 forms, and a guard for that costs more than the cap saves.
 
-Every product here is an int-row product through ``poly.product_index``:
-a multiplication block reads the target piece's cached quotient map once
-and sums, for each column, the images of the product columns of the
-form's nonzeros, with no product row and no ``quotient_coords`` call,
-and a target of codimension 0 returns no rows before any column is
-visited; the hom constraints twist the int rows of the forms by
-``AutoMap.apply_row``, and the probe's fS and fT rows are f twisted once
-per degree and multiplied by monomials and by the rows of T.  No
-polynomial is multiplied or twisted and no full-width product row is
-built.  The hom spaces and the probes report dimensions, so they
-count them and never build the spaces: dim Hom_n is dim U_n - rank M -
-dim J_n for the constraint matrix M, and the guard that J_n lies in
-ker M is exact.
+Every product here is an int-row product through ``poly.product_index``.
+A Koszul block is ``linalg.mult_rows`` into U/J, summed off J's
+projection ``J.quotient``; the hom constraints are the same route
+twisted, ``TwistRing.left_mult_rows`` of the forms, as T_n's are; the
+probe's fS and fT rows are f twisted once per degree and multiplied by
+monomials and by the rows of T.  No polynomial is multiplied or twisted
+and no full-width product row is built.  The hom spaces and the probes
+report dimensions, so they count them and never build the spaces: dim
+Hom_n is dim U_n - rank M - dim J_n for the constraint matrix M, and
+``linalg.annihilates``, the guard of T_n's constraints too, checks
+exactly that J_n lies in ker M.
 
 The probes at the end are the finite-dimensional noetherian witnesses:
 for f in T_n they tabulate (S/(fS + T))_m and ((fS meet T)/fT)_m and
@@ -77,9 +75,9 @@ from typing import Iterator
 
 from .automorphism import evaluate_at
 from .idealizer_ring import IdealizerRing
-from .linalg import rank_rows
+from .linalg import annihilates, mult_rows, rank_rows
 from .orbit import orbit_points
-from .poly import HomogPoly, basis_dim, poly_to_vector, product_index, row_product
+from .poly import HomogPoly, basis_dim, poly_to_vector, row_product
 from .twist import GradedIdeal
 
 __all__ = [
@@ -122,47 +120,9 @@ class QuotientModule:
         from degree n to n + 1."""
         if n < 0:
             return [[] for _ in range(self.dim(n + 1))]
-        source, target = self.piece(n), self.piece(n + 1)
-        return _mult_rows(form, 1, source.nonpivot_columns, target, self.ring.field)
-
-
-def _mult_rows(u, degree: int, indices, target, field) -> list[list[tuple[int, int]]]:
-    """Int matrix of x -> g * x, for g of the given degree with int row u,
-    from the span of the monomials m_k, k in ``indices``, into U / target,
-    as one sparse row per quotient index whose columns are positions in
-    ``indices``.
-
-    Column k is g * m_k: each nonzero of u, scattered by
-    ``poly.product_index``, picks the image of its product column from
-    the target's quotient map, read once, and the images are summed
-    straight into the column, so no product row is built.  A target of
-    codimension 0 has no rows, and its columns are never visited.  It is
-    exact for one nonzero multiple of g: every column shares the scale of
-    u and the one denominator of the target's quotient map (the lcm of
-    its int pivots over Q, 1 mod p).  That rescales a hom constraint
-    block's rows and conjugates a Koszul differential by a diagonal
-    rescaling of the e_A, so no kernel or rank sees it.  A scale per
-    column would change ranks.
-    """
-    codim = target.ambient.dim - target.dim
-    if not codim:
-        return []
-    images = target.quotient_map[1]
-    table = product_index(target.ambient.nvars, target.ambient.degree - degree, degree)
-    p = field.char
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(codim)]
-    for pos, k in enumerate(indices):
-        cols = table[k]
-        out: dict[int, int] = {}
-        for i, x in u:
-            for r, y in images[cols[i]]:
-                out[r] = out.get(r, 0) + x * y
-        for r, v in out.items():
-            if p:
-                v %= p
-            if v:
-                rows[r].append((pos, v))
-    return rows
+        quotient = self.ideal.moved(self.power).quotient(n + 1)
+        indices = self.piece(n).nonpivot_columns
+        return mult_rows(form, 1, indices, n, quotient, self.ring.nvars, self.ring.field)
 
 
 class KoszulComplex:
@@ -269,28 +229,17 @@ class ExtEngine:
 
         Generation of J as a left ideal makes the degree-1 constraints
         sufficient, and this count equals ext_S_twisted(0, J, n).  The
-        solutions are ker M for the constraint matrix M, so the count is
-        dim U_n - rank M - dim J_n; the guard that J_n lies in ker M is the
-        exact product M x for every row x of J_n.
+        solutions are ker M for the constraint matrix M, the rows of
+        ``TwistRing.left_mult_rows``, so the count is dim U_n - rank M -
+        dim J_n once ``linalg.annihilates`` finds J_n in ker M.
         """
         if n < 0:
             return 0
         width = basis_dim(self.ring.nvars, n)
-        target = J.piece(n + 1)
-        twist = self.ring.power(n)
-        rows = [
-            r
-            for f in self.koszul.rows
-            for r in _mult_rows(twist.apply_row(f, 1), 1, range(width), target, self.field)
-        ]
+        rows = list(self.ring.left_mult_rows(self.koszul.rows, 1, n, J))
         inner = J.piece(n)
-        p = self.field.char
-        lookups = [dict(r) for r in rows]
-        for x in inner.rows:
-            for r in lookups:
-                s = sum(r.get(k, 0) * v for k, v in x)
-                if (s % p if p else s) != 0:
-                    raise ArithmeticError("J_n escapes its own hom constraints")
+        if not annihilates(rows, inner):
+            raise ArithmeticError("J_n escapes its own hom constraints")
         return width - rank_rows(rows, width, self.field) - inner.dim
 
     def hom_table(self, J: GradedIdeal, max_degree: int) -> list[int]:

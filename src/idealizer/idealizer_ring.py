@@ -8,11 +8,12 @@ becomes a two-sided ideal,
 
 computed degree by degree as the kernel of an explicit constraint matrix.
 Reducing to the degree-1 generators is legitimate because I is generated
-in degree 1.  Each constraint asks that phi^n(f) * x lie in I_{n+1}; the
-quotient U_{n+1}/I_{n+1} is one-dimensional with coordinate evaluation at
-c, so a constraint row is multiply-then-evaluate: the int row of
-phi^n(f) scattered by ``poly.product_index`` and read against the
-evaluation row.  The test suite keeps an oracle that takes every
+in degree 1.  Each constraint asks that phi^n(f) * x lie in I_{n+1}, so
+the rows are ``TwistRing.left_mult_rows`` of I_1 into U/I, the product
+into a quotient that the hom tables use too.  U_{n+1}/I_{n+1} is
+one-dimensional with coordinate evaluation at c, so a row holds the
+values at c of phi^n(f) times each monomial.  The test suite keeps that
+multiply-then-evaluate route as an oracle, and one that takes every
 constraint up to a cap and reduces against a recursively built I.
 
 The dimensions of IS and of (T_+^2), and the span T_n . T_n, come from
@@ -35,9 +36,9 @@ guarded so that a bug cannot hide behind it:
   R'_m: every constraint row of T_n and of the Veronese idealizer R'_m
   vanishes on I_k = ker(ev_c), k = n or nm.  Each constraint matrix
   therefore has rank at most codim I_k = 1, and ``_constraint_kernel``
-  stops at its first nonzero row.  That row must be a multiple of the
-  evaluation row, which holds iff ker(ev_c) lies in its kernel; the check
-  costs O(dim U_k), and the kernel is then the cached I_k.
+  stops at its first nonzero row.  I_k must lie in that row's kernel
+  (``linalg.annihilates``, the guard of the hom tables), which makes the
+  row a multiple of evaluation at c, and the kernel is then the cached I_k.
 
 A violated guard raises ``ArithmeticError``.  The uncapped routes (the
 kernel of every constraint row of T_n or R'_m, spans that read every
@@ -52,10 +53,9 @@ Veronese subrings of T with idealizers inside Veronese subrings of S.
 from __future__ import annotations
 
 from .automorphism import ProjPoint
-from .fields import int_row
-from .linalg import GradedSubspace, kernel, rank_rows, span
+from .linalg import GradedSubspace, annihilates, kernel, rank_rows, span
 from .orbit import distinct_window, orbit_points
-from .poly import basis_dim, monomial_values, poly_to_vector, product_index
+from .poly import basis_dim, poly_to_vector
 from .twist import PointIdeal, TwistRing
 
 __all__ = ["IdealizerRing"]
@@ -76,42 +76,20 @@ class IdealizerRing:
 
     # -- degreewise pieces ------------------------------------------------
 
-    def _quotient_row(self, row, degree: int, source_degree: int) -> list[tuple[int, int]]:
-        """Constraint row: coordinate of g * e_k in U/I, one per monomial e_k,
-        for g of the given degree with int row ``row``.
-
-        I_m is the kernel of evaluation at the point, so the coordinate in
-        the one-dimensional quotient is the value at the point, up to a
-        nonzero scalar that does not change the kernel.  The int row of g
-        goes through ``poly.product_index``, so the row is exact up to the
-        scale of g's int row and of the evaluation row.
-        """
-        nvars = self.ring.nvars
-        values = dict(monomial_values(self.point.coords, self.field, source_degree + degree))
-        table = product_index(nvars, degree, source_degree)
-        u = [(table[i], x) for i, x in row]
-        row = [
-            sum(x * values.get(cols[k], 0) for cols, x in u)
-            for k in range(basis_dim(nvars, source_degree))
-        ]
-        return int_row(row, self.field)
-
     def _constraint_kernel(self, rows, degree: int) -> GradedSubspace:
-        """The kernel in U_degree of constraint rows that vanish on I_degree.
-
-        The matrix has rank at most codim I_degree = 1 (see the module
-        notes), so the rows are read lazily and the first nonzero one
-        decides: it must be a multiple of evaluation at the point, and
-        then the kernel is I_degree.  With no nonzero row it is U_degree.
-        """
+        """The kernel in U_degree of constraint rows into U/I that vanish
+        on I_degree: the matrix has rank at most codim I_degree = 1 (see
+        the module notes), so the first nonzero row decides.  I_degree must
+        lie in its kernel, and is then the kernel; with no nonzero row it
+        is U_degree."""
         row = next((r for r in rows if r), None)
-        width = basis_dim(self.ring.nvars, degree)
         if row is None:
+            width = basis_dim(self.ring.nvars, degree)
             return span(kernel([], width, self.field), self.ring.ambient(degree), self.field)
-        values = monomial_values(self.point.coords, self.field, degree)
-        if rank_rows([values, row], width, self.field) != 1:
+        piece = self.I.piece(degree)
+        if not annihilates([row], piece):
             raise ArithmeticError("constraint row is not a multiple of evaluation at the point")
-        return self.I.piece(degree)
+        return piece
 
     def idealizer_piece(self, n: int) -> GradedSubspace:
         """T_n as a subspace of U_n: ``_constraint_kernel`` of the d rows
@@ -121,8 +99,7 @@ class IdealizerRing:
         cached = self._pieces.get(n)
         if cached is not None:
             return cached
-        twist = self.ring.power(n)
-        rows = (self._quotient_row(twist.apply_row(f, 1), 1, n) for f in self.form_rows)
+        rows = self.ring.left_mult_rows(self.form_rows, 1, n, self.I)
         piece = self._constraint_kernel(rows, n)
         self._pieces[n] = piece
         return piece
@@ -239,11 +216,10 @@ class IdealizerRing:
         vanish on I_{nm}, so ``_constraint_kernel`` reads them lazily and
         the first nonzero one decides R'_m (at m = 0 every row is zero).
         """
-        twist = self.ring.power(n * m)
         rows = (
-            self._quotient_row(twist.apply_row(b, n * j), n * j, n * m)
+            row
             for j in range(1, j_cap + 1)
-            for b in self.I.piece(n * j).rows
+            for row in self.ring.left_mult_rows(self.I.piece(n * j).rows, n * j, n * m, self.I)
         )
         return self._constraint_kernel(rows, n * m)
 

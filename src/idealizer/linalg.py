@@ -36,6 +36,10 @@ image of V in U/W.  ``residual`` moves the quotient coordinates back
 onto the non-pivot columns; the package no longer calls it, and it is
 kept for the benchmark's span list.
 
+``mult_rows``, x -> g * x into U/J summed off J's projection, builds the
+matrices of T_n, R'_m, the hom tables and the Koszul blocks, and
+``annihilates`` is their one guard: every row of J lies in their kernel.
+
 A polynomial is already an int row over a denominator, so polynomials
 come in as their rows (``poly_to_vector``) and kernel vectors leave as
 polynomials over their last entry (``twist.kernel_form``), with no
@@ -61,13 +65,15 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .fields import Scalar, int_row, scalar_row
-from .poly import HomogPoly, basis_dim, poly_to_vector
+from .poly import HomogPoly, basis_dim, poly_to_vector, product_index
 
 __all__ = [
     "Ambient",
     "GradedSubspace",
+    "annihilates",
     "intersect",
     "kernel",
+    "mult_rows",
     "poly_ambient",
     "segre_ambient",
     "span",
@@ -261,22 +267,9 @@ class GradedSubspace:
         return self.contains_vector(poly_to_vector(f, self.field))
 
 
-def span(
-    vectors: Iterable[Row], ambient: Ambient, field, cap: int | None = None
-) -> GradedSubspace:
-    """The span of the vectors, read lazily until the rank reaches ``cap``.
-
-    ``cap`` must be a proven upper bound on the rank of the span; once
-    the echelon reaches it, no later vector can change the answer, so
-    the rest of the iterable is never read (a generator is never advanced
-    to build it).  The default, ``ambient.dim``, needs no guard: a span
-    inside U_m has rank at most dim U_m.  The package passes no other
-    cap to a span.  The ceilings of ranks that nothing reads as a
-    subspace, dim T_n for (T_+^2)_n among them, are taken by
-    ``rank_rows``; rank one for the constraint matrices of T_n and of the
-    Veronese idealizer is taken and guarded in ``idealizer_ring``.
-    """
-    ech = _echelon(vectors, ambient.dim, field, cap)
+def span(vectors: Iterable[Row], ambient: Ambient, field) -> GradedSubspace:
+    """The span of the vectors, read lazily until it fills the ambient."""
+    ech = _echelon(vectors, ambient.dim, field, None)
     return GradedSubspace(ambient, field, *ech.canonical_rows())
 
 
@@ -292,9 +285,7 @@ def _echelon(rows: Iterable[Row], width: int, field, cap: int | None) -> Echelon
     return ech
 
 
-def span_polys(
-    polys: Iterable[HomogPoly], ambient: Ambient, field, cap: int | None = None
-) -> GradedSubspace:
+def span_polys(polys: Iterable[HomogPoly], ambient: Ambient, field) -> GradedSubspace:
     """``span`` of the coefficient vectors, converted one polynomial at a time."""
     if ambient.kind != "poly":
         raise ValueError("span_polys needs a polynomial ambient")
@@ -305,7 +296,7 @@ def span_polys(
                 raise ValueError("polynomial does not live in the ambient")
             yield poly_to_vector(f, field)
 
-    return span(vectors(), ambient, field, cap)
+    return span(vectors(), ambient, field)
 
 
 def kernel(rows: Iterable[Row], width: int, field) -> list[tuple[tuple[int, int], ...]]:
@@ -335,8 +326,8 @@ def kernel(rows: Iterable[Row], width: int, field) -> list[tuple[tuple[int, int]
 def rank_rows(rows: Iterable[Row], width: int, field, cap: int | None = None) -> int:
     """The rank of the rows, read lazily until it reaches ``cap``.
 
-    ``cap`` must be a proven upper bound on the rank, as for ``span``;
-    once the echelon reaches it, no later row can change the answer, so
+    ``cap`` must be a proven upper bound on the rank; once the echelon
+    reaches it, no later row can change the answer, so
     the rest of the iterable is never read (a generator is never advanced
     to build it).  The ceilings in use:
 
@@ -351,6 +342,51 @@ def rank_rows(rows: Iterable[Row], width: int, field, cap: int | None = None) ->
       and raises ``ArithmeticError`` on one that does not.
     """
     return _echelon(rows, width, field, cap).dim
+
+
+def mult_rows(u: Row, a: int, indices, n: int, quotient, nvars: int, field) -> list[Row]:
+    """Int rows of x -> g * x, g of degree a with int row u, from the
+    degree-n monomials at ``indices`` into U_(a+n)/J_(a+n): one row per
+    quotient index, its columns positions in ``indices``.
+
+    ``quotient`` is ``J.quotient(a + n)``: codim J_(a+n) and the
+    (quotient index, coefficient) pairs of each column's image.  Each
+    nonzero of u picks the image of its product column, so no product
+    row is built, and at codimension 0 no column is visited.  The rows
+    share the scales of u and of the projection, which no rank sees.
+    """
+    codim, images = quotient
+    if not codim:
+        return []
+    table, p = product_index(nvars, n, a), field.char
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(codim)]
+    for pos, k in enumerate(indices):
+        cols = table[k]
+        out: dict[int, int] = {}
+        for i, x in u:
+            for r, y in images[cols[i]]:
+                out[r] = out.get(r, 0) + x * y
+        for r, v in out.items():
+            if p:
+                v %= p
+            if v:
+                rows[r].append((pos, v))
+    return rows
+
+
+def annihilates(rows: Iterable[Row], v: GradedSubspace) -> bool:
+    """Whether every row of v lies in the kernel of the matrix with these
+    rows: the guard of every constraint matrix that J_n must satisfy."""
+    p = v.field.char
+    for r in map(dict, rows):
+        get = r.get
+        for x in v.rows:
+            s = 0
+            for k, y in x:
+                s += get(k, 0) * y
+            if s % p if p else s:
+                return False
+    return True
 
 
 def intersect(v: GradedSubspace, w: GradedSubspace) -> GradedSubspace:

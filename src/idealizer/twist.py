@@ -44,6 +44,13 @@ by each monomial of degree b (``principal_right_rows``); the rows of
 (IS)_m are these for each row f of a piece of I, and the probe twists
 f once per degree for these rows and for its fT.
 
+Every twisted product into a quotient, x -> phi^n(f) * x from U_n into
+U/J, is one ``TwistRing.left_mult_rows`` against J's projection
+``J.quotient(k)``: the rows of T_n, R'_m and the hom tables.  U_k/I_k is
+one-dimensional for a point ideal, with evaluation at c as its
+coordinate, so a ``PointIdeal`` reads its projection off the evaluation
+row and builds no piece for it.
+
 The two checks of twisted arithmetic, ``associativity_sample`` and
 ``TwistRing.opposite_iso_check``, run on int rows as well.  Each side of
 an identity is an int row times a known product of den powers, so the
@@ -62,7 +69,7 @@ import random
 from math import gcd
 
 from .automorphism import AutoMap, ProjPoint, pullback_point
-from .linalg import GradedSubspace, kernel, poly_ambient, span
+from .linalg import GradedSubspace, kernel, mult_rows, poly_ambient, span
 from .poly import (
     HomogPoly,
     basis_dim,
@@ -133,6 +140,16 @@ class TwistRing:
             raise ValueError("twisted products need polynomial ambients")
         a, b = v.ambient.degree, w.ambient.degree
         return span(self.product_rows(v.rows, a, w.rows, b), self.ambient(a + b), self.field)
+
+    def left_mult_rows(self, lefts, a: int, n: int, J: GradedIdeal):
+        """Yield the int rows of x -> f . x = phi^n(f) * x from U_n into
+        U_(a+n)/J_(a+n), codim J_(a+n) rows per int row f of degree a in
+        ``lefts``: f twisted once, then ``linalg.mult_rows`` against
+        ``J.quotient(a + n)``, read at the first row."""
+        auto, nvars = self.power(n), self.nvars
+        quotient, indices = J.quotient(a + n), range(basis_dim(nvars, n))
+        for f in lefts:
+            yield from mult_rows(auto.apply_row(f, a), a, indices, n, quotient, nvars, self.field)
 
     def principal_right_rows(self, u, a: int, b: int) -> list[list[tuple[int, int]]]:
         """The int rows spanning (f S)_(a+b): u, the int row of phi^b(f) for
@@ -243,6 +260,13 @@ class GradedIdeal:
     def dim(self, n: int) -> int:
         return self.piece(n).dim
 
+    def quotient(self, n: int):
+        """codim J_n and the column images of J_n's quotient map, the
+        projection ``linalg.mult_rows`` reads (no map at codimension 0)."""
+        piece = self.piece(n)
+        codim = piece.ambient.dim - piece.dim
+        return codim, piece.quotient_map[1] if codim else {}
+
     def moved(self, power: int) -> GradedIdeal:
         """phi^power applied to the ideal: this ideal when phi^power fixes
         it, else the moved ideal, built once per power."""
@@ -315,6 +339,20 @@ class PointIdeal(GradedIdeal):
             pivots.append(k)
             rows.append(row)
         return GradedSubspace(self.ring.ambient(n), self.ring.field, tuple(pivots), tuple(rows))
+
+    def quotient(self, n: int):
+        """The evaluation row at c, scaled so that its last value, on I_n's
+        one non-pivot column, is 1 (positive over Q): I_n's quotient map,
+        with no piece of I built."""
+        if n < 0:
+            return super().quotient(n)
+        ev = monomial_values(self.point.coords, self.ring.field, n)
+        lead, p = ev[-1][1], self.ring.field.char
+        scale = pow(lead, -1, p) if p else (1 if lead > 0 else -1)
+        images = [()] * basis_dim(self.ring.nvars, n)
+        for k, v in ev:
+            images[k] = ((0, v * scale % p if p else v * scale),)
+        return 1, images
 
     def _move(self, auto: AutoMap) -> PointIdeal | None:
         """The ideal of pullback_point(auto, c), or None if auto fixes c."""

@@ -18,7 +18,11 @@ only affordable in low degree.
 ``decomposable_piece_span``), where the package counts their ranks, and
 an ideal's pieces keep their elimination route
 (``ideal_piece_eliminated``), where the package writes a piece spanned
-by monomials down.
+by monomials down.  The constraints of T_n and R'_m keep their
+multiply-then-evaluate route (``evaluation_constraint_row``), where the
+package multiplies into U/I through ``TwistRing.left_mult_rows``, and
+the spans capped at dim T_n are built here (``span_capped``), where
+``linalg.span`` takes no cap.
 
 The probe keeps its spanning route (``probe_dims_spanning``): fS and fT
 spanned and guarded by ``contains_subspace``, where the package counts
@@ -72,6 +76,7 @@ from idealizer.poly import (
     basis_dim,
     basis_index,
     monomial_basis,
+    monomial_values,
     monomials,
     poly_to_vector,
     product_index,
@@ -450,6 +455,17 @@ def _span_all_polys(polys, ambient, field):
     return span_all((poly_to_vector(f, field) for f in polys), ambient, field)
 
 
+def span_capped(vectors, ambient, field, cap):
+    """The span of the vectors, read until the rank reaches ``cap``, as
+    ``linalg.span`` took a cap before its ceilings became ranks."""
+    ech = Echelon(ambient.dim, field)
+    if cap > 0:
+        for v in vectors:
+            if ech.insert(v) and ech.dim >= cap:
+                break
+    return GradedSubspace(ambient, field, *ech.canonical_rows())
+
+
 def decomposable_piece_polys(idl, n):
     """(T_+^2)_n from HomogPoly products T_a . T_{n-a}, 0 < a < n, stopped at
     rank dim T_n and checked against T_n there, as the package once built it."""
@@ -463,7 +479,8 @@ def decomposable_piece_polys(idl, n):
         )
     )
     target = idl.idealizer_piece(n)
-    piece = span_polys(polys, idl.ring.ambient(n), idl.field, target.dim)
+    vectors = (poly_to_vector(f, idl.field) for f in polys)
+    piece = span_capped(vectors, idl.ring.ambient(n), idl.field, target.dim)
     if piece.dim == target.dim and piece != target:
         raise ArithmeticError("products of T reach dim T_%d but leave T_%d" % (n, n))
     return piece
@@ -524,16 +541,38 @@ def decomposable_piece_span(idl, n):
         )
     )
     target = idl.idealizer_piece(n)
-    piece = span(rows, idl.ring.ambient(n), idl.field, target.dim)
+    piece = span_capped(rows, idl.ring.ambient(n), idl.field, target.dim)
     if piece.dim == target.dim and piece != target:
         raise ArithmeticError("products of T reach dim T_%d but leave T_%d" % (n, n))
     return piece
 
 
+def evaluation_constraint_row(idl, row, degree, source_degree):
+    """Constraint row by multiply-then-evaluate: the value at the point of
+    g * e_k, one per monomial e_k of the source degree, for g of the given
+    degree with int row ``row``.
+
+    I_m is the kernel of evaluation at the point, so the value is the
+    coordinate of g * e_k in the one-dimensional U_m/I_m, up to a nonzero
+    scale that does not change the kernel.  The evaluation row is built
+    for every row, as ``IdealizerRing`` built it before the constraints
+    of T_n, R'_m and the hom tables became one ``TwistRing.left_mult_rows``.
+    """
+    nvars = idl.ring.nvars
+    values = dict(monomial_values(idl.point.coords, idl.field, source_degree + degree))
+    table = product_index(nvars, degree, source_degree)
+    u = [(table[i], x) for i, x in row]
+    row = [
+        sum(x * values.get(cols[k], 0) for cols, x in u)
+        for k in range(basis_dim(nvars, source_degree))
+    ]
+    return int_row(row, idl.field)
+
+
 def idealizer_piece_uncapped(idl, n):
     """T_n from the kernel of all d constraint rows phi^n(I_1) . x <= I_{n+1}."""
     rows = [
-        idl._quotient_row(poly_to_vector(idl.ring.twisted(n, f), idl.field), 1, n)
+        evaluation_constraint_row(idl, poly_to_vector(idl.ring.twisted(n, f), idl.field), 1, n)
         for f in idl.forms
     ]
     vecs = kernel(rows, basis_dim(idl.ring.nvars, n), idl.field)
@@ -545,7 +584,9 @@ def veronese_idealizer_piece_uncapped(idl, n, m, j_cap):
     if m == 0:
         return span_all([[(0, 1)]], idl.ring.ambient(0), idl.field)
     rows = [
-        idl._quotient_row(poly_to_vector(idl.ring.twisted(n * m, b), idl.field), n * j, n * m)
+        evaluation_constraint_row(
+            idl, poly_to_vector(idl.ring.twisted(n * m, b), idl.field), n * j, n * m
+        )
         for j in range(1, j_cap + 1)
         for b in basis_polys(idl.I.piece(n * j))
     ]
@@ -666,7 +707,7 @@ def probe_dims_spanning(engine, f, max_degree):
 
 
 def mult_rows_per_column(u, degree, indices, target, field):
-    """``ext._mult_rows`` with one product row per column, sent through
+    """``linalg.mult_rows`` with one product row per column, sent through
     ``quotient_coords``, and every column visited at codimension 0."""
     table = product_index(target.ambient.nvars, target.ambient.degree - degree, degree)
     rows = [[] for _ in range(target.ambient.dim - target.dim)]

@@ -19,7 +19,7 @@ from oracles import (
     recursive_piece_polys,
 )
 
-from idealizer import ext
+from idealizer import ext, linalg
 from idealizer.automorphism import AutoMap, ProjPoint
 from idealizer.ext import ExtEngine, KoszulComplex, QuotientModule, euler_characteristic_check
 from idealizer.fields import QQ, PrimeField
@@ -341,18 +341,21 @@ def _ideals(idl):
         "off-orbit": PointIdeal(ring, off),
         "principal": GradedIdeal(ring, [ring.variable(0)]),
         "twisted-I": GradedIdeal(ring, [ring.power(5).apply(f) for f in idl.forms]),
+        "I": idl.I,
     }
 
 
 @FIELD_CASES
 @pytest.mark.parametrize("multipliers, point", REGIMES, ids=REGIME_IDS)
 def test_hom_rank_count_matches_kernel_span(field, multipliers, point):
-    """dim U_n - rank M - dim J_n is the dimension of the spanned kernel, n <= 6."""
+    """dim U_n - rank M - dim J_n is the dimension of the spanned kernel, n <= 6,
+    and against I it is dim T_n - dim I_n, because T/I = End_S(S/I)."""
     idl = _instance(multipliers, field, point)
     engine = ExtEngine(idl)
     for label, J in _ideals(idl).items():
         want = [hom_S_quotient_kernel(engine, J, n) for n in range(7)]
         assert engine.hom_table(J, 6) == want, label
+    assert engine.hom_table(idl.I, 6) == [idl.t_dim(n) - idl.I.dim(n) for n in range(7)]
 
 
 @FIELD_CASES
@@ -388,6 +391,19 @@ def test_probe_counts_match_spans_under_matrix_maps(field, rows, point):
         rec = engine.right_noeth_probe(f, 6)
         got = (rec["coker_dims"], rec["torsion_dims"])
         assert got == probe_dims_intersect(engine, f, 6) == probe_dims_spanning(engine, f, 6)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["Q", "GF10007"])
+@pytest.mark.parametrize("case", ["matrix", "frac", "point"])
+def test_hom_of_I_is_T_mod_I(field, case):
+    """T/I = End_S(S/I) degreewise, n <= 8, when phi is a full matrix
+    (with a denominator for frac) and at a point with a negative coordinate."""
+    if case == "point":
+        idl = _instance((2, 3), field, (1, 2, -3))
+    else:
+        idl = _matrix_instance(field, *MATRIX_MAPS[case == "frac"])
+    engine = ExtEngine(idl)
+    assert engine.hom_table(idl.I, 8) == [idl.t_dim(n) - idl.I.dim(n) for n in range(9)]
 
 
 def _through_orbit(idl, degree, count):
@@ -431,15 +447,15 @@ def test_hom_guard_fires_when_J_escapes(monkeypatch):
     """A constraint block that J_n does not satisfy is an error, not a count."""
     engine = ExtEngine(_instance())
     J = PointIdeal(engine.ring, engine.idealizer.point)
-    real = ext._mult_rows
+    real = TwistRing.left_mult_rows
 
-    def broken(*args):
-        rows = real(*args)
+    def broken(self, *args):
+        rows = list(real(self, *args))
         first = dict(rows[0])
         first[0] = first.get(0, 0) + 1
         return [list(first.items())] + rows[1:]
 
-    monkeypatch.setattr(ext, "_mult_rows", broken)
+    monkeypatch.setattr(TwistRing, "left_mult_rows", broken)
     with pytest.raises(ArithmeticError, match="J_n escapes its own hom constraints"):
         engine.hom_S_quotient(J, 1)
 
@@ -545,8 +561,8 @@ def test_quotient_map_blocks_match_per_column_blocks(field, rows, point):
             width = basis_dim(ring.nvars, n)
             for form in kos.rows:
                 u = ring.power(n).apply_row(form, 1)
-                args = (u, 1, range(width), J.piece(n + 1), field)
-                assert ext._mult_rows(*args) == mult_rows_per_column(*args), (label, n)
+                want = mult_rows_per_column(u, 1, range(width), J.piece(n + 1), field)
+                assert list(ring.left_mult_rows([form], 1, n, J)) == want, (label, n)
 
 
 # -- the work the lazy rows skip ----------------------------------------------------
@@ -597,8 +613,8 @@ def test_hom_against_max_ideal_visits_no_column(monkeypatch):
     of J are spanned by monomials and written down, so no ``Echelon`` row
     is inserted at all."""
     tables, inserted = [], []
-    real = ext.product_index
-    monkeypatch.setattr(ext, "product_index", lambda *a: tables.append(a) or real(*a))
+    real = linalg.product_index
+    monkeypatch.setattr(linalg, "product_index", lambda *a: tables.append(a) or real(*a))
     engine = ExtEngine(_instance())
     insert = Echelon.insert
     monkeypatch.setattr(

@@ -12,6 +12,7 @@ from oracles import (
     decomposable_piece_polys,
     decomposable_piece_span,
     decomposable_piece_uncapped,
+    evaluation_constraint_row,
     idealizer_piece_full,
     idealizer_piece_uncapped,
     is_piece_span,
@@ -229,18 +230,72 @@ def test_decomposable_guard_fires_below_the_cap(monkeypatch):
 
 def test_veronese_rank_one_guard_fires(monkeypatch):
     """A first constraint row off the evaluation row is an error, for R'_m and T_n."""
+    real = TwistRing.left_mult_rows
+
+    def broken(self, *args):
+        for r in real(self, *args):
+            row = dict(r)
+            row[0] = row.get(0, 0) + 1
+            yield list(row.items())
+
+    monkeypatch.setattr(TwistRing, "left_mult_rows", broken)
     for piece in (
         lambda idl: idl.veronese_idealizer_piece(2, 1, 3),
         lambda idl: idl.idealizer_piece(2),
     ):
-        idl = _instance()
-        real = idl._quotient_row
-
-        def broken(*args):
-            row = dict(real(*args))
-            row[0] = row.get(0, 0) + 1
-            return list(row.items())
-
-        monkeypatch.setattr(idl, "_quotient_row", broken)
         with pytest.raises(ArithmeticError, match="not a multiple of evaluation"):
-            piece(idl)
+            piece(_instance())
+
+
+# the maps of the golden configs matrix.json and frac.json, with their points
+GOLDEN_MAPS = [
+    ((("1", "1", "0"), ("0", "2", "0"), ("0", "0", "3")), (1, 1, 1)),
+    ((("1/2", "1", "0"), ("0", "2/3", "1"), ("1", "0", "3")), (1, 2, 3)),
+]
+
+
+def _proportional(u, v, p):
+    """Whether the int rows u and v are nonzero multiples of each other
+    (mod p when p > 0), or both zero."""
+    u, v = dict(u), dict(v)
+    if u.keys() != v.keys():
+        return False
+    if not u:
+        return True
+    c = min(u)
+    cross = (u[k] * v[c] - v[k] * u[c] for k in u)
+    return not any(x % p if p else x for x in cross)
+
+
+def _constraint_rows_match_evaluation(idl):
+    """Each row of ``left_mult_rows`` against I is a nonzero multiple of the
+    multiply-then-evaluate row, or both are zero: T_n (a = 1, n <= 6) and
+    R'_m (a = nj <= 4, nm <= 6)."""
+    ring, p = idl.ring, idl.field.char
+    cases = [(1, n, idl.form_rows) for n in range(7)]
+    cases += [(a, s, idl.I.piece(a).rows) for a in range(1, 5) for s in range(7)]
+    for a, s, lefts in cases:
+        got = list(ring.left_mult_rows(lefts, a, s, idl.I))
+        want = [
+            evaluation_constraint_row(idl, ring.power(s).apply_row(f, a), a, s) for f in lefts
+        ]
+        assert len(got) == len(want), (a, s)
+        for f, g, w in zip(lefts, got, want):
+            assert _proportional(g, w, p), (a, s, f)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["Q", "GF10007"])
+@pytest.mark.parametrize(
+    "multipliers, point", CEILING_CASES, ids=["generic", "identity", "residual", "d3"]
+)
+def test_constraint_rows_match_evaluation(field, multipliers, point):
+    _constraint_rows_match_evaluation(_instance(multipliers, field, point))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["Q", "GF10007"])
+@pytest.mark.parametrize("rows, point", GOLDEN_MAPS, ids=["matrix", "frac"])
+def test_constraint_rows_match_evaluation_under_matrix_maps(field, rows, point):
+    """The same under a full matrix, whose twist of a row carries den != 1 for frac."""
+    phi = AutoMap.from_matrix([[field.parse(x) for x in r] for r in rows], field)
+    c = ProjPoint.make([field.from_int(v) for v in point], field)
+    _constraint_rows_match_evaluation(IdealizerRing(TwistRing(2, phi, field), c))

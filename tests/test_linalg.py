@@ -20,6 +20,7 @@ from idealizer.fields import QQ, PrimeField, int_row, scalar_row
 from idealizer.linalg import (
     Ambient,
     Echelon,
+    annihilates,
     intersect,
     invert_matrix,
     kernel,
@@ -318,6 +319,25 @@ def test_intersection_dimension_formula(field, left, right):
     assert contains_subspace(V, meet) and contains_subspace(W, meet)
     both = a + b
     assert subspace_sum(V, W).dim == (_sympy_matrix(both, width, field).rank() if both else 0)
+
+
+@property_test(
+    lambda st: _field_and(
+        st,
+        lambda F: st.integers(1, 5).flatmap(
+            lambda w: st.tuples(_matrix(st, F, 3, w), _matrix(st, F, 4, w))
+        ),
+    )
+)
+def test_annihilates_matches_kernel_containment(field, matrix, subspace):
+    """Every row of V lies in ker M exactly when the span of ker M contains V."""
+    (rows, width), (a, _) = matrix, subspace
+    amb = free_ambient(width)
+    M = _ints(rows, field)
+    V = span(_ints(a, field), amb, field)
+    K = span(kernel(M, width, field), amb, field)
+    assert annihilates(M, V) == contains_subspace(K, V)
+    assert annihilates(M, K)
 
 
 @property_test(

@@ -139,6 +139,22 @@ def test_point_ideal_pieces_are_canonical(field, coords):
         assert piece == span(piece.rows, S.ambient(n), field)
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["Q", "GF10007"])
+@pytest.mark.parametrize("coords", CANONICAL_POINTS, ids=[str(c) for c in CANONICAL_POINTS])
+def test_point_ideal_quotient_is_its_piece_quotient_map(field, coords):
+    """The projection read off the evaluation row, with no piece of the
+    ideal built, is the quotient map of the piece, n <= 6."""
+    S = _ring(tuple(range(2, len(coords) + 1)), field)
+    ideal = PointIdeal(S, ProjPoint.make([field.from_int(c) for c in coords], field))
+    got = [ideal.quotient(n) for n in range(7)]
+    assert not ideal._pieces
+    for n, (codim, images) in enumerate(got):
+        piece = ideal.piece(n)
+        assert codim == 1 == piece.ambient.dim - piece.dim
+        assert dict(enumerate(images)) == piece.quotient_map[1], n
+    assert ideal.quotient(-1) == (0, {})
+
+
 def test_negative_degree_pieces_share_one_ambient():
     """J_n = 0 for n < 0 lives in U_n, whichever route builds it."""
     S = _ring()
