@@ -1,12 +1,13 @@
 """Command-line driver.
 
-Every command reads an optional JSON config file, applies flag overrides
-(flags win), builds the instance, and emits one deterministic payload to
-stdout or --out.  Wall time is printed to stderr so that identical
-configurations produce byte-identical reports.  Exit codes: 0 success,
-1 a check failed, 2 configuration or usage error.  Where the suite would
-skip its probe check, ``probe`` still reports, adds the suite's
-``reason`` and exits 0.
+Every command reads an optional JSON config file and then the flags given,
+spelled as the file's keys, through one reader (flags win), builds the
+instance, and emits one deterministic payload to stdout or --out.  Wall
+time is printed to stderr so that identical configurations produce
+byte-identical reports.  Exit codes: 0 success, 1 a check failed, 2
+configuration or usage error, an unwritable --out included.  Where the
+suite would skip its probe check, ``probe`` still reports, adds the
+suite's ``reason`` and exits 0.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 
 from .automorphism import ProjPoint
 from .config import ConfigError, Instance, RingConfig
-from .ext import ExtEngine, QuotientModule
+from .ext import ExtEngine
 from .orbit import (
     FactorBoundError,
     centred_indices,
@@ -35,7 +36,11 @@ from .segre import SegreContext, local_witness_check, nonvanishing_from
 from .suite import jsonable, run_suite, skip_reason
 from .twist import GradedIdeal, PointIdeal
 
-TABLE_COMMANDS = {"hilbert", "ext-table", "hom-table", "idealizer-gens", "segre"}
+CONFIG_FLAGS = ("d", "point", "field", "max_degree", "trailing_zeros")
+PROBE_FIELDS = (
+    "degrees", "coker_dims", "torsion_dims", "support", "torsion_support",
+    "predicted_support", "support_matches", "torsion_matches",
+)
 LIST_FLAGS = ("--p", "--point")
 NEGATIVE_VALUE = re.compile(r"-[\d.]")
 
@@ -122,16 +127,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _configure(args) -> RingConfig:
+    """The config file's keys, then the flags given, through the one reader."""
     cfg = RingConfig() if args.config is None else RingConfig.from_file(args.config)
-    cfg = cfg.with_flags(
-        d=args.d,
-        p=args.p,
-        point=args.point,
-        field=args.field,
-        max_degree=args.max_degree,
-        trailing_zeros=args.trailing_zeros,
-    )
-    return cfg.validate()
+    flags = {key: getattr(args, key) for key in CONFIG_FLAGS if getattr(args, key) is not None}
+    if args.p is not None:
+        flags["automorphism"] = {"diag": args.p}
+    return cfg.updated(flags)
 
 
 def _parse_ideal(instance: Instance, text: str) -> tuple[GradedIdeal, str]:
@@ -180,8 +181,11 @@ def _parse_ideal(instance: Instance, text: str) -> tuple[GradedIdeal, str]:
 
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError("cannot write output file: %s" % exc) from exc
     else:
         sys.stdout.write(text)
 
@@ -305,19 +309,10 @@ def cmd_probe(args, instance: Instance) -> int:
         "config": instance.config.payload(),
         "f": format_poly(f, instance.field),
         "degree": rec["n"],
-        "degrees": rec["degrees"],
-        "coker_dims": rec["coker_dims"],
-        "torsion_dims": rec["torsion_dims"],
-        "support": rec["support"],
-        "torsion_support": rec["torsion_support"],
-        "predicted_support": rec["predicted_support"],
-        "support_matches": rec["support_matches"],
-        "torsion_matches": rec["torsion_matches"],
-        "totals": {
-            "coker": sum(rec["coker_dims"]),
-            "torsion": sum(rec["torsion_dims"]),
-        },
+        "totals": {"coker": rec["coker_total"], "torsion": sum(rec["torsion_dims"])},
     }
+    for key in PROBE_FIELDS:
+        payload[key] = rec[key]
     # where the suite skips its probe check, a mismatch is no failure
     reason = skip_reason(instance, "right-noetherian-probes")
     if reason is not None:
@@ -330,18 +325,13 @@ def cmd_probe(args, instance: Instance) -> int:
 def cmd_ext_table(args, instance: Instance) -> int:
     J, label = _parse_ideal(instance, args.J)
     engine = ExtEngine(instance.idealizer)
-    N = instance.config.max_degree
-    degrees = list(range(-N, N + 1))
-    rows = []
-    columns = ["j"] + ["n=%d" % n for n in degrees]
-    tables = [engine.koszul.ext_row(QuotientModule(J, -n), n) for n in degrees]
-    for j in range(instance.config.d + 1):
-        rows.append([j] + [col[j] for col in tables])
+    record = engine.chi_sample_report([(label, J)], instance.config.max_degree)[label]
+    degrees = record["degrees"]
     payload = table_payload(
         "ext-table",
         instance.config.payload(),
-        columns,
-        rows,
+        ["j"] + ["n=%d" % n for n in degrees],
+        [[j] + row for j, row in record["table"].items()],
         {"J": label, "degrees": degrees},
     )
     _render(args, payload, "csv")
@@ -464,8 +454,7 @@ def main(argv=None) -> int:
     )
     started = time.monotonic()
     try:
-        cfg = _configure(args)
-        instance = cfg.build()
+        instance = _configure(args).build()
         code = COMMANDS[args.command](args, instance)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)

@@ -1,10 +1,14 @@
-"""Run configuration: JSON file plus flag overrides, flags winning.
+"""Run configuration: one reader for config files and flags, flags winning.
 
 A configuration pins the instance (d, automorphism, point, field) and the
 two window parameters every observed claim must carry: the degree cap N
 and the trailing-zero count, which defaults to min(3, N) when unset.
-Validation failures raise ConfigError, which the command line maps to the
-usage exit code.
+``RingConfig.updated`` is the one reader: a config file's object and the
+command line's flags, spelled as the file's keys, are applied through it
+in turn.  It checks only structure (keys, the automorphism's shape,
+fraction lists); every type and range check is in ``validate``, and a
+JSON boolean is never a number.  Failures raise ConfigError, which the
+command line maps to the usage exit code.
 """
 
 from __future__ import annotations
@@ -25,11 +29,27 @@ class ConfigError(ValueError):
     pass
 
 
+# the plain keys of a config file, each with the field it sets
+_KEYS = {
+    "d": "d",
+    "field": "field",
+    "max_degree": "max_degree",
+    "maxDegree": "max_degree",
+    "trailing_zeros": "trailing_zeros",
+    "trailingZeros": "trailing_zeros",
+}
+
+
+def _integer(value) -> bool:
+    """An int that is not a bool: JSON's true and false are no numbers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _fraction(value, what: str) -> Fraction:
     try:
         if isinstance(value, str):
             return Fraction(value.strip())
-        if isinstance(value, (int, Fraction)):
+        if _integer(value) or isinstance(value, Fraction):
             return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError("bad %s: %r" % (what, value)) from exc
@@ -55,7 +75,9 @@ class RingConfig:
     trailing_zeros: int | None = None  # unset: validate() fills in min(3, max_degree)
 
     def validate(self) -> "RingConfig":
-        if not isinstance(self.d, int) or self.d < 2:
+        """The checked config, its field name stripped and its
+        trailing_zeros filled in; raises ConfigError on bad values."""
+        if not _integer(self.d) or self.d < 2:
             raise ConfigError("d must be an integer >= 2")
         if (self.multipliers is None) == (self.matrix is None):
             raise ConfigError("exactly one of diag multipliers or a matrix is required")
@@ -72,83 +94,67 @@ class RingConfig:
             raise ConfigError("point needs %d coordinates" % (self.d + 1))
         if all(c == 0 for c in self.point):
             raise ConfigError("point coordinates must not all vanish")
+        if not isinstance(self.field, str):
+            raise ConfigError("field must be a string")
+        field = self.field.strip()
         try:
-            field_from_name(self.field)
+            field_from_name(field)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if not isinstance(self.max_degree, int) or self.max_degree < 1:
+        if not _integer(self.max_degree) or self.max_degree < 1:
             raise ConfigError("max degree must be a positive integer")
-        if self.trailing_zeros is None:
-            return replace(self, trailing_zeros=min(3, self.max_degree)).validate()
-        if not isinstance(self.trailing_zeros, int) or not (
-            1 <= self.trailing_zeros <= self.max_degree
-        ):
+        trailing = self.trailing_zeros
+        if trailing is None:
+            trailing = min(3, self.max_degree)
+        if not _integer(trailing) or not 1 <= trailing <= self.max_degree:
             raise ConfigError("trailing zeros must lie between 1 and the max degree")
-        return self
+        return replace(self, field=field, trailing_zeros=trailing)
 
     # -- construction ---------------------------------------------------------
 
-    @staticmethod
-    def from_mapping(data) -> "RingConfig":
+    def updated(self, data) -> "RingConfig":
+        """This config with the keys of ``data``, spelled as in a config
+        file, applied over it.  Only the structure is checked here; the
+        values are checked by ``validate``."""
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        known = {
-            "d",
-            "automorphism",
-            "point",
-            "field",
-            "max_degree",
-            "maxDegree",
-            "trailing_zeros",
-            "trailingZeros",
-        }
-        unknown = sorted(set(data) - known)
+        unknown = sorted(set(data) - set(_KEYS) - {"automorphism", "point"})
         if unknown:
             raise ConfigError("unknown config keys: %s" % ", ".join(unknown))
-        cfg = RingConfig()
-        if "d" in data:
-            if not isinstance(data["d"], int):
-                raise ConfigError("d must be an integer")
-            cfg = replace(cfg, d=data["d"])
+        changes = {}
+        for key, name in _KEYS.items():
+            if key in data:
+                if name in changes:
+                    raise ConfigError(
+                        "%s is given twice, as %s and %s"
+                        % (name.replace("_", " "), name, key)
+                    )
+                changes[name] = data[key]
         auto = data.get("automorphism")
         if auto is not None:
             if not isinstance(auto, dict) or len(auto) != 1:
                 raise ConfigError("automorphism must be {'diag': [...]} or {'matrix': [...]}")
             if "diag" in auto:
-                cfg = replace(
-                    cfg,
-                    multipliers=_fraction_list(auto["diag"], "multiplier"),
-                    matrix=None,
+                changes.update(
+                    multipliers=_fraction_list(auto["diag"], "multiplier"), matrix=None
                 )
             elif "matrix" in auto:
                 rows = auto["matrix"]
                 if not isinstance(rows, list):
                     raise ConfigError("matrix must be a list of rows")
-                cfg = replace(
-                    cfg,
+                changes.update(
                     multipliers=None,
                     matrix=tuple(_fraction_list(r, "matrix entry") for r in rows),
                 )
             else:
                 raise ConfigError("automorphism must be {'diag': [...]} or {'matrix': [...]}")
         if "point" in data:
-            cfg = replace(cfg, point=_fraction_list(data["point"], "coordinate"))
-        if "field" in data:
-            if not isinstance(data["field"], str):
-                raise ConfigError("field must be a string")
-            cfg = replace(cfg, field=data["field"].strip())
-        for key, alias, what in (
-            ("max_degree", "maxDegree", "max degree"),
-            ("trailing_zeros", "trailingZeros", "trailing zeros"),
-        ):
-            given = [k for k in (key, alias) if k in data]
-            if len(given) == 2:
-                raise ConfigError("%s is given twice, as %s and %s" % (what, key, alias))
-            if given:
-                if not isinstance(data[given[0]], int):
-                    raise ConfigError("%s must be an integer" % what)
-                cfg = replace(cfg, **{key: data[given[0]]})
-        return cfg
+            changes["point"] = _fraction_list(data["point"], "coordinate")
+        return replace(self, **changes)
+
+    @staticmethod
+    def from_mapping(data) -> "RingConfig":
+        return RingConfig().updated(data)
 
     @staticmethod
     def from_file(path: str) -> "RingConfig":
@@ -160,30 +166,6 @@ class RingConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError("config file is not valid JSON: %s" % exc) from exc
         return RingConfig.from_mapping(data)
-
-    def with_flags(
-        self,
-        d=None,
-        p=None,
-        point=None,
-        field=None,
-        max_degree=None,
-        trailing_zeros=None,
-    ) -> "RingConfig":
-        cfg = self
-        if d is not None:
-            cfg = replace(cfg, d=d)
-        if p is not None:
-            cfg = replace(cfg, multipliers=_fraction_list(p, "multiplier"), matrix=None)
-        if point is not None:
-            cfg = replace(cfg, point=_fraction_list(point, "coordinate"))
-        if field is not None:
-            cfg = replace(cfg, field=field.strip())
-        if max_degree is not None:
-            cfg = replace(cfg, max_degree=max_degree)
-        if trailing_zeros is not None:
-            cfg = replace(cfg, trailing_zeros=trailing_zeros)
-        return cfg
 
     # -- canonical echo ----------------------------------------------------------
 
@@ -208,10 +190,8 @@ class RingConfig:
     # -- realisation ---------------------------------------------------------------
 
     def build(self) -> "Instance":
-        if self.trailing_zeros is None:
-            return self.validate().build()
-        self.validate()
-        field = field_from_name(self.field)
+        cfg = self.validate()
+        field = field_from_name(cfg.field)
 
         def lift(x: Fraction):
             try:
@@ -222,22 +202,22 @@ class RingConfig:
                 ) from exc
 
         try:
-            if self.multipliers is not None:
-                mults = [lift(p) for p in self.multipliers]
+            if cfg.multipliers is not None:
+                mults = [lift(p) for p in cfg.multipliers]
                 if any(not bool(m) for m in mults):
                     raise ConfigError("a multiplier vanishes in %s" % field.name)
                 phi = AutoMap.diagonal_family(mults, field)
             else:
-                rows = [[lift(v) for v in row] for row in self.matrix]
+                rows = [[lift(v) for v in row] for row in cfg.matrix]
                 phi = AutoMap.from_matrix(rows, field)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        coords = [lift(c) for c in self.point]
+        coords = [lift(c) for c in cfg.point]
         if all(not bool(c) for c in coords):
             raise ConfigError("point reduces to zero in %s" % field.name)
         point = ProjPoint.make(coords, field)
-        ring = TwistRing(self.d, phi, field)
-        return Instance(self, field, ring, point, IdealizerRing(ring, point))
+        ring = TwistRing(cfg.d, phi, field)
+        return Instance(cfg, field, ring, point, IdealizerRing(ring, point))
 
 
 @dataclass(frozen=True)

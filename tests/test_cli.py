@@ -270,6 +270,15 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert target.read_text().startswith("# schema:")
 
 
+def test_unwritable_out_exits_two(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "report.csv"
+    code, out, err = _run(capsys, "hilbert", "--series", "S", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert "config error: cannot write output file" in err
+    assert "Traceback" not in err
+
+
 def test_determinism_byte_identical(capsys):
     _, first, _ = _run(capsys, "verify-suite", *COMMON)
     _, second, _ = _run(capsys, "verify-suite", *COMMON)
@@ -298,6 +307,46 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     # the flag wins over the file
     assert payload["config"]["max_degree"] == 3
     assert len(payload["rows"]) == 4
+
+
+MATRIX = [["1", "1", "0"], ["0", "2", "1"], ["1", "0", "3"]]
+
+
+# each flag as file keys with the same values, and file keys it overrides
+FLAG_CASES = {
+    "d": (
+        ["--d", "3", "--p", "2,3,5", "--point", "1,1,1,1"],
+        {"d": 3, "automorphism": {"diag": ["2", "3", "5"]}, "point": ["1"] * 4},
+        {"d": 4, "automorphism": {"diag": ["2", "3", "5", "7"]}, "point": ["1"] * 5},
+    ),
+    "p": (
+        ["--p", "2,5"],
+        {"automorphism": {"diag": ["2", "5"]}},
+        {"automorphism": {"matrix": MATRIX}},
+    ),
+    "point": (["--point", "1,2,3"], {"point": ["1", "2", "3"]}, {"point": ["1", "1", "1"]}),
+    "field": (["--field", "prime:7"], {"field": "prime:7"}, {"field": "rational"}),
+    "max-degree": (["--max-degree", "4"], {"max_degree": 4}, {"maxDegree": 7}),
+    "trailing-zeros": (["--trailing-zeros", "2"], {"trailing_zeros": 2}, {"trailingZeros": 1}),
+}
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_CASES))
+def test_flags_and_file_keys_share_one_reader(capsys, tmp_path, flag):
+    """A flag prints the bytes of its file key, and beats that key."""
+    argv, same, beaten = FLAG_CASES[flag]
+    command = ("hilbert", "--series", "S", "--format", "json")
+    outputs = []
+    for flags, data in ((argv, None), ([], same), (argv, beaten)):
+        config = []
+        if data is not None:
+            path = tmp_path / ("%d.json" % len(outputs))
+            path.write_text(json.dumps(data), encoding="utf-8")
+            config = ["--config", str(path)]
+        code, out, _ = _run(capsys, *command, *config, *flags)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_suite_failure_maps_to_exit_one(capsys, monkeypatch):

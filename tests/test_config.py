@@ -49,6 +49,39 @@ def test_config_file_naming_a_key_twice_exits_2(tmp_path, capsys):
     assert "max degree is given twice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"d": True},
+        {"max_degree": True},
+        {"maxDegree": True},
+        {"trailing_zeros": True},
+        {"trailingZeros": True},
+        {"automorphism": {"diag": [True, 3]}},
+        {"automorphism": {"matrix": [[True, 0, 0], [0, 2, 0], [0, 0, 3]]}},
+        {"point": [True, 1, 1]},
+    ],
+    ids=[
+        "d",
+        "max_degree",
+        "maxDegree",
+        "trailing_zeros",
+        "trailingZeros",
+        "diag",
+        "matrix",
+        "point",
+    ],
+)
+def test_config_file_boolean_is_no_number(tmp_path, capsys, data):
+    """A JSON true is not read as 1: it exits 2 and prints no report."""
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["hilbert", "--series", "S", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error" in captured.err
+
+
 def test_from_mapping_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         RingConfig.from_mapping({"d": 2, "bogus": 1})
@@ -109,8 +142,9 @@ def test_rejects_bad_trailing_zeros():
         RingConfig.from_mapping({"d": 2, "max_degree": 4, "trailing_zeros": 9}).validate()
 
 
-def test_with_flags_overrides():
-    cfg = RingConfig().with_flags(p="2,5", max_degree=7).validate()
+def test_updated_overrides():
+    # what the command line passes for --p 2,5 --max-degree 7
+    cfg = RingConfig().updated({"automorphism": {"diag": "2,5"}, "max_degree": 7}).validate()
     assert cfg.multipliers == (Fraction(2), Fraction(5))
     assert cfg.max_degree == 7
     # untouched fields survive
