@@ -10,17 +10,19 @@ satisfies
 The diagonal family diag(1, p_1, ..., p_d) (top-left entry normalized
 to 1) is the case of interest.  A map acts on int rows: it has one
 denominator ``den``, the lcm of its entries' denominators over Q (1 mod
-p), and one image table per degree under den * matrix.  A diagonal map
-keeps one int per column, the weight of the j-th monomial, and
-``apply_row`` multiplies each value by its column's weight in the row's
-column order.  Any other map keeps the int row of the j-th monomial's
-image, the image of a variable times a row of the table one degree
-lower, and ``apply_row`` sums the row's values times the image rows of
-its columns.  Either way ``apply_row(row, n)`` is den^n times the
-substitution on an int row, and the identity needs no table.  ``apply``
-wraps it: a polynomial is already an int row over a denominator, so
-phi(f) is ``apply_row`` of f's row over f's denominator times den^n, and
-no scalar is built.
+p), and one image table per degree under den * matrix, each built from
+the table one degree lower: the image of x_i times the image of the
+monomial over x_i.  A diagonal map keeps one int per column, the weight
+of the j-th monomial, a column scale times a weight one degree lower,
+reduced mod p at every step and never normalised (diag(2, 4, 6) keeps
+its weights' common factor), and ``apply_row`` multiplies each value by
+its column's weight in the row's column order.  Any other map keeps the
+int row of the j-th monomial's image, and ``apply_row`` sums the row's
+values times the image rows of its columns.  Either way
+``apply_row(row, n)`` is den^n times the substitution on an int row,
+and the identity needs no table.  ``apply`` wraps it: a polynomial is
+already an int row over a denominator, so phi(f) is ``apply_row`` of
+f's row over f's denominator times den^n, and no scalar is built.
 Each table is built once per map and degree, outside ==, hash and repr,
 and completely before the one store that publishes it.  power(n) is
 closed-form: one power per diagonal entry, else repeated squaring of the
@@ -31,12 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
-from math import lcm, prod
+from math import lcm
 from typing import Iterable, Sequence
 
 from .fields import Scalar, int_row, scalar_row
 from .linalg import invert_matrix, mat_mul, mat_vec
-from .poly import HomogPoly, basis_dim, monomials, product_index, row_product
+from .poly import HomogPoly, basis_dim, product_index, row_product
 
 __all__ = ["AutoMap", "ProjPoint", "point_image", "pullback_point"]
 
@@ -173,19 +175,17 @@ class AutoMap:
 
     def _image_table(self, n: int) -> tuple:
         """The images of the degree-n monomials under den * matrix, built
-        once per degree.  A diagonal map's entry j is the j-th monomial's
-        weight, one int; any other map's is the int row of the j-th
-        monomial's image, the image of x_i times the image, one degree
-        lower, of the monomial over x_i."""
+        once per degree from the table one degree lower: the image of a
+        monomial is the image of x_i times the image of the monomial over
+        x_i.  A diagonal map's entry is the monomial's weight, one int,
+        its column's scale times a weight one degree lower, reduced mod p
+        at every step and never normalised; any other map's entry is the
+        int row of the monomial's image."""
         got = self._tables.get(n)
         if got is None:
             nvars, p, den = self.nvars, self.field.char, self.den
-            if self.diagonal is not None:
-                scale = [x.numerator * (den // x.denominator) for x in self.diagonal]
-                weights = (prod(x**e for x, e in zip(scale, m)) for m in monomials(nvars, n))
-                got = tuple(w % p for w in weights) if p else tuple(weights)
-            elif n == 0:
-                got = (((0, 1),),)
+            if n == 0:
+                got = (1,) if self.diagonal is not None else (((0, 1),),)
             else:
                 prev, cols = self._image_table(n - 1), product_index(nvars, 1, n - 1)
                 table: list = [None] * basis_dim(nvars, n)
@@ -196,8 +196,13 @@ class AutoMap:
                         if (x := r[i])
                     ]
                     for k, c in enumerate(cols[i]):
-                        if table[c] is None:
+                        if table[c] is not None:
+                            continue
+                        if self.diagonal is None:
                             table[c] = tuple(row_product(var, prev[k], nvars, 1, n - 1, p))
+                        else:
+                            w = var[0][1] * prev[k]
+                            table[c] = w % p if p else w
                 got = tuple(table)
             self._tables[n] = got
         return got

@@ -13,6 +13,7 @@ suite's ``reason`` and exits 0.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 import time
@@ -179,13 +180,27 @@ def _parse_ideal(instance: Instance, text: str) -> tuple[GradedIdeal, str]:
     )
 
 
+def _open_out(path: str, mode: str):
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError("cannot write output file: %s" % exc) from exc
+
+
+def _check_out(path: str) -> None:
+    """Fail before any work when --out cannot be opened for writing.  An
+    existing file is opened without truncation and a new one is removed
+    again, so a run that later fails leaves no empty report behind."""
+    existed = os.path.exists(path)
+    _open_out(path, "a").close()
+    if not existed:
+        os.remove(path)
+
+
 def _emit(args, text: str) -> None:
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise ConfigError("cannot write output file: %s" % exc) from exc
+        with _open_out(args.out, "w") as handle:
+            handle.write(text)
     else:
         sys.stdout.write(text)
 
@@ -454,6 +469,8 @@ def main(argv=None) -> int:
     )
     started = time.monotonic()
     try:
+        if args.out:
+            _check_out(args.out)
         instance = _configure(args).build()
         code = COMMANDS[args.command](args, instance)
     except ConfigError as exc:

@@ -38,8 +38,12 @@ up to their width: on U/J the bound holds only if J is closed under the
 forms, and a guard for that costs more than the cap saves.
 
 Every product here is an int-row product through ``poly.product_index``.
-A Koszul block is ``linalg.mult_rows`` into U/J, summed off J's
-projection ``J.quotient``; the hom constraints are the same route
+A module asks its ideal for ``codim`` and ``nonpivot_columns`` of a
+degree, never for the piece, so a point module builds no piece: its
+ideal answers from the evaluation row.  A Koszul block is
+``linalg.mult_rows`` into U/J, summed off J's projection
+``J.quotient``, which the module reads once per degree for all the
+forms of that degree; the hom constraints are the same route
 twisted, ``TwistRing.left_mult_rows`` of the forms, as T_n's are; the
 probe's fS and fT rows are f twisted once per degree and multiplied by
 monomials and by the rows of T.  No polynomial is multiplied or twisted
@@ -76,7 +80,6 @@ from typing import Iterator
 from .automorphism import evaluate_at
 from .idealizer_ring import IdealizerRing
 from .linalg import annihilates, mult_rows, rank_rows
-from .orbit import orbit_points
 from .poly import HomogPoly, basis_dim, poly_to_vector, row_product
 from .twist import GradedIdeal
 
@@ -90,10 +93,13 @@ __all__ = [
 class QuotientModule:
     """U/J for a graded ideal J, pulled back by phi^power.
 
-    The degree-n piece is J.twisted_piece(power, n), the piece of
-    ``J.moved(power)``, memoized by that ideal.  The degree-n basis is the
-    set of monomials at the non-pivot columns of that piece, so
-    multiplication matrices are reductions of honest products.  Ranks of
+    The pieces are those of ``J.moved(power)``, memoized by that ideal.
+    The degree-n basis is the set of monomials at the ideal's
+    ``nonpivot_columns(n)``, and dim(n) is its ``codim(n)``, so a point
+    module, whose codimension is 1 and whose one column is read off the
+    evaluation row, builds no piece.  Multiplication matrices are
+    reductions of honest products through the ideal's projection, read
+    once per degree: the forms of one Koszul block share it.  Ranks of
     Koszul differentials on this module are kept in `ranks`, keyed
     (complex, i, n), on the ideal that supplies the pieces: every module
     on one ideal shares them, and they live as long as it does.
@@ -103,25 +109,29 @@ class QuotientModule:
         self.ideal = ideal
         self.power = power
         self.ring = ideal.ring
-        self.ranks = ideal.moved(power).ranks
+        self.moved = ideal.moved(power)
+        self.ranks = self.moved.ranks
         # U itself: the zero ideal, where delta delta = 0 caps every rank
         self.free = not ideal.gens
+        # the projection last read, (degree, projection): one per degree
+        self._quotient = (None, None)
 
     def piece(self, n: int):
-        return self.ideal.twisted_piece(self.power, n)
+        return self.moved.piece(n)
 
     def dim(self, n: int) -> int:
-        if n < 0:
-            return 0
-        return basis_dim(self.ring.nvars, n) - self.piece(n).dim
+        return self.moved.codim(n) if n >= 0 else 0
 
     def mult_matrix(self, form, n: int):
         """Matrix of multiplication by a linear form, given by its int row,
         from degree n to n + 1."""
         if n < 0:
             return [[] for _ in range(self.dim(n + 1))]
-        quotient = self.ideal.moved(self.power).quotient(n + 1)
-        indices = self.piece(n).nonpivot_columns
+        k, quotient = self._quotient
+        if k != n + 1:
+            quotient = self.moved.quotient(n + 1)
+            self._quotient = (n + 1, quotient)
+        indices = self.moved.nonpivot_columns(n)
         return mult_rows(form, 1, indices, n, quotient, self.ring.nvars, self.ring.field)
 
 
@@ -264,7 +274,7 @@ class ExtEngine:
             raise ValueError("probe element is zero")
         if not idl.idealizer_piece(n).contains_poly(f):
             raise ValueError("probe element does not lie in the idealizer")
-        window = orbit_points(ring.phi, idl.point, max_degree)
+        window = idl.orbit(max_degree)
         f_row = poly_to_vector(f, self.field)
         coker = []
         torsion = []

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from .automorphism import ProjPoint
 from .linalg import GradedSubspace, annihilates, kernel, rank_rows, span
-from .orbit import distinct_window, orbit_points
+from .orbit import OrbitWindow, distinct_window, orbit_points
 from .poly import basis_dim, poly_to_vector
 from .twist import PointIdeal, TwistRing
 
@@ -73,6 +73,14 @@ class IdealizerRing:
         self.form_rows = [poly_to_vector(f, self.field) for f in self.forms]
         self._pieces: dict[int, GradedSubspace] = {}
         self._is_dims: dict[int, int] = {}
+        self._orbits: dict[int, OrbitWindow] = {}
+
+    def orbit(self, window: int) -> OrbitWindow:
+        """The orbit points c_n of the point, |n| <= window, built once per window."""
+        got = self._orbits.get(window)
+        if got is None:
+            got = self._orbits[window] = orbit_points(self.ring.phi, self.point, window)
+        return got
 
     # -- degreewise pieces ------------------------------------------------
 
@@ -111,8 +119,7 @@ class IdealizerRing:
 
     def check_T_equals_k_plus_I(self, max_degree: int) -> dict:
         """Compare T_n with I_n for 1 <= n <= N after an orbit distinctness check."""
-        window = orbit_points(self.ring.phi, self.point, max_degree)
-        distinct, collision = distinct_window(window)
+        distinct, collision = distinct_window(self.orbit(max_degree))
         dims = [self.t_dim(n) for n in range(max_degree + 1)]
         ideal_dims = [self.I.dim(n) for n in range(max_degree + 1)]
         first_failure = next(
@@ -214,8 +221,12 @@ class IdealizerRing:
         One constraint row per basis element b of I_{nj}, j <= cap: the
         coordinate of phi^{nm}(b) . x in U_{nj+nm}/I_{nj+nm}.  The rows
         vanish on I_{nm}, so ``_constraint_kernel`` reads them lazily and
-        the first nonzero one decides R'_m (at m = 0 every row is zero).
+        the first nonzero one decides R'_m.  At m = 0, x is a scalar and
+        b . x = b x lies in I_{nj}, so every row is zero and R'_0 = U_0
+        is returned with no row read.
         """
+        if m == 0:
+            return self._constraint_kernel((), 0)
         rows = (
             row
             for j in range(1, j_cap + 1)

@@ -239,16 +239,21 @@ class GradedSubspace:
             images[j] = tuple((index[k], (-x * s) % p if p else -x * s) for k, x in rest)
         return denom, images
 
-    def quotient_coords(self, vec: Iterable[tuple[int, int]]) -> tuple[list[tuple[int, int]], int]:
-        """Exact coordinates in the quotient basis (non-pivot columns) of an
-        int row: an int row over the quotient indices and the denominator
-        it is over (1 mod p)."""
-        denom, images = self.quotient_map
+    def _project(self, vec: Iterable[tuple[int, int]]) -> dict[int, int]:
+        """The quotient coordinates of an int row times the quotient
+        denominator, summed but not reduced mod p."""
+        images = self.quotient_map[1]
         out: dict[int, int] = {}
         for c, x in vec:
             for i, y in images[c]:
                 out[i] = out.get(i, 0) + x * y
-        p = self.field.char
+        return out
+
+    def quotient_coords(self, vec: Iterable[tuple[int, int]]) -> tuple[list[tuple[int, int]], int]:
+        """Exact coordinates in the quotient basis (non-pivot columns) of an
+        int row: an int row over the quotient indices and the denominator
+        it is over (1 mod p)."""
+        out, p, denom = self._project(vec), self.field.char, self.quotient_map[0]
         if p:
             return [(i, v % p) for i, v in out.items() if v % p], denom
         return [(i, v) for i, v in out.items() if v], denom
@@ -261,7 +266,9 @@ class GradedSubspace:
         return sorted((columns[i], v) for i, v in self.quotient_coords(vec)[0])
 
     def contains_vector(self, vec: Row) -> bool:
-        return not self.quotient_coords(vec)[0]
+        """Whether no quotient coordinate of the row is nonzero (mod p)."""
+        values, p = self._project(vec).values(), self.field.char
+        return not any(v % p for v in values) if p else not any(values)
 
     def contains_poly(self, f: HomogPoly) -> bool:
         return self.contains_vector(poly_to_vector(f, self.field))

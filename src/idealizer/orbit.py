@@ -1,9 +1,12 @@
 """Orbit windows and the critical-density certificate.
 
 The orbit of a point c under pullback along phi is indexed so that
-c_{n+1} = pullback(phi, c_n) and c_{-1} = point_image(phi, c).  For the
-diagonal family the criterion for critical density is that the
-multipliers generate a free abelian group of rank d; the certificate
+c_{n+1} = pullback(phi, c_n) and c_{-1} = point_image(phi, c).  A window
+steps forward by ``point_image`` under phi^-1, inverted once per window,
+and ``IdealizerRing.orbit`` keeps one window per size for the checks
+that share it.  For the diagonal family the criterion for critical
+density is that the multipliers generate a free abelian group of rank
+d; the certificate
 factors the multipliers over the primes by trial division and decides
 independence by the kernel of the exponent matrix.  Dependent inputs
 come with an explicit verified relation prod p_i^{a_i} = 1.
@@ -59,12 +62,15 @@ def orbit_point(auto: AutoMap, start: ProjPoint, n: int) -> ProjPoint:
 
 
 def orbit_points(auto: AutoMap, start: ProjPoint, window: int) -> OrbitWindow:
-    """Points c_n for -window <= n <= window, c_0 = start."""
+    """Points c_n for -window <= n <= window, c_0 = start: a step forward
+    is ``point_image`` under the inverse, taken once per window, and a
+    step back is ``point_image`` under auto."""
     pts = {0: start}
     fwd = start
     back = start
+    inverse = auto.inv()
     for n in range(1, window + 1):
-        fwd = pullback_point(auto, fwd)
+        fwd = point_image(inverse, fwd)
         back = point_image(auto, back)
         pts[n] = fwd
         pts[-n] = back

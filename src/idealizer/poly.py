@@ -27,9 +27,11 @@ IS, the idealizer's decomposable products and fT, all through
 ``TwistRing.product_rows``), the idealizer's constraint rows, the Ext
 matrices, the two checks of twisted arithmetic (associativity and the
 opposite-ring transport) and a non-diagonal ``AutoMap``'s image tables
-multiply int rows, not polynomials, through one product:
-``product_index(nvars, a, b)`` is the table of
-basis indices of m_i * m_j in degree a + b, built lazily and cached.
+multiply int rows, not polynomials, through one product, and the
+evaluation row at a point (``monomial_values``) and a diagonal map's
+weights are built degree by degree through it: ``product_index(nvars,
+a, b)`` is the table of basis indices of m_i * m_j in degree a + b,
+built lazily and cached.
 It is built from integer codes: a monomial's code is the base-(a+b+1)
 number whose digits are its exponents.  No exponent reaches the base,
 so descending lex order is descending code order and the code of a
@@ -174,16 +176,27 @@ def monomial_values(
     """Values at coords of the degree-n monomials, in the frozen order.
 
     This int row is evaluation at the point as a functional on U_n, up
-    to a nonzero scale; a column with a zero value is absent.
+    to a nonzero scale; a column with a zero value is absent.  Degree 1
+    is ``int_row(coords)``, the primitive positive multiple over Q, and
+    degree n is degree n - 1 times each nonzero coordinate through
+    ``product_index(nvars, 1, n - 1)``, one multiplication per
+    (monomial, variable), reduced mod p at every step.  The degree-n
+    monomials include each pure power c_i^n, so their values at a
+    primitive vector have gcd 1: the row is the primitive positive
+    multiple of the values at coords.
     """
-    values = []
-    for mono in monomials(len(coords), degree):
-        v = field.one
-        for x, e in zip(coords, mono):
-            if e:
-                v = v * x**e
-        values.append(v)
-    return tuple(int_row(values, field))
+    if degree == 1:
+        return tuple(int_row(coords, field))
+    if degree < 1:
+        return ((0, 1),) if degree == 0 else ()
+    prev, p = monomial_values(coords, field, degree - 1), field.char
+    table = product_index(len(coords), 1, degree - 1)
+    values: dict[int, int] = {}
+    for i, c in monomial_values(coords, field, 1):
+        cols = table[i]
+        for k, x in prev:
+            values[cols[k]] = x * c % p if p else x * c
+    return tuple(sorted(values.items()))
 
 
 @dataclass(frozen=True)

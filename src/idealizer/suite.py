@@ -55,7 +55,6 @@ from .orbit import (
     distinct_window,
     general_position_rank,
     multiplicative_independence,
-    orbit_points,
 )
 from .poly import basis_dim, format_poly
 from .report import FAIL, OBSERVED, PASS, SKIPPED, CheckRecord, VerificationReport
@@ -146,9 +145,9 @@ class _Context:
     def capped_window(self, cap: int) -> dict:
         return {"max_degree": cap, "trailing_zeros": self.cfg.trailing_zeros}
 
-    @cached_property
+    @property
     def orbit(self):
-        return orbit_points(self.ring.phi, self.instance.point, self.N)
+        return self.idl.orbit(self.N)
 
     @cached_property
     def distinct(self) -> tuple[bool, tuple[int, int] | None]:

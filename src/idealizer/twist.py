@@ -29,9 +29,11 @@ U, so phi^k(J) is the ideal generated by the images of J's generators,
 and its pieces come from the same recursion; when the images are the
 generators themselves (phi(x0) = x0 for the diagonal family) the ideal
 is its own twist.  A point ideal moves to a point ideal: phi^k(I_c) is
-the ideal of P' = pullback_point(phi^k, c), because apply(A, f)(P') =
-f(c), so no polynomial is substituted at all.  Each ideal keeps one
-moved ideal per power, and the Koszul ranks of U/J (``ext.QuotientModule``).
+the ideal of P' = point_image(phi^-k, c), because apply(A, f)(P') =
+f(c) for P' = point_image(A^-1, c), so no polynomial is substituted at
+all and the inverse is the ring's cached power phi^-k.  Each ideal keeps
+one moved ideal per power, and the Koszul ranks of U/J
+(``ext.QuotientModule``).
 
 Every twisted product of two pieces, f . g = phi^b(f) * g for g of degree
 b, is one ``TwistRing.product_rows``: each left int row is twisted once
@@ -48,8 +50,11 @@ Every twisted product into a quotient, x -> phi^n(f) * x from U_n into
 U/J, is one ``TwistRing.left_mult_rows`` against J's projection
 ``J.quotient(k)``: the rows of T_n, R'_m and the hom tables.  U_k/I_k is
 one-dimensional for a point ideal, with evaluation at c as its
-coordinate, so a ``PointIdeal`` reads its projection off the evaluation
-row and builds no piece for it.
+coordinate, so a point ideal is its evaluation row: a ``PointIdeal``
+reads its projection ``quotient(k)``, its ``codim(k)`` (1) and its one
+quotient column ``nonpivot_columns(k)`` (the row's last column) off that
+row and builds no piece for them.  A ``GradedIdeal`` answers all three
+from its piece.
 
 The two checks of twisted arithmetic, ``associativity_sample`` and
 ``TwistRing.opposite_iso_check``, run on int rows as well.  Each side of
@@ -68,7 +73,7 @@ from __future__ import annotations
 import random
 from math import gcd
 
-from .automorphism import AutoMap, ProjPoint, pullback_point
+from .automorphism import AutoMap, ProjPoint, point_image
 from .linalg import GradedSubspace, kernel, mult_rows, poly_ambient, span
 from .poly import (
     HomogPoly,
@@ -260,19 +265,27 @@ class GradedIdeal:
     def dim(self, n: int) -> int:
         return self.piece(n).dim
 
+    def codim(self, n: int) -> int:
+        """dim U_n/J_n, the dimension of the quotient's degree-n piece."""
+        piece = self.piece(n)
+        return piece.ambient.dim - piece.dim
+
+    def nonpivot_columns(self, n: int) -> tuple[int, ...]:
+        """The columns of the monomials spanning U_n/J_n."""
+        return self.piece(n).nonpivot_columns
+
     def quotient(self, n: int):
         """codim J_n and the column images of J_n's quotient map, the
         projection ``linalg.mult_rows`` reads (no map at codimension 0)."""
-        piece = self.piece(n)
-        codim = piece.ambient.dim - piece.dim
-        return codim, piece.quotient_map[1] if codim else {}
+        codim = self.codim(n)
+        return codim, self.piece(n).quotient_map[1] if codim else {}
 
     def moved(self, power: int) -> GradedIdeal:
         """phi^power applied to the ideal: this ideal when phi^power fixes
         it, else the moved ideal, built once per power."""
         if power not in self._moved:
             # None marks an ideal phi^power fixes: storing self would keep a reference cycle
-            self._moved[power] = self._move(self.ring.power(power))
+            self._moved[power] = self._move(power)
         moved = self._moved[power]
         return self if moved is None else moved
 
@@ -280,10 +293,10 @@ class GradedIdeal:
         """The piece of phi^power applied to the ideal, in degree n."""
         return self.moved(power).piece(n)
 
-    def _move(self, auto: AutoMap) -> GradedIdeal | None:
-        """auto(J), the ideal on the images of the generators; None when
-        the images are the generators."""
-        gens = [auto.apply(g) for g in self.gens]
+    def _move(self, power: int) -> GradedIdeal | None:
+        """phi^power(J), the ideal on the images of the generators; None
+        when the images are the generators."""
+        gens = [self.ring.twisted(power, g) for g in self.gens]
         return None if gens == self.gens else GradedIdeal(self.ring, gens)
 
 
@@ -304,23 +317,31 @@ class PointIdeal(GradedIdeal):
     """The ideal of a point c, generated by the linear forms vanishing at c.
 
     The ideal is saturated, so I_n = ker(ev_c) on U_n for every n >= 1
-    (and I_0 = 0).  Each piece is written down from the evaluation row
-    ev, with no recursion and no elimination: for L the last monomial
-    with ev[L] != 0, the rows ev[L] x_k - ev[k] x_L, k != L, have
-    distinct pivots k and are already the reduced echelon form, and each
-    is scaled to its canonical int row here.
+    (and I_0 = 0).  I_n has codimension 1 for every n >= 0, and its one
+    quotient column is L, the last column of the evaluation row ev: the
+    column the reduced echelon form leaves unpivoted.  ``codim``,
+    ``nonpivot_columns`` and ``quotient`` answer from ev alone, so a
+    point module builds no piece.  Each piece is written down from ev,
+    with no recursion and no elimination: the rows ev[L] x_k - ev[k] x_L,
+    k != L, have distinct pivots k and are already the reduced echelon
+    form, and each is scaled to its canonical int row here.
 
     phi^power moves the ideal of c to the ideal of the point P' with
-    f(c) = apply(phi^power, f)(P'), so a twisted piece is a piece of the
-    moved point's ideal.
+    f(c) = apply(phi^power, f)(P'), P' = point_image(phi^-power, c), so
+    a twisted piece is a piece of the moved point's ideal; the ring's
+    cached power supplies the inverse.
     """
 
     def __init__(self, ring: TwistRing, point: ProjPoint):
         super().__init__(ring, point_ideal_forms(ring, point))
         self.point = point
 
+    def _values(self, n: int):
+        """The evaluation row at c in degree n (``poly.monomial_values``)."""
+        return monomial_values(self.point.coords, self.ring.field, n)
+
     def _build_piece(self, n: int) -> GradedSubspace:
-        ev = dict(monomial_values(self.point.coords, self.ring.field, n))
+        ev = dict(self._values(n))
         last = max(ev)
         lead, p = ev[last], self.ring.field.char
         inv = pow(lead, -1, p) if p else None
@@ -340,13 +361,19 @@ class PointIdeal(GradedIdeal):
             rows.append(row)
         return GradedSubspace(self.ring.ambient(n), self.ring.field, tuple(pivots), tuple(rows))
 
+    def codim(self, n: int) -> int:
+        return 1 if n >= 0 else 0
+
+    def nonpivot_columns(self, n: int) -> tuple[int, ...]:
+        return (self._values(n)[-1][0],) if n >= 0 else ()
+
     def quotient(self, n: int):
         """The evaluation row at c, scaled so that its last value, on I_n's
         one non-pivot column, is 1 (positive over Q): I_n's quotient map,
         with no piece of I built."""
         if n < 0:
-            return super().quotient(n)
-        ev = monomial_values(self.point.coords, self.ring.field, n)
+            return 0, {}
+        ev = self._values(n)
         lead, p = ev[-1][1], self.ring.field.char
         scale = pow(lead, -1, p) if p else (1 if lead > 0 else -1)
         images = [()] * basis_dim(self.ring.nvars, n)
@@ -354,9 +381,9 @@ class PointIdeal(GradedIdeal):
             images[k] = ((0, v * scale % p if p else v * scale),)
         return 1, images
 
-    def _move(self, auto: AutoMap) -> PointIdeal | None:
-        """The ideal of pullback_point(auto, c), or None if auto fixes c."""
-        pt = pullback_point(auto, self.point)
+    def _move(self, power: int) -> PointIdeal | None:
+        """The ideal of point_image(phi^-power, c), or None if that is c."""
+        pt = point_image(self.ring.power(-power), self.point)
         return None if pt == self.point else PointIdeal(self.ring, pt)
 
 

@@ -54,7 +54,11 @@ with one product row per column sent through ``quotient_coords``
 (``mult_rows_per_column``), and a diagonal map's image table with one
 (column, weight) pair per monomial (``diagonal_image_table_pairs``),
 where the package yields rows lazily, sums quotient-map images into each
-column and keeps one weight per column.
+column and keeps one weight per column.  A diagonal map's weights are
+products of powers (``diagonal_weights_closed_form``) and a point's
+monomial values are computed in field arithmetic
+(``monomial_values_fraction``), where the package builds both degree by
+degree on ints.
 
 The package's rows are sparse (column, value) pairs.  ``DenseEchelon``
 is the echelon engine the package used on full-width int lists before
@@ -580,9 +584,8 @@ def idealizer_piece_uncapped(idl, n):
 
 
 def veronese_idealizer_piece_uncapped(idl, n, m, j_cap):
-    """R'_m from the kernel of every constraint row, j <= cap."""
-    if m == 0:
-        return span_all([[(0, 1)]], idl.ring.ambient(0), idl.field)
+    """R'_m from the kernel of every constraint row, j <= cap (at m = 0
+    every row is read and found zero)."""
     rows = [
         evaluation_constraint_row(
             idl, poly_to_vector(idl.ring.twisted(n * m, b), idl.field), n * j, n * m
@@ -763,16 +766,33 @@ def koszul_ext_eager(kos, module, i, n):
     return kos.cochain_dim(module, i, n) - ranks
 
 
+def diagonal_weights_closed_form(auto, n):
+    """A diagonal map's degree-n weights, each one product of powers of the
+    column scales under den * matrix, reduced mod p only at the end."""
+    p, den = auto.field.char, auto.den
+    scale = [x.numerator * (den // x.denominator) for x in auto.diagonal]
+    weights = (prod(x**e for x, e in zip(scale, m)) for m in monomials(auto.nvars, n))
+    return tuple(w % p for w in weights) if p else tuple(weights)
+
+
 def diagonal_image_table_pairs(auto, n):
     """A diagonal map's image table with one (column, weight) pair per
     monomial, the shape of a non-diagonal map's table."""
-    p, den = auto.field.char, auto.den
-    scale = [x.numerator * (den // x.denominator) for x in auto.diagonal]
-    rows = []
-    for j, m in enumerate(monomials(auto.nvars, n)):
-        w = prod(x**e for x, e in zip(scale, m))
-        rows.append(((j, w % p if p else w),))
-    return tuple(rows)
+    return tuple(((j, w),) for j, w in enumerate(diagonal_weights_closed_form(auto, n)))
+
+
+def monomial_values_fraction(coords, field, degree):
+    """The evaluation row at coords in the given degree, each monomial's
+    value a product of powers of the coordinates in field arithmetic
+    (``Fraction`` over Q), then made one int row by ``int_row``."""
+    values = []
+    for mono in monomials(len(coords), degree):
+        v = field.one
+        for x, e in zip(coords, mono):
+            if e:
+                v = v * x**e
+        values.append(v)
+    return tuple(int_row(values, field))
 
 
 def diagonal_apply_row_pairs(auto, row, n):

@@ -279,6 +279,31 @@ def test_unwritable_out_exits_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_unwritable_out_fails_before_build(tmp_path, capsys, monkeypatch):
+    """An --out that cannot be opened exits 2 before any instance is built."""
+    built = []
+    real = RingConfig.build
+    monkeypatch.setattr(RingConfig, "build", lambda cfg: built.append(cfg) or real(cfg))
+    target = tmp_path / "missing-dir" / "report.json"
+    code, out, err = _run(capsys, "verify-suite", "--max-degree", "26", "--out", str(target))
+    assert code == 2
+    assert "config error: cannot write output file" in err
+    assert built == []
+
+
+def test_failed_run_leaves_no_out_file(tmp_path, capsys):
+    """A run that fails after --out was checked leaves no new file behind
+    and an existing one untouched."""
+    fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
+    kept.write_text("earlier report\n")
+    for target in (fresh, kept):
+        code, out, err = _run(capsys, "hom-table", "--J", "nonsense", "--out", str(target))
+        assert code == 2
+        assert "unknown ideal spec" in err
+    assert not fresh.exists()
+    assert kept.read_text() == "earlier report\n"
+
+
 def test_determinism_byte_identical(capsys):
     _, first, _ = _run(capsys, "verify-suite", *COMMON)
     _, second, _ = _run(capsys, "verify-suite", *COMMON)

@@ -19,8 +19,9 @@ from oracles import (
     recursive_piece_polys,
 )
 
-from idealizer import ext, linalg
+from idealizer import ext, linalg, suite
 from idealizer.automorphism import AutoMap, ProjPoint
+from idealizer.config import RingConfig
 from idealizer.ext import ExtEngine, KoszulComplex, QuotientModule, euler_characteristic_check
 from idealizer.fields import QQ, PrimeField
 from idealizer.idealizer_ring import IdealizerRing
@@ -343,6 +344,43 @@ def _ideals(idl):
         "twisted-I": GradedIdeal(ring, [ring.power(5).apply(f) for f in idl.forms]),
         "I": idl.I,
     }
+
+
+def test_chi_sample_point_modules_build_no_piece(monkeypatch):
+    """The chi-sample check's orbit and off-orbit modules read their
+    dimensions, columns and projections off the evaluation row: no
+    ``PointIdeal`` piece is built."""
+    ctx = suite._Context(RingConfig().build())
+    body = next(check for name, _, _, check in suite.CHECKS if name == "chi-sample")
+    built = []
+    real = PointIdeal._build_piece
+    monkeypatch.setattr(PointIdeal, "_build_piece", lambda J, n: built.append(n) or real(J, n))
+    payload = body(ctx)[2]
+    assert {"orbit-point", "off-orbit-point"} <= set(payload)
+    assert built == []
+
+
+@EXT_FIELDS
+def test_module_reads_one_projection_per_degree(field):
+    """The forms of one Koszul block share one projection: a module asks
+    its ideal for each degree's projection at most once."""
+    idl = _instance(field=field)
+    kos = KoszulComplex(idl.forms, field)
+    reads_total = 0
+    for n in range(-3, 5):
+        # fresh ideals, so that no rank is already kept on them
+        for label, J in _ideals(_instance(field=field)).items():
+            M = QuotientModule(J, -n)
+            reads = []
+            real = M.moved.quotient
+            M.moved.quotient = lambda k: reads.append(k) or real(k)
+            try:
+                kos.ext_row(M, n)
+            finally:
+                del M.moved.quotient
+            assert len(reads) == len(set(reads)), (label, n, reads)
+            reads_total += len(reads)
+    assert reads_total
 
 
 @FIELD_CASES

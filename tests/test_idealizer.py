@@ -159,6 +159,24 @@ CEILING_CASES = [
 @pytest.mark.parametrize(
     "multipliers, point", CEILING_CASES, ids=["generic", "identity", "residual", "d3"]
 )
+def test_veronese_piece_zero_reads_no_row(field, multipliers, point, monkeypatch):
+    """R'_0 is U_0, returned with no constraint row read: the route that
+    reads every row of I_nj, j <= 3, finds them all zero."""
+    idl = _instance(multipliers, field, point)
+    want = [veronese_idealizer_piece_uncapped(idl, n, 0, 3) for n in (1, 2, 3)]
+
+    def no_rows(*args):
+        raise AssertionError("R'_0 read a constraint row")
+
+    monkeypatch.setattr(idl.ring, "left_mult_rows", no_rows)
+    assert [idl.veronese_idealizer_piece(n, 0, 3) for n in (1, 2, 3)] == want
+    assert all(r.dim == 1 == r.ambient.dim for r in want)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["Q", "GF10007"])
+@pytest.mark.parametrize(
+    "multipliers, point", CEILING_CASES, ids=["generic", "identity", "residual", "d3"]
+)
 def test_capped_routes_match_uncapped(field, multipliers, point):
     """Stopping at a rank ceiling changes no piece and no dimension, n <= 6;
     the subspace routes of (IS)_m and (T_+^2)_n, whose ranks the package

@@ -10,8 +10,10 @@ from oracles import (
     densify,
     diagonal_apply_per_term,
     diagonal_apply_row_pairs,
+    diagonal_weights_closed_form,
     matrix_apply_per_call,
     mono_mul,
+    monomial_values_fraction,
     poly_mul_terms,
     product_index_mono_mul,
     sparsify,
@@ -31,6 +33,7 @@ from idealizer.poly import (
     basis_index,
     format_poly,
     mono_degree,
+    monomial_values,
     monomials,
     parse_poly,
     poly_to_vector,
@@ -583,6 +586,45 @@ def test_diagonal_apply_row_by_weight_matches_table_routes(field, multipliers):
             assert got == generic.apply_row(row, n) == diagonal_apply_row_pairs(B, row, n)
             assert [j for j, _ in got] == cols
             assert all(isinstance(w, int) for w in B._image_table(n))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "GF7", "GF10007"])
+def test_diagonal_weights_recursion_matches_closed_form(field):
+    """Weights built degree by degree equal one product of powers per
+    monomial, degrees 0-8, for phi^k, -3 <= k <= 3, of the multipliers
+    1/2, 2/3 and of the matrix diag(2, 4, 6), whose weights keep their
+    common factor."""
+    halves = AutoMap.diagonal_family(
+        [field.from_fraction(Fraction(1, 2)), field.from_fraction(Fraction(2, 3))], field
+    )
+    evens = AutoMap.from_matrix(
+        [[field.from_int(x if i == j else 0) for j in range(3)] for i, x in enumerate((2, 4, 6))],
+        field,
+    )
+    assert evens.diagonal is not None
+    assert evens._image_table(1) == (2, 4, 6)
+    for A in (halves, evens):
+        for k in range(-3, 4):
+            B = A.power(k)
+            for n in range(9):
+                assert B._image_table(n) == diagonal_weights_closed_form(B, n)
+
+
+POINTS = [(1, 0, 3), (2, 4, -6), (Fraction(1, 2), Fraction(-2, 3), 5), (3, 0, Fraction(5, 4), -2)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "GF7", "GF10007"])
+@pytest.mark.parametrize("point", POINTS, ids=["zero", "non-primitive", "fractional", "d3"])
+def test_monomial_values_recursion_matches_fraction_route(field, point):
+    """The integer recursion of the evaluation row equals the values taken
+    in field arithmetic and made an int row, degrees 0-8: a primitive
+    positive multiple over Q, least residues mod p."""
+    coords = tuple(field.from_fraction(Fraction(x)) for x in point)
+    for n in range(9):
+        got = monomial_values(coords, field, n)
+        assert got == monomial_values_fraction(coords, field, n)
+        if not field.char:
+            assert gcd(*(v for _, v in got)) == 1
 
 
 # -- closed-form powers against repeated composition -------------------------------

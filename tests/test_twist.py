@@ -18,6 +18,7 @@ from idealizer import linalg
 from idealizer.automorphism import AutoMap, ProjPoint
 from idealizer.fields import QQ, PrimeField
 from idealizer.linalg import span, span_polys
+from idealizer.orbit import orbit_point
 from idealizer.poly import format_poly, parse_poly
 from idealizer.twist import (
     GradedIdeal,
@@ -202,6 +203,31 @@ def test_moved_point_twist_matches_apply_route(field, phi_data, coords):
     for power in (1, -1, 2, -2, 3, -3):
         for n in range(-1, 6):
             assert fast.twisted_piece(power, n) == twisted_piece_apply(slow, power, n)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["Q", "GF10007"])
+@pytest.mark.parametrize(
+    "phi_data, coords",
+    TWIST_REGIMES,
+    ids=["generic", "identity", "residual", "d3", "non-diagonal"],
+)
+def test_point_ideal_codim_and_columns_match_pieces(field, phi_data, coords):
+    """codim and nonpivot_columns, read off the evaluation row with no
+    piece built, are those of the built pieces: for an orbit point, an
+    off-orbit point and their ideals moved by phi^2 and phi^-3, n <= 6."""
+    S = _regime_ring(phi_data, field)
+    pt = ProjPoint.make([field.from_int(c) for c in coords], field)
+    off = ProjPoint.make([field.from_int(c) for c in (1, 5, 7, 11)[: len(coords)]], field)
+    for ideal in (PointIdeal(S, orbit_point(S.phi, pt, 3)), PointIdeal(S, off)):
+        # a fixed point moves to its own ideal, so read all three before any piece
+        moved = [ideal, ideal.moved(2), ideal.moved(-3)]
+        got = [[(J.codim(n), J.nonpivot_columns(n)) for n in range(-1, 7)] for J in moved]
+        assert not any(J._pieces for J in moved)
+        for J, answers in zip(moved, got):
+            for n, (codim, columns) in zip(range(-1, 7), answers):
+                piece = J.piece(n)
+                assert codim == piece.ambient.dim - piece.dim == (1 if n >= 0 else 0)
+                assert columns == piece.nonpivot_columns, n
 
 
 IDEAL_GENS = {
