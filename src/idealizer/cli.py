@@ -292,11 +292,7 @@ def cmd_critdense(args, instance: Instance) -> int:
         for m in range(1, degree_cap + 1):
             dim = basis_dim(instance.ring.nvars, m)
             idx = [i for i in centred_indices(dim) if abs(i) <= window]
-            ranks.append(
-                general_position_rank(
-                    instance.ring.phi, instance.point, m, idx, instance.field
-                )
-            )
+            ranks.append(general_position_rank(orbit, m, idx, instance.field))
         payload["window_evidence"] = {
             "window": window,
             "distinct": ok,

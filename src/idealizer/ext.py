@@ -49,9 +49,10 @@ probe's fS and fT rows are f twisted once per degree and multiplied by
 monomials and by the rows of T.  No polynomial is multiplied or twisted
 and no full-width product row is built.  The hom spaces and the probes
 report dimensions, so they count them and never build the spaces: dim
-Hom_n is dim U_n - rank M - dim J_n for the constraint matrix M, and
-``linalg.annihilates``, the guard of T_n's constraints too, checks
-exactly that J_n lies in ker M.
+Hom_n is dim U_n - rank M - dim J_n = codim J_n - rank M for the
+constraint matrix M, and ``J.annihilated_by``, the guard of T_n's
+constraints too, checks exactly that J_n lies in ker M; a point ideal
+answers both from its evaluation row, with no piece.
 
 The probes at the end are the finite-dimensional noetherian witnesses:
 for f in T_n they tabulate (S/(fS + T))_m and ((fS meet T)/fT)_m and
@@ -79,7 +80,7 @@ from typing import Iterator
 
 from .automorphism import evaluate_at
 from .idealizer_ring import IdealizerRing
-from .linalg import annihilates, mult_rows, rank_rows
+from .linalg import mult_rows, rank_rows
 from .poly import HomogPoly, basis_dim, poly_to_vector, row_product
 from .twist import GradedIdeal
 
@@ -241,16 +242,15 @@ class ExtEngine:
         sufficient, and this count equals ext_S_twisted(0, J, n).  The
         solutions are ker M for the constraint matrix M, the rows of
         ``TwistRing.left_mult_rows``, so the count is dim U_n - rank M -
-        dim J_n once ``linalg.annihilates`` finds J_n in ker M.
+        dim J_n = codim J_n - rank M once ``J.annihilated_by`` finds J_n
+        in ker M.
         """
         if n < 0:
             return 0
-        width = basis_dim(self.ring.nvars, n)
         rows = list(self.ring.left_mult_rows(self.koszul.rows, 1, n, J))
-        inner = J.piece(n)
-        if not annihilates(rows, inner):
+        if not J.annihilated_by(rows, n):
             raise ArithmeticError("J_n escapes its own hom constraints")
-        return width - rank_rows(rows, width, self.field) - inner.dim
+        return J.codim(n) - rank_rows(rows, basis_dim(self.ring.nvars, n), self.field)
 
     def hom_table(self, J: GradedIdeal, max_degree: int) -> list[int]:
         return [self.hom_S_quotient(J, n) for n in range(max_degree + 1)]

@@ -37,8 +37,9 @@ guarded so that a bug cannot hide behind it:
   vanishes on I_k = ker(ev_c), k = n or nm.  Each constraint matrix
   therefore has rank at most codim I_k = 1, and ``_constraint_kernel``
   stops at its first nonzero row.  I_k must lie in that row's kernel
-  (``linalg.annihilates``, the guard of the hom tables), which makes the
-  row a multiple of evaluation at c, and the kernel is then the cached I_k.
+  (``I.annihilated_by``, the guard of the hom tables), that is, the row
+  must be a multiple of evaluation at c, and the kernel is then the
+  cached I_k.
 
 A violated guard raises ``ArithmeticError``.  The uncapped routes (the
 kernel of every constraint row of T_n or R'_m, spans that read every
@@ -53,7 +54,7 @@ Veronese subrings of T with idealizers inside Veronese subrings of S.
 from __future__ import annotations
 
 from .automorphism import ProjPoint
-from .linalg import GradedSubspace, annihilates, kernel, rank_rows, span
+from .linalg import GradedSubspace, kernel, rank_rows, span
 from .orbit import OrbitWindow, distinct_window, orbit_points
 from .poly import basis_dim, poly_to_vector
 from .twist import PointIdeal, TwistRing
@@ -94,10 +95,9 @@ class IdealizerRing:
         if row is None:
             width = basis_dim(self.ring.nvars, degree)
             return span(kernel([], width, self.field), self.ring.ambient(degree), self.field)
-        piece = self.I.piece(degree)
-        if not annihilates([row], piece):
+        if not self.I.annihilated_by([row], degree):
             raise ArithmeticError("constraint row is not a multiple of evaluation at the point")
-        return piece
+        return self.I.piece(degree)
 
     def idealizer_piece(self, n: int) -> GradedSubspace:
         """T_n as a subspace of U_n: ``_constraint_kernel`` of the d rows

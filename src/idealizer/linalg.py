@@ -38,7 +38,9 @@ kept for the benchmark's span list.
 
 ``mult_rows``, x -> g * x into U/J summed off J's projection, builds the
 matrices of T_n, R'_m, the hom tables and the Koszul blocks, and
-``annihilates`` is their one guard: every row of J lies in their kernel.
+``annihilates``, whether every row of J lies in their kernel, is their
+guard on a piece (``GradedIdeal.annihilated_by``; a point ideal reads
+its evaluation row instead).
 
 A polynomial is already an int row over a denominator, so polynomials
 come in as their rows (``poly_to_vector``) and kernel vectors leave as

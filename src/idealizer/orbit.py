@@ -4,9 +4,9 @@ The orbit of a point c under pullback along phi is indexed so that
 c_{n+1} = pullback(phi, c_n) and c_{-1} = point_image(phi, c).  A window
 steps forward by ``point_image`` under phi^-1, inverted once per window,
 and ``IdealizerRing.orbit`` keeps one window per size for the checks
-that share it.  For the diagonal family the criterion for critical
-density is that the multipliers generate a free abelian group of rank
-d; the certificate
+that share it; ``general_position_rank`` reads the window it is given.
+For the diagonal family the criterion for critical density is that the
+multipliers generate a free abelian group of rank d; the certificate
 factors the multipliers over the primes by trial division and decides
 independence by the kernel of the exponent matrix.  Dependent inputs
 come with an explicit verified relation prod p_i^{a_i} = 1.
@@ -189,14 +189,17 @@ def centred_indices(count: int) -> list[int]:
     return list(range(lo, lo + count))
 
 
-def general_position_rank(
-    auto: AutoMap, start: ProjPoint, degree: int, indices, field
-) -> dict:
-    """Rank of the evaluation matrix of degree-m monomials at orbit points."""
-    window = max(abs(i) for i in indices) if indices else 0
-    orbit = orbit_points(auto, start, window)
-    space_dim = basis_dim(start.nvars, degree)
-    rows = [monomial_values(orbit.points[k].coords, field, degree) for k in indices]
+def general_position_rank(window: OrbitWindow, degree: int, indices, field) -> dict:
+    """Rank of the evaluation matrix of degree-m monomials at the orbit
+    points c_k of the window, k in ``indices``; an index outside the
+    window raises ``ValueError``."""
+    missing = [k for k in indices if k not in window.points]
+    if missing:
+        raise ValueError(
+            "orbit indices %s lie outside the window %d..%d" % (missing, window.lo, window.hi)
+        )
+    space_dim = basis_dim(window.points[0].nvars, degree)
+    rows = [monomial_values(window.points[k].coords, field, degree) for k in indices]
     rank = rank_rows(rows, space_dim, field)
     return {
         "degree": degree,

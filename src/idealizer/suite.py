@@ -33,11 +33,28 @@ The window gates are skips, not usage errors: degrees 0 and 1 of S/IS
 never vanish, nor do the generator counts in degree 1 and, off phi = id,
 degree 2 (T_1.T_1 vanishes at two orbit points, T_2 at one), so the
 required trailing zeros fit only if trailing_zeros <= N - 1, resp. N - 2.
+
+``run_suite`` decides every gate first, in ``CHECKS`` order.  The two
+self-checks of twisted arithmetic, ``twist-associativity`` and
+``opposite-ring-transport`` (``WORKER_CHECKS``), then run in one forked
+worker while the parent runs the other checks, and the worker sends back
+their results, marshalled through a pipe.  The suite forks only where
+``os.fork`` and ``os.sched_getaffinity`` exist, the process may use at
+least two CPUs, and no other thread is running; otherwise, or when the
+fork fails, every check runs inline.  A check the worker sends no
+result for, because its body raised or the worker died, runs again in
+the parent, so its exception surfaces there.  The worker leaves through
+``os._exit``: it never flushes the parent's stdio buffers, and
+``run_suite`` waits for it before it returns or raises.  Records merge
+in ``CHECKS`` order, so the report is the same on both paths.
 """
 
 from __future__ import annotations
 
 import hashlib
+import marshal
+import os
+import threading
 from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property
@@ -294,15 +311,87 @@ def skip_reason(instance: Instance, name: str) -> str | None:
     return _unmet(_Context(instance), requires)
 
 
+# Each body reads only ctx.ring, no piece, rank or orbit that another
+# check caches, so a worker computes nothing the parent computes too.
+WORKER_CHECKS = frozenset({"twist-associativity", "opposite-ring-transport"})
+
+
+def _may_fork() -> bool:
+    """A second CPU for the worker, and no thread that could hold a lock
+    across the fork."""
+    return (
+        hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        and threading.active_count() == 1
+    )
+
+
+def _fork_worker(ctx: _Context, bodies) -> tuple[int, int] | None:
+    """Fork a worker that runs the (name, body) pairs and writes the
+    marshalled {name: result} of the bodies that returned; the worker's
+    pid and the read end of its pipe, or None if the fork failed."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid:
+        os.close(write_end)
+        return pid, read_end
+    try:
+        os.close(read_end)
+        results = {}
+        for name, body in bodies:
+            try:
+                results[name] = body(ctx)
+            except Exception:
+                pass  # the parent runs the body again and raises
+        with os.fdopen(write_end, "wb") as out:
+            out.write(marshal.dumps(results))
+    finally:
+        os._exit(0)
+
+
+def _join_worker(pid: int, read_end: int) -> dict:
+    """The worker's results, {} if it sent none; it has exited on return."""
+    try:
+        with os.fdopen(read_end, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        os.waitpid(pid, 0)
+    try:
+        return marshal.loads(data)
+    except (EOFError, ValueError):
+        return {}
+
+
 def run_suite(instance: Instance) -> VerificationReport:
     ctx = _Context(instance)
+    reasons = [_unmet(ctx, requires) for _, _, requires, _ in CHECKS]
+    moved = [
+        (name, body)
+        for (name, _, _, body), reason in zip(CHECKS, reasons)
+        if reason is None and name in WORKER_CHECKS
+    ]
+    worker = _fork_worker(ctx, moved) if moved and _may_fork() else None
+    results = {}
+    try:
+        for (name, _, _, body), reason in zip(CHECKS, reasons):
+            if reason is None and not (worker and name in WORKER_CHECKS):
+                results[name] = body(ctx)
+    finally:
+        if worker:
+            results.update(_join_worker(*worker))
     checks = []
-    for name, statement, requires, body in CHECKS:
-        reason = _unmet(ctx, requires)
-        if reason is None:
-            checks.append(CheckRecord(name, *body(ctx)))
-        else:
+    for (name, statement, _, body), reason in zip(CHECKS, reasons):
+        if reason is not None:
             checks.append(CheckRecord(name, SKIPPED, statement, {"reason": reason}))
+        else:
+            result = results[name] if name in results else body(ctx)
+            checks.append(CheckRecord(name, *result))
     return VerificationReport(ctx.cfg.payload(), tuple(checks))
 
 
@@ -381,16 +470,10 @@ def _multiplier_independence(ctx):
     ("density", "distinct", "nonzero-coords"),
 )
 def _general_position_ranks(ctx):
-    ranks = [
-        general_position_rank(
-            ctx.ring.phi,
-            ctx.instance.point,
-            m,
-            centred_indices(basis_dim(ctx.ring.nvars, m)),
-            ctx.field,
-        )
-        for m in (1, 2)
-    ]
+    indices = [centred_indices(basis_dim(ctx.ring.nvars, m)) for m in (1, 2)]
+    # the shared window of size N lacks the outer indices when N is small
+    window = ctx.idl.orbit(max(ctx.N, *(abs(k) for idx in indices for k in idx)))
+    ranks = [general_position_rank(window, m, idx, ctx.field) for m, idx in zip((1, 2), indices)]
     # mod p a rank can drop on specialization, so only full rank is evidence
     full = all(rec["full"] for rec in ranks) or not ctx.instance.rational
     return (

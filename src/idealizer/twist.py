@@ -51,10 +51,11 @@ U/J, is one ``TwistRing.left_mult_rows`` against J's projection
 ``J.quotient(k)``: the rows of T_n, R'_m and the hom tables.  U_k/I_k is
 one-dimensional for a point ideal, with evaluation at c as its
 coordinate, so a point ideal is its evaluation row: a ``PointIdeal``
-reads its projection ``quotient(k)``, its ``codim(k)`` (1) and its one
-quotient column ``nonpivot_columns(k)`` (the row's last column) off that
-row and builds no piece for them.  A ``GradedIdeal`` answers all three
-from its piece.
+reads its projection ``quotient(k)``, its ``codim(k)`` (1), its one
+quotient column ``nonpivot_columns(k)`` (the row's last column) and the
+guard ``annihilated_by`` (I_k = ker ev lies in a row's kernel exactly
+when the row is a multiple of ev) off that row and builds no piece for
+them.  A ``GradedIdeal`` answers all four from its piece.
 
 The two checks of twisted arithmetic, ``associativity_sample`` and
 ``TwistRing.opposite_iso_check``, run on int rows as well.  Each side of
@@ -74,7 +75,7 @@ import random
 from math import gcd
 
 from .automorphism import AutoMap, ProjPoint, point_image
-from .linalg import GradedSubspace, kernel, mult_rows, poly_ambient, span
+from .linalg import GradedSubspace, annihilates, kernel, mult_rows, poly_ambient, span
 from .poly import (
     HomogPoly,
     basis_dim,
@@ -280,6 +281,12 @@ class GradedIdeal:
         codim = self.codim(n)
         return codim, self.piece(n).quotient_map[1] if codim else {}
 
+    def annihilated_by(self, rows, n: int) -> bool:
+        """Whether J_n lies in the kernel of the matrix with these int rows,
+        ``linalg.annihilates`` on the piece: the one guard of the
+        constraint matrices of T_n, R'_m and the hom tables."""
+        return annihilates(rows, self.piece(n))
+
     def moved(self, power: int) -> GradedIdeal:
         """phi^power applied to the ideal: this ideal when phi^power fixes
         it, else the moved ideal, built once per power."""
@@ -320,11 +327,12 @@ class PointIdeal(GradedIdeal):
     (and I_0 = 0).  I_n has codimension 1 for every n >= 0, and its one
     quotient column is L, the last column of the evaluation row ev: the
     column the reduced echelon form leaves unpivoted.  ``codim``,
-    ``nonpivot_columns`` and ``quotient`` answer from ev alone, so a
-    point module builds no piece.  Each piece is written down from ev,
-    with no recursion and no elimination: the rows ev[L] x_k - ev[k] x_L,
-    k != L, have distinct pivots k and are already the reduced echelon
-    form, and each is scaled to its canonical int row here.
+    ``nonpivot_columns``, ``quotient`` and ``annihilated_by`` answer from
+    ev alone, so a point module and a hom table build no piece.  Each
+    piece is written down from ev, with no recursion and no elimination:
+    the rows ev[L] x_k - ev[k] x_L, k != L, have distinct pivots k and are
+    already the reduced echelon form, and each is scaled to its canonical
+    int row here.
 
     phi^power moves the ideal of c to the ideal of the point P' with
     f(c) = apply(phi^power, f)(P'), P' = point_image(phi^-power, c), so
@@ -380,6 +388,25 @@ class PointIdeal(GradedIdeal):
         for k, v in ev:
             images[k] = ((0, v * scale % p if p else v * scale),)
         return 1, images
+
+    def annihilated_by(self, rows, n: int) -> bool:
+        """Whether I_n lies in the kernel of the matrix with these int
+        rows.  I_n = ker ev is a hyperplane of U_n, so it does exactly
+        when every row r is a multiple of ev: r[k] ev[L] = ev[k] r[L] for
+        every column k, L the last column of ev, cross-multiplied and
+        reduced mod p."""
+        if n < 0:
+            return True
+        ev = dict(self._values(n))
+        last = max(ev)
+        lead, p = ev[last], self.ring.field.char
+        for r in map(dict, rows):
+            at_last = r.get(last, 0)
+            for k in ev.keys() | r.keys():
+                s = r.get(k, 0) * lead - ev.get(k, 0) * at_last
+                if s % p if p else s:
+                    return False
+        return True
 
     def _move(self, power: int) -> PointIdeal | None:
         """The ideal of point_image(phi^-power, c), or None if that is c."""

@@ -24,6 +24,11 @@ package multiplies into U/I through ``TwistRing.left_mult_rows``, and
 the spans capped at dim T_n are built here (``span_capped``), where
 ``linalg.span`` takes no cap.
 
+A point ideal's constraint guard keeps its piece route
+(``point_guard_on_piece``): ``linalg.annihilates`` against the piece
+built from the evaluation row, where the package compares each row with
+the evaluation row itself.
+
 The probe keeps its spanning route (``probe_dims_spanning``): fS and fT
 spanned and guarded by ``contains_subspace``, where the package counts
 both from least columns.
@@ -74,7 +79,16 @@ from math import gcd, lcm, prod
 
 from idealizer.automorphism import AutoMap, point_image, pullback_point
 from idealizer.fields import int_row, scalar_row
-from idealizer.linalg import Echelon, GradedSubspace, intersect, kernel, rank_rows, span, span_polys
+from idealizer.linalg import (
+    Echelon,
+    GradedSubspace,
+    annihilates,
+    intersect,
+    kernel,
+    rank_rows,
+    span,
+    span_polys,
+)
 from idealizer.poly import (
     HomogPoly,
     basis_dim,
@@ -623,6 +637,14 @@ def ideal_piece_eliminated(ideal, n):
         for v in range(ring.nvars):
             rows.extend(times_monomial(r, v, ring.nvars, n - 1, 1) for r in prev)
     return span_all(rows, ring.ambient(n), ring.field)
+
+
+def point_guard_on_piece(ideal, rows, n):
+    """Whether the point ideal's piece I_n, built, lies in the kernel of
+    the rows: ``linalg.annihilates`` against it, the guard of the hom
+    tables and of T_n's constraint rows before a point ideal read it off
+    its evaluation row."""
+    return annihilates(rows, ideal.piece(n))
 
 
 def _mult_rows_polys(g, degree, target, field):

@@ -142,19 +142,27 @@ def test_zero_multiplier_rejected():
 
 
 def test_general_position_rank_full():
-    rec = general_position_rank(_phi(), _c(), 2, range(-2, 4), QQ)
+    rec = general_position_rank(orbit_points(_phi(), _c(), 3), 2, range(-2, 4), QQ)
     assert rec["rank"] == 6
     assert rec["space_dim"] == 6
     assert rec["full"]
 
 
 def test_general_position_rank_degree_one():
-    rec = general_position_rank(_phi(), _c(), 1, range(-1, 2), QQ)
+    rec = general_position_rank(orbit_points(_phi(), _c(), 1), 1, range(-1, 2), QQ)
     assert rec["rank"] == 3
     assert rec["full"]
 
 
 def test_identity_orbit_rank_collapses():
-    rec = general_position_rank(_phi((1, 1)), _c(), 2, range(-2, 4), QQ)
+    rec = general_position_rank(orbit_points(_phi((1, 1)), _c(), 3), 2, range(-2, 4), QQ)
     assert rec["rank"] == 1
     assert not rec["full"]
+
+
+def test_general_position_rank_reads_only_its_window():
+    window = orbit_points(_phi(), _c(), 5)
+    wide = general_position_rank(window, 2, range(-2, 4), QQ)
+    assert wide == general_position_rank(orbit_points(_phi(), _c(), 3), 2, range(-2, 4), QQ)
+    with pytest.raises(ValueError, match=r"\[3\] lie outside the window -2..2"):
+        general_position_rank(orbit_points(_phi(), _c(), 2), 2, range(-2, 4), QQ)

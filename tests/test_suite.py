@@ -1,6 +1,10 @@
 """The verification suite: regimes, statuses, and determinism of payloads."""
 
 import json
+import os
+import subprocess
+import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -294,3 +298,118 @@ def test_ext_top_twisted_reuses_the_koszul_ranks(monkeypatch):
     calls.clear()
     assert bodies["ext-top-twisted"](ctx)[0] == "pass"
     assert not calls
+
+
+# -- the forked worker of the two self-checks of twisted arithmetic --------------
+
+SEED0_CONFIGS = {
+    "ref-q": {"d": 2, "max_degree": 10},
+    "wide-q": {
+        "d": 3,
+        "automorphism": {"diag": ["2", "3", "5"]},
+        "point": ["1"] * 4,
+        "max_degree": 5,
+    },
+    "deep-gf": {"d": 2, "max_degree": 14, "field": "prime:10007"},
+    "matrix": {
+        "automorphism": {"matrix": [["1", "1", "0"], ["0", "2", "1"], ["1", "0", "3"]]},
+        "point": ["1", "2", "3"],
+        "max_degree": 6,
+    },
+}
+
+
+def _cpus(monkeypatch, count):
+    """Let run_suite see ``count`` usable CPUs, and count its forks."""
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    return forks
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("name", sorted(SEED0_CONFIGS))
+def test_forked_and_inline_runs_give_the_same_bytes(monkeypatch, name):
+    instance = RingConfig.from_mapping(SEED0_CONFIGS[name]).validate().build()
+    forks = _cpus(monkeypatch, 2)
+    forked = json_text(run_suite(instance).payload())
+    assert forks == [1]
+    _no_child_left()
+    forks = _cpus(monkeypatch, 1)
+    inline = json_text(run_suite(instance).payload())
+    assert forks == []
+    assert forked == inline
+
+
+def test_failed_fork_runs_every_check_inline(monkeypatch):
+    def no_fork():
+        raise BlockingIOError("fork: resource temporarily unavailable")
+
+    instance = RingConfig.from_mapping(SEED0_CONFIGS["ref-q"]).validate().build()
+    inline = json_text(run_suite(instance).payload())
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert json_text(run_suite(instance).payload()) == inline
+
+
+def test_raising_worker_body_raises_in_the_parent(monkeypatch):
+    def broken(*args):
+        raise ArithmeticError("associativity broke")
+
+    monkeypatch.setattr(suite, "associativity_sample", broken)
+    forks = _cpus(monkeypatch, 2)
+    instance = RingConfig.from_mapping({"d": 2, "max_degree": 3}).validate().build()
+    with pytest.raises(ArithmeticError, match="associativity broke"):
+        run_suite(instance)
+    assert forks == [1]
+    _no_child_left()
+
+
+def test_raising_parent_check_leaves_no_worker(monkeypatch):
+    def broken(*args):
+        raise ArithmeticError("segre broke")
+
+    monkeypatch.setattr(suite, "local_witness_check", broken)
+    forks = _cpus(monkeypatch, 2)
+    instance = RingConfig.from_mapping({"d": 2, "max_degree": 3}).validate().build()
+    with pytest.raises(ArithmeticError, match="segre broke"):
+        run_suite(instance)
+    assert forks == [1]
+    _no_child_left()
+
+
+def test_unflushed_stdout_appears_once():
+    # the worker inherits the parent's stdout buffer; leaving through
+    # os._exit, it never flushes that buffer a second time
+    code = (
+        "import os, sys\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "fork = os.fork\n"
+        "os.fork = lambda: sys.stderr.write('fork\\n') and fork()\n"
+        "from idealizer.config import RingConfig\n"
+        "from idealizer.suite import run_suite\n"
+        "sys.stdout.write('written before the run\\n')\n"
+        "run_suite(RingConfig.from_mapping({'d': 2, 'max_degree': 3}).validate().build())\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout into a pipe must stay block-buffered
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=120
+    )
+    assert out.stderr == "fork\n"
+    assert out.stdout == "written before the run\n"
+
+
+def test_worker_checks_read_only_the_ring():
+    instance = RingConfig.from_mapping({"d": 2, "max_degree": 3}).validate().build()
+    bodies = {name: body for name, _, _, body in suite.CHECKS}
+    for name in sorted(suite.WORKER_CHECKS):
+        stub = bodies[name](SimpleNamespace(ring=instance.ring))
+        assert stub == bodies[name](suite._Context(instance)), name
+        assert stub[0] == "pass", name

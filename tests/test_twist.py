@@ -9,6 +9,7 @@ from oracles import (
     ideal_piece_eliminated,
     monomial_polys,
     opposite_iso_check_per_pair,
+    point_guard_on_piece,
     recursive_point_ideal,
     twisted_piece_apply,
     twisted_products,
@@ -19,7 +20,7 @@ from idealizer.automorphism import AutoMap, ProjPoint
 from idealizer.fields import QQ, PrimeField
 from idealizer.linalg import span, span_polys
 from idealizer.orbit import orbit_point
-from idealizer.poly import format_poly, parse_poly
+from idealizer.poly import basis_dim, format_poly, monomial_values, parse_poly, poly_to_vector
 from idealizer.twist import (
     GradedIdeal,
     PointIdeal,
@@ -228,6 +229,57 @@ def test_point_ideal_codim_and_columns_match_pieces(field, phi_data, coords):
                 piece = J.piece(n)
                 assert codim == piece.ambient.dim - piece.dim == (1 if n >= 0 else 0)
                 assert columns == piece.nonpivot_columns, n
+
+
+def _plus(row, k, v):
+    """The sparse int row with v added at column k."""
+    out = dict(row)
+    out[k] = out.get(k, 0) + v
+    return tuple(sorted((c, x) for c, x in out.items() if x))
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, PrimeField(7), PrimeField(10007)], ids=["Q", "GF7", "GF10007"]
+)
+def test_point_guard_matches_piece_route(field):
+    """``PointIdeal.annihilated_by``, read off the evaluation row with no
+    piece built, agrees with ``linalg.annihilates`` on the built piece:
+    for an orbit, an off-orbit and two moved point ideals, n <= 5, on the
+    hom constraint rows, on rows into another point's quotient, on the
+    evaluation row and on that row perturbed at one column.  A
+    perturbation by 1 off the row's last column fails the guard in degree
+    n >= 1; one by p passes it mod p."""
+    S = _ring((2, 3), field)
+    base = ProjPoint.make([field.one] * 3, field)
+    forms = [poly_to_vector(f, field) for f in point_ideal_forms(S, base)]
+    orbit = PointIdeal(S, orbit_point(S.phi, base, 2))
+    off = PointIdeal(S, ProjPoint.make([field.from_int(c) for c in (1, 5, 11)], field))
+    ideals = [orbit, off, orbit.moved(3), off.moved(-2)]
+    p = field.char
+    cases = []
+    for J in ideals:
+        other = off if J is not off else orbit
+        for n in range(-1, 6):
+            hom = list(S.left_mult_rows(forms, 1, n, J))
+            cases.append((J, n, hom, True))
+            cases.append((J, n, list(S.left_mult_rows(forms, 1, n, other)), None))
+            if n < 0:
+                continue
+            ev = monomial_values(J.point.coords, field, n)
+            cases.append((J, n, [ev, tuple((k, 3 * v) for k, v in ev)], True))
+            (last,) = J.nonpivot_columns(n)
+            for k in range(basis_dim(S.nvars, n)):
+                if k != last:
+                    cases.append((J, n, hom + [_plus(ev, k, 1)], False))
+                    if p:
+                        cases.append((J, n, [_plus(ev, k, p)], True))
+    got = [J.annihilated_by(rows, n) for J, n, rows, _ in cases]
+    assert not any(J._pieces for J in ideals)
+    for (J, n, rows, want), answer in zip(cases, got):
+        assert answer == point_guard_on_piece(J, rows, n), (n, rows)
+        if want is not None:
+            assert answer == want, (n, rows)
+    assert False in got and True in got
 
 
 IDEAL_GENS = {
