@@ -40,7 +40,7 @@ from .fields import Scalar, int_row, scalar_row
 from .linalg import invert_matrix, mat_mul, mat_vec
 from .poly import HomogPoly, basis_dim, product_index, row_product
 
-__all__ = ["AutoMap", "ProjPoint", "point_image", "pullback_point"]
+__all__ = ["AutoMap", "ProjPoint", "point_image"]
 
 
 @dataclass(frozen=True)
@@ -251,16 +251,3 @@ def point_image(auto: AutoMap, pt: ProjPoint) -> ProjPoint:
     n = auto.nvars
     cols = [[auto.matrix[j][i] for j in range(n)] for i in range(n)]
     return ProjPoint.make(mat_vec(cols, pt.coords, auto.field), auto.field)
-
-
-def pullback_point(auto: AutoMap, pt: ProjPoint) -> ProjPoint:
-    """The point P' with f(pt) = apply(A, f)(P'); coordinates (A^-1)^T pt."""
-    return point_image(auto.inv(), pt)
-
-
-def evaluate_at(f: HomogPoly, pt: ProjPoint, field) -> Scalar:
-    """Value of f at the canonical representative of pt.
-
-    The value depends on the representative; its vanishing does not.
-    """
-    return f.evaluate(pt.coords, field)

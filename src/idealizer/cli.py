@@ -28,7 +28,6 @@ from .orbit import (
     distinct_window,
     general_position_rank,
     multiplicative_independence,
-    orbit_point,
     orbit_points,
 )
 from .poly import basis_dim, format_poly, parse_poly
@@ -163,7 +162,7 @@ def _parse_ideal(instance: Instance, text: str) -> tuple[GradedIdeal, str]:
             k = int(spec[len("orbit:"):])
         except ValueError as exc:
             raise ConfigError("bad orbit index in %r" % spec) from exc
-        return PointIdeal(ring, orbit_point(ring.phi, instance.point, k)), "orbit:%d" % k
+        return instance.idealizer.I.moved(k), "orbit:%d" % k
     if spec.startswith("gens:"):
         parts = [s for s in spec[len("gens:"):].split(";") if s.strip()]
         if not parts:

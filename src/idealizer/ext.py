@@ -11,21 +11,20 @@ Twisting enters only through a change of module: the degree-n behaviour
 over S is the degree-n behaviour over U after replacing J by its
 pullback under phi^n.
 
-There is one module type, QuotientModule(J, power) = U/phi^power(J);
-the free module U is the quotient by the zero ideal.  Each differential
-is ranked at most once per complex, ideal and degree: the rank is kept
-on the ideal that supplies the module's pieces (J, or the moved ideal
-phi^power(J)), so every module on that ideal shares it and it is freed
-with the ideal.  The zero ideal is its own twist, so the free module's
-ranks, paid for by ``koszul-acyclicity``, serve ``ext-top-twisted`` and
-``chi-sample``, and Ext^i reuses the ranks of delta^i and delta^(i-1)
-that its neighbours already paid for.  A rank builds only the rows it
-reads: the cochain rows are yielded one at a time, target summand by
-target summand, and the multiplication block of a form is built when
-the first row that needs it is asked for.  ``rank_rows`` stops at its
-cap and reads nothing at width 0, so the blocks past that point are
-never built; delta^0 on U reads the one block of forms[0], which is
-injective on U.
+A module is its ideal: each ``KoszulComplex`` method takes the ideal J
+of U/J, the zero ideal for the free module U, and U/phi^k(J) is
+``J.moved(k)``.  Each differential is ranked at most once per complex,
+ideal and degree, and the rank is kept on the ideal (``J.ranks``), so
+it is freed with the ideal.  The zero ideal is its own twist, so the
+free module's ranks, paid for by ``koszul-acyclicity``, serve
+``ext-top-twisted`` and ``chi-sample``, and Ext^i reuses the ranks of
+delta^i and delta^(i-1) that its neighbours already paid for.  A rank
+builds only the rows it reads: the cochain rows are yielded one at a
+time, target summand by target summand, and the multiplication block
+of a form is built when the first row that needs it is asked for.
+``rank_rows`` stops at its cap and reads nothing at width 0, so the
+blocks past that point are never built; delta^0 on U reads the one
+block of forms[0], which is injective on U.
 
 A rank reads the cochain rows with column k renamed width - 1 - k, so
 the least-column pivots of ``Echelon`` fall in the last source summand;
@@ -38,14 +37,13 @@ up to their width: on U/J the bound holds only if J is closed under the
 forms, and a guard for that costs more than the cap saves.
 
 Every product here is an int-row product through ``poly.product_index``.
-A module asks its ideal for ``codim`` and ``nonpivot_columns`` of a
-degree, never for the piece, so a point module builds no piece: its
-ideal answers from the evaluation row.  A Koszul block is
-``linalg.mult_rows`` into U/J, summed off J's projection
-``J.quotient``, which the module reads once per degree for all the
-forms of that degree; the hom constraints are the same route
-twisted, ``TwistRing.left_mult_rows`` of the forms, as T_n's are; the
-probe's fS and fT rows are f twisted once per degree and multiplied by
+A differential asks J for ``codim`` and ``nonpivot_columns``, never for
+the piece, so a point ideal builds no piece: it answers from the
+evaluation row.  A Koszul block is ``linalg.mult_rows`` into U/J,
+summed off J's projection ``J.quotient``, which a differential reads
+once, for all the forms of its degree; the hom constraints are the same
+route twisted, ``TwistRing.left_mult_rows`` of the forms, as T_n's are;
+the probe's fS and fT rows are f twisted once per degree and multiplied by
 monomials and by the rows of T.  No polynomial is multiplied or twisted
 and no full-width product row is built.  The hom spaces and the probes
 report dimensions, so they count them and never build the spaces: dim
@@ -78,62 +76,12 @@ from itertools import combinations
 from math import comb
 from typing import Iterator
 
-from .automorphism import evaluate_at
 from .idealizer_ring import IdealizerRing
 from .linalg import mult_rows, rank_rows
-from .poly import HomogPoly, basis_dim, poly_to_vector, row_product
+from .poly import HomogPoly, basis_dim, poly_to_vector, row_product, vanishes_at
 from .twist import GradedIdeal
 
-__all__ = [
-    "ExtEngine",
-    "KoszulComplex",
-    "QuotientModule",
-]
-
-
-class QuotientModule:
-    """U/J for a graded ideal J, pulled back by phi^power.
-
-    The pieces are those of ``J.moved(power)``, memoized by that ideal.
-    The degree-n basis is the set of monomials at the ideal's
-    ``nonpivot_columns(n)``, and dim(n) is its ``codim(n)``, so a point
-    module, whose codimension is 1 and whose one column is read off the
-    evaluation row, builds no piece.  Multiplication matrices are
-    reductions of honest products through the ideal's projection, read
-    once per degree: the forms of one Koszul block share it.  Ranks of
-    Koszul differentials on this module are kept in `ranks`, keyed
-    (complex, i, n), on the ideal that supplies the pieces: every module
-    on one ideal shares them, and they live as long as it does.
-    """
-
-    def __init__(self, ideal: GradedIdeal, power: int = 0):
-        self.ideal = ideal
-        self.power = power
-        self.ring = ideal.ring
-        self.moved = ideal.moved(power)
-        self.ranks = self.moved.ranks
-        # U itself: the zero ideal, where delta delta = 0 caps every rank
-        self.free = not ideal.gens
-        # the projection last read, (degree, projection): one per degree
-        self._quotient = (None, None)
-
-    def piece(self, n: int):
-        return self.moved.piece(n)
-
-    def dim(self, n: int) -> int:
-        return self.moved.codim(n) if n >= 0 else 0
-
-    def mult_matrix(self, form, n: int):
-        """Matrix of multiplication by a linear form, given by its int row,
-        from degree n to n + 1."""
-        if n < 0:
-            return [[] for _ in range(self.dim(n + 1))]
-        k, quotient = self._quotient
-        if k != n + 1:
-            quotient = self.moved.quotient(n + 1)
-            self._quotient = (n + 1, quotient)
-        indices = self.moved.nonpivot_columns(n)
-        return mult_rows(form, 1, indices, n, quotient, self.ring.nvars, self.ring.field)
+__all__ = ["ExtEngine", "KoszulComplex"]
 
 
 class KoszulComplex:
@@ -151,11 +99,12 @@ class KoszulComplex:
             raise ValueError("forms must be linearly independent")
         self.forms = forms
         self.field = field
+        self.nvars = nvars
         self.d = len(forms)
 
-    def cochain_matrix(self, module, i: int, n: int) -> Iterator[list[tuple[int, int]]]:
-        """delta^i: C^i(M)_n -> C^{i+1}(M)_n, as sparse int rows yielded one
-        at a time, target summand by target summand.
+    def cochain_matrix(self, J: GradedIdeal, i: int, n: int) -> Iterator[list[tuple[int, int]]]:
+        """delta^i: C^i(U/J)_n -> C^{i+1}(U/J)_n, as sparse int rows yielded
+        one at a time, target summand by target summand.
 
         Block (B, B minus b) is +-(multiplication by forms[b]); each of its
         rows lands in the row of its target summand, shifted to the
@@ -166,17 +115,20 @@ class KoszulComplex:
         delta^i is the zero map for i outside 0..d-1 and yields no rows."""
         if i < 0 or i >= self.d:
             return
-        sdim = module.dim(n + i)
-        tdim = module.dim(n + i + 1)
+        m = n + i
+        sdim, tdim = J.codim(m), J.codim(m + 1)
         if not tdim:
             return
+        quotient, indices = J.quotient(m + 1), J.nonpivot_columns(m)
         src_index = {A: p for p, A in enumerate(combinations(range(self.d), i))}
         mults: dict[int, list] = {}
         for B in combinations(range(self.d), i + 1):
             parts = []
             for t, b in enumerate(B):
                 if b not in mults:
-                    mults[b] = module.mult_matrix(self.rows[b], n + i)
+                    mults[b] = mult_rows(
+                        self.rows[b], 1, indices, m, quotient, self.nvars, self.field
+                    )
                 offset = src_index[B[:t] + B[t + 1:]] * sdim
                 parts.append((mults[b], offset, -1 if t % 2 else 1))
             for r in range(tdim):
@@ -185,41 +137,40 @@ class KoszulComplex:
                     row.extend((offset + k, sign * v) for k, v in block[r])
                 yield row
 
-    def cochain_dim(self, module, i: int, n: int) -> int:
+    def cochain_dim(self, J: GradedIdeal, i: int, n: int) -> int:
         if i < 0 or i > self.d:
             return 0
-        return comb(self.d, i) * module.dim(n + i)
+        return comb(self.d, i) * J.codim(n + i)
 
-    def rank(self, module, i: int, n: int) -> int:
-        """Rank of delta^i on M in degree n, ranked once and kept on M.
+    def rank(self, J: GradedIdeal, i: int, n: int) -> int:
+        """Rank of delta^i on U/J in degree n, ranked once and kept on J.
 
         The rows are read with column k renamed width - 1 - k, so the
         least-column pivots fall in the last source summand.  On the free
-        module the rank stops at dim C^i - rank delta^(i-1), which bounds
-        it because delta^i delta^(i-1) = 0 on U; a quotient module is
-        ranked up to its width."""
+        module U (J = 0) the rank stops at dim C^i - rank delta^(i-1),
+        which bounds it because delta^i delta^(i-1) = 0 on U; a quotient
+        module is ranked up to its width."""
         if i < 0 or i >= self.d:
             return 0
         key = (self, i, n)
-        got = module.ranks.get(key)
+        got = J.ranks.get(key)
         if got is None:
-            width = self.cochain_dim(module, i, n)
-            cap = width - self.rank(module, i - 1, n) if module.free else width
+            width = self.cochain_dim(J, i, n)
+            cap = width if J.gens else width - self.rank(J, i - 1, n)
             last = width - 1
-            rows = ([(last - k, v) for k, v in r] for r in self.cochain_matrix(module, i, n))
-            got = rank_rows(rows, width, self.field, cap)
-            module.ranks[key] = got
+            rows = ([(last - k, v) for k, v in r] for r in self.cochain_matrix(J, i, n))
+            got = J.ranks[key] = rank_rows(rows, width, self.field, cap)
         return got
 
-    def ext(self, module, i: int, n: int) -> int:
-        """dim Ext^i_U(U/(forms), M)_n."""
+    def ext(self, J: GradedIdeal, i: int, n: int) -> int:
+        """dim Ext^i_U(U/(forms), U/J)_n."""
         if i < 0 or i > self.d:
             return 0
-        return self.cochain_dim(module, i, n) - self.rank(module, i, n) - self.rank(module, i - 1, n)
+        return self.cochain_dim(J, i, n) - self.rank(J, i, n) - self.rank(J, i - 1, n)
 
-    def ext_row(self, module, n: int) -> list[int]:
-        """All of Ext^0..Ext^d at degree n."""
-        return [self.ext(module, i, n) for i in range(self.d + 1)]
+    def ext_row(self, J: GradedIdeal, n: int) -> list[int]:
+        """All of Ext^0..Ext^d against U/J at degree n."""
+        return [self.ext(J, i, n) for i in range(self.d + 1)]
 
 
 class ExtEngine:
@@ -233,7 +184,7 @@ class ExtEngine:
 
     def ext_S_twisted(self, i: int, J: GradedIdeal, n: int) -> int:
         """dim Ext^i_S(S/I, (S/J))_n via the pullback of J under phi^n."""
-        return self.koszul.ext(QuotientModule(J, -n), i, n)
+        return self.koszul.ext(J.moved(-n), i, n)
 
     def hom_S_quotient(self, J: GradedIdeal, n: int) -> int:
         """dim of { x in U_n : phi^n(I_1) . x <= J_{n+1} } / J_n.
@@ -292,8 +243,7 @@ class ExtEngine:
             rank = rank_rows(image, T.ambient.dim - T.dim, self.field)
             coker.append(T.ambient.dim - T.dim - rank)
             torsion.append(_leading_count(fS) - rank - _leading_count(fT))
-            value = evaluate_at(f, window.points[n - m], self.field)
-            predicted.append(not bool(value))
+            predicted.append(vanishes_at(f, window.points[n - m].coords, self.field))
         degrees = list(range(n, max_degree + 1))
         support = [m for m, v in zip(degrees, coker) if v]
         torsion_support = [m for m, v in zip(degrees, torsion) if v]
@@ -324,7 +274,7 @@ class ExtEngine:
         out = {}
         degrees = list(range(-max_degree, max_degree + 1))
         for label, J in family:
-            columns = [self.koszul.ext_row(QuotientModule(J, -n), n) for n in degrees]
+            columns = [self.koszul.ext_row(J.moved(-n), n) for n in degrees]
             table = {}
             stab = {}
             totals = {}
@@ -356,12 +306,12 @@ def _leading_count(rows) -> int:
     return len(leads)
 
 
-def euler_characteristic_check(kos: KoszulComplex, module, n: int) -> tuple[int, int]:
-    """Both sides of the Euler identity at degree n; they must agree."""
+def euler_characteristic_check(kos: KoszulComplex, J: GradedIdeal, n: int) -> tuple[int, int]:
+    """Both sides of the Euler identity for U/J at degree n; they must agree."""
     lhs = 0
     rhs = 0
     for i in range(kos.d + 1):
         sign = 1 if i % 2 == 0 else -1
-        lhs += sign * kos.ext(module, i, n)
-        rhs += sign * comb(kos.d, i) * module.dim(n + i)
+        lhs += sign * kos.ext(J, i, n)
+        rhs += sign * kos.cochain_dim(J, i, n)
     return lhs, rhs

@@ -12,7 +12,7 @@ division: ``reduce(x)`` is the identity over Q and ``x % p`` mod p, and
 Int rows reduce in ``HomogPoly.from_row`` (which every polynomial goes
 through), in ``poly.row_product`` and in ``AutoMap.apply_row``; the few
 sums and products of scalars (``AutoMap.compose``,
-``linalg.mat_mul``/``mat_vec``, ``HomogPoly.evaluate``) call ``reduce``.
+``linalg.mat_mul``/``mat_vec``) call ``reduce``.
 
 Every vector is a sparse int row: (column, value) pairs with distinct
 columns and nonzero values, integers over the rationals and residues mod
@@ -27,7 +27,7 @@ Scalars meet rows in few places:
   scalars, keeping its columns (``ProjPoint.make``,
   ``linalg.invert_matrix``);
 - ``HomogPoly.from_dict`` writes coefficients over one denominator, and
-  ``HomogPoly.terms`` reads them back for printing and evaluation;
+  ``HomogPoly.terms`` reads them back for printing;
 - ``AutoMap`` reads its matrix over one denominator.
 
 The rational field is the default everywhere.  A prime field is a field,
@@ -57,13 +57,22 @@ __all__ = [
 
 Scalar = Union[int, Fraction]
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to all of the bases above (Sorenson and
+# Webster, Math. Comp. 2017): Miller-Rabin on them is exact below it
+_MR_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for every n below 3.3e24."""
+    """Deterministic Miller-Rabin on the first 13 primes, exact for every
+    n below ``_MR_BOUND``; at or above it no answer is proven, and a
+    ``ValueError`` says so."""
     if n < 2:
         return False
+    if n >= _MR_BOUND:
+        raise ValueError(
+            "primality of %d is not decided: the test is exact below %d" % (n, _MR_BOUND)
+        )
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p

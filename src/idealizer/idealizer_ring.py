@@ -12,9 +12,7 @@ in degree 1.  Each constraint asks that phi^n(f) * x lie in I_{n+1}, so
 the rows are ``TwistRing.left_mult_rows`` of I_1 into U/I, the product
 into a quotient that the hom tables use too.  U_{n+1}/I_{n+1} is
 one-dimensional with coordinate evaluation at c, so a row holds the
-values at c of phi^n(f) times each monomial.  The test suite keeps that
-multiply-then-evaluate route as an oracle, and one that takes every
-constraint up to a cap and reduces against a recursively built I.
+values at c of phi^n(f) times each monomial.
 
 The dimensions of IS and of (T_+^2), and the span T_n . T_n, come from
 twisted products of pieces, each one ``TwistRing.product_rows`` or
@@ -41,10 +39,7 @@ guarded so that a bug cannot hide behind it:
   must be a multiple of evaluation at c, and the kernel is then the
   cached I_k.
 
-A violated guard raises ``ArithmeticError``.  The uncapped routes (the
-kernel of every constraint row of T_n or R'_m, spans that read every
-generator) and the subspace routes of (IS)_m and (T_+^2)_n live with
-the test oracles.
+A violated guard raises ``ArithmeticError``.
 
 Everything downstream is a finite-dimensional witness: Hilbert functions
 of S/IS and S/T, minimal generator counts of T, and the comparison of

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .automorphism import AutoMap, ProjPoint, point_image, pullback_point
+from .automorphism import AutoMap, ProjPoint, point_image
 from .fields import QQ, int_row
 from .linalg import kernel, rank_rows
 from .poly import basis_dim, monomial_values
@@ -34,7 +34,6 @@ __all__ = [
     "distinct_window",
     "general_position_rank",
     "multiplicative_independence",
-    "orbit_point",
     "orbit_points",
 ]
 
@@ -50,15 +49,6 @@ class OrbitWindow:
     lo: int
     hi: int
     points: dict[int, ProjPoint]
-
-
-def orbit_point(auto: AutoMap, start: ProjPoint, n: int) -> ProjPoint:
-    """The single point c_n, c_0 = start, as one pullback along auto^n.
-
-    Pullback along A sends P to (A^-1)^T P, so n steps along either side
-    of the orbit compose to the pullback along A^n.
-    """
-    return pullback_point(auto.power(n), start)
 
 
 def orbit_points(auto: AutoMap, start: ProjPoint, window: int) -> OrbitWindow:

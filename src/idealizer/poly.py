@@ -15,7 +15,7 @@ its gcd with the values is 1, and mod p it is 1 and the values are
 least residues.  ``HomogPoly.from_row`` makes that form, and every
 constructor and operator builds its result there, so no operator builds
 a ``Fraction``.  ``terms``, the (monomial, coefficient) pairs that
-printing, evaluation and ``coeff`` read, is derived on demand, and a
+printing and ``coeff`` read, is derived on demand, and a
 ``Fraction`` is built only there; parsing reads ``Fraction``s and
 ``from_dict`` writes them over one denominator.  ``poly_to_vector`` is
 the row made primitive over Q.  The ``*`` operator is the commutative
@@ -70,6 +70,7 @@ __all__ = [
     "product_index",
     "row_product",
     "times_monomial",
+    "vanishes_at",
 ]
 
 Mono = tuple[int, ...]
@@ -199,6 +200,15 @@ def monomial_values(
     return tuple(sorted(values.items()))
 
 
+def vanishes_at(f: HomogPoly, coords: tuple[Scalar, ...], field) -> bool:
+    """Whether f vanishes at the point with these coordinates: f's int row
+    times the evaluation row ``monomial_values`` is zero (mod p).  Both
+    rows carry a nonzero scale, which vanishing does not see."""
+    values = dict(monomial_values(coords, field, f.degree))
+    s = sum(v * values.get(k, 0) for k, v in f.row)
+    return not (s % field.char if field.char else s)
+
+
 @dataclass(frozen=True)
 class HomogPoly:
     """A homogeneous polynomial over the field of characteristic ``char``:
@@ -322,19 +332,6 @@ class HomogPoly:
         n, a, b, p = self.nvars, f.degree, g.degree, self.char
         row = row_product(f.row, g.row, n, a, b, p)
         return HomogPoly.from_row(n, a + b, row, f.den * g.den, p)
-
-    def evaluate(self, coords: Sequence[Scalar], field) -> Scalar:
-        """Value at an affine coordinate tuple (not scale-invariant)."""
-        if len(coords) != self.nvars:
-            raise ValueError("point has %d coordinates, expected %d" % (len(coords), self.nvars))
-        total = field.zero
-        for m, c in self.terms:
-            v = c
-            for x, e in zip(coords, m):
-                if e:
-                    v = v * x**e
-            total = total + v
-        return field.reduce(total)
 
 
 def poly_to_vector(f: HomogPoly, field) -> list[tuple[int, int]]:

@@ -15,10 +15,7 @@ are spanned by differences e_a - e_b of monomial pairs, so their ranks
 are vertex counts minus component counts (witness_dims).  Permuting
 x_1..x_d fixes x_0, K and J and carries one fiber onto another with the
 same component count, so the count runs once per symmetry class of
-fibers, weighted by the size of the class.  The test suite keeps a naive
-oracle on honest coordinate vectors of monomial pairs, a fiber-by-fiber
-echelon route and the fiber-by-fiber component count, and checks that
-all four agree where it is affordable.
+fibers, weighted by the size of the class.
 
 The dimension counts do not depend on the point: a linear change of
 coordinates moving one point to another carries every ingredient to its

@@ -61,9 +61,9 @@ from functools import cached_property
 from itertools import count, islice
 from typing import Callable
 
-from .automorphism import ProjPoint, evaluate_at
+from .automorphism import ProjPoint
 from .config import ConfigError, Instance
-from .ext import ExtEngine, QuotientModule, euler_characteristic_check
+from .ext import ExtEngine, euler_characteristic_check
 from .fields import int_row, is_prime
 from .linalg import kernel
 from .orbit import (
@@ -73,7 +73,7 @@ from .orbit import (
     general_position_rank,
     multiplicative_independence,
 )
-from .poly import basis_dim, format_poly
+from .poly import basis_dim, format_poly, vanishes_at
 from .report import FAIL, OBSERVED, PASS, SKIPPED, CheckRecord, VerificationReport
 from .segre import SegreContext, local_witness_check, nonvanishing_from
 from .twist import GradedIdeal, PointIdeal, associativity_sample, kernel_form
@@ -199,10 +199,6 @@ class _Context:
     @cached_property
     def zero_ideal(self) -> GradedIdeal:
         return GradedIdeal(self.ring, [])
-
-    @cached_property
-    def free(self) -> QuotientModule:
-        return QuotientModule(self.zero_ideal)
 
     @cached_property
     def max_ideal(self) -> GradedIdeal:
@@ -595,7 +591,7 @@ def _koszul_acyclicity(ctx):
     bad = []
     for n in range(-d, ctx.N + 1):
         for i in range(d):
-            v = ctx.engine.koszul.ext(ctx.free, i, n)
+            v = ctx.engine.koszul.ext(ctx.zero_ideal, i, n)
             if v != 0:
                 bad.append((i, n, v))
     return (
@@ -620,14 +616,14 @@ def _ext_top_twisted(ctx):
 @_check("euler-identity")
 def _euler_identity(ctx):
     modules = (
-        ("U", ctx.free),
-        ("U/I", QuotientModule(ctx.idl.I)),
-        ("U/max", QuotientModule(ctx.max_ideal)),
+        ("U", ctx.zero_ideal),
+        ("U/I", ctx.idl.I),
+        ("U/max", ctx.max_ideal),
     )
     bad = []
-    for label, module in modules:
+    for label, J in modules:
         for n in range(-ctx.cfg.d - 1, 4):
-            lhs, rhs = euler_characteristic_check(ctx.engine.koszul, module, n)
+            lhs, rhs = euler_characteristic_check(ctx.engine.koszul, J, n)
             if lhs != rhs:
                 bad.append((label, n, lhs, rhs))
     return (
@@ -682,7 +678,7 @@ def _right_noetherian_probes(ctx):
     rows = [int_row(pt.coords, field) for pt in (ctx.orbit.points[0], cm1)]
     two_point = kernel(rows, ring.nvars, field)
     f_a = kernel_form(ring, two_point[0]) if two_point else None
-    f_b = next((f for f in ctx.idl.forms if bool(evaluate_at(f, cm1, field))), None)
+    f_b = next((f for f in ctx.idl.forms if not vanishes_at(f, cm1.coords, field)), None)
     probes = []
     ok = True
     for f in (f_a, f_b):

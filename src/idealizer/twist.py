@@ -33,7 +33,7 @@ the ideal of P' = point_image(phi^-k, c), because apply(A, f)(P') =
 f(c) for P' = point_image(A^-1, c), so no polynomial is substituted at
 all and the inverse is the ring's cached power phi^-k.  Each ideal keeps
 one moved ideal per power, and the Koszul ranks of U/J
-(``ext.QuotientModule``).
+(``ext.KoszulComplex.rank``).
 
 Every twisted product of two pieces, f . g = phi^b(f) * g for g of degree
 b, is one ``TwistRing.product_rows``: each left int row is twisted once
@@ -230,7 +230,7 @@ class GradedIdeal:
         self.gens = [g for g in gens if not g.is_zero()]
         self._pieces: dict[int, GradedSubspace] = {}
         self._moved: dict[int, GradedIdeal | None] = {}
-        # Koszul ranks of U/J, filled by ext.QuotientModule
+        # Koszul ranks of U/J, filled by ext.KoszulComplex.rank
         self.ranks: dict = {}
 
     def piece(self, n: int) -> GradedSubspace:
@@ -267,13 +267,16 @@ class GradedIdeal:
         return self.piece(n).dim
 
     def codim(self, n: int) -> int:
-        """dim U_n/J_n, the dimension of the quotient's degree-n piece."""
+        """dim U_n/J_n, the dimension of the quotient's degree-n piece (0
+        below degree 0, where no piece is built)."""
+        if n < 0:
+            return 0
         piece = self.piece(n)
         return piece.ambient.dim - piece.dim
 
     def nonpivot_columns(self, n: int) -> tuple[int, ...]:
         """The columns of the monomials spanning U_n/J_n."""
-        return self.piece(n).nonpivot_columns
+        return self.piece(n).nonpivot_columns if n >= 0 else ()
 
     def quotient(self, n: int):
         """codim J_n and the column images of J_n's quotient map, the

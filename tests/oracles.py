@@ -43,8 +43,13 @@ by one ``mono_mul`` per pair of terms, a diagonal map applied by one
 power per variable per term, a non-diagonal map applied with the powers
 of the variable images rebuilt on every call, the opposite-ring check
 that twists both factors of every pair afresh, the associativity sample
-on ``HomogPoly`` products where the package multiplies int rows, and
-orbit points reached by stepping the orbit one point at a time.  Twisted products of pieces
+on ``HomogPoly`` products where the package multiplies int rows, values
+at a point summed term by term (``evaluate``, ``evaluate_at``) where the
+package asks only whether a form vanishes there and reads that off the
+evaluation row, and orbit points reached as one pullback along phi^k
+(``orbit_point``) or by stepping the orbit one point at a time
+(``orbit_point_walk``) where the package moves a point ideal by
+``point_image`` under the ring's cached inverse power.  Twisted products of pieces
 are ``HomogPoly`` products ``twisted_products`` over ``monomial_polys``
 where the package multiplies int rows, and a twisted ideal's piece is
 ``AutoMap.apply`` on the basis of the piece (``twisted_piece_apply``)
@@ -77,7 +82,7 @@ from itertools import combinations
 from itertools import product as iter_product
 from math import gcd, lcm, prod
 
-from idealizer.automorphism import AutoMap, point_image, pullback_point
+from idealizer.automorphism import AutoMap, point_image
 from idealizer.fields import int_row, scalar_row
 from idealizer.linalg import (
     Echelon,
@@ -321,6 +326,39 @@ def matrix_apply_per_call(auto, f):
                 term = terms_mul(term, images[i], p)
         total = terms_add(total, term, p)
     return HomogPoly.from_dict(n, f.degree, dict(total), p)
+
+
+def evaluate(f, coords, field):
+    """The value of f at an affine coordinate tuple (not scale-invariant),
+    summed term by term in field arithmetic."""
+    if len(coords) != f.nvars:
+        raise ValueError("point has %d coordinates, expected %d" % (len(coords), f.nvars))
+    total = field.zero
+    for m, c in f.terms:
+        v = c
+        for x, e in zip(coords, m):
+            if e:
+                v = v * x**e
+        total = total + v
+    return field.reduce(total)
+
+
+def evaluate_at(f, pt, field):
+    """The value of f at the canonical representative of pt; the value
+    depends on the representative, its vanishing does not."""
+    return evaluate(f, pt.coords, field)
+
+
+def pullback_point(auto, pt):
+    """The point P' with f(pt) = apply(A, f)(P'); coordinates (A^-1)^T pt."""
+    return point_image(auto.inv(), pt)
+
+
+def orbit_point(auto, start, n):
+    """The single point c_n, c_0 = start, as one pullback along auto^n:
+    pullback along A sends P to (A^-1)^T P, so n steps along either side
+    of the orbit compose to the pullback along A^n."""
+    return pullback_point(auto.power(n), start)
 
 
 def orbit_point_walk(auto, start, n):
@@ -742,21 +780,22 @@ def mult_rows_per_column(u, degree, indices, target, field):
     return rows
 
 
-def mult_matrix_per_column(module, form, n):
-    """``QuotientModule.mult_matrix`` on ``mult_rows_per_column``."""
+def mult_matrix_per_column(J, form, n):
+    """Multiplication by a linear form from U_n/J_n to U_(n+1)/J_(n+1), the
+    Koszul block, on ``mult_rows_per_column`` against J's pieces."""
     if n < 0:
-        return [[] for _ in range(module.dim(n + 1))]
-    source, target = module.piece(n), module.piece(n + 1)
-    return mult_rows_per_column(form, 1, source.nonpivot_columns, target, module.ring.field)
+        return [[] for _ in range(J.codim(n + 1))]
+    source, target = J.piece(n), J.piece(n + 1)
+    return mult_rows_per_column(form, 1, source.nonpivot_columns, target, J.ring.field)
 
 
-def cochain_matrix_eager(kos, module, i, n):
-    """delta^i as one list of rows, every block built before any row is
-    read, on ``mult_matrix_per_column``."""
+def cochain_matrix_eager(kos, J, i, n):
+    """delta^i on U/J as one list of rows, every block built before any
+    row is read, on ``mult_matrix_per_column``."""
     src_index = {A: p for p, A in enumerate(combinations(range(kos.d), i))}
     tgt = list(combinations(range(kos.d), i + 1))
-    sdim = module.dim(n + i)
-    tdim = module.dim(n + i + 1)
+    sdim = J.codim(n + i)
+    tdim = J.codim(n + i + 1)
     rows = [[] for _ in range(tdim * len(tgt))]
     mults = {}
     for q, B in enumerate(tgt):
@@ -764,28 +803,28 @@ def cochain_matrix_eager(kos, module, i, n):
             offset = src_index[B[:t] + B[t + 1:]] * sdim
             sign = -1 if t % 2 else 1
             if b not in mults:
-                mults[b] = mult_matrix_per_column(module, kos.rows[b], n + i)
+                mults[b] = mult_matrix_per_column(J, kos.rows[b], n + i)
             for r, block_row in enumerate(mults[b]):
                 rows[q * tdim + r].extend((offset + k, sign * v) for k, v in block_row)
     return rows
 
 
-def koszul_rank_eager(kos, module, i, n):
+def koszul_rank_eager(kos, J, i, n):
     """The rank of delta^i from every row of ``cochain_matrix_eager``, none kept."""
     if i < 0 or i >= kos.d:
         return 0
-    ech = Echelon(kos.cochain_dim(module, i, n), kos.field)
-    for r in cochain_matrix_eager(kos, module, i, n):
+    ech = Echelon(kos.cochain_dim(J, i, n), kos.field)
+    for r in cochain_matrix_eager(kos, J, i, n):
         ech.insert(r)
     return ech.dim
 
 
-def koszul_ext_eager(kos, module, i, n):
-    """dim Ext^i from ``koszul_rank_eager``."""
+def koszul_ext_eager(kos, J, i, n):
+    """dim Ext^i against U/J from ``koszul_rank_eager``."""
     if i < 0 or i > kos.d:
         return 0
-    ranks = koszul_rank_eager(kos, module, i, n) + koszul_rank_eager(kos, module, i - 1, n)
-    return kos.cochain_dim(module, i, n) - ranks
+    ranks = koszul_rank_eager(kos, J, i, n) + koszul_rank_eager(kos, J, i - 1, n)
+    return kos.cochain_dim(J, i, n) - ranks
 
 
 def diagonal_weights_closed_form(auto, n):

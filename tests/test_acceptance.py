@@ -12,7 +12,7 @@ from oracles import brute_force_relation
 
 from idealizer.automorphism import AutoMap, ProjPoint
 from idealizer.config import RingConfig
-from idealizer.ext import ExtEngine, QuotientModule, euler_characteristic_check
+from idealizer.ext import ExtEngine, euler_characteristic_check
 from idealizer.fields import QQ
 from idealizer.idealizer_ring import IdealizerRing
 from idealizer.orbit import multiplicative_independence
@@ -108,23 +108,23 @@ def test_criterion_06_critical_density_certificates():
 
 
 def test_criterion_07_koszul_chi_witnesses(engine):
-    U = QuotientModule(GradedIdeal(engine.idealizer.ring, []))
+    U = GradedIdeal(engine.idealizer.ring, [])
     acyclic = all(
         engine.koszul.ext(U, i, n) == 0 for i in (0, 1) for n in range(-3, N + 1)
     )
     zero = GradedIdeal(engine.idealizer.ring, [])
     top = all(engine.ext_S_twisted(2, zero, n) == 1 for n in range(N + 1))
     ring = engine.idealizer.ring
-    modules = [
+    ideals = [
         U,
-        QuotientModule(GradedIdeal(ring, engine.idealizer.forms)),
-        QuotientModule(GradedIdeal(ring, [ring.variable(i) for i in range(3)])),
+        GradedIdeal(ring, engine.idealizer.forms),
+        GradedIdeal(ring, [ring.variable(i) for i in range(3)]),
     ]
     euler = all(
         lhs == rhs
-        for module in modules
+        for J in ideals
         for n in range(-3, 4)
-        for lhs, rhs in [euler_characteristic_check(engine.koszul, module, n)]
+        for lhs, rhs in [euler_characteristic_check(engine.koszul, J, n)]
     )
     _announce(7, acyclic and top and euler, "Koszul acyclic below top; top twisted ext constant 1; Euler identity exact")
 

@@ -8,7 +8,7 @@ import pytest
 from oracles import brute_force_relation
 from properties import FIELDS, property_test
 
-from idealizer import orbit
+from idealizer import orbit, twist
 from idealizer.cli import _parse_ideal, main
 from idealizer.config import RingConfig
 
@@ -169,7 +169,7 @@ def test_hom_table_orbit_ideal(capsys):
 
 
 def test_hom_table_far_orbit_ideal(capsys):
-    """c_3000 is one more point: no automorphism power is taken."""
+    """c_3000 is one more point: one closed-form power of phi, no walk."""
     code, out, _ = _run(capsys, "hom-table", "--J", "orbit:3000", "--max-degree", "2")
     assert code == 0
     rows = [line for line in out.split("\n") if line and not line.startswith("#")]
@@ -177,28 +177,19 @@ def test_hom_table_far_orbit_ideal(capsys):
 
 
 def test_orbit_spec_is_one_pullback(monkeypatch):
-    """orbit:k takes one pullback along phi^k and reads the point of the window."""
+    """orbit:k is the point ideal I moved by phi^k: one ``point_image``
+    under the ring's cached power phi^-k, at the point of the window."""
     instance = RingConfig().build()
     steps = []
-
-    def counted(name):
-        real = getattr(orbit, name)
-
-        def step(auto, pt):
-            steps.append(name)
-            return real(auto, pt)
-
-        return step
-
-    for name in ("point_image", "pullback_point"):
-        monkeypatch.setattr(orbit, name, counted(name))
+    real = twist.point_image
+    monkeypatch.setattr(twist, "point_image", lambda auto, pt: steps.append(auto) or real(auto, pt))
     for k in (-5, -1, 0, 3, 7):
         window = orbit.orbit_points(instance.ring.phi, instance.point, abs(k))
         steps.clear()
         J, label = _parse_ideal(instance, "orbit:%d" % k)
         assert label == "orbit:%d" % k
         assert J.point == window.points[k]
-        assert steps == ["pullback_point"]
+        assert len(steps) == 1 and steps[0] is instance.ring.power(-k)
 
 
 def test_hom_table_point_spec(capsys):
@@ -313,6 +304,21 @@ def test_determinism_byte_identical(capsys):
 def test_bad_field_exits_two(capsys):
     code, out, err = _run(capsys, "verify-suite", "--field", "prime:9")
     assert code == 2
+    assert "config error" in err
+
+
+# 399165290221 * 798330580441, a strong pseudoprime to the bases 2..37, and
+# the least one to the bases 2..41, where the primality test stops
+PSEUDOPRIMES = (318665857834031151167461, 3317044064679887385961981)
+
+
+@pytest.mark.parametrize("modulus", PSEUDOPRIMES)
+def test_pseudoprime_field_exits_two(capsys, modulus):
+    """A modulus that is not a proven prime is a config error: no report
+    is computed in Z/nZ."""
+    field = "prime:%d" % modulus
+    code, out, err = _run(capsys, "verify-suite", "--field", field, "--max-degree", "4")
+    assert (code, out) == (2, "")
     assert "config error" in err
 
 

@@ -9,11 +9,13 @@ import random
 import pytest
 from oracles import (
     cochain_matrix_eager,
+    evaluate_at,
     hom_S_quotient_kernel,
     koszul_ext_eager,
     koszul_rank_eager,
     mult_matrix_per_column,
     mult_rows_per_column,
+    orbit_point,
     probe_dims_intersect,
     probe_dims_spanning,
     recursive_piece_polys,
@@ -22,17 +24,17 @@ from oracles import (
 from idealizer import ext, linalg, suite
 from idealizer.automorphism import AutoMap, ProjPoint
 from idealizer.config import RingConfig
-from idealizer.ext import ExtEngine, KoszulComplex, QuotientModule, euler_characteristic_check
+from idealizer.ext import ExtEngine, KoszulComplex, euler_characteristic_check
 from idealizer.fields import QQ, PrimeField
 from idealizer.idealizer_ring import IdealizerRing
 from idealizer.linalg import Echelon, kernel, rank_rows, span
-from idealizer.orbit import orbit_point
 from idealizer.poly import (
     HomogPoly,
     basis_dim,
     monomial_values,
     monomials,
     parse_poly,
+    vanishes_at,
 )
 from idealizer.twist import GradedIdeal, PointIdeal, TwistRing, point_ideal_forms
 
@@ -64,9 +66,10 @@ def test_koszul_rejects_dependent_forms():
 
 def _free(d, field=QQ):
     """The Koszul complex of the point (1 : ... : 1) for the multipliers
-    2, 3, 5, 11 cut to d (distinct and nonzero mod 7), and the free module U."""
+    2, 3, 5, 11 cut to d (distinct and nonzero mod 7), and the zero ideal,
+    whose quotient is the free module U."""
     idl = _instance((2, 3, 5, 11)[:d], field, (1,) * (d + 1))
-    return KoszulComplex(idl.forms, field), QuotientModule(GradedIdeal(idl.ring, []))
+    return KoszulComplex(idl.forms, field), GradedIdeal(idl.ring, [])
 
 
 KOSZUL_DIMS = pytest.mark.parametrize("d", [2, 3, 4])
@@ -94,11 +97,11 @@ def test_chain_complex_composes_to_zero():
 def test_cochain_matrix_outside_the_complex_yields_no_rows(d):
     """delta^-1 and delta^d are zero maps: no rows, for U and U/I."""
     kos, U = _free(d)
-    UI = QuotientModule(GradedIdeal(U.ring, kos.forms))
-    for module in (U, UI):
+    UI = GradedIdeal(U.ring, kos.forms)
+    for J in (U, UI):
         for i in (-1, d):
             for n in range(-d - 1, 4):
-                assert list(kos.cochain_matrix(module, i, n)) == [], (i, n)
+                assert list(kos.cochain_matrix(J, i, n)) == [], (i, n)
 
 
 @EXT_FIELDS
@@ -120,8 +123,8 @@ def test_free_rank_reads_no_row_past_its_cap(monkeypatch):
     pulled = []
     real = KoszulComplex.cochain_matrix
 
-    def counting(self, module, i, n):
-        for row in real(self, module, i, n):
+    def counting(self, J, i, n):
+        for row in real(self, J, i, n):
             pulled.append(row)
             yield row
 
@@ -141,7 +144,7 @@ def test_free_rank_reads_no_row_past_its_cap(monkeypatch):
 
 def test_koszul_acyclic_below_top(engine):
     """The forms are a regular sequence, so Ext^i(U/I_total, U) = 0 for i < d."""
-    U = QuotientModule(GradedIdeal(engine.idealizer.ring, []))
+    U = GradedIdeal(engine.idealizer.ring, [])
     for i in (0, 1):
         for n in range(-3, 8):
             assert engine.koszul.ext(U, i, n) == 0
@@ -149,7 +152,7 @@ def test_koszul_acyclic_below_top(engine):
 
 def test_top_ext_is_shifted_quotient(engine):
     """Ext^2 against U concentrates the quotient ring shifted by d."""
-    U = QuotientModule(GradedIdeal(engine.idealizer.ring, []))
+    U = GradedIdeal(engine.idealizer.ring, [])
     for n in range(-6, 8):
         assert engine.koszul.ext(U, 2, n) == (1 if n >= -2 else 0)
 
@@ -162,12 +165,12 @@ def test_top_twisted_ext_constant_one(engine):
 def test_euler_identity(engine):
     kos = engine.koszul
     ring = engine.idealizer.ring
-    U = QuotientModule(GradedIdeal(ring, []))
-    UI = QuotientModule(GradedIdeal(ring, engine.idealizer.forms))
-    Umax = QuotientModule(GradedIdeal(ring, [ring.variable(i) for i in range(3)]))
-    for module in (U, UI, Umax):
+    U = GradedIdeal(ring, [])
+    UI = GradedIdeal(ring, engine.idealizer.forms)
+    Umax = GradedIdeal(ring, [ring.variable(i) for i in range(3)])
+    for J in (U, UI, Umax):
         for n in range(-3, 4):
-            lhs, rhs = euler_characteristic_check(kos, module, n)
+            lhs, rhs = euler_characteristic_check(kos, J, n)
             assert lhs == rhs
 
 
@@ -259,30 +262,30 @@ def test_ext_independent_of_form_basis():
     alt = [f1 + f2, f1 - f2]
     kos_a = ExtEngine(idl).koszul
     kos_b = KoszulComplex(alt, QQ)
-    U = QuotientModule(GradedIdeal(idl.ring, []))
+    U = GradedIdeal(idl.ring, [])
     for n in range(-4, 5):
         assert kos_a.ext_row(U, n) == kos_b.ext_row(U, n)
 
 
 def test_ext_row_matches_pointwise(engine):
-    U = QuotientModule(GradedIdeal(engine.idealizer.ring, []))
+    U = GradedIdeal(engine.idealizer.ring, [])
     for n in (-3, 0, 2, 5):
         row = engine.koszul.ext_row(U, n)
         assert row == [engine.koszul.ext(U, i, n) for i in range(3)]
 
 
 def test_rank_memo_is_keyed_by_complex_index_and_degree():
-    """Ranks kept on a module are never reused for another complex, index or degree."""
+    """Ranks kept on an ideal are never reused for another complex, index or degree."""
     idl = _instance()
     ring = idl.ring
     other = ProjPoint.make([QQ.from_int(v) for v in (1, 2, 3)], QQ)
 
     def fresh_row(forms, ideal, power, n):
-        return KoszulComplex(forms, QQ).ext_row(QuotientModule(ideal, power), n)
+        return KoszulComplex(forms, QQ).ext_row(ideal.moved(power), n)
 
     kos_c = KoszulComplex(idl.forms, QQ)
     kos_o = KoszulComplex(point_ideal_forms(ring, other), QQ)
-    M = QuotientModule(PointIdeal(ring, idl.point))
+    M = PointIdeal(ring, idl.point)
     for n in range(3):
         assert kos_c.ext_row(M, n) == [1, 2, 1]
         assert kos_o.ext_row(M, n) == [0, 0, 0]
@@ -290,31 +293,31 @@ def test_rank_memo_is_keyed_by_complex_index_and_degree():
         assert fresh_row(kos_o.forms, PointIdeal(ring, idl.point), 0, n) == [0, 0, 0]
 
     J = GradedIdeal(ring, [ring.power(2).apply(f) for f in idl.forms])
-    twisted = {k: QuotientModule(J, -k) for k in (0, 1, 2, 3)}
+    twisted = {k: J.moved(-k) for k in (0, 1, 2, 3)}
     for n in range(-3, 4):
-        for k, module in twisted.items():
+        for k, moved in twisted.items():
             for kos in (kos_c, kos_o):
-                assert kos.ext_row(module, n) == fresh_row(kos.forms, J, -k, n)
+                assert kos.ext_row(moved, n) == fresh_row(kos.forms, J, -k, n)
 
 
 def test_each_differential_is_ranked_once(engine, monkeypatch):
     calls = []
     original = KoszulComplex.cochain_matrix
 
-    def counting(self, module, i, n):
-        calls.append((id(self), id(module), i, n))
-        return original(self, module, i, n)
+    def counting(self, J, i, n):
+        calls.append((id(self), id(J), i, n))
+        return original(self, J, i, n)
 
     monkeypatch.setattr(KoszulComplex, "cochain_matrix", counting)
     ring = engine.idealizer.ring
-    U = QuotientModule(GradedIdeal(ring, []))
-    UI = QuotientModule(GradedIdeal(ring, engine.idealizer.forms))
-    for module in (U, UI, U):
+    U = GradedIdeal(ring, [])
+    UI = GradedIdeal(ring, engine.idealizer.forms)
+    for J in (U, UI, U):
         for n in range(-3, 4):
-            engine.koszul.ext_row(module, n)
+            engine.koszul.ext_row(J, n)
             for i in range(3):
-                engine.koszul.ext(module, i, n)
-            euler_characteristic_check(engine.koszul, module, n)
+                engine.koszul.ext(J, i, n)
+            euler_characteristic_check(engine.koszul, J, n)
     assert calls
     assert len(calls) == len(set(calls)) == 2 * 2 * 7
 
@@ -362,22 +365,22 @@ def test_chi_sample_point_modules_build_no_piece(monkeypatch):
 
 @EXT_FIELDS
 def test_module_reads_one_projection_per_degree(field):
-    """The forms of one Koszul block share one projection: a module asks
-    its ideal for each degree's projection at most once."""
+    """The forms of one Koszul block share one projection: an Ext row on
+    U/J asks J for each degree's projection at most once."""
     idl = _instance(field=field)
     kos = KoszulComplex(idl.forms, field)
     reads_total = 0
     for n in range(-3, 5):
         # fresh ideals, so that no rank is already kept on them
         for label, J in _ideals(_instance(field=field)).items():
-            M = QuotientModule(J, -n)
+            moved = J.moved(-n)
             reads = []
-            real = M.moved.quotient
-            M.moved.quotient = lambda k: reads.append(k) or real(k)
+            real = moved.quotient
+            moved.quotient = lambda k: reads.append(k) or real(k)
             try:
-                kos.ext_row(M, n)
+                kos.ext_row(moved, n)
             finally:
-                del M.moved.quotient
+                del moved.quotient
             assert len(reads) == len(set(reads)), (label, n, reads)
             reads_total += len(reads)
     assert reads_total
@@ -545,17 +548,38 @@ def _matrix_instance(field, rows, point):
     return IdealizerRing(TwistRing(2, phi, field), c)
 
 
+@FIELD_CASES
+@EXT_MAPS
+def test_vanishing_on_the_evaluation_row_matches_the_value(field, rows, point):
+    """Whether f vanishes at an orbit point c_k, |k| <= 4, read off the
+    evaluation row (``poly.vanishes_at``), agrees with f's value summed
+    term by term (``oracles.evaluate_at``): for the point forms, their
+    product, forms through several orbit points and random forms."""
+    idl = _matrix_instance(field, rows, point)
+    f1, f2 = idl.forms[:2]
+    forms = [f1, f2, f1 + f2, f1 * f2] + _random_gens(idl.ring, 7)
+    forms += [_through_orbit(idl, deg, count) for deg, count in ((1, 2), (2, 4), (3, 5))]
+    seen = set()
+    for f in forms:
+        for k, pt in idl.orbit(4).points.items():
+            zero = vanishes_at(f, pt.coords, field)
+            assert zero == (evaluate_at(f, pt, field) == 0), (f, k)
+            seen.add(zero)
+    assert seen == {False, True}
+
+
 def _ext_modules(idl):
-    """U, U/I, U/max, U/(x0) and the point ideal moved by phi^k, k = -3..3."""
+    """The ideals J of the modules U/J: U, U/I, U/max, U/(x0) and the
+    point ideal moved by phi^k, k = -3..3."""
     ring = idl.ring
     point = PointIdeal(ring, idl.point)
     modules = {
-        "U": QuotientModule(GradedIdeal(ring, [])),
-        "U/I": QuotientModule(GradedIdeal(ring, idl.forms)),
-        "U/max": QuotientModule(GradedIdeal(ring, [ring.variable(i) for i in range(ring.nvars)])),
-        "U/(x0)": QuotientModule(GradedIdeal(ring, [ring.variable(0)])),
+        "U": GradedIdeal(ring, []),
+        "U/I": GradedIdeal(ring, idl.forms),
+        "U/max": GradedIdeal(ring, [ring.variable(i) for i in range(ring.nvars)]),
+        "U/(x0)": GradedIdeal(ring, [ring.variable(0)]),
     }
-    modules.update({"point@%d" % k: QuotientModule(point, k) for k in range(-3, 4)})
+    modules.update({"point@%d" % k: point.moved(k) for k in range(-3, 4)})
     return modules
 
 
@@ -567,34 +591,35 @@ def test_lazy_cochain_rows_match_eager_rows(field, rows, point):
     idl = _matrix_instance(field, rows, point)
     kos = KoszulComplex(idl.forms, field)
     d = kos.d
-    for label, module in _ext_modules(idl).items():
+    for label, J in _ext_modules(idl).items():
         for n in range(-d - 1, 6):
             for i in range(-1, d + 1):
                 where = (label, i, n)
                 if i >= 0:
-                    assert list(kos.cochain_matrix(module, i, n)) == cochain_matrix_eager(
-                        kos, module, i, n
+                    assert list(kos.cochain_matrix(J, i, n)) == cochain_matrix_eager(
+                        kos, J, i, n
                     ), where
-                assert kos.rank(module, i, n) == koszul_rank_eager(kos, module, i, n), where
-                assert kos.ext(module, i, n) == koszul_ext_eager(kos, module, i, n), where
+                assert kos.rank(J, i, n) == koszul_rank_eager(kos, J, i, n), where
+                assert kos.ext(J, i, n) == koszul_ext_eager(kos, J, i, n), where
 
 
 @EXT_FIELDS
 @EXT_MAPS
 def test_quotient_map_blocks_match_per_column_blocks(field, rows, point):
     """Koszul blocks and hom constraint blocks summed off the quotient map
-    equal the blocks of one quotient_coords call per column."""
+    equal the blocks of one quotient_coords call per column.  A Koszul
+    block is ``linalg.mult_rows`` from J's quotient columns in degree n
+    off ``J.quotient(n + 1)``, as ``KoszulComplex.cochain_matrix`` reads
+    them."""
     idl = _matrix_instance(field, rows, point)
     ring = idl.ring
     kos = KoszulComplex(idl.forms, field)
-    for label, module in _ext_modules(idl).items():
+    for label, J in _ext_modules(idl).items():
         for n in range(-3, 6):
+            indices, quotient = J.nonpivot_columns(n), J.quotient(n + 1)
             for form in kos.rows:
-                assert module.mult_matrix(form, n) == mult_matrix_per_column(module, form, n), (
-                    label,
-                    n,
-                )
-        J = module.ideal.moved(module.power)
+                got = linalg.mult_rows(form, 1, indices, n, quotient, ring.nvars, field)
+                assert got == mult_matrix_per_column(J, form, n), (label, n)
         for n in range(6):
             width = basis_dim(ring.nvars, n)
             for form in kos.rows:
@@ -607,14 +632,15 @@ def test_quotient_map_blocks_match_per_column_blocks(field, rows, point):
 
 
 def _count_blocks(monkeypatch):
+    """Record the source degree of every Koszul block built."""
     calls = []
-    real = QuotientModule.mult_matrix
+    real = ext.mult_rows
 
-    def counting(self, form, n):
+    def counting(u, a, indices, n, *rest):
         calls.append(n)
-        return real(self, form, n)
+        return real(u, a, indices, n, *rest)
 
-    monkeypatch.setattr(QuotientModule, "mult_matrix", counting)
+    monkeypatch.setattr(ext, "mult_rows", counting)
     return calls
 
 
@@ -623,7 +649,7 @@ def test_free_delta0_builds_one_block_per_degree(monkeypatch):
     of its first target summand and the block of forms[1] is never built."""
     calls = _count_blocks(monkeypatch)
     engine = ExtEngine(_instance())
-    U = QuotientModule(GradedIdeal(engine.ring, []))
+    U = GradedIdeal(engine.ring, [])
     for n in range(8):
         calls.clear()
         assert engine.koszul.rank(U, 0, n) == basis_dim(3, n)
@@ -634,8 +660,8 @@ def test_rank_of_width_zero_builds_no_block(monkeypatch):
     calls = _count_blocks(monkeypatch)
     engine = ExtEngine(_instance())
     ring = engine.ring
-    U = QuotientModule(GradedIdeal(ring, []))
-    Umax = QuotientModule(GradedIdeal(ring, [ring.variable(i) for i in range(3)]))
+    U = GradedIdeal(ring, [])
+    Umax = GradedIdeal(ring, [ring.variable(i) for i in range(3)])
     for n in range(-5, 0):
         assert engine.koszul.rank(U, 0, n) == 0
     for n in range(1, 5):

@@ -15,6 +15,33 @@ def test_is_prime_small_values():
     assert not is_prime(-7)
 
 
+# 399165290221 * 798330580441, a strong pseudoprime to the bases 2..37, and
+# the least one to the bases 2..41 (Sorenson and Webster, Math. Comp. 2017)
+PSEUDOPRIMES = (318665857834031151167461, 3317044064679887385961981)
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    """The first is composite, and the second is where the test stops
+    being exact: neither is accepted, by is_prime or by PrimeField."""
+    small, bound = PSEUDOPRIMES
+    assert small == 399165290221 * 798330580441
+    assert not is_prime(small)
+    with pytest.raises(ValueError, match="not decided"):
+        is_prime(bound)
+    for n in PSEUDOPRIMES:
+        with pytest.raises(ValueError):
+            PrimeField(n)
+
+
+def test_is_prime_accepts_large_primes_below_the_bound():
+    """2^61 - 1, 10^18 + 9 and the largest prime below the bound are
+    accepted; a product of two primes below the bound is not."""
+    for p in (2**61 - 1, 10**18 + 9, 3317044064679887385961813):
+        assert is_prime(p)
+        assert PrimeField(p).char == p
+    assert not is_prime(1000003 * (10**18 + 9))
+
+
 def test_rational_field_basics():
     assert QQ.char == 0
     assert QQ.zero == Fraction(0)

@@ -12,6 +12,7 @@ from oracles import (
     decomposable_piece_polys,
     decomposable_piece_span,
     decomposable_piece_uncapped,
+    evaluate_at,
     evaluation_constraint_row,
     idealizer_piece_full,
     idealizer_piece_uncapped,
@@ -21,7 +22,7 @@ from oracles import (
     veronese_idealizer_piece_uncapped,
 )
 
-from idealizer.automorphism import AutoMap, ProjPoint, evaluate_at
+from idealizer.automorphism import AutoMap, ProjPoint
 from idealizer.fields import QQ, PrimeField
 from idealizer.idealizer_ring import IdealizerRing
 from idealizer.poly import basis_dim

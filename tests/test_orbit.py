@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from oracles import brute_force_relation, orbit_point_walk
+from oracles import brute_force_relation, orbit_point, orbit_point_walk
 
 from idealizer.automorphism import AutoMap, ProjPoint
 from idealizer.fields import QQ, PrimeField
@@ -12,9 +12,9 @@ from idealizer.orbit import (
     distinct_window,
     general_position_rank,
     multiplicative_independence,
-    orbit_point,
     orbit_points,
 )
+from idealizer.twist import PointIdeal, TwistRing
 
 
 def _phi(multipliers=(2, 3)):
@@ -45,11 +45,14 @@ def _orbit_map(kind, field):
 @pytest.mark.parametrize("kind", ["diagonal", "matrix"])
 @pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["Q", "GF10007"])
 def test_orbit_point_matches_walk(kind, field):
-    """One pullback along phi^k lands where |k| steps of the walk do, |k| <= 50."""
+    """The point ideal of c_0 moved by phi^k, and one pullback along phi^k,
+    land where |k| steps of the walk do, |k| <= 50."""
     auto = _orbit_map(kind, field)
     start = ProjPoint.make([field.from_int(x) for x in (1, 5, 7)], field)
+    ideal = PointIdeal(TwistRing(2, auto, field), start)
     for k in range(-50, 51):
-        assert orbit_point(auto, start, k) == orbit_point_walk(auto, start, k)
+        walked = orbit_point_walk(auto, start, k)
+        assert ideal.moved(k).point == orbit_point(auto, start, k) == walked, k
 
 
 def test_distinct_window_generic():

@@ -300,6 +300,36 @@ def test_ext_top_twisted_reuses_the_koszul_ranks(monkeypatch):
     assert not calls
 
 
+def test_chi_sample_reuses_the_free_ranks(monkeypatch):
+    """chi-sample's zero row is U, ranked on the zero ideal, so after
+    koszul-acyclicity and ext-top-twisted it reads no cochain row of it;
+    run alone it does, and after them it still reads its other samples."""
+    from idealizer import ext
+
+    bodies = {name: body for name, _, _, body in suite.CHECKS}
+    instance = RingConfig.from_mapping({"d": 2, "max_degree": 5}).validate().build()
+    read = []
+    real = ext.KoszulComplex.cochain_matrix
+
+    def recording(self, J, i, n):
+        for row in real(self, J, i, n):
+            read.append(J)
+            yield row
+
+    monkeypatch.setattr(ext.KoszulComplex, "cochain_matrix", recording)
+    alone = suite._Context(instance)
+    bodies["chi-sample"](alone)
+    assert any(J is alone.zero_ideal for J in read)
+
+    ctx = suite._Context(instance)
+    for name in ("koszul-acyclicity", "ext-top-twisted"):
+        assert bodies[name](ctx)[0] == "pass"
+    read.clear()
+    bodies["chi-sample"](ctx)
+    assert read
+    assert not any(J is ctx.zero_ideal for J in read)
+
+
 # -- the forked worker of the two self-checks of twisted arithmetic --------------
 
 SEED0_CONFIGS = {

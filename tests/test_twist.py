@@ -9,6 +9,7 @@ from oracles import (
     ideal_piece_eliminated,
     monomial_polys,
     opposite_iso_check_per_pair,
+    orbit_point,
     point_guard_on_piece,
     recursive_point_ideal,
     twisted_piece_apply,
@@ -19,7 +20,6 @@ from idealizer import linalg
 from idealizer.automorphism import AutoMap, ProjPoint
 from idealizer.fields import QQ, PrimeField
 from idealizer.linalg import span, span_polys
-from idealizer.orbit import orbit_point
 from idealizer.poly import basis_dim, format_poly, monomial_values, parse_poly, poly_to_vector
 from idealizer.twist import (
     GradedIdeal,
