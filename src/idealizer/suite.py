@@ -34,19 +34,25 @@ never vanish, nor do the generator counts in degree 1 and, off phi = id,
 degree 2 (T_1.T_1 vanishes at two orbit points, T_2 at one), so the
 required trailing zeros fit only if trailing_zeros <= N - 1, resp. N - 2.
 
-``run_suite`` decides every gate first, in ``CHECKS`` order.  The two
-self-checks of twisted arithmetic, ``twist-associativity`` and
-``opposite-ring-transport`` (``WORKER_CHECKS``), then run in one forked
-worker while the parent runs the other checks, and the worker sends back
-their results, marshalled through a pipe.  The suite forks only where
+``run_suite`` decides every gate first, in ``CHECKS`` order.  The checks
+fall into the ``GROUPS`` of checks that read the same caches: the
+idealizer checks (T's pieces and products), the Ext checks (Koszul
+ranks and moved ideals), each self-check of twisted arithmetic, the
+Segre checks and the window checks.  One byte per group with a check to
+run goes into a pipe whose write end closes before the suite forks one
+worker; the parent and the worker then each claim the next group with a
+one-byte read until the pipe is empty, so whichever is free takes it,
+largest group first.  The worker sends back the results of its groups,
+marshalled through a second pipe.  The suite forks only where
 ``os.fork`` and ``os.sched_getaffinity`` exist, the process may use at
 least two CPUs, and no other thread is running; otherwise, or when the
-fork fails, every check runs inline.  A check the worker sends no
-result for, because its body raised or the worker died, runs again in
-the parent, so its exception surfaces there.  The worker leaves through
-``os._exit``: it never flushes the parent's stdio buffers, and
-``run_suite`` waits for it before it returns or raises.  Records merge
-in ``CHECKS`` order, so the report is the same on both paths.
+fork fails, every check runs inline.  A check with no result, because
+its body raised in either process or the worker died, runs again in the
+merge loop, in ``CHECKS`` order, so the first check that raises
+surfaces on every path.  The worker leaves through ``os._exit``: it
+never flushes the parent's stdio buffers, and ``run_suite`` waits for it
+before it returns or raises.  Records merge in ``CHECKS`` order, so the
+report is the same on both paths.
 """
 
 from __future__ import annotations
@@ -307,9 +313,36 @@ def skip_reason(instance: Instance, name: str) -> str | None:
     return _unmet(_Context(instance), requires)
 
 
-# Each body reads only ctx.ring, no piece, rank or orbit that another
-# check caches, so a worker computes nothing the parent computes too.
-WORKER_CHECKS = frozenset({"twist-associativity", "opposite-ring-transport"})
+# Groups of checks that read the same caches, largest first; every check
+# is in exactly one, so the two processes of a run share no work.
+GROUPS = (
+    (
+        "idealizer-structure",
+        "hilbert-s-mod-t",
+        "hilbert-s-mod-is",
+        "generator-degrees",
+        "veronese-generation",
+        "veronese-idealizer-agreement",
+        "right-noetherian-probes",
+        "prime-mode-crosscheck",
+    ),
+    (
+        "koszul-acyclicity",
+        "ext-top-twisted",
+        "euler-identity",
+        "hom-quotient-tables",
+        "chi-sample",
+    ),
+    ("twist-associativity",),
+    ("opposite-ring-transport",),
+    ("segre-local-witness", "segre-diagonal-dim", "segre-witness"),
+    (
+        "twist-normalization-pin",
+        "orbit-distinct-window",
+        "multiplier-independence",
+        "general-position-ranks",
+    ),
+)
 
 
 def _may_fork() -> bool:
@@ -323,32 +356,18 @@ def _may_fork() -> bool:
     )
 
 
-def _fork_worker(ctx: _Context, bodies) -> tuple[int, int] | None:
-    """Fork a worker that runs the (name, body) pairs and writes the
-    marshalled {name: result} of the bodies that returned; the worker's
-    pid and the read end of its pipe, or None if the fork failed."""
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return None
-    if pid:
-        os.close(write_end)
-        return pid, read_end
-    try:
-        os.close(read_end)
-        results = {}
-        for name, body in bodies:
+def _claim(ctx: _Context, groups, claims: int) -> dict:
+    """Run the groups whose indices this process reads from ``claims``
+    until the pipe is empty; {name: result} of the bodies that returned.
+    A body that raises has no result, so the merge loop runs it again."""
+    results = {}
+    while index := os.read(claims, 1):
+        for name, body in groups[index[0]]:
             try:
                 results[name] = body(ctx)
             except Exception:
-                pass  # the parent runs the body again and raises
-        with os.fdopen(write_end, "wb") as out:
-            out.write(marshal.dumps(results))
-    finally:
-        os._exit(0)
+                pass
+    return results
 
 
 def _join_worker(pid: int, read_end: int) -> dict:
@@ -364,27 +383,48 @@ def _join_worker(pid: int, read_end: int) -> dict:
         return {}
 
 
-def run_suite(instance: Instance) -> VerificationReport:
-    ctx = _Context(instance)
-    reasons = [_unmet(ctx, requires) for _, _, requires, _ in CHECKS]
-    moved = [
-        (name, body)
-        for (name, _, _, body), reason in zip(CHECKS, reasons)
-        if reason is None and name in WORKER_CHECKS
-    ]
-    worker = _fork_worker(ctx, moved) if moved and _may_fork() else None
+def _split(ctx: _Context, groups) -> dict:
+    """The results of the groups, claimed by the parent and one forked
+    worker that sends its own marshalled through a pipe; {} if the fork
+    failed."""
+    claims, write_end = os.pipe()
+    os.write(write_end, bytes(range(len(groups))))
+    os.close(write_end)  # before the fork, so both readers reach the end
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (claims, read_end, write_end):
+            os.close(fd)
+        return {}
+    if not pid:
+        try:
+            os.close(read_end)
+            with os.fdopen(write_end, "wb") as out:
+                out.write(marshal.dumps(_claim(ctx, groups, claims)))
+        finally:
+            os._exit(0)
+    os.close(write_end)
     results = {}
     try:
-        for (name, _, _, body), reason in zip(CHECKS, reasons):
-            if reason is None and not (worker and name in WORKER_CHECKS):
-                results[name] = body(ctx)
+        results = _claim(ctx, groups, claims)
     finally:
-        if worker:
-            results.update(_join_worker(*worker))
+        os.close(claims)
+        results.update(_join_worker(pid, read_end))
+    return results
+
+
+def run_suite(instance: Instance) -> VerificationReport:
+    ctx = _Context(instance)
+    reasons = {name: _unmet(ctx, requires) for name, _, requires, _ in CHECKS}
+    runnable = {name: body for name, _, _, body in CHECKS if reasons[name] is None}
+    groups = [[(name, runnable[name]) for name in group if name in runnable] for group in GROUPS]
+    groups = list(filter(None, groups))
+    results = _split(ctx, groups) if len(groups) > 1 and _may_fork() else {}
     checks = []
-    for (name, statement, _, body), reason in zip(CHECKS, reasons):
-        if reason is not None:
-            checks.append(CheckRecord(name, SKIPPED, statement, {"reason": reason}))
+    for name, statement, _, body in CHECKS:
+        if reasons[name] is not None:
+            checks.append(CheckRecord(name, SKIPPED, statement, {"reason": reasons[name]}))
         else:
             result = results[name] if name in results else body(ctx)
             checks.append(CheckRecord(name, *result))

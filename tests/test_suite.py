@@ -1,11 +1,11 @@
 """The verification suite: regimes, statuses, and determinism of payloads."""
 
 import json
+import marshal
 import os
+import select
 import subprocess
 import sys
-from types import SimpleNamespace
-
 import pytest
 
 from idealizer import suite
@@ -330,7 +330,7 @@ def test_chi_sample_reuses_the_free_ranks(monkeypatch):
     assert not any(J is ctx.zero_ideal for J in read)
 
 
-# -- the forked worker of the two self-checks of twisted arithmetic --------------
+# -- the groups of checks, claimed by the parent and one forked worker ----------
 
 SEED0_CONFIGS = {
     "ref-q": {"d": 2, "max_degree": 10},
@@ -363,13 +363,19 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
 @pytest.mark.parametrize("name", sorted(SEED0_CONFIGS))
 def test_forked_and_inline_runs_give_the_same_bytes(monkeypatch, name):
     instance = RingConfig.from_mapping(SEED0_CONFIGS[name]).validate().build()
     forks = _cpus(monkeypatch, 2)
+    fds = _open_fds()
     forked = json_text(run_suite(instance).payload())
     assert forks == [1]
     _no_child_left()
+    assert _open_fds() == fds
     forks = _cpus(monkeypatch, 1)
     inline = json_text(run_suite(instance).payload())
     assert forks == []
@@ -384,7 +390,9 @@ def test_failed_fork_runs_every_check_inline(monkeypatch):
     inline = json_text(run_suite(instance).payload())
     _cpus(monkeypatch, 2)
     monkeypatch.setattr(os, "fork", no_fork)
+    fds = _open_fds()
     assert json_text(run_suite(instance).payload()) == inline
+    assert _open_fds() == fds
 
 
 def test_raising_worker_body_raises_in_the_parent(monkeypatch):
@@ -394,10 +402,12 @@ def test_raising_worker_body_raises_in_the_parent(monkeypatch):
     monkeypatch.setattr(suite, "associativity_sample", broken)
     forks = _cpus(monkeypatch, 2)
     instance = RingConfig.from_mapping({"d": 2, "max_degree": 3}).validate().build()
+    fds = _open_fds()
     with pytest.raises(ArithmeticError, match="associativity broke"):
         run_suite(instance)
     assert forks == [1]
     _no_child_left()
+    assert _open_fds() == fds
 
 
 def test_raising_parent_check_leaves_no_worker(monkeypatch):
@@ -407,10 +417,40 @@ def test_raising_parent_check_leaves_no_worker(monkeypatch):
     monkeypatch.setattr(suite, "local_witness_check", broken)
     forks = _cpus(monkeypatch, 2)
     instance = RingConfig.from_mapping({"d": 2, "max_degree": 3}).validate().build()
+    fds = _open_fds()
     with pytest.raises(ArithmeticError, match="segre broke"):
         run_suite(instance)
     assert forks == [1]
     _no_child_left()
+    assert _open_fds() == fds
+
+
+@pytest.mark.parametrize("path", ["forked", "inline", "failed-fork"])
+def test_first_raising_check_surfaces_on_every_path(monkeypatch, path):
+    """twist-associativity precedes segre-local-witness in CHECKS, so its
+    exception surfaces, whichever process ran either body."""
+
+    def broken(what):
+        def raising(*args):
+            raise ArithmeticError("%s broke" % what)
+
+        return raising
+
+    def no_fork():
+        raise BlockingIOError("fork: resource temporarily unavailable")
+
+    monkeypatch.setattr(suite, "associativity_sample", broken("associativity"))
+    monkeypatch.setattr(suite, "local_witness_check", broken("segre"))
+    forks = _cpus(monkeypatch, 1 if path == "inline" else 2)
+    if path == "failed-fork":
+        monkeypatch.setattr(os, "fork", no_fork)
+    instance = RingConfig.from_mapping({"d": 2, "max_degree": 3}).validate().build()
+    fds = _open_fds()
+    with pytest.raises(ArithmeticError, match="associativity broke"):
+        run_suite(instance)
+    assert forks == ([1] if path == "forked" else [])
+    _no_child_left()
+    assert _open_fds() == fds
 
 
 def test_unflushed_stdout_appears_once():
@@ -436,10 +476,134 @@ def test_unflushed_stdout_appears_once():
     assert out.stdout == "written before the run\n"
 
 
-def test_worker_checks_read_only_the_ring():
-    instance = RingConfig.from_mapping({"d": 2, "max_degree": 3}).validate().build()
-    bodies = {name: body for name, _, _, body in suite.CHECKS}
-    for name in sorted(suite.WORKER_CHECKS):
-        stub = bodies[name](SimpleNamespace(ring=instance.ring))
-        assert stub == bodies[name](suite._Context(instance)), name
-        assert stub[0] == "pass", name
+REGIME_CONFIGS = {
+    "identity": {"d": 2, "max_degree": 6, "automorphism": {"diag": ["1", "1"]}},
+    "dependent": {"d": 2, "max_degree": 6, "automorphism": {"diag": ["2", "4"]}},
+    "residual": {"d": 2, "max_degree": 5, "trailing_zeros": 3, "point": ["1", "0", "0"]},
+    "matrix": {
+        "d": 2,
+        "max_degree": 6,
+        "automorphism": {"matrix": [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "3"]]},
+    },
+    "prime": {"d": 2, "max_degree": 6, "field": "prime:10007"},
+}
+
+
+def test_groups_partition_the_checks():
+    names = [name for group in suite.GROUPS for name in group]
+    assert sorted(names) == sorted(CHECK_ORDER)
+    assert len(names) == len(set(names))
+
+
+def _runnable(ctx, group):
+    """The (name, body) pairs of ``group`` whose gates ctx meets, gates
+    decided on ctx as run_suite decides them before it forks."""
+    checks = {name: (requires, body) for name, _, requires, body in suite.CHECKS}
+    return [
+        (name, checks[name][1]) for name in group if suite._unmet(ctx, checks[name][0]) is None
+    ]
+
+
+@pytest.mark.parametrize("config", ["deep-gf", "wide-q"])
+def test_ext_and_idealizer_groups_share_no_work(monkeypatch, config):
+    """Run alone, the Ext group builds no piece of T, IS or a point ideal,
+    and the idealizer group ranks no Koszul differential."""
+    from idealizer import ext, idealizer_ring, twist
+
+    calls = {}
+    for owner, attr in (
+        (idealizer_ring.IdealizerRing, "idealizer_piece"),
+        (idealizer_ring.IdealizerRing, "is_piece"),
+        (twist.PointIdeal, "_build_piece"),
+        (ext.KoszulComplex, "rank"),
+    ):
+        real = getattr(owner, attr)
+
+        def counting(*args, _real=real, _attr=attr):
+            calls[_attr] = calls.get(_attr, 0) + 1
+            return _real(*args)
+
+        monkeypatch.setattr(owner, attr, counting)
+
+    idealizer_group, ext_group = suite.GROUPS[:2]
+    assert "koszul-acyclicity" in ext_group and "idealizer-structure" in idealizer_group
+    seen = {}
+    for label, group in (("ext", ext_group), ("idealizer", idealizer_group)):
+        ctx = suite._Context(RingConfig.from_mapping(SEED0_CONFIGS[config]).validate().build())
+        bodies = _runnable(ctx, group)
+        calls.clear()
+        for name, body in bodies:
+            assert body(ctx)[0] != "fail", name
+        seen[label] = dict(calls)
+    assert seen["ext"].get("rank")
+    assert not {"idealizer_piece", "is_piece", "_build_piece"} & set(seen["ext"])
+    assert seen["idealizer"].get("idealizer_piece") and seen["idealizer"].get("_build_piece")
+    assert "rank" not in seen["idealizer"]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [SEED0_CONFIGS[name] for name in sorted(SEED0_CONFIGS)]
+    + [REGIME_CONFIGS[name] for name in sorted(REGIME_CONFIGS)],
+    ids=sorted(SEED0_CONFIGS) + ["regime-" + name for name in sorted(REGIME_CONFIGS)],
+)
+def test_every_result_survives_marshal(config):
+    """Any check may run in the worker, whose results come back marshalled;
+    one that did not survive would silently run again in the parent."""
+    ctx = suite._Context(RingConfig.from_mapping(config).validate().build())
+    ran = 0
+    for group in suite.GROUPS:
+        for name, body in _runnable(ctx, group):
+            result = body(ctx)
+            assert repr(marshal.loads(marshal.dumps(result))) == repr(result), name
+            ran += 1
+    assert ran
+
+
+def test_parent_runs_no_body_the_worker_sent(monkeypatch):
+    instance = RingConfig.from_mapping(SEED0_CONFIGS["ref-q"]).validate().build()
+    inline = json_text(run_suite(instance).payload())
+    parent = os.getpid()
+    ran_here, sent = [], {}
+    ready_r, ready_w = os.pipe()
+
+    def recording(name, body):
+        def run(ctx):
+            if os.getpid() != parent:
+                os.write(ready_w, b".")
+            else:
+                if not ran_here:
+                    # wait until the worker runs a body, so it surely claims a group
+                    assert select.select([ready_r], [], [], 60)[0]
+                ran_here.append(name)
+            return body(ctx)
+
+        return run
+
+    real_join = suite._join_worker
+
+    def join(*args):
+        got = real_join(*args)
+        sent.update(got)
+        return got
+
+    monkeypatch.setattr(
+        suite,
+        "CHECKS",
+        [(name, st, req, recording(name, body)) for name, st, req, body in suite.CHECKS],
+    )
+    monkeypatch.setattr(suite, "_join_worker", join)
+    forks = _cpus(monkeypatch, 2)
+    try:
+        forked = json_text(run_suite(instance).payload())
+    finally:
+        os.close(ready_r)
+        os.close(ready_w)
+    assert forks == [1]
+    assert forked == inline
+    assert sent
+    assert not set(ran_here) & set(sent)
+    assert len(ran_here) == len(set(ran_here))
+    ctx = suite._Context(instance)
+    runnable = [name for group in suite.GROUPS for name, _ in _runnable(ctx, group)]
+    assert sorted(ran_here + list(sent)) == sorted(runnable)
