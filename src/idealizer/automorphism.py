@@ -31,29 +31,33 @@ matrix and its inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from math import lcm
 from typing import Iterable, Sequence
 
-from .fields import Scalar, int_row, scalar_row
+from .fields import Scalar, Value, int_row, scalar_row
 from .linalg import invert_matrix, mat_mul, mat_vec
 from .poly import HomogPoly, basis_dim, product_index, row_product
 
 __all__ = ["AutoMap", "ProjPoint", "point_image"]
 
 
-@dataclass(frozen=True)
-class AutoMap:
+class AutoMap(Value):
     """An invertible linear substitution, with its inverse precomputed."""
 
-    matrix: tuple[tuple[Scalar, ...], ...]
-    inverse: tuple[tuple[Scalar, ...], ...]
-    field: object
-    diagonal: tuple[Scalar, ...] | None = None
-    _tables: dict[int, tuple] = dataclass_field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    def __init__(
+        self,
+        matrix: tuple[tuple[Scalar, ...], ...],
+        inverse: tuple[tuple[Scalar, ...], ...],
+        field,
+        diagonal: tuple[Scalar, ...] | None = None,
+    ):
+        self.__dict__.update(
+            matrix=matrix, inverse=inverse, field=field, diagonal=diagonal, _tables={}
+        )
+
+    def _key(self) -> tuple:
+        return (self.matrix, self.inverse, self.field, self.diagonal)
 
     @staticmethod
     def from_matrix(rows: Sequence[Sequence[Scalar]], field) -> "AutoMap":
@@ -218,8 +222,7 @@ class AutoMap:
         return HomogPoly.from_row(f.nvars, n, self.apply_row(f.row, n), f.den * self.den**n, f.char)
 
 
-@dataclass(frozen=True)
-class ProjPoint:
+class ProjPoint(Value):
     """A projective point stored by its canonical coordinate vector.
 
     Over the rationals the canonical vector is integer, primitive, with
@@ -227,7 +230,11 @@ class ProjPoint:
     entry is scaled to 1.
     """
 
-    coords: tuple[Scalar, ...]
+    def __init__(self, coords: tuple[Scalar, ...]):
+        self.__dict__.update(coords=coords)
+
+    def _key(self) -> tuple:
+        return (self.coords,)
 
     @staticmethod
     def make(coords: Sequence[Scalar], field) -> "ProjPoint":

@@ -14,11 +14,10 @@ command line maps to the usage exit code.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .automorphism import AutoMap, ProjPoint
-from .fields import field_from_name
+from .fields import Frozen, Value, field_from_name
 from .idealizer_ring import IdealizerRing
 from .twist import TwistRing
 
@@ -64,15 +63,34 @@ def _fraction_list(values, what: str) -> tuple[Fraction, ...]:
     return tuple(_fraction(v, what) for v in values)
 
 
-@dataclass(frozen=True)
-class RingConfig:
-    d: int = 2
-    multipliers: tuple[Fraction, ...] | None = (Fraction(2), Fraction(3))
-    matrix: tuple[tuple[Fraction, ...], ...] | None = None
-    point: tuple[Fraction, ...] = (Fraction(1), Fraction(1), Fraction(1))
-    field: str = "rational"
-    max_degree: int = 10
-    trailing_zeros: int | None = None  # unset: validate() fills in min(3, max_degree)
+class RingConfig(Value):
+    def __init__(
+        self,
+        d: int = 2,
+        multipliers: tuple[Fraction, ...] | None = (Fraction(2), Fraction(3)),
+        matrix: tuple[tuple[Fraction, ...], ...] | None = None,
+        point: tuple[Fraction, ...] = (Fraction(1), Fraction(1), Fraction(1)),
+        field: str = "rational",
+        max_degree: int = 10,
+        trailing_zeros: int | None = None,  # unset: validate() fills in min(3, max_degree)
+    ):
+        self.__dict__.update(
+            d=d,
+            multipliers=multipliers,
+            matrix=matrix,
+            point=point,
+            field=field,
+            max_degree=max_degree,
+            trailing_zeros=trailing_zeros,
+        )
+
+    # __dict__ holds the seven fields, in order, and nothing else
+    def _key(self) -> tuple:
+        return tuple(self.__dict__.values())
+
+    def _replace(self, **changes) -> "RingConfig":
+        """This config with the named fields changed."""
+        return RingConfig(**{**self.__dict__, **changes})
 
     def validate(self) -> "RingConfig":
         """The checked config, its field name stripped and its
@@ -108,7 +126,7 @@ class RingConfig:
             trailing = min(3, self.max_degree)
         if not _integer(trailing) or not 1 <= trailing <= self.max_degree:
             raise ConfigError("trailing zeros must lie between 1 and the max degree")
-        return replace(self, field=field, trailing_zeros=trailing)
+        return self._replace(field=field, trailing_zeros=trailing)
 
     # -- construction ---------------------------------------------------------
 
@@ -150,7 +168,7 @@ class RingConfig:
                 raise ConfigError("automorphism must be {'diag': [...]} or {'matrix': [...]}")
         if "point" in data:
             changes["point"] = _fraction_list(data["point"], "coordinate")
-        return replace(self, **changes)
+        return self._replace(**changes)
 
     @staticmethod
     def from_mapping(data) -> "RingConfig":
@@ -220,13 +238,11 @@ class RingConfig:
         return Instance(cfg, field, ring, point, IdealizerRing(ring, point))
 
 
-@dataclass(frozen=True)
-class Instance:
-    config: RingConfig
-    field: object
-    ring: TwistRing
-    point: ProjPoint
-    idealizer: IdealizerRing
+class Instance(Frozen):
+    def __init__(self, config: RingConfig, field, ring: TwistRing, point: ProjPoint, idealizer):
+        self.__dict__.update(
+            config=config, field=field, ring=ring, point=point, idealizer=idealizer
+        )
 
     @property
     def rational(self) -> bool:

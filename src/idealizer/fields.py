@@ -40,7 +40,6 @@ reporting layer flags it as such.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
@@ -61,6 +60,36 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # the least strong pseudoprime to all of the bases above (Sorenson and
 # Webster, Math. Comp. 2017): Miller-Rabin on them is exact below it
 _MR_BOUND = 3317044064679887385961981
+
+
+class Frozen:
+    """The base of the package's value classes.  ``__init__`` sets the
+    attributes with one ``self.__dict__.update``; after that, assigning or
+    deleting one raises ``AttributeError``.  ``cached_property`` stores
+    into ``__dict__`` and still works."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+
+class Value(Frozen):
+    """A frozen class compared and hashed by its ``_key()`` tuple: equal
+    only to an instance of the same class with an equal key."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def is_prime(n: int) -> bool:
@@ -94,8 +123,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class RationalField:
+class RationalField(Value):
     """The field of arbitrary-precision rationals (characteristic 0)."""
 
     char = 0
@@ -119,6 +147,9 @@ class RationalField:
     def inv(self, x: Scalar) -> Fraction:
         return Fraction(1, x)
 
+    def _key(self) -> tuple:
+        return ()
+
     def __repr__(self):
         return "QQ"
 
@@ -126,21 +157,23 @@ class RationalField:
 QQ = RationalField()
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(Value):
     """GF(p) for a prime p.
 
     Dimensions computed over it are exact over GF(p) and its algebraic
     closure; reading them as the rational ones is the heuristic step.
     """
 
-    p: int
     zero, one = 0, 1
     render = staticmethod(str)
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError("prime-field modulus must be prime, got %d" % self.p)
+    def __init__(self, p: int):
+        if not is_prime(p):
+            raise ValueError("prime-field modulus must be prime, got %d" % p)
+        self.__dict__.update(p=p)
+
+    def _key(self) -> tuple:
+        return (self.p,)
 
     @property
     def char(self) -> int:

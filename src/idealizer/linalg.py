@@ -61,12 +61,11 @@ reduce each entry with ``field.reduce``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .fields import Scalar, int_row, scalar_row
+from .fields import Scalar, Value, int_row, scalar_row
 from .poly import HomogPoly, basis_dim, poly_to_vector, product_index
 
 __all__ = [
@@ -83,15 +82,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Ambient:
+class Ambient(Value):
     """Shape descriptor for the space a vector lives in."""
 
-    kind: str  # "poly" | "pair" | "free"
-    nvars: int
-    degree: int
-    dim: int
-    label: str = ""
+    def __init__(self, kind: str, nvars: int, degree: int, dim: int, label: str = ""):
+        # kind: "poly" | "pair" | "free"
+        self.__dict__.update(kind=kind, nvars=nvars, degree=degree, dim=dim, label=label)
+
+    def _key(self) -> tuple:
+        return (self.kind, self.nvars, self.degree, self.dim, self.label)
+
+    def __repr__(self):
+        return "Ambient(kind=%r, nvars=%r, degree=%r, dim=%r, label=%r)" % self._key()
 
     def require_same(self, other: "Ambient") -> None:
         if self != other:
@@ -204,14 +206,14 @@ class Echelon:
         return tuple(order), tuple(tuple(sorted(r.items())) for r in rows)
 
 
-@dataclass(frozen=True)
-class GradedSubspace:
+class GradedSubspace(Value):
     """A subspace stored as its canonical int RREF rows."""
 
-    ambient: Ambient
-    field: object
-    pivots: tuple[int, ...]
-    rows: tuple[tuple[tuple[int, int], ...], ...]
+    def __init__(self, ambient: Ambient, field, pivots: tuple[int, ...], rows: tuple):
+        self.__dict__.update(ambient=ambient, field=field, pivots=pivots, rows=rows)
+
+    def _key(self) -> tuple:
+        return (self.ambient, self.field, self.pivots, self.rows)
 
     @property
     def dim(self) -> int:

@@ -17,12 +17,11 @@ evidence, reported as observed facts, never as proofs of density.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .automorphism import AutoMap, ProjPoint, point_image
-from .fields import QQ, int_row
+from .fields import QQ, Frozen, int_row
 from .linalg import kernel, rank_rows
 from .poly import basis_dim, monomial_values
 
@@ -44,11 +43,9 @@ class FactorBoundError(ValueError):
     """A multiplier has a prime factor beyond the trial-division bound."""
 
 
-@dataclass(frozen=True)
-class OrbitWindow:
-    lo: int
-    hi: int
-    points: dict[int, ProjPoint]
+class OrbitWindow(Frozen):
+    def __init__(self, lo: int, hi: int, points: dict[int, ProjPoint]):
+        self.__dict__.update(lo=lo, hi=hi, points=points)
 
 
 def orbit_points(auto: AutoMap, start: ProjPoint, window: int) -> OrbitWindow:
@@ -104,14 +101,24 @@ def _trial_factor(n: int, bound: int) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
-class IndependenceCertificate:
-    multipliers: tuple[Fraction, ...]
-    verdict: str  # "independent" | "dependent"
-    primes: tuple[int, ...]
-    exponent_matrix: tuple[tuple[int, ...], ...]  # rows = multipliers, cols = primes
-    relation: tuple[int, ...] | None
-    relation_verified: bool
+class IndependenceCertificate(Frozen):
+    def __init__(
+        self,
+        multipliers: tuple[Fraction, ...],
+        verdict: str,  # "independent" | "dependent"
+        primes: tuple[int, ...],
+        exponent_matrix: tuple[tuple[int, ...], ...],  # rows = multipliers, cols = primes
+        relation: tuple[int, ...] | None,
+        relation_verified: bool,
+    ):
+        self.__dict__.update(
+            multipliers=multipliers,
+            verdict=verdict,
+            primes=primes,
+            exponent_matrix=exponent_matrix,
+            relation=relation,
+            relation_verified=relation_verified,
+        )
 
     def payload(self) -> dict:
         return {

@@ -49,13 +49,12 @@ it serves the polynomials that remain, such as ``TwistRing.mul``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .fields import Scalar, int_row
+from .fields import Scalar, Value, int_row
 
 __all__ = [
     "HomogPoly",
@@ -209,8 +208,7 @@ def vanishes_at(f: HomogPoly, coords: tuple[Scalar, ...], field) -> bool:
     return not (s % field.char if field.char else s)
 
 
-@dataclass(frozen=True)
-class HomogPoly:
+class HomogPoly(Value):
     """A homogeneous polynomial over the field of characteristic ``char``:
     the int row ``row`` over the denominator ``den``.
 
@@ -222,11 +220,11 @@ class HomogPoly:
     ``terms``, the (monomial, coefficient) pairs, is derived on demand.
     """
 
-    nvars: int
-    degree: int
-    row: tuple[tuple[int, int], ...]
-    den: int
-    char: int
+    def __init__(self, nvars: int, degree: int, row: tuple, den: int, char: int):
+        self.__dict__.update(nvars=nvars, degree=degree, row=row, den=den, char=char)
+
+    def _key(self) -> tuple:
+        return (self.nvars, self.degree, self.row, self.den, self.char)
 
     @staticmethod
     def from_row(

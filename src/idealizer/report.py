@@ -13,7 +13,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+
+from .fields import Frozen
 
 SCHEMA = "idealizer-report/1"
 
@@ -36,19 +37,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    name: str
-    status: str
-    statement: str
-    data: dict = field(default_factory=dict)
-    window: dict | None = None
-
-    def __post_init__(self):
-        if self.status not in (PASS, FAIL, OBSERVED, SKIPPED):
-            raise ValueError("unknown status %r" % self.status)
-        if self.status == OBSERVED and not self.window:
+class CheckRecord(Frozen):
+    def __init__(
+        self,
+        name: str,
+        status: str,
+        statement: str,
+        data: dict | None = None,
+        window: dict | None = None,
+    ):
+        if status not in (PASS, FAIL, OBSERVED, SKIPPED):
+            raise ValueError("unknown status %r" % status)
+        if status == OBSERVED and not window:
             raise ValueError("observed claims must carry their window")
+        data = {} if data is None else data
+        self.__dict__.update(
+            name=name, status=status, statement=statement, data=data, window=window
+        )
 
     def payload(self) -> dict:
         out = {
@@ -62,10 +67,9 @@ class CheckRecord:
         return out
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    config: dict
-    checks: tuple[CheckRecord, ...]
+class VerificationReport(Frozen):
+    def __init__(self, config: dict, checks: tuple[CheckRecord, ...]):
+        self.__dict__.update(config=config, checks=checks)
 
     def counts(self) -> dict:
         out = {PASS: 0, FAIL: 0, OBSERVED: 0, SKIPPED: 0}

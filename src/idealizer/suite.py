@@ -42,7 +42,8 @@ Segre checks and the window checks.  One byte per group with a check to
 run goes into a pipe whose write end closes before the suite forks one
 worker; the parent and the worker then each claim the next group with a
 one-byte read until the pipe is empty, so whichever is free takes it,
-largest group first.  The worker sends back the results of its groups,
+in the fixed order of ``GROUPS`` (largest first on the reference and
+prime instances).  The worker sends back the results of its groups,
 marshalled through a second pipe.  The suite forks only where
 ``os.fork`` and ``os.sched_getaffinity`` exist, the process may use at
 least two CPUs, and no other thread is running; otherwise, or when the
@@ -61,7 +62,6 @@ import hashlib
 import marshal
 import os
 import threading
-from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import count, islice
@@ -241,7 +241,7 @@ class _Context:
         """The config rebuilt over the second prime, or why it cannot be (a str)."""
         q = second_prime(self.instance)
         try:
-            return replace(self.cfg, field="prime:%d" % q).build()
+            return self.cfg.updated({"field": "prime:%d" % q}).build()
         except ConfigError as exc:
             return "second prime unusable: %s" % exc
 
@@ -313,8 +313,10 @@ def skip_reason(instance: Instance, name: str) -> str | None:
     return _unmet(_Context(instance), requires)
 
 
-# Groups of checks that read the same caches, largest first; every check
-# is in exactly one, so the two processes of a run share no work.
+# Groups of checks that read the same caches, in a fixed order: largest
+# first on the reference and prime instances, while in four variables
+# twist-associativity costs more than either of the first two.  Every
+# check is in exactly one, so the two processes of a run share no work.
 GROUPS = (
     (
         "idealizer-structure",
