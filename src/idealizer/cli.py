@@ -366,7 +366,7 @@ def cmd_hom_table(args, instance: Instance) -> int:
 
 def cmd_segre(args, instance: Instance) -> int:
     cfg = instance.config
-    segre = SegreContext(cfg.d, instance.field, instance.point)
+    segre = SegreContext(cfg.d, instance.field)
     local = local_witness_check(cfg.d, instance.field)
     block = segre.witness_dims(cfg.max_degree)
     first_pos = nonvanishing_from(block["witness_dims"])

@@ -5,30 +5,22 @@ or a ``Fraction``; the two mix exactly under ``+ - * ==`` and ``hash``,
 so integer data stays ``int`` until a division makes a ``Fraction``.
 Over GF(p) it is an ``int``, canonically the least residue in [0, p).
 
-Sums and products of GF(p) scalars are plain integer arithmetic, so they
-leave [0, p) until reduced.  The field object owns reduction and
-division: ``reduce(x)`` is the identity over Q and ``x % p`` mod p, and
-``inv(x)`` is the exact inverse, raising ``ZeroDivisionError`` on zero.
-Int rows reduce in ``HomogPoly.from_row`` (which every polynomial goes
-through), in ``poly.row_product`` and in ``AutoMap.apply_row``; the few
-sums and products of scalars (``AutoMap.compose``,
-``linalg.mat_mul``/``mat_vec``) call ``reduce``.
-
 Every vector is a sparse int row: (column, value) pairs with distinct
 columns and nonzero values, integers over the rationals and residues mod
-p.  A polynomial is one such row over one denominator
-(``poly.HomogPoly``), and the matrix layer (``linalg``) runs on them.
-Scalars meet rows in few places:
+p, reduced in ``HomogPoly.from_row`` (which every polynomial goes
+through), ``poly.row_product`` and ``AutoMap.apply_row``.  A polynomial
+is one such row over one denominator (``poly.HomogPoly``), an
+automorphism one per variable over one denominator
+(``automorphism.AutoMap``), and the matrix layer (``linalg``) runs on
+them.  Scalars meet rows in few places:
 
 - ``int_row`` converts a dense list of scalars into a row, up to a
   nonzero scale, its columns the list positions (points and evaluation
   values);
-- ``scalar_row`` converts a row over a common denominator back to exact
-  scalars, keeping its columns (``ProjPoint.make``,
-  ``linalg.invert_matrix``);
 - ``HomogPoly.from_dict`` writes coefficients over one denominator, and
   ``HomogPoly.terms`` reads them back for printing;
-- ``AutoMap`` reads its matrix over one denominator.
+- ``AutoMap.from_matrix`` writes a matrix over one denominator, and
+  ``AutoMap.entry`` reads one entry back.
 
 The rational field is the default everywhere.  A prime field is a field,
 not a shortcut: every dimension computed over GF(p) is exact for the
@@ -42,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 __all__ = [
     "QQ",
@@ -51,7 +43,6 @@ __all__ = [
     "Scalar",
     "int_row",
     "is_prime",
-    "scalar_row",
 ]
 
 Scalar = Union[int, Fraction]
@@ -141,12 +132,6 @@ class RationalField(Value):
     def parse(self, text: str) -> Fraction:
         return Fraction(text.strip())
 
-    def reduce(self, x: Scalar) -> Scalar:
-        return x
-
-    def inv(self, x: Scalar) -> Fraction:
-        return Fraction(1, x)
-
     def _key(self) -> tuple:
         return ()
 
@@ -196,14 +181,6 @@ class PrimeField(Value):
     def parse(self, text: str) -> int:
         return self.from_fraction(Fraction(text.strip()))
 
-    def reduce(self, x: int) -> int:
-        return x % self.p
-
-    def inv(self, x: int) -> int:
-        if not x % self.p:
-            raise ZeroDivisionError("inverting zero in GF(%d)" % self.p)
-        return pow(x, -1, self.p)
-
     def __repr__(self):
         return "GF(%d)" % self.p
 
@@ -218,17 +195,6 @@ def int_row(vec: Sequence[Scalar], field) -> list[tuple[int, int]]:
     ints = [(k, x.numerator * (denom // x.denominator)) for k, x in enumerate(vec) if x]
     g = gcd(*(v for _, v in ints))
     return [(k, v // g) for k, v in ints] if g > 1 else ints
-
-
-def scalar_row(row: Iterable[tuple[int, int]], field, denom: int) -> tuple[tuple[int, Scalar], ...]:
-    """The exact scalars row / denom, for a nonzero int denom, on the same columns."""
-    p = field.char
-    if p:
-        inv = pow(denom, -1, p)
-        return tuple((k, v * inv % p) for k, v in row if v % p)
-    if denom == 1:
-        return tuple(row)
-    return tuple((k, Fraction(v, denom)) for k, v in row)
 
 
 def field_from_name(name: str):

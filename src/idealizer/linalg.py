@@ -45,18 +45,13 @@ its evaluation row instead).
 A polynomial is already an int row over a denominator, so polynomials
 come in as their rows (``poly_to_vector``) and kernel vectors leave as
 polynomials over their last entry (``twist.kernel_form``), with no
-scalar between.  Scalars enter only through ``fields.int_row`` (the rows
-callers build from point values and matrices) and leave only through
-``fields.scalar_row`` in ``invert_matrix``.  ``quotient_coords``, the
-one exact, not scale-free, result, returns an int row with its
+scalar between; no scalar enters or leaves here.  ``quotient_coords``,
+the one exact, not scale-free, result, returns an int row with its
 denominator.
 
 ``intersect`` has no caller in the package, which counts the dimension
 of a meet from a sum; it is kept for the benchmark's span list and for
 the test oracles.
-
-``mat_mul`` and ``mat_vec`` multiply scalar matrices (automorphisms) and
-reduce each entry with ``field.reduce``.
 """
 
 from __future__ import annotations
@@ -65,7 +60,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .fields import Scalar, Value, int_row, scalar_row
+from .fields import Value
 from .poly import HomogPoly, basis_dim, poly_to_vector, product_index
 
 __all__ = [
@@ -85,15 +80,15 @@ __all__ = [
 class Ambient(Value):
     """Shape descriptor for the space a vector lives in."""
 
-    def __init__(self, kind: str, nvars: int, degree: int, dim: int, label: str = ""):
+    def __init__(self, kind: str, nvars: int, degree: int, dim: int):
         # kind: "poly" | "pair" | "free"
-        self.__dict__.update(kind=kind, nvars=nvars, degree=degree, dim=dim, label=label)
+        self.__dict__.update(kind=kind, nvars=nvars, degree=degree, dim=dim)
 
     def _key(self) -> tuple:
-        return (self.kind, self.nvars, self.degree, self.dim, self.label)
+        return (self.kind, self.nvars, self.degree, self.dim)
 
     def __repr__(self):
-        return "Ambient(kind=%r, nvars=%r, degree=%r, dim=%r, label=%r)" % self._key()
+        return "Ambient(kind=%r, nvars=%r, degree=%r, dim=%r)" % self._key()
 
     def require_same(self, other: "Ambient") -> None:
         if self != other:
@@ -416,49 +411,3 @@ def intersect(v: GradedSubspace, w: GradedSubspace) -> GradedSubspace:
         ech.insert(r)
     right = ([(c - n, x) for c, x in r.items()] for j, r in ech.pivot_rows.items() if j >= n)
     return span(right, v.ambient, v.field)
-
-
-def mat_mul(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]], field):
-    n, m = len(a), len(b[0])
-    inner = len(b)
-    zero = field.zero
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            s = zero
-            for k in range(inner):
-                if a[i][k] and b[k][j]:
-                    s = s + a[i][k] * b[k][j]
-            row.append(field.reduce(s))
-        out.append(row)
-    return out
-
-
-def mat_vec(a: Sequence[Sequence[Scalar]], v: Sequence[Scalar], field):
-    zero = field.zero
-    out = []
-    for row in a:
-        s = zero
-        for x, y in zip(row, v):
-            if x and y:
-                s = s + x * y
-        out.append(field.reduce(s))
-    return out
-
-
-def invert_matrix(a: Sequence[Sequence[Scalar]], field):
-    """The right half of the RREF of [A | I]; None when A is singular."""
-    n = len(a)
-    one, zero = field.one, field.zero
-    ech = Echelon(2 * n, field)
-    for i, row in enumerate(a):
-        ech.insert(int_row(list(row) + [one if k == i else zero for k in range(n)], field))
-    pivots, rows = ech.canonical_rows()
-    if pivots != tuple(range(n)):
-        return None
-    out = []
-    for r in rows:
-        scaled = dict(scalar_row(r, field, r[0][1]))
-        out.append([scaled.get(n + k, zero) for k in range(n)])
-    return out

@@ -375,7 +375,10 @@ def parse_poly(text: str, nvars: int, field, degree: int | None = None) -> Homog
             raise ValueError("missing +/- before position %d in %r" % (pos, text))
         if coeff_txt is None and not vars_txt.strip():
             raise ValueError("empty term in %r" % text)
-        coeff = field.parse(coeff_txt) if coeff_txt else field.one
+        try:
+            coeff = field.parse(coeff_txt) if coeff_txt else field.one
+        except ZeroDivisionError as exc:
+            raise ValueError("coefficient %s is not defined in %s" % (coeff_txt, field.name)) from exc
         if sign == "-":
             coeff = -coeff
         expts = [0] * nvars

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from math import factorial
 
-from .automorphism import ProjPoint
 from .fields import QQ
 from .linalg import Ambient, GradedSubspace, poly_ambient, segre_ambient, span, span_polys
 from .poly import HomogPoly, basis_dim, monomial_basis
@@ -36,17 +35,14 @@ __all__ = ["SegreContext", "local_witness_check", "nonvanishing_from"]
 
 
 class SegreContext:
-    """Degreewise data for U tensor U over a chosen point."""
+    """Degreewise data for U tensor U (the same for every point)."""
 
-    def __init__(self, d: int, field, point: ProjPoint):
+    def __init__(self, d: int, field):
         if d < 2:
             raise ValueError("need projective dimension at least 2")
-        if point.nvars != d + 1:
-            raise ValueError("point arity does not match d")
         self.d = d
         self.nvars = d + 1
         self.field = field
-        self.point = point
 
     # -- x-coordinate constructions (exact but only affordable in low degree)
 

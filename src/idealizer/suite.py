@@ -441,7 +441,7 @@ def run_suite(instance: Instance) -> VerificationReport:
 def _twist_normalization_pin(ctx):
     ring = ctx.ring
     x0, x1 = ring.variable(0), ring.variable(1)
-    p1 = ring.phi.matrix[1][1]
+    p1 = ring.phi.entry(1, 1)
     ok = ring.mul(x1, x0) == ring.mul(x0, x1).scale(p1)
     return (
         _verdict(ok),
@@ -781,7 +781,7 @@ def _segre_local_witness(ctx):
 @_check("segre-diagonal-dim")
 def _segre_diagonal_dim(ctx):
     d = ctx.cfg.d
-    j1 = SegreContext(d, ctx.field, ctx.instance.point).diagonal_ideal_piece(1).dim
+    j1 = SegreContext(d, ctx.field).diagonal_ideal_piece(1).dim
     expected = d * (d + 1) // 2
     return (
         _verdict(j1 == expected),
@@ -794,7 +794,7 @@ def _segre_diagonal_dim(ctx):
 @_check("segre-witness")
 def _segre_witness(ctx):
     cap = min(ctx.N, SEGRE_DEGREE_CAP)
-    block = SegreContext(ctx.cfg.d, ctx.field, ctx.instance.point).witness_dims(cap)
+    block = SegreContext(ctx.cfg.d, ctx.field).witness_dims(cap)
     ms = range(1, cap + 1)
     wdims = [block["witness_dims"][m] for m in ms]
     return (

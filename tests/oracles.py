@@ -83,7 +83,7 @@ from itertools import product as iter_product
 from math import gcd, lcm, prod
 
 from idealizer.automorphism import AutoMap, point_image
-from idealizer.fields import int_row, scalar_row
+from idealizer.fields import int_row
 from idealizer.linalg import (
     Echelon,
     GradedSubspace,
@@ -259,10 +259,11 @@ def poly_mul_terms(f, g):
 
 def diagonal_apply_per_term(auto, f):
     """A diagonal map applied to f with one power per variable per term, uncached."""
+    diag = [auto.entry(i, i) for i in range(auto.nvars)]
     out = {}
     for m, c in f.terms:
         v = c
-        for x, e in zip(auto.diagonal, m):
+        for x, e in zip(diag, m):
             if e:
                 v = v * x**e
         out[m] = v
@@ -315,7 +316,7 @@ def matrix_apply_per_call(auto, f):
     the map."""
     n, p = f.nvars, f.char
     images = [
-        tuple((tuple(1 if k == j else 0 for k in range(n)), auto.matrix[j][i]) for j in range(n))
+        tuple((tuple(1 if k == j else 0 for k in range(n)), auto.entry(j, i)) for j in range(n))
         for i in range(n)
     ]
     total = ()
@@ -340,7 +341,7 @@ def evaluate(f, coords, field):
             if e:
                 v = v * x**e
         total = total + v
-    return field.reduce(total)
+    return total % field.char if field.char else total
 
 
 def evaluate_at(f, pt, field):
@@ -464,8 +465,9 @@ def residual_quotient_row(idl, ideal, shifted, source_degree):
         prod = shifted * HomogPoly.monomial(mono, 1, idl.field.char)
         if target.ambient.dim - target.dim != 1:
             raise ArithmeticError("point ideal piece is not of codimension one")
-        ints, den = target.quotient_coords(poly_to_vector(prod, idl.field))
-        row.append(dict(scalar_row(ints, idl.field, den)).get(0, idl.field.zero))
+        # every coordinate is over the target's one denominator, which int_row drops
+        ints, _ = target.quotient_coords(poly_to_vector(prod, idl.field))
+        row.append(dict(ints).get(0, 0))
     return int_row(row, idl.field)
 
 
@@ -831,7 +833,8 @@ def diagonal_weights_closed_form(auto, n):
     """A diagonal map's degree-n weights, each one product of powers of the
     column scales under den * matrix, reduced mod p only at the end."""
     p, den = auto.field.char, auto.den
-    scale = [x.numerator * (den // x.denominator) for x in auto.diagonal]
+    diag = (auto.entry(i, i) for i in range(auto.nvars))
+    scale = [x.numerator * (den // x.denominator) for x in diag]
     weights = (prod(x**e for x, e in zip(scale, m)) for m in monomials(auto.nvars, n))
     return tuple(w % p for w in weights) if p else tuple(weights)
 
@@ -873,15 +876,15 @@ def diagonal_apply_row_pairs(auto, row, n):
 # -- Segre witness in raw pair coordinates ----------------------------------------
 
 
-def ideal_piece(ctx, m):
-    """I_m for the context's point, by the degree-one recursion."""
+def ideal_piece(ctx, point, m):
+    """I_m for the point, by the degree-one recursion."""
     ring = TwistRing(ctx.d, AutoMap.identity(ctx.nvars, ctx.field), ctx.field)
-    return recursive_point_ideal(ring, ctx.point).piece(m)
+    return recursive_point_ideal(ring, point).piece(m)
 
 
-def K_piece(ctx, m):
+def K_piece(ctx, point, m):
     """Span of I_m tensor I_m: outer products of basis vectors."""
-    piece = ideal_piece(ctx, m)
+    piece = ideal_piece(ctx, point, m)
     dim = piece.ambient.dim
     vecs = [
         [(i * dim + j, a * b) for i, a in u for j, b in v] for u in piece.rows for v in piece.rows
@@ -919,16 +922,17 @@ def segre_product_span(ctx, v, w):
     return span(gens(), target, ctx.field)
 
 
-def witness_dims_naive(ctx, max_piece):
-    """dim ((J meet K)/(sum of J_a.K_b))_m from raw pair coordinates."""
+def witness_dims_naive(ctx, point, max_piece):
+    """dim ((J meet K)/(sum of J_a.K_b))_m from raw pair coordinates, K
+    built at the point."""
     out = {}
     for m in range(1, max_piece + 1):
-        meet = intersect(ctx.diagonal_ideal_piece(m), K_piece(ctx, m))
+        meet = intersect(ctx.diagonal_ideal_piece(m), K_piece(ctx, point, m))
         # the product piece is the span over all bidegree splits;
         # J_0 and K_0 vanish, so a and b both run over positive degrees
         ech = Echelon(ctx.ambient(m).dim, ctx.field)
         for a in range(1, m):
-            prod = segre_product_span(ctx, ctx.diagonal_ideal_piece(a), K_piece(ctx, m - a))
+            prod = segre_product_span(ctx, ctx.diagonal_ideal_piece(a), K_piece(ctx, point, m - a))
             for row in prod.rows:
                 ech.insert(row)
         out[m] = meet.dim - ech.dim

@@ -167,7 +167,7 @@ def test_criterion_09_right_noetherian_probes(engine):
 
 def test_criterion_10_segre_witness():
     local = all(local_witness_check(d, QQ)["ok"] for d in (2, 3))
-    ctx = SegreContext(2, QQ, ProjPoint.make([QQ.one] * 3, QQ))
+    ctx = SegreContext(2, QQ)
     rec = ctx.witness_dims(6)
     positive = all(rec["witness_dims"][m] >= 1 for m in range(2, 7))
     diag = ctx.diagonal_ideal_piece(1).dim == 3

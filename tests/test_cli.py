@@ -220,8 +220,22 @@ def test_bad_ideal_spec_exits_two(capsys):
         ("critdense", "--window", "-1"),
         ("critdense", "--degree", "0"),
         ("opposite-check", "--total-degree", "-1"),
+        ("probe", "--f", "1/0*x0"),
+        ("probe", "--field", "prime:7", "--f", "1/7*x0 - x1"),
+        ("ext-table", "--J", "gens:1/0*x0"),
+        ("hom-table", "--J", "gens:1/0*x0"),
     ],
-    ids=["zero-point", "zero-point-mod-7", "negative-window", "zero-degree", "negative-total"],
+    ids=[
+        "zero-point",
+        "zero-point-mod-7",
+        "negative-window",
+        "zero-degree",
+        "negative-total",
+        "probe-zero-denominator",
+        "probe-denominator-zero-mod-7",
+        "ext-gens-zero-denominator",
+        "hom-gens-zero-denominator",
+    ],
 )
 def test_vacuous_or_degenerate_input_exits_two(capsys, argv):
     code, out, err = _run(capsys, *argv, "--max-degree", "3")

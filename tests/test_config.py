@@ -99,7 +99,7 @@ def test_matrix_automorphism_config():
     assert cfg.multipliers is None
     assert cfg.matrix is not None
     inst = cfg.build()
-    assert inst.ring.phi.matrix[1][1] == Fraction(2)
+    assert inst.ring.phi.entry(1, 1) == 2
 
 
 def test_rejects_both_diag_and_matrix():

@@ -54,26 +54,23 @@ def test_rational_field_basics():
 
 def test_prime_field_arithmetic():
     F = PrimeField(7)
-    a = F.from_int(3)
-    b = F.from_int(5)
-    assert F.reduce(a + b) == F.from_int(1)
-    assert F.reduce(a * b) == F.from_int(1)
-    assert F.reduce(a - b) == F.from_int(5)
-    assert F.reduce(b * F.inv(a)) == F.from_int(4)  # 5 * 3^-1 = 5 * 5 = 25 = 4
-    assert F.reduce(-a) == F.from_int(4)
-    assert F.reduce(a**6) == F.one
+    assert F.from_int(10) == F.from_int(3) == 3
+    assert F.from_int(-3) == 4
+    assert F.parse("5/3") == 4  # 5 * 3^-1 = 5 * 5 = 25 = 4
+    assert F.from_fraction(Fraction(-1, 3)) == 2
     assert bool(F.zero) is False
-    assert bool(a) is True
+    assert bool(F.from_int(3)) is True
     with pytest.raises(ZeroDivisionError):
-        F.inv(F.from_int(14))
+        F.parse("1/14")
 
 
-def test_rational_field_reduce_and_inv():
-    assert QQ.reduce(Fraction(6, 4)) == Fraction(3, 2)
-    assert QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
-    assert QQ.inv(4) == Fraction(1, 4)
+def test_rational_field_from_fraction():
+    """A rational scalar is an int when it is integral, else a Fraction."""
+    assert QQ.from_fraction(Fraction(6, 4)) == Fraction(3, 2)
+    assert type(QQ.from_fraction(Fraction(8, 4))) is int
+    assert QQ.from_fraction(Fraction(-2, 3)) == Fraction(-2, 3)
     with pytest.raises(ZeroDivisionError):
-        QQ.inv(0)
+        QQ.parse("1/0")
 
 
 def test_prime_field_rejects_composite_modulus():

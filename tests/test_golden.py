@@ -3,8 +3,8 @@
 Each config covers a regime the benchmark does not reach at this size:
 the generic regime over Q and over a prime field, the identity regime,
 the residual regime (a point fixed by phi), four variables, and a
-non-diagonal matrix automorphism (the one entry that inverts a matrix,
-composes matrices and applies the generic substitution).  A digest
+non-diagonal matrix automorphism (the one entry that inverts, composes
+and applies a map that is not diagonal, on its int rows).  A digest
 changes exactly when a report byte changes, so a refactor that keeps
 these digests keeps the reports.
 

@@ -16,16 +16,14 @@ from oracles import (
 )
 from properties import FIELDS, property_test
 
-from idealizer.fields import QQ, PrimeField, int_row, scalar_row
+from idealizer.automorphism import AutoMap, ProjPoint, point_image
+from idealizer.fields import QQ, PrimeField, int_row
 from idealizer.linalg import (
     Ambient,
     Echelon,
     annihilates,
     intersect,
-    invert_matrix,
     kernel,
-    mat_mul,
-    mat_vec,
     poly_ambient,
     rank_rows,
     span,
@@ -34,9 +32,9 @@ from idealizer.linalg import (
 from idealizer.poly import parse_poly, poly_to_vector
 
 
-def free_ambient(dim, label=""):
+def free_ambient(dim):
     """An ambient with no polynomial shape, for plain vectors."""
-    return Ambient("free", 0, 0, dim, label)
+    return Ambient("free", 0, 0, dim)
 
 
 def _q(*vals):
@@ -46,7 +44,9 @@ def _q(*vals):
 
 def _scalars(row, field, den, width):
     """The exact scalars row / den of a sparse int row, as a dense tuple."""
-    return tuple(densify(scalar_row(row, field, den), width))
+    p = field.char
+    values = [(k, v * pow(den, -1, p) % p if p else Fraction(v, den)) for k, v in row]
+    return tuple(densify(values, width))
 
 
 def test_span_dim_and_membership():
@@ -133,7 +133,7 @@ def test_subspace_sum_and_quotient_dim():
 
 def test_ambient_mismatch_rejected():
     V = span([_q(1, 0)], poly_ambient(2, 1), QQ)
-    W = span([_q(1, 0)], free_ambient(2, "other"), QQ)
+    W = span([_q(1, 0)], free_ambient(2), QQ)
     with pytest.raises(ValueError):
         intersect(V, W)
 
@@ -149,19 +149,6 @@ def test_prime_field_linear_algebra():
         for a, b in zip(row, densify(ker[0], 3)):
             total = total + a * b
         assert not total
-
-
-def test_matrix_inverse():
-    A = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
-    B = invert_matrix(A, QQ)
-    assert mat_mul(A, B, QQ) == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    # singular input reports None instead of raising
-    assert invert_matrix([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]], QQ) is None
-
-
-def test_mat_vec():
-    A = [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(3)]]
-    assert mat_vec(A, [Fraction(1), Fraction(1)], QQ) == [Fraction(3), Fraction(3)]
 
 
 def test_kernel_vectors_are_canonical():
@@ -296,10 +283,13 @@ def test_kernel_dimension_and_annihilation(field, rows, width):
     ker = kernel(_ints(rows, field), width, field)
     rank = _sympy_matrix(rows, width, field).rank() if rows else 0
     assert len(ker) == width - rank
+    p = field.char
     for v in ker:
         v = densify(v, width)
         assert not all(x == 0 for x in v)
-        assert all(x == 0 for x in mat_vec(rows, v, field))
+        for r in rows:
+            s = sum(x * y for x, y in zip(r, v))
+            assert not (s % p if p else s)
 
 
 @_property(
@@ -367,21 +357,44 @@ def test_quotient_map_matches_reduction(field, subspace, vectors):
         assert V.contains_vector(v) == (not any(res))
 
 
-@_property(
-    lambda st: _field_and(
-        st, lambda F: st.integers(1, 4).flatmap(lambda n: _matrix(st, F, n, n, n))
+def _square_pair_and_point(st, F):
+    """Two n x n matrices, an exponent and a nonzero point, n <= 4."""
+    coords = st.lists(st.integers(-9, 9).map(F.from_int), min_size=1).filter(any)
+    return st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            _matrix(st, F, n, n, n),
+            _matrix(st, F, n, n, n),
+            st.integers(-3, 3),
+            coords.map(lambda c: (c + [F.one] * n)[:n]).filter(any),
+        )
     )
-)
-def test_invert_matrix_matches_sympy(field, rows, n):
-    inv = invert_matrix(rows, field)
-    M = _sympy_matrix(rows, n, field)
-    if M.rank() < n:
-        assert inv is None
-        return
-    want = [[_from_sympy(x, field) for x in r] for r in M.inv().to_list()]
-    assert inv == want
-    ident = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
-    assert mat_mul(rows, inv, field) == ident
+
+
+@_property(lambda st: _field_and(st, lambda F: _square_pair_and_point(st, F)))
+def test_automap_matches_sympy(field, first, second, k, coords):
+    """inv, compose, power and point_image of maps built from matrices
+    agree with sympy's matrix inverse, product, power and transpose."""
+    (a, n), (b, _) = first, second
+    A, B = _sympy_matrix(a, n, field), _sympy_matrix(b, n, field)
+    for rows, M in ((a, A), (b, B)):
+        if M.rank() < n:
+            with pytest.raises(ValueError):
+                AutoMap.from_matrix(rows, field)
+            return
+    phi, psi = AutoMap.from_matrix(a, field), AutoMap.from_matrix(b, field)
+
+    def entries(auto):
+        return [[auto.entry(i, j) for j in range(n)] for i in range(n)]
+
+    def want(M):
+        return [[_from_sympy(x, field) for x in r] for r in M.to_list()]
+
+    assert entries(phi.inv()) == want(A.inv())
+    assert entries(phi.power(k)) == want(A**k if k >= 0 else A.inv() ** -k)
+    assert entries(phi.compose(psi)) == want(A * B)
+    image = A.transpose() * _sympy_matrix([[x] for x in coords], 1, field)
+    point = ProjPoint.make(coords, field)
+    assert point_image(phi, point) == ProjPoint.make([r[0] for r in want(image)], field)
 
 
 @_property(

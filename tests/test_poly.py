@@ -161,7 +161,7 @@ def test_apply_fixes_constants_for_a_non_diagonal_map():
         [QQ.from_int(0), QQ.from_int(0), QQ.from_int(3)],
     ]
     A = AutoMap.from_matrix(rows, QQ)
-    assert A.diagonal is None
+    assert A._weights is None
     c = HomogPoly.monomial((0, 0, 0), QQ.from_int(5), QQ.char)
     assert A.apply(c) == c
     assert A.apply(HomogPoly.zero(3, 0, QQ.char)) == HomogPoly.zero(3, 0, QQ.char)
@@ -260,15 +260,17 @@ def test_apply_respects_compose(field, A, B, f):
 def test_apply_then_evaluate_is_evaluate_at_image(field, A, f, P):
     # point_image rescales A^T P to its canonical representative Q = lam * A^T P,
     # and f is homogeneous, so f(Q) = lam^deg f(A^T P)
-    raw = [
-        field.reduce(sum(A.matrix[j][i] * P.coords[j] for j in range(NVARS)))
-        for i in range(NVARS)
-    ]
+    p = field.char
+
+    def red(x):
+        return x % p if p else x
+
+    raw = [red(sum(A.entry(j, i) * P.coords[j] for j in range(NVARS))) for i in range(NVARS)]
     Q = point_image(A, P)
     k = next(i for i, x in enumerate(raw) if x)
-    lam = field.reduce(Q.coords[k] * field.inv(raw[k]))
-    assert list(Q.coords) == [field.reduce(lam * x) for x in raw]
-    lhs = field.reduce(lam**f.degree * evaluate_at(A.apply(f), P, field))
+    lam = Q.coords[k] * pow(raw[k], -1, p) % p if p else Q.coords[k] / Fraction(raw[k])
+    assert list(Q.coords) == [red(lam * x) for x in raw]
+    lhs = red(lam**f.degree * evaluate_at(A.apply(f), P, field))
     assert lhs == evaluate_at(f, Q, field)
 
 
@@ -279,11 +281,48 @@ def test_inverse_undoes_apply(field, A, f):
     assert A.compose(A.inv()).is_identity()
 
 
+def _multipliers(st, field):
+    return st.lists(_scalar(st, field).filter(bool), min_size=NVARS - 1, max_size=NVARS - 1)
+
+
+@property_test(
+    lambda st: _field_and(st, _multipliers, _automap, lambda st, F: st.integers(0, 4))
+)
+def test_automap_canonical_form(field, ms, A, n):
+    """Routes to one substitution give == and equal hash, and a map's rows
+    are canonical: sorted, den the lcm of the entries' denominators and
+    gcd 1 with the values over Q, den 1 and least residues mod p."""
+    p = field.char
+    diag = [field.one] + ms
+    by_matrix = AutoMap.from_matrix(
+        [[x if i == j else 0 for j in range(NVARS)] for i, x in enumerate(diag)], field
+    )
+    ident = AutoMap.identity(NVARS, field)
+    pairs = [
+        (AutoMap.diagonal_family(ms, field), by_matrix),
+        (A.compose(A.inv()), ident),
+        (A.inv().compose(A), ident),
+        (A.power(-n), A.inv().power(n)),
+    ]
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y)
+    assert by_matrix.den == (1 if p else lcm(*(Fraction(x).denominator for x in diag)))
+    for B in (A, A.inv(), A.power(n), by_matrix):
+        entries = [Fraction(B.entry(i, j)) for i in range(NVARS) for j in range(NVARS)]
+        assert B.den == (1 if p else lcm(*(x.denominator for x in entries)))
+        assert all(list(r) == sorted(r) for r in B.images)
+        values = [v for r in B.images for _, v in r]
+        assert all(0 < v < p for v in values) if p else gcd(B.den, *values) == 1
+
+
 @property_test(lambda st: _field_and(st, _automap, _poly))
 def test_diagonal_fast_path_matches_substitution(field, A, f):
-    generic = AutoMap(A.matrix, A.inverse, A.field)
-    assert generic.apply(f) == A.apply(f)
-    assert generic.inv().apply(f) == A.inv().apply(f)
+    """apply, by weights for a diagonal map, is the per-call substitution
+    and, for a diagonal map, the per-term one, for A and its inverse."""
+    for auto in (A, A.inv()):
+        assert auto.apply(f) == matrix_apply_per_call(auto, f)
+        if auto._weights is not None:
+            assert auto.apply(f) == diagonal_apply_per_term(auto, f)
 
 
 @property_test(lambda st: _field_and(st, _poly))
@@ -386,7 +425,7 @@ def test_product_matches_term_by_term(field, f, g, A):
 
 @property_test(_term_case, max_examples=80)
 def test_diagonal_apply_matches_per_term(field, f, g, A):
-    assert A.diagonal is not None
+    assert A._weights is not None
     for auto in (A, A.inv()):
         for h in (f, g, f * g):
             want = diagonal_apply_per_term(auto, h)
@@ -413,7 +452,7 @@ def test_apply_row_is_den_power_times_apply(field, A, k, f):
     scale = denom * auto.den**n
     assert dict(auto.apply_row(row, n)) == {index[m]: c * scale for m, c in image.terms}
     assert image == matrix_apply_per_call(auto, f)
-    if auto.diagonal is not None:
+    if auto._weights is not None:
         assert image == diagonal_apply_per_term(auto, f)
 
 
@@ -505,7 +544,7 @@ def test_row_arithmetic_matches_term_oracles(field, A, pair, c):
     for auto in (A, A.inv(), A.power(2)):
         for h in (f, f * g):
             assert auto.apply(h) == matrix_apply_per_call(auto, h)
-            if auto.diagonal is not None:
+            if auto._weights is not None:
                 assert auto.apply(h) == diagonal_apply_per_term(auto, h)
 
 
@@ -522,7 +561,7 @@ def test_canonical_form_makes_routes_equal(field, f, c, k):
     reduced), and the same coefficient written two ways."""
     p = field.char
     routes = [
-        f.scale(c).scale(field.inv(c)),
+        f.scale(c).scale(pow(c, -1, p) if p else 1 / Fraction(c)),
         HomogPoly.from_row(f.nvars, f.degree, [(j, v * k) for j, v in f.row], f.den * k, p),
         -(-f),
         f + HomogPoly.zero(f.nvars, f.degree, p),
@@ -570,23 +609,25 @@ def test_image_cache_stays_out_of_equality():
     "multipliers", [(2, 3), (Fraction(1, 2), Fraction(2, 3))], ids=["ints", "halves-thirds"]
 )
 def test_diagonal_apply_row_by_weight_matches_table_routes(field, multipliers):
-    """One weight per column equals the general table route (the same map
-    with diagonal=None) and the one-pair table, in the row's column order,
-    in degrees 0-6, for phi, its inverse and its cube."""
+    """One weight per column equals the one-pair table, in the row's column
+    order, and the per-term and per-call substitutions, in degrees 0-6,
+    for phi, its inverse and its cube."""
     rng = random.Random(11)
     p = field.char
     A = AutoMap.diagonal_family([field.from_fraction(Fraction(m)) for m in multipliers], field)
     assert A.den == (6 if isinstance(multipliers[0], Fraction) and not p else 1)
     for B in (A, A.inv(), A.power(3)):
-        generic = AutoMap(B.matrix, B.inverse, B.field)
         for n in range(7):
             cols = list(range(basis_dim(NVARS, n)))
             rng.shuffle(cols)
             values = (rng.choice([-9, -4, -1, 1, 2, 5, 8]) for _ in cols)
             row = [(j, v % p if p else v) for j, v in zip(cols, values)]
             got = B.apply_row(row, n)
-            assert got == generic.apply_row(row, n) == diagonal_apply_row_pairs(B, row, n)
+            assert got == diagonal_apply_row_pairs(B, row, n)
             assert [j for j, _ in got] == cols
+            f = HomogPoly.from_row(NVARS, n, row, 1, p)
+            image = HomogPoly.from_row(NVARS, n, got, B.den**n, p)
+            assert image == diagonal_apply_per_term(B, f) == matrix_apply_per_call(B, f)
             assert all(isinstance(w, int) for w in B._image_table(n))
 
 
@@ -603,7 +644,7 @@ def test_diagonal_weights_recursion_matches_closed_form(field):
         [[field.from_int(x if i == j else 0) for j in range(3)] for i, x in enumerate((2, 4, 6))],
         field,
     )
-    assert evens.diagonal is not None
+    assert evens._weights is not None
     assert evens._image_table(1) == (2, 4, 6)
     for A in (halves, evens):
         for k in range(-3, 4):
@@ -718,13 +759,14 @@ def test_twist_power_reduces_mod_p():
     assert not ring.power(3).is_identity()
     sixth = ring.power(6)
     assert sixth.is_identity()
-    assert sixth.diagonal == (1, 1, 1)
-    assert ring.power(-6).diagonal == (1, 1, 1)
+    assert sixth == ring.power(-6) == AutoMap.identity(3, F)
 
 
 def test_twist_power_is_closed_form():
     """Deep powers need no chain of lower ones."""
     ring = TwistRing(2, AutoMap.diagonal_family([QQ.from_int(2), QQ.from_int(3)], QQ), QQ)
-    assert ring.power(2000).diagonal == (1, 2**2000, 3**2000)
-    assert ring.power(-2000).diagonal == (1, Fraction(1, 2**2000), Fraction(1, 3**2000))
+    forward, back = ring.power(2000), ring.power(-2000)
+    assert [forward.entry(i, i) for i in range(3)] == [1, 2**2000, 3**2000]
+    assert [back.entry(i, i) for i in range(3)] == [1, Fraction(1, 2**2000), Fraction(1, 3**2000)]
+    assert (forward.den, back.den) == (1, 6**2000)
     assert ring.power(2000) is ring.power(2000)

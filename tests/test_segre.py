@@ -28,10 +28,13 @@ from idealizer.segre import (
 MEET_DIMS = {1: 1, 2: 13, 3: 56, 4: 154, 5: 337, 6: 641, 7: 1108, 8: 1786}
 
 
-def _ctx(d=2, field=QQ, point=None):
-    coords = point or [1] * (d + 1)
-    c = ProjPoint.make([field.from_int(v) for v in coords], field)
-    return SegreContext(d, field, c)
+def _ctx(d=2, field=QQ):
+    return SegreContext(d, field)
+
+
+def _point(d=2, field=QQ, coords=None):
+    coords = coords or [1] * (d + 1)
+    return ProjPoint.make([field.from_int(v) for v in coords], field)
 
 
 @pytest.fixture(scope="module")
@@ -41,15 +44,15 @@ def ctx():
 
 def test_degree_one_dims(ctx):
     # plain point ideal: codimension one; diagonal ideal J: dim 3; K = I (x) I
-    assert ideal_piece(ctx, 1).dim == 2
+    assert ideal_piece(ctx, _point(), 1).dim == 2
     assert ctx.diagonal_ideal_piece(1).dim == 3
-    assert K_piece(ctx, 1).dim == 4
+    assert K_piece(ctx, _point(), 1).dim == 4
 
 
 def test_degree_two_dims(ctx):
-    assert ideal_piece(ctx, 2).dim == 5
+    assert ideal_piece(ctx, _point(), 2).dim == 5
     assert ctx.diagonal_ideal_piece(2).dim == 21
-    assert K_piece(ctx, 2).dim == 25
+    assert K_piece(ctx, _point(), 2).dim == 25
 
 
 def test_witness_dims_blockwise(ctx):
@@ -61,7 +64,7 @@ def test_witness_dims_blockwise(ctx):
 
 
 def test_naive_route_agrees(ctx):
-    naive = witness_dims_naive(ctx, 3)
+    naive = witness_dims_naive(ctx, _point(), 3)
     block = ctx.witness_dims(3)
     for m in range(1, 4):
         assert naive[m] == block["witness_dims"][m]
@@ -118,19 +121,19 @@ def test_bounded_compositions_brute_force():
             assert list(_bounded_compositions(n, bounds)) == sorted(want, reverse=True)
 
 
-def test_point_choice_does_not_matter():
-    other = _ctx(point=[1, 5, 7])
-    rec = other.witness_dims(4)
-    for m in range(1, 5):
-        assert rec["witness_dims"][m] == 1
-        assert rec["meet_dims"][m] == MEET_DIMS[m]
+def test_point_choice_does_not_matter(ctx):
+    """The naive count, K built at (1 : 5 : 7), gives the context's dims."""
+    naive = witness_dims_naive(ctx, _point(coords=[1, 5, 7]), 3)
+    rec = ctx.witness_dims(3)
+    for m in range(1, 4):
+        assert naive[m] == rec["witness_dims"][m] == 1
 
 
 def test_three_variables_witness():
     ctx3 = _ctx(d=3)
     rec = ctx3.witness_dims(3)
     assert [rec["witness_dims"][m] for m in (1, 2, 3)] == [3, 3, 3]
-    naive = witness_dims_naive(ctx3, 2)
+    naive = witness_dims_naive(ctx3, _point(d=3), 2)
     assert naive[2] == rec["witness_dims"][2]
 
 
