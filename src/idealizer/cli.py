@@ -28,19 +28,15 @@ from .orbit import (
     distinct_window,
     general_position_rank,
     multiplicative_independence,
-    orbit_points,
 )
 from .poly import basis_dim, format_poly, parse_poly
-from .report import SCHEMA, csv_text, json_text, table_payload
+from .report import SCHEMA, csv_text, json_text, jsonable, table_payload
 from .segre import SegreContext, local_witness_check, nonvanishing_from
-from .suite import jsonable, run_suite, skip_reason
+from .suite import PROBE_KEYS, run_suite, skip_reason
 from .twist import GradedIdeal, PointIdeal
 
 CONFIG_FLAGS = ("d", "point", "field", "max_degree", "trailing_zeros")
-PROBE_FIELDS = (
-    "degrees", "coker_dims", "torsion_dims", "support", "torsion_support",
-    "predicted_support", "support_matches", "torsion_matches",
-)
+PROBE_FIELDS = (*PROBE_KEYS, "torsion_support")
 LIST_FLAGS = ("--p", "--point")
 NEGATIVE_VALUE = re.compile(r"-[\d.]")
 
@@ -205,6 +201,7 @@ def _emit(args, text: str) -> None:
 
 
 def _render(args, payload: dict, default_fmt: str) -> None:
+    payload = jsonable(payload)
     fmt = args.fmt or default_fmt
     if fmt == "csv" and "columns" in payload:
         _emit(args, csv_text(payload))
@@ -285,7 +282,7 @@ def cmd_critdense(args, instance: Instance) -> int:
         degree_cap = args.degree if args.degree is not None else 2
         if window < 1 or degree_cap < 1:
             raise ConfigError("the window and the degree cap must be positive")
-        orbit = orbit_points(instance.ring.phi, instance.point, window)
+        orbit = instance.idealizer.orbit(window)
         ok, collision = distinct_window(orbit)
         ranks = []
         for m in range(1, degree_cap + 1):
@@ -295,8 +292,8 @@ def cmd_critdense(args, instance: Instance) -> int:
         payload["window_evidence"] = {
             "window": window,
             "distinct": ok,
-            "collision": jsonable(collision),
-            "ranks": jsonable(ranks),
+            "collision": collision,
+            "ranks": ranks,
         }
     _render(args, payload, "json")
     failed = cert.verdict == "dependent" and not cert.relation_verified
@@ -382,7 +379,7 @@ def cmd_segre(args, instance: Instance) -> int:
         {
             "verdict": {
                 "local_check": local["ok"],
-                "nonvanishing_from": jsonable(first_pos),
+                "nonvanishing_from": first_pos,
                 "diagonal_dim_degree_one": segre.diagonal_ideal_piece(1).dim,
             }
         },
@@ -402,7 +399,7 @@ def cmd_opposite_check(args, instance: Instance) -> int:
         "total_degree": args.total_degree,
         "ok": ok,
         "checked_pairs": checked,
-        "first_failure": jsonable(first_bad),
+        "first_failure": first_bad,
     }
     _render(args, payload, "json")
     return 0 if ok else 1
@@ -421,8 +418,8 @@ def cmd_veronese(args, instance: Instance) -> int:
         "command": "veronese",
         "config": instance.config.payload(),
         "n": args.n,
-        "generated_in_degree_one": jsonable(gen),
-        "idealizer_agreement": jsonable(compare),
+        "generated_in_degree_one": gen,
+        "idealizer_agreement": compare,
     }
     _render(args, payload, "json")
     return 0 if compare["least_agreement_degree"] is not None else 1

@@ -6,6 +6,8 @@ entries always carry the window and the trailing-zero parameter), and
 "skipped" for checks whose hypotheses the configuration does not meet.
 Identical configurations must produce byte-identical output, so payloads
 never contain timings or environment data; wall time goes to stderr.
+Data reaches bytes through ``jsonable`` once, at the boundary: the suite
+applies it to each check's data, the CLI to each command's payload.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from fractions import Fraction
 
 from .fields import Frozen
 
@@ -33,8 +36,22 @@ __all__ = [
     "VerificationReport",
     "csv_text",
     "json_text",
+    "jsonable",
     "table_payload",
 ]
+
+
+def jsonable(value):
+    """Deterministic JSON-safe view of report data."""
+    if isinstance(value, (bool, int, str)) or value is None:
+        return value
+    if isinstance(value, Fraction):
+        return int(value) if value.denominator == 1 else str(value)
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    raise TypeError("cannot serialize %r" % (value,))
 
 
 class CheckRecord(Frozen):

@@ -34,26 +34,28 @@ never vanish, nor do the generator counts in degree 1 and, off phi = id,
 degree 2 (T_1.T_1 vanishes at two orbit points, T_2 at one), so the
 required trailing zeros fit only if trailing_zeros <= N - 1, resp. N - 2.
 
-``run_suite`` decides every gate first, in ``CHECKS`` order.  The checks
-fall into the ``GROUPS`` of checks that read the same caches: the
-idealizer checks (T's pieces and products), the Ext checks (Koszul
-ranks and moved ideals), each self-check of twisted arithmetic, the
-Segre checks and the window checks.  One byte per group with a check to
-run goes into a pipe whose write end closes before the suite forks one
-worker; the parent and the worker then each claim the next group with a
-one-byte read until the pipe is empty, so whichever is free takes it,
-in the fixed order of ``GROUPS`` (largest first on the reference and
-prime instances).  The worker sends back the results of its groups,
-marshalled through a second pipe.  The suite forks only where
-``os.fork`` and ``os.sched_getaffinity`` exist, the process may use at
-least two CPUs, and no other thread is running; otherwise, or when the
-fork fails, every check runs inline.  A check with no result, because
-its body raised in either process or the worker died, runs again in the
-merge loop, in ``CHECKS`` order, so the first check that raises
-surfaces on every path.  The worker leaves through ``os._exit``: it
-never flushes the parent's stdio buffers, and ``run_suite`` waits for it
-before it returns or raises.  Records merge in ``CHECKS`` order, so the
-report is the same on both paths.
+``run_suite`` decides every gate first, in ``CHECKS`` order.  Each check
+names its group as it registers; the ``GROUPS`` of checks that read the
+same caches are the idealizer checks (T's pieces and products), the Ext
+checks (Koszul ranks and moved ideals), each self-check of twisted
+arithmetic, the Segre checks and the window checks.  One byte per group
+with a check to run goes into a pipe whose write end closes before the
+suite forks one worker; the parent and the worker then each claim the
+next group with a one-byte read until the pipe is empty, so whichever is
+free takes it, in the fixed order of ``GROUP_ORDER`` (largest first on
+the reference and prime instances).  ``_result`` makes a body's data
+JSON-safe in the process that ran it, before the worker marshals its
+results back through a second pipe (``marshal`` rejects a
+``Fraction``).  The suite forks only where ``os.fork`` and
+``os.sched_getaffinity`` exist, the process may use at least two CPUs,
+and no other thread is running; otherwise, or when the fork fails, every
+check runs inline.  A check with no result, because its body raised in
+either process or the worker died, runs again in the merge loop, in
+``CHECKS`` order, so the first check that raises surfaces on every
+path.  The worker leaves through ``os._exit``: it never flushes the
+parent's stdio buffers, and ``run_suite`` waits for it before it returns
+or raises.  Records merge in ``CHECKS`` order, so the report is the same
+on both paths.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ import hashlib
 import marshal
 import os
 import threading
-from fractions import Fraction
 from functools import cached_property
 from itertools import count, islice
 from typing import Callable
@@ -80,7 +81,7 @@ from .orbit import (
     multiplicative_independence,
 )
 from .poly import basis_dim, format_poly, vanishes_at
-from .report import FAIL, OBSERVED, PASS, SKIPPED, CheckRecord, VerificationReport
+from .report import FAIL, OBSERVED, PASS, SKIPPED, CheckRecord, VerificationReport, jsonable
 from .segre import SegreContext, local_witness_check, nonvanishing_from
 from .twist import GradedIdeal, PointIdeal, associativity_sample, kernel_form
 
@@ -112,23 +113,6 @@ PROBE_KEYS = (
 )
 
 __all__ = ["run_suite", "second_prime", "skip_reason"]
-
-
-def jsonable(value):
-    """Deterministic JSON-safe view of suite data."""
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, int):
-        return value
-    if isinstance(value, Fraction):
-        return int(value) if value.denominator == 1 else str(value)
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    raise TypeError("cannot serialize %r" % (value,))
 
 
 def second_prime(instance: Instance) -> int:
@@ -293,10 +277,19 @@ GATES: dict[str, Callable[[_Context], str | None]] = {
 # (status, statement, data[, window])
 CHECKS: list[tuple[str, str | None, tuple[str, ...], Callable[[_Context], tuple]]] = []
 
+# The groups of checks that read the same caches, in a fixed order:
+# largest first on the reference and prime instances, while in four
+# variables twist-associativity costs more than either of the first two.
+# Every check is in exactly one, so the two processes of a run share no
+# work.
+GROUP_ORDER = ("idealizer", "ext", "associativity", "opposite", "segre", "window")
+_GROUPED: dict[str, list[str]] = {group: [] for group in GROUP_ORDER}
 
-def _check(name: str, statement: str | None = None, requires: tuple[str, ...] = ()):
+
+def _check(group: str, name: str, statement: str | None = None, requires: tuple[str, ...] = ()):
     def register(body):
         CHECKS.append((name, statement, requires, body))
+        _GROUPED[group].append(name)
         return body
 
     return register
@@ -313,40 +306,6 @@ def skip_reason(instance: Instance, name: str) -> str | None:
     return _unmet(_Context(instance), requires)
 
 
-# Groups of checks that read the same caches, in a fixed order: largest
-# first on the reference and prime instances, while in four variables
-# twist-associativity costs more than either of the first two.  Every
-# check is in exactly one, so the two processes of a run share no work.
-GROUPS = (
-    (
-        "idealizer-structure",
-        "hilbert-s-mod-t",
-        "hilbert-s-mod-is",
-        "generator-degrees",
-        "veronese-generation",
-        "veronese-idealizer-agreement",
-        "right-noetherian-probes",
-        "prime-mode-crosscheck",
-    ),
-    (
-        "koszul-acyclicity",
-        "ext-top-twisted",
-        "euler-identity",
-        "hom-quotient-tables",
-        "chi-sample",
-    ),
-    ("twist-associativity",),
-    ("opposite-ring-transport",),
-    ("segre-local-witness", "segre-diagonal-dim", "segre-witness"),
-    (
-        "twist-normalization-pin",
-        "orbit-distinct-window",
-        "multiplier-independence",
-        "general-position-ranks",
-    ),
-)
-
-
 def _may_fork() -> bool:
     """A second CPU for the worker, and no thread that could hold a lock
     across the fork."""
@@ -358,6 +317,12 @@ def _may_fork() -> bool:
     )
 
 
+def _result(body, ctx: _Context) -> tuple:
+    """The body's result, its data made JSON-safe."""
+    status, statement, data, *window = body(ctx)
+    return (status, statement, jsonable(data), *window)
+
+
 def _claim(ctx: _Context, groups, claims: int) -> dict:
     """Run the groups whose indices this process reads from ``claims``
     until the pipe is empty; {name: result} of the bodies that returned.
@@ -366,7 +331,7 @@ def _claim(ctx: _Context, groups, claims: int) -> dict:
     while index := os.read(claims, 1):
         for name, body in groups[index[0]]:
             try:
-                results[name] = body(ctx)
+                results[name] = _result(body, ctx)
             except Exception:
                 pass
     return results
@@ -428,13 +393,13 @@ def run_suite(instance: Instance) -> VerificationReport:
         if reasons[name] is not None:
             checks.append(CheckRecord(name, SKIPPED, statement, {"reason": reasons[name]}))
         else:
-            result = results[name] if name in results else body(ctx)
+            result = results[name] if name in results else _result(body, ctx)
             checks.append(CheckRecord(name, *result))
     return VerificationReport(ctx.cfg.payload(), tuple(checks))
 
 
 @_check(
-    "twist-normalization-pin",
+    "window", "twist-normalization-pin",
     "x1.x0 = p1 (x0 . x1): stated for the diagonal family only",
     ("diagonal",),
 )
@@ -446,11 +411,11 @@ def _twist_normalization_pin(ctx):
     return (
         _verdict(ok),
         "x1.x0 equals p1 times x0.x1 in the twisted product",
-        {"p1": jsonable(p1)},
+        {"p1": p1},
     )
 
 
-@_check("twist-associativity")
+@_check("associativity", "twist-associativity")
 def _twist_associativity(ctx):
     ok = associativity_sample(ctx.ring, ASSOCIATIVITY_TRIALS, ASSOCIATIVITY_SEED)
     return (
@@ -460,18 +425,18 @@ def _twist_associativity(ctx):
     )
 
 
-@_check("opposite-ring-transport")
+@_check("opposite", "opposite-ring-transport")
 def _opposite_ring_transport(ctx):
     ok, checked, first_bad = ctx.ring.opposite_iso_check(OPPOSITE_DEGREE_CAP)
     return (
         _verdict(ok),
         "powers of phi transport the opposite product onto the twist by "
         "the inverse, exhaustively to total degree %d" % OPPOSITE_DEGREE_CAP,
-        {"checked_pairs": checked, "first_failure": jsonable(first_bad)},
+        {"checked_pairs": checked, "first_failure": first_bad},
     )
 
 
-@_check("orbit-distinct-window")
+@_check("window", "orbit-distinct-window")
 def _orbit_distinct_window(ctx):
     # an observation about the window, not a claim
     ok, collision = ctx.distinct
@@ -480,7 +445,7 @@ def _orbit_distinct_window(ctx):
         "pairwise distinctness of the orbit points c_n for |n| <= N",
         {
             "distinct": ok,
-            "collision": jsonable(collision),
+            "collision": collision,
             "identity_automorphism": ctx.identity,
         },
         ctx.window,
@@ -488,7 +453,7 @@ def _orbit_distinct_window(ctx):
 
 
 @_check(
-    "multiplier-independence",
+    "window", "multiplier-independence",
     "multiplicative independence of the diagonal multipliers",
     ("certificate",),
 )
@@ -503,7 +468,7 @@ def _multiplier_independence(ctx):
 
 
 @_check(
-    "general-position-ranks",
+    "window", "general-position-ranks",
     "evaluation matrices at consecutive orbit points have full rank",
     ("density", "distinct", "nonzero-coords"),
 )
@@ -518,12 +483,12 @@ def _general_position_ranks(ctx):
         _verdict(full, OBSERVED),
         "degree-m evaluation at dim U_m consecutive orbit points has "
         "full rank for m = 1, 2",
-        {"ranks": jsonable(ranks)},
+        {"ranks": ranks},
         ctx.window,
     )
 
 
-@_check("idealizer-structure", "T_n = I_n for 1 <= n <= N", ("structural",))
+@_check("idealizer", "idealizer-structure", "T_n = I_n for 1 <= n <= N", ("structural",))
 def _idealizer_structure(ctx):
     N, idl = ctx.N, ctx.idl
     if ctx.identity:
@@ -538,11 +503,11 @@ def _idealizer_structure(ctx):
     return (
         _verdict(rec["agrees"]),
         "T_0 = k and T_n = I_n for 1 <= n <= N",
-        jsonable(rec),
+        rec,
     )
 
 
-@_check("hilbert-s-mod-t", "dim (S/T)_n = 1 for 1 <= n <= N", ("structural",))
+@_check("idealizer", "hilbert-s-mod-t", "dim (S/T)_n = 1 for 1 <= n <= N", ("structural",))
 def _hilbert_s_mod_t(ctx):
     N = ctx.N
     dims = ctx.idl.s_mod_t_dims(N)
@@ -556,7 +521,9 @@ def _hilbert_s_mod_t(ctx):
 
 
 @_check(
-    "hilbert-s-mod-is", "dim (S/IS)_m vanishes from some m0 on", ("structural", "window")
+    "idealizer", "hilbert-s-mod-is",
+    "dim (S/IS)_m vanishes from some m0 on",
+    ("structural", "window"),
 )
 def _hilbert_s_mod_is(ctx):
     dims = ctx.idl.s_mod_is_dims(ctx.N)
@@ -573,13 +540,13 @@ def _hilbert_s_mod_is(ctx):
         _verdict(m0 is not None and tz >= ctx.cfg.trailing_zeros, OBSERVED),
         "dim (S/IS)_m = 0 from an observed m0 <= N on, with the "
         "required count of trailing zero degrees",
-        {"dims": dims, "m0": jsonable(m0), "trailing_zeros_seen": tz},
+        {"dims": dims, "m0": m0, "trailing_zeros_seen": tz},
         ctx.window,
     )
 
 
 @_check(
-    "generator-degrees",
+    "idealizer", "generator-degrees",
     "minimal generator degrees of T",
     ("structural", "window", "generator-window"),
 )
@@ -590,13 +557,13 @@ def _generator_degrees(ctx):
         _verdict(tz >= ctx.cfg.trailing_zeros, OBSERVED),
         "new algebra generators of T appear only in an initial range "
         "of degrees, zero counts afterwards",
-        {"counts_by_degree": jsonable(gens), "trailing_zeros_seen": tz},
+        {"counts_by_degree": gens, "trailing_zeros_seen": tz},
         ctx.window,
     )
 
 
 @_check(
-    "veronese-generation", "T_n.T_n versus T_2n for n = 1, 2, 3", ("structural",)
+    "idealizer", "veronese-generation", "T_n.T_n versus T_2n for n = 1, 2, 3", ("structural",)
 )
 def _veronese_generation(ctx):
     recs = [ctx.idl.veronese_gen_in_degree_one(n) for n in (1, 2, 3)]
@@ -605,12 +572,12 @@ def _veronese_generation(ctx):
         _verdict(all(r["generated"] == want for r in recs)),
         "the n-th Veronese of T is generated in degree one exactly "
         "when phi is the identity (n = 1, 2, 3)",
-        {"records": jsonable(recs), "expected_generated": want},
+        {"records": recs, "expected_generated": want},
     )
 
 
 @_check(
-    "veronese-idealizer-agreement",
+    "idealizer", "veronese-idealizer-agreement",
     "the degree-2 Veronese of T agrees with the idealizer inside "
     "the Veronese of S from some degree on",
     ("non-identity", "distinct"),
@@ -622,12 +589,12 @@ def _veronese_idealizer_agreement(ctx):
         _verdict(rec["least_agreement_degree"] is not None, OBSERVED),
         "pieces of the degree-2 Veronese of T match the idealizer of "
         "the Veronese ideal from the observed degree D on",
-        jsonable(rec),
+        rec,
         ctx.capped_window(cap),
     )
 
 
-@_check("koszul-acyclicity")
+@_check("ext", "koszul-acyclicity")
 def _koszul_acyclicity(ctx):
     d = ctx.cfg.d
     bad = []
@@ -640,11 +607,11 @@ def _koszul_acyclicity(ctx):
         _verdict(not bad),
         "ext_U(i, U, n) = 0 for i < d: the point's linear forms are a "
         "regular sequence",
-        {"failures": jsonable(bad), "degrees": [-d, ctx.N]},
+        {"failures": bad, "degrees": [-d, ctx.N]},
     )
 
 
-@_check("ext-top-twisted")
+@_check("ext", "ext-top-twisted")
 def _ext_top_twisted(ctx):
     row = [ctx.engine.ext_S_twisted(ctx.cfg.d, ctx.zero_ideal, n) for n in range(ctx.N + 1)]
     return (
@@ -655,7 +622,7 @@ def _ext_top_twisted(ctx):
     )
 
 
-@_check("euler-identity")
+@_check("ext", "euler-identity")
 def _euler_identity(ctx):
     modules = (
         ("U", ctx.zero_ideal),
@@ -672,12 +639,12 @@ def _euler_identity(ctx):
         _verdict(not bad),
         "the alternating sum of ext dims equals the alternating sum of "
         "binomial-weighted module dims at every sampled degree",
-        {"failures": jsonable(bad)},
+        {"failures": bad},
     )
 
 
 @_check(
-    "hom-quotient-tables",
+    "ext", "hom-quotient-tables",
     "hom_S_quotient totals for orbit, off-orbit, and maximal ideals",
     ("density", "distinct", "nonzero-coords", "off-orbit"),
 )
@@ -707,7 +674,7 @@ def _hom_quotient_tables(ctx):
 
 
 @_check(
-    "right-noetherian-probes",
+    "idealizer", "right-noetherian-probes",
     "supports of S/(fS+T) and (fS meet T)/fT match the vanishing "
     "set of f along the orbit",
     ("non-identity", "distinct"),
@@ -734,12 +701,12 @@ def _right_noetherian_probes(ctx):
         "for probe elements f of T_1, S/(fS+T) is supported exactly "
         "where f vanishes along the orbit, and the torsion quotient "
         "drops the initial degree",
-        {"probes": jsonable(probes)},
+        {"probes": probes},
     )
 
 
 @_check(
-    "chi-sample",
+    "ext", "chi-sample",
     "twisted ext tables over a sample of quotient modules",
     ("density", "distinct", "nonzero-coords"),
 )
@@ -762,23 +729,23 @@ def _chi_sample(ctx):
         "the sampled ext tables are consistent with the finiteness "
         "conditions holding below the top cohomological index and "
         "failing there; a sample cannot verify the general condition",
-        jsonable(chi),
+        chi,
         ctx.capped_window(cap),
     )
 
 
-@_check("segre-local-witness")
+@_check("segre", "segre-local-witness")
 def _segre_local_witness(ctx):
     local = local_witness_check(ctx.cfg.d, ctx.field)
     return (
         _verdict(local["ok"]),
         "u1 v2 - u2 v1 lies in J' meet K' while the degree-2 piece of "
         "J'.K' vanishes",
-        jsonable(local),
+        local,
     )
 
 
-@_check("segre-diagonal-dim")
+@_check("segre", "segre-diagonal-dim")
 def _segre_diagonal_dim(ctx):
     d = ctx.cfg.d
     j1 = SegreContext(d, ctx.field).diagonal_ideal_piece(1).dim
@@ -791,7 +758,7 @@ def _segre_diagonal_dim(ctx):
     )
 
 
-@_check("segre-witness")
+@_check("segre", "segre-witness")
 def _segre_witness(ctx):
     cap = min(ctx.N, SEGRE_DEGREE_CAP)
     block = SegreContext(ctx.cfg.d, ctx.field).witness_dims(cap)
@@ -805,14 +772,14 @@ def _segre_witness(ctx):
             "witness_dims": wdims,
             "meet_dims": [block["meet_dims"][m] for m in ms],
             "product_dims": [block["product_dims"][m] for m in ms],
-            "nonvanishing_from": jsonable(nonvanishing_from(block["witness_dims"])),
+            "nonvanishing_from": nonvanishing_from(block["witness_dims"]),
         },
         ctx.capped_window(cap),
     )
 
 
 @_check(
-    "prime-mode-crosscheck",
+    "idealizer", "prime-mode-crosscheck",
     "dimension agreement with a second prime",
     ("prime", "twin", "twin-regime"),
 )
@@ -842,3 +809,7 @@ def _prime_mode_crosscheck(ctx):
         },
         ctx.window,
     )
+
+
+# each group's checks in CHECKS order, the groups in GROUP_ORDER
+GROUPS = tuple(tuple(names) for names in _GROUPED.values())

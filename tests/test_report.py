@@ -1,6 +1,7 @@
 """Report records and deterministic serialization."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ from idealizer.report import (
     VerificationReport,
     csv_text,
     json_text,
+    jsonable,
     table_payload,
 )
 
@@ -65,3 +67,14 @@ def test_csv_text_sorted_extra_keys():
     payload = table_payload("t", {}, ["a"], [[1]], {"zeta": 1, "alpha": 2})
     text = csv_text(payload)
     assert text.index("# alpha") < text.index("# zeta")
+
+
+def test_jsonable_reads_fractions_tuples_and_keys():
+    value = {1: (Fraction(1, 2), Fraction(4, 2)), "a": [{2: None}, True, "s"]}
+    assert jsonable(value) == {"1": ["1/2", 2], "a": [{"2": None}, True, "s"]}
+    assert jsonable(jsonable(value)) == jsonable(value)
+
+
+def test_jsonable_rejects_unknown_objects():
+    with pytest.raises(TypeError):
+        jsonable({"x": [object()]})

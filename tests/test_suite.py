@@ -488,8 +488,46 @@ REGIME_CONFIGS = {
     "prime": {"d": 2, "max_degree": 6, "field": "prime:10007"},
 }
 
+# fractional multipliers: the pin's raw p1 is a Fraction, which marshal rejects
+FRACTIONAL_CONFIG = {
+    "d": 2,
+    "automorphism": {"diag": ["1/2", "2/3"]},
+    "point": ["2", "3", "5"],
+    "max_degree": 10,
+}
+
 
 def test_groups_partition_the_checks():
+    """The groups derived from the registry, in the order whose split of a
+    run across two processes ``BENCH_groups.json`` measured."""
+    assert suite.GROUPS == (
+        (
+            "idealizer-structure",
+            "hilbert-s-mod-t",
+            "hilbert-s-mod-is",
+            "generator-degrees",
+            "veronese-generation",
+            "veronese-idealizer-agreement",
+            "right-noetherian-probes",
+            "prime-mode-crosscheck",
+        ),
+        (
+            "koszul-acyclicity",
+            "ext-top-twisted",
+            "euler-identity",
+            "hom-quotient-tables",
+            "chi-sample",
+        ),
+        ("twist-associativity",),
+        ("opposite-ring-transport",),
+        ("segre-local-witness", "segre-diagonal-dim", "segre-witness"),
+        (
+            "twist-normalization-pin",
+            "orbit-distinct-window",
+            "multiplier-independence",
+            "general-position-ranks",
+        ),
+    )
     names = [name for group in suite.GROUPS for name in group]
     assert sorted(names) == sorted(CHECK_ORDER)
     assert len(names) == len(set(names))
@@ -544,8 +582,11 @@ def test_ext_and_idealizer_groups_share_no_work(monkeypatch, config):
 @pytest.mark.parametrize(
     "config",
     [SEED0_CONFIGS[name] for name in sorted(SEED0_CONFIGS)]
-    + [REGIME_CONFIGS[name] for name in sorted(REGIME_CONFIGS)],
-    ids=sorted(SEED0_CONFIGS) + ["regime-" + name for name in sorted(REGIME_CONFIGS)],
+    + [REGIME_CONFIGS[name] for name in sorted(REGIME_CONFIGS)]
+    + [FRACTIONAL_CONFIG],
+    ids=sorted(SEED0_CONFIGS)
+    + ["regime-" + name for name in sorted(REGIME_CONFIGS)]
+    + ["fractional"],
 )
 def test_every_result_survives_marshal(config):
     """Any check may run in the worker, whose results come back marshalled;
@@ -554,14 +595,19 @@ def test_every_result_survives_marshal(config):
     ran = 0
     for group in suite.GROUPS:
         for name, body in _runnable(ctx, group):
-            result = body(ctx)
+            result = suite._result(body, ctx)
             assert repr(marshal.loads(marshal.dumps(result))) == repr(result), name
             ran += 1
     assert ran
 
 
-def test_parent_runs_no_body_the_worker_sent(monkeypatch):
-    instance = RingConfig.from_mapping(SEED0_CONFIGS["ref-q"]).validate().build()
+@pytest.mark.parametrize(
+    "config", [SEED0_CONFIGS["ref-q"], FRACTIONAL_CONFIG], ids=["ref-q", "fractional"]
+)
+def test_parent_runs_no_body_the_worker_sent(monkeypatch, config):
+    """The worker sends the result of every body it ran, Fraction data
+    included, so the parent runs none of them again."""
+    instance = RingConfig.from_mapping(config).validate().build()
     inline = json_text(run_suite(instance).payload())
     parent = os.getpid()
     ran_here, sent = [], {}
